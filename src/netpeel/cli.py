@@ -2,8 +2,9 @@
 
 Every run is deterministic given its flags; all randomness flows from
 `--seed`.  Exit codes: 0 success (or verification pass), 1 verification
-fail, 2 usage error, 3 a geometric assumption did not hold, 4 a piece or
-width budget ran out.
+fail, 2 usage error (including an unreadable, malformed or invalid input
+file), 3 a geometric assumption did not hold, 4 a piece or width budget ran
+out.
 """
 
 from __future__ import annotations
@@ -175,6 +176,24 @@ def cmd_generate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# What loading raises for a file that is not a valid network document:
+# json.JSONDecodeError and UnicodeDecodeError are ValueErrors, a missing key
+# is a KeyError and a field of the wrong JSON type is a TypeError.
+_BAD_DOCUMENT = (ValueError, KeyError, TypeError)
+
+
+def _load(loader, path: str):
+    """Run `loader(path)`, turning every file or format error into a usage error."""
+    try:
+        return loader(path)
+    except FileNotFoundError:
+        raise UsageError(f"input file not found: {path}")
+    except OSError as err:
+        raise UsageError(f"cannot read {path}: {err.strerror}")
+    except _BAD_DOCUMENT as err:
+        raise UsageError(f"{path} is not a valid network document: {err!r}")
+
+
 def _load_file(path: str):
     """A network from either a bare network file or an extraction report."""
     with open(path) as fh:
@@ -186,10 +205,7 @@ def _load_file(path: str):
 
 def cmd_extract(cfg: RunConfig) -> int:
     _positive(cfg, ["delta", "d1_max", "m_max", "d2_max"])
-    try:
-        truth = load_net(cfg.input)
-    except FileNotFoundError:
-        raise UsageError(f"input file not found: {cfg.input}")
+    truth = _load(load_net, cfg.input)
     audit = AccessAudit(truth)
     oracle = as_oracle(audit)
     audit.arm()
@@ -211,12 +227,14 @@ def cmd_extract(cfg: RunConfig) -> int:
     audit.disarm()
     if audit.reads:
         raise RuntimeError(f"extraction read {audit.reads} ground-truth attributes")
+    stage2 = result if depth == 2 else result.top
     report = {
         "format": REPORT_FORMAT,
         "depth": depth,
         "delta": cfg.delta,
         "total_queries": oracle.count,
         "phase_queries": dict(result.phase_queries),
+        "residual_headroom": stage2.residual_headroom,
         "seconds": round(seconds, 4),
         "parameter_reads": audit.reads,
         "network": net_to_document(result.network()),
@@ -233,11 +251,8 @@ def cmd_extract(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     _positive(cfg, ["tau", "samples"])
-    try:
-        truth = _load_file(cfg.truth)
-        candidate = _load_file(cfg.candidate)
-    except FileNotFoundError as err:
-        raise UsageError(str(err))
+    truth = _load(_load_file, cfg.truth)
+    candidate = _load(_load_file, cfg.candidate)
     depth2 = isinstance(truth, TwoLayerNet)
     lo = cfg.lo if cfg.lo is not None else (0.0 if depth2 else -5.0)
     hi = cfg.hi if cfg.hi is not None else (10.0 if depth2 else 5.0)

@@ -1,65 +1,38 @@
-"""Shared numeric policy: tolerances, thresholds and retry budgets.
+"""Shared numeric constants: geometric tolerances and retry budgets.
 
-Every comparison of real values in the package goes through `close` or one of
-the scale-aware thresholds below, so the knobs live in one place.  All
+`Tolerances` holds the thresholds that network validation, hyperplane
+deduplication and right inversion share; `Budgets` holds the generators'
+rejection and sampling limits.  The probing primitives and extractors keep
+their scale-aware thresholds next to the code that derives them.  All
 floating point work is float64.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 EPS = float(np.finfo(np.float64).eps)
 
-# Fraction of delta used for kink detection thresholds.  At the default
-# delta = 1e-4 this reproduces a second-difference threshold of
-# 1e-7 * (1 + |f|); for other delta it scales linearly, matching the way a
-# kink's second difference scales with the probe radius.
-KINK_SCALE = 1e-3
-
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Absolute/relative equality plus the derived geometric thresholds."""
+    """Geometric thresholds shared across modules."""
 
-    atol: float = 1e-9
-    rtol: float = 1e-9
     unit_norm: float = 1e-12      # accepted deviation of a unit normal
     dedup: float = 1e-7           # canonical hyperplane dedup distance
     rank: float = 1e-8            # rank decisions in right_inverse
-    affine_gap: float = 1e-6      # minimal slope/offset gap between pieces
-
-    def close(self, a: float, b: float) -> bool:
-        a = float(a)
-        b = float(b)
-        return abs(a - b) <= self.atol + self.rtol * max(abs(a), abs(b))
 
 
 DEFAULT_TOL = Tolerances()
 
 
-def kink_threshold(delta: float, scale: float) -> float:
-    """Second-difference threshold separating a kink from round-off.
-
-    `scale` is 1 + |f(x)| for the values involved.
-    """
-    return KINK_SCALE * delta * scale
-
-
 @dataclass(frozen=True)
 class Budgets:
-    """Retry and rejection limits used across generation and extraction."""
+    """Rejection and sampling limits used by the generators."""
 
-    hyperplane_retries: int = 8       # direction retries in hyperplane recovery
-    sign_point_retries: int = 32      # base-point retries in row sign recovery
-    direction_probes: int = 8         # random directions in criticality tests
     rejection_limit: int = 100        # per-unit resampling cap in generators
     assumption_probes: int = 256      # sample points for the derivative check
 
 
 DEFAULT_BUDGETS = Budgets()
-
-
-def with_overrides(base: Tolerances, **kw) -> Tolerances:
-    return replace(base, **kw)

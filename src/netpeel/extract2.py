@@ -3,9 +3,11 @@
 The loop: scan the coordinate rays for the leftmost slope break, bracket it,
 read the unit's sign off the local convexity, read its weights off the change
 in the tangent affine map, subtract the recovered unit from the oracle, and
-repeat.  Units that never bend on the probed orthant are linear there; they
-end up in the affine remainder reconstructed at the end, which also absorbs
-the orientation ambiguity of each recovered unit (sigma(-z) = sigma(z) - z).
+repeat.  A refinement pass then refits every recovered unit far from all the
+other planes, where a wide stencil pins it down to near machine precision.
+Units that never bend on the probed orthant are linear there; they end up in
+the affine remainder reconstructed at the end, which also absorbs the
+orientation ambiguity of each recovered unit (sigma(-z) = sigma(z) - z).
 """
 from __future__ import annotations
 
@@ -14,12 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import EPS
-from .oracle.nets import AffineMap, Neuron, TwoLayerNet, relu
+from .oracle.nets import AffineMap, Neuron, TwoLayerNet, batch_eval, evaluator
 from .oracle.query import DOMAIN_NONNEG, LineOracle, QueryOracle, axis_ray
 from .pwl import (
     GeneralPositionError,
     PieceBudgetError,
-    default_window,
     leftmost_critical_point_1d,
     reconstruct_affine,
     scan_segments,
@@ -29,16 +30,24 @@ _BRACKET_CAP = 0.01
 _STEP_CAP = 1.25e-4
 _SCAN_START = 1e-4
 _SKIP_SEED = 20240817
+_REFINE_SEED = 20240818
+_REFINE_CANDIDATES = 256
+_RESIDUAL_TOL = 1e-8
 
 
 @dataclass
 class ExtractedTwoLayer:
-    """Result of a depth-2 run: recovered units, affine remainder, query split."""
+    """Result of a depth-2 run: recovered units, affine remainder, query split.
+
+    `residual_headroom` is the worst ratio of the final affine-residual
+    check's deviation to its tolerance; the run fails above 1.
+    """
 
     d: int
     neurons: tuple[Neuron, ...]
     skip: AffineMap
     phase_queries: dict[str, int] = field(default_factory=dict)
+    residual_headroom: float = 0.0
 
     @property
     def width(self) -> int:
@@ -52,11 +61,7 @@ class ExtractedTwoLayer:
         return TwoLayerNet(d=self.d, neurons=self.neurons, skip=self.skip)
 
     def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        acc = self.skip(x)
-        for n in self.neurons:
-            acc += n(x)
-        return float(acc)
+        return float(batch_eval(self.network(), np.atleast_2d(x))[0])
 
 
 _FAR_STEP = 1e-6
@@ -187,16 +192,88 @@ def recover_neuron(oracle, x1, x2, delta: float) -> Neuron:
 
 
 def subtracted_oracle(oracle: QueryOracle, recovered) -> QueryOracle:
-    """Oracle for oracle(x) - sum of the recovered units; one query per call."""
-    units = tuple(recovered)
+    """Oracle for oracle(x) - sum of the recovered units; one query per call.
 
-    def fn(x):
-        acc = oracle.query(x)
-        for n in units:
-            acc -= n.sign * relu(float(n.w @ x) + n.b)
-        return acc
-
+    The units are subtracted through the stacked evaluator of their sum.
+    """
+    units = evaluator(TwoLayerNet(d=oracle.dim, neurons=tuple(recovered)))
+    fn = lambda x: oracle.query(x) - units(x[None, :])[0]
     return QueryOracle(fn, oracle.dim, oracle.domain, label=f"{oracle.label}-peel")
+
+
+def _refine_point(normals: np.ndarray, offsets: np.ndarray, i: int, rng):
+    """A point on plane i inside the orthant, far from every other plane.
+
+    The plane meets the orthant in the convex hull of its positive axis
+    crossings plus the cone of in-plane directions that stay nonnegative, so
+    random combinations of those generators are points of that set.  The
+    candidate whose clearance (distance to the nearest other plane or to the
+    orthant boundary) is largest wins.  Uses no queries.  Returns
+    (point, clearance); the clearance is not positive when no candidate lies
+    inside.
+    """
+    n, o = normals[i], offsets[i]
+    d = n.size
+    with np.errstate(divide="ignore"):
+        t = np.where(n != 0.0, -o / n, -np.inf)
+    hit = t > 0.0
+    if not hit.any():
+        return None, 0.0
+    pivot = int(np.argmax(np.where(hit, np.abs(n), -1.0)))
+    corners = np.diag(np.where(hit, t, 0.0))[hit]
+    rays = np.eye(d)[~hit]
+    rays[:, pivot] -= n[~hit] / n[pivot]
+    lam = rng.dirichlet(np.ones(corners.shape[0]), size=_REFINE_CANDIDATES)
+    reach = float(np.mean(t[hit]))
+    mu = rng.uniform(0.0, reach, size=(_REFINE_CANDIDATES, rays.shape[0]))
+    pts = lam @ corners + mu @ rays
+    others = np.abs(pts @ np.delete(normals, i, axis=0).T + np.delete(offsets, i))
+    clearance = np.minimum(pts.min(axis=1), others.min(axis=1, initial=np.inf))
+    best = int(np.argmax(clearance))
+    return pts[best], float(clearance[best])
+
+
+def refine_units(oracle: QueryOracle, units) -> list[Neuron]:
+    """Refit every recovered unit where no other recovered plane is near.
+
+    For unit i, the oracle minus all other units is affine on each side of
+    plane i within the clearance of the point from `_refine_point`.  Fitting
+    both sides a distance r (half the clearance) off the plane with step r/4
+    gives the unit's jump, sign * (right - left), with a stencil hundreds of
+    times wider than the crossing bracket allowed, so the fit's round-off
+    shrinks by as much.  A unit whose clearance would not widen the stencil
+    past the recovery's own step keeps its recovered parameters.
+    """
+    units = list(units)
+    net = TwoLayerNet(d=oracle.dim, neurons=tuple(units))
+    W, b = net.weight_matrix(), net.biases()
+    scale = np.linalg.norm(W, axis=1)
+    normals, offsets = W / scale[:, None], b / scale
+    rng = np.random.default_rng(_REFINE_SEED)
+    for i, unit in enumerate(units):
+        point, clearance = _refine_point(normals, offsets, i, rng)
+        r = clearance / 2.0
+        if r / 4.0 <= _STEP_CAP:
+            continue
+        work = subtracted_oracle(oracle, units[:i] + units[i + 1:])
+        left = reconstruct_affine(work, point - r * normals[i], r / 4.0)
+        right = reconstruct_affine(work, point + r * normals[i], r / 4.0)
+        units[i] = Neuron(unit.sign * (right.w - left.w),
+                          unit.sign * (right.b - left.b), unit.sign)
+    return units
+
+
+def _check_affine_residual(work: QueryOracle, skip: AffineMap, rng) -> float:
+    """Worst |residual - skip| over its tolerance at 16 random points."""
+    worst = 0.0
+    for _ in range(16):
+        x = rng.uniform(0.0, 4.0, size=work.dim)
+        got = work(x)
+        worst = max(worst, abs(got - skip(x)) / (_RESIDUAL_TOL * (1.0 + abs(got))))
+    if worst > 1.0:
+        raise GeneralPositionError(
+            f"residual is not affine (deviation {worst:.3g} x tolerance)")
+    return worst
 
 
 def extract_two_layer(
@@ -210,16 +287,17 @@ def extract_two_layer(
     """Full depth-2 recovery loop.
 
     Alternates crossing search, unit recovery, and subtraction until no
-    coordinate ray bends any more, then reads the affine remainder off the
-    residual at a generic interior point and validates that the residual
-    really is affine at a handful of random points.
+    coordinate ray bends any more, refines every recovered unit, then reads
+    the affine remainder off the residual at a generic interior point and
+    validates that the residual really is affine at a handful of random
+    points.
 
     `scan_window` bounds the scanned portion of each ray (default 1/delta).
     Raises PieceBudgetError("too many neurons") past `d1_max`.
     """
     if oracle.domain != DOMAIN_NONNEG:
         raise ValueError("depth-2 extraction queries the nonnegative orthant")
-    counts = {"scan": 0, "recover": 0, "skip": 0}
+    counts = {"scan": 0, "recover": 0, "refine": 0, "skip": 0}
     neurons: list[Neuron] = []
     work = oracle
     start_axis = 0
@@ -240,14 +318,14 @@ def extract_two_layer(
         work = subtracted_oracle(oracle, neurons)
         start_axis = axis
     mark = oracle.count
+    neurons = refine_units(oracle, neurons)
+    work = subtracted_oracle(oracle, neurons)
+    counts["refine"] += oracle.count - mark
+    mark = oracle.count
     rng = np.random.default_rng(_SKIP_SEED)
     base = rng.uniform(0.7, 1.7, size=d)
     skip = reconstruct_affine(work, base, 0.25)
-    for _ in range(16):
-        x = rng.uniform(0.0, 4.0, size=d)
-        got = work(x)
-        if abs(got - skip(x)) > 1e-8 * (1.0 + abs(got)):
-            raise GeneralPositionError("residual is not affine")
+    headroom = _check_affine_residual(work, skip, rng)
     counts["skip"] += oracle.count - mark
     return ExtractedTwoLayer(d=d, neurons=tuple(neurons), skip=skip,
-                             phase_queries=counts)
+                             phase_queries=counts, residual_headroom=headroom)

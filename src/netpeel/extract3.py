@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, EPS
 from .extract2 import ExtractedTwoLayer, extract_two_layer
-from .oracle.nets import ThreeLayerFunction
+from .oracle.nets import ThreeLayerFunction, batch_eval
 from .oracle.query import DOMAIN_FULL, DOMAIN_NONNEG, LineOracle, QueryOracle
 from .pwl import (
     GeneralPositionError,
@@ -86,9 +86,7 @@ class ExtractedThreeLayer:
         return ThreeLayerFunction(W=self.W, b=self.b, top=self.top.network())
 
     def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        hidden = np.maximum(self.W @ x + self.b, 0.0)
-        return self.top(hidden)
+        return float(batch_eval(self.network(), np.atleast_2d(x))[0])
 
 
 def collect_candidate_hyperplanes(

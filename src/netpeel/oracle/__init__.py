@@ -7,11 +7,7 @@ from .nets import (
     TwoLayerNet,
     as_three_layer_function,
     batch_eval,
-    eval_three_layer,
-    eval_three_layer_batch,
-    eval_two_layer,
-    eval_two_layer_batch,
-    point_eval,
+    evaluator,
     relu,
 )
 from .query import (
@@ -44,8 +40,7 @@ from .serialize import (
 
 __all__ = [
     "AffineMap", "Neuron", "TwoLayerNet", "ThreeLayerNet", "ThreeLayerFunction",
-    "as_three_layer_function", "relu", "eval_two_layer", "eval_two_layer_batch",
-    "eval_three_layer", "eval_three_layer_batch", "batch_eval", "point_eval",
+    "as_three_layer_function", "relu", "evaluator", "batch_eval",
     "QueryOracle", "LineOracle", "AccessAudit", "DomainError", "as_oracle",
     "axis_ray", "DOMAIN_NONNEG", "DOMAIN_FULL",
     "GeneratorMargins", "DEFAULT_MARGINS", "GenerationError",

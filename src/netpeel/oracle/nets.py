@@ -11,12 +11,14 @@ all of R^d,
     f(x) = s . relu(V relu(W x + b) + c),
 
 with unit-norm, linearly independent rows of W (so W has a right inverse) and
-no zero entry in V.  Containers are immutable; evaluators come in scalar and
-batch form.
+no zero entry in V.  Containers are immutable.  Each class has one stacked
+evaluator (`evaluator`), which maps a batch of points to values with a few
+matrix products; a single point is a batch of one row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -75,12 +77,6 @@ class Neuron:
     def dim(self) -> int:
         return self.w.shape[0]
 
-    def pre_activation(self, x) -> float:
-        return float(self.w @ np.asarray(x, dtype=float) + self.b)
-
-    def __call__(self, x) -> float:
-        return self.sign * float(relu(self.pre_activation(x)))
-
 
 @dataclass(frozen=True, eq=False)
 class TwoLayerNet:
@@ -104,7 +100,8 @@ class TwoLayerNet:
         return len(self.neurons)
 
     def weight_matrix(self) -> np.ndarray:
-        return np.array([n.w for n in self.neurons], dtype=float)
+        w = np.array([n.w for n in self.neurons], dtype=float)
+        return w.reshape(self.width, self.d)
 
     def biases(self) -> np.ndarray:
         return np.array([n.b for n in self.neurons], dtype=float)
@@ -171,14 +168,6 @@ class ThreeLayerNet:
     def d2(self) -> int:
         return self.V.shape[0]
 
-    def hidden(self, x) -> np.ndarray:
-        """First-layer activations relu(W x + b)."""
-        return relu(self.W @ np.asarray(x, dtype=float) + self.b)
-
-    def top(self, h) -> float:
-        """The last two layers as a function of the first hidden layer."""
-        return float(self.signs @ relu(self.V @ np.asarray(h, dtype=float) + self.c))
-
 
 @dataclass(frozen=True, eq=False)
 class ThreeLayerFunction:
@@ -209,9 +198,6 @@ class ThreeLayerFunction:
     def d1(self) -> int:
         return self.W.shape[0]
 
-    def hidden(self, x) -> np.ndarray:
-        return relu(self.W @ np.asarray(x, dtype=float) + self.b)
-
 
 def as_three_layer_function(net: ThreeLayerNet) -> ThreeLayerFunction:
     top = TwoLayerNet(
@@ -221,58 +207,33 @@ def as_three_layer_function(net: ThreeLayerNet) -> ThreeLayerFunction:
     return ThreeLayerFunction(W=net.W, b=net.b, top=top)
 
 
-def eval_two_layer(net: TwoLayerNet, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.d,):
-        raise ValueError(f"expected point of dim {net.d}, got shape {x.shape}")
-    total = 0.0 if net.skip is None else net.skip(x)
-    for n in net.neurons:
-        total += n(x)
-    return float(total)
+def relu_sum(xs: np.ndarray, W: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """s . relu(W x + b) for every row x of `xs`: the kernel every evaluator shares."""
+    return relu(xs @ W.T + b) @ s
 
 
-def eval_two_layer_batch(net: TwoLayerNet, xs: np.ndarray) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    if net.width == 0:
-        out = np.zeros(xs.shape[0])
-    else:
-        pre = xs @ net.weight_matrix().T + net.biases()
-        out = relu(pre) @ net.signs()
-    if net.skip is not None:
-        out = out + net.skip.batch(xs)
-    return out
+def evaluator(net) -> Callable[[np.ndarray], np.ndarray]:
+    """The stacked evaluator of `net`: an (n, d) array of points to n values.
 
-
-def eval_three_layer(net: ThreeLayerNet, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.d,):
-        raise ValueError(f"expected point of dim {net.d}, got shape {x.shape}")
-    return net.top(net.hidden(x))
-
-
-def eval_three_layer_batch(net: ThreeLayerNet, xs: np.ndarray) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    h = relu(xs @ net.W.T + net.b)
-    return relu(h @ net.V.T + net.c) @ net.signs
-
-
-def batch_eval(net, xs: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation for any container defined here."""
+    The parameters are stacked into arrays once, here; a single point is
+    evaluated as a batch of one row.
+    """
     if isinstance(net, TwoLayerNet):
-        return eval_two_layer_batch(net, xs)
+        W, b, s = net.weight_matrix(), net.biases(), net.signs()
+        skip = net.skip
+        if skip is None:
+            return lambda xs: relu_sum(xs, W, b, s)
+        return lambda xs: relu_sum(xs, W, b, s) + skip.batch(xs)
     if isinstance(net, ThreeLayerNet):
-        return eval_three_layer_batch(net, xs)
+        W, b, V, c, s = net.W, net.b, net.V, net.c, net.signs
+        return lambda xs: relu_sum(relu(xs @ W.T + b), V, c, s)
     if isinstance(net, ThreeLayerFunction):
-        hidden = relu(np.asarray(xs, dtype=float) @ net.W.T + net.b)
-        return eval_two_layer_batch(net.top, hidden)
+        W, b = net.W, net.b
+        top = evaluator(net.top)
+        return lambda xs: top(relu(xs @ W.T + b))
     raise TypeError(f"cannot evaluate {type(net).__name__}")
 
 
-def point_eval(net, x) -> float:
-    if isinstance(net, TwoLayerNet):
-        return eval_two_layer(net, x)
-    if isinstance(net, ThreeLayerNet):
-        return eval_three_layer(net, x)
-    if isinstance(net, ThreeLayerFunction):
-        return eval_two_layer(net.top, net.hidden(x))
-    raise TypeError(f"cannot evaluate {type(net).__name__}")
+def batch_eval(net, xs) -> np.ndarray:
+    """Values of `net` at the rows of `xs`."""
+    return evaluator(net)(np.asarray(xs, dtype=float))

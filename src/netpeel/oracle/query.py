@@ -1,26 +1,18 @@
 """Black-box query access with exact call accounting.
 
 Extraction code is only ever handed a `QueryOracle`.  The oracle counts every
-evaluation (thread-safely, one increment per call) and enforces the domain the
-underlying function class lives on.  `AccessAudit` wraps a network so tests
+evaluation (one increment per call) and enforces the domain the underlying
+function class lives on.  `AccessAudit` wraps a network so tests
 can prove that an extraction run never touched ground-truth parameters other
 than through queries.
 """
 from __future__ import annotations
 
-import threading
 from typing import Callable
 
 import numpy as np
 
-from .nets import (
-    ThreeLayerFunction,
-    ThreeLayerNet,
-    TwoLayerNet,
-    eval_three_layer,
-    eval_two_layer,
-    point_eval,
-)
+from .nets import ThreeLayerFunction, ThreeLayerNet, TwoLayerNet, evaluator
 
 DOMAIN_NONNEG = "nonneg"
 DOMAIN_FULL = "full"
@@ -45,7 +37,6 @@ class QueryOracle:
         self.domain = domain
         self.label = label
         self._count = 0
-        self._lock = threading.Lock()
 
     @property
     def count(self) -> int:
@@ -55,10 +46,9 @@ class QueryOracle:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected point of dim {self.dim}, got shape {x.shape}")
-        if self.domain == DOMAIN_NONNEG and np.min(x) < -_ORTHANT_SLACK:
-            raise DomainError(f"point outside the positive orthant: min coord {np.min(x)}")
-        with self._lock:
-            self._count += 1
+        if self.domain == DOMAIN_NONNEG and x.min() < -_ORTHANT_SLACK:
+            raise DomainError(f"point outside the positive orthant: min coord {x.min()}")
+        self._count += 1
         val = float(self._fn(x))
         if not np.isfinite(val):
             raise ValueError(f"oracle returned non-finite value {val}")
@@ -140,18 +130,15 @@ def as_oracle(net, label: str = "") -> QueryOracle:
     """Query access to a network; parameters are captured once, here.
 
     Accepts a bare net or an `AccessAudit` wrapper (reads performed during
-    construction happen before the audit is armed).
+    construction happen before the audit is armed).  The stacked evaluator
+    is built once; each query evaluates it on a batch of one row.
     """
     target = net.unwrap() if isinstance(net, AccessAudit) else net
     if isinstance(target, TwoLayerNet):
-        d, domain = target.d, DOMAIN_NONNEG
-        fn = lambda x: eval_two_layer(target, x)
-    elif isinstance(target, ThreeLayerNet):
-        d, domain = target.d, DOMAIN_FULL
-        fn = lambda x: eval_three_layer(target, x)
-    elif isinstance(target, ThreeLayerFunction):
-        d, domain = target.d, DOMAIN_FULL
-        fn = lambda x: point_eval(target, x)
+        domain = DOMAIN_NONNEG
+    elif isinstance(target, (ThreeLayerNet, ThreeLayerFunction)):
+        domain = DOMAIN_FULL
     else:
         raise TypeError(f"cannot build an oracle from {type(target).__name__}")
-    return QueryOracle(fn, d, domain, label=label)
+    ev = evaluator(target)
+    return QueryOracle(lambda x: ev(x[None, :])[0], target.d, domain, label=label)

@@ -29,6 +29,10 @@ from netpeel.verify import (
 
 DELTA = 1e-4
 TAU = 1e-6
+# Largest accepted ratio of the final affine-residual deviation to its
+# tolerance: a round trip must pass with a wide margin, not by luck of
+# summation order.
+HEADROOM = 0.05
 
 DEPTH2_CELLS = [(d, d1) for d in (2, 5, 10) for d1 in (1, 8, 32)]
 DEPTH3_CELLS = [
@@ -108,9 +112,12 @@ def test_criterion_1_depth2_round_trip(depth2_runs):
     ]
     worst_err = max(rep.max_rel_err for rep in reports)
     worst_sec = max(r["seconds"] for r in depth2_runs)
-    ok = all(rep.passed for rep in reports) and worst_sec < 5.0
+    headroom = max(r["result"].residual_headroom for r in depth2_runs)
+    ok = (all(rep.passed for rep in reports) and worst_sec < 5.0
+          and headroom <= HEADROOM)
     _tally(1, ok, f"50 instances, max rel err {worst_err:.2e}, "
-                  f"slowest extraction {worst_sec:.2f}s")
+                  f"slowest extraction {worst_sec:.2f}s, "
+                  f"worst residual headroom {headroom:.1e}")
 
 
 def test_criterion_2_depth2_parameter_recovery(depth2_runs):
@@ -140,9 +147,12 @@ def test_criterion_3_depth3_round_trip(depth3_runs):
     ]
     worst_err = max(rep.max_rel_err for rep in reports)
     worst_sec = max(r["seconds"] for r in depth3_runs)
-    ok = all(rep.passed for rep in reports) and worst_sec < 30.0
+    headroom = max(r["result"].top.residual_headroom for r in depth3_runs)
+    ok = (all(rep.passed for rep in reports) and worst_sec < 30.0
+          and headroom <= HEADROOM)
     _tally(3, ok, f"30 instances, max rel err {worst_err:.2e}, "
-                  f"slowest extraction {worst_sec:.2f}s")
+                  f"slowest extraction {worst_sec:.2f}s, "
+                  f"worst residual headroom {headroom:.1e}")
 
 
 def test_criterion_4_first_layer_filter_is_exact(depth3_runs):

@@ -7,7 +7,7 @@ import pytest
 
 from netpeel.cli import main
 from netpeel.oracle.generate import generate_two_layer
-from netpeel.oracle.nets import AffineMap, Neuron, TwoLayerNet, eval_two_layer
+from netpeel.oracle.nets import AffineMap, Neuron, TwoLayerNet, batch_eval
 from netpeel.oracle.serialize import load_net, save_net
 
 
@@ -48,8 +48,8 @@ def test_generated_file_reloads_to_the_same_function(tmp_path):
     path = _generate(tmp_path, "net.json", "--d", "3", "--d1", "4", "--seed", "1")
     reloaded = load_net(path)
     direct = generate_two_layer(3, 4, np.random.default_rng(1))
-    for x in np.random.default_rng(0).uniform(0.0, 10.0, size=(100, 3)):
-        assert eval_two_layer(reloaded, x) == eval_two_layer(direct, x)
+    xs = np.random.default_rng(0).uniform(0.0, 10.0, size=(100, 3))
+    assert np.array_equal(batch_eval(reloaded, xs), batch_eval(direct, xs))
 
 
 # ------------------------------------------------------------------- extract
@@ -79,6 +79,7 @@ def test_extract_accounts_every_query(tmp_path):
     assert doc["total_queries"] == sum(doc["phase_queries"].values())
     assert doc["total_queries"] > 0
     assert doc["parameter_reads"] == 0
+    assert 0.0 <= doc["residual_headroom"] <= 1.0
 
 
 def test_extract_is_deterministic_apart_from_timing(tmp_path):
@@ -120,6 +121,29 @@ def test_extract_missing_input_is_a_usage_error(tmp_path):
     assert code == 2
 
 
+_BAD_INPUTS = {
+    "malformed.json": '{"depth": 2, "d": ',
+    "invalid.json": '{"format": "netpeel-net", "depth": 2, "d": 2}',
+}
+
+
+def _bad_inputs(tmp_path):
+    for name, text in _BAD_INPUTS.items():
+        path = tmp_path / name
+        path.write_text(text)
+        yield path
+    yield tmp_path  # a directory, not a file
+
+
+def test_extract_bad_input_file_is_a_usage_error(tmp_path, capsys):
+    for path in _bad_inputs(tmp_path):
+        code = main(["extract", "--input", str(path),
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "report.json").exists()
+
+
 # -------------------------------------------------------------------- verify
 
 
@@ -150,6 +174,16 @@ def test_verify_dimension_mismatch_is_a_usage_error(tmp_path):
     a = _generate(tmp_path, "a.json", "--d", "2", "--d1", "2", "--seed", "0")
     b = _generate(tmp_path, "b.json", "--d", "3", "--d1", "2", "--seed", "0")
     assert main(["verify", "--truth", str(a), "--candidate", str(b)]) == 2
+
+
+def test_verify_bad_input_file_is_a_usage_error(tmp_path, capsys):
+    net = _generate(tmp_path, "net.json", "--d", "2", "--d1", "2", "--seed", "0")
+    capsys.readouterr()
+    for path in _bad_inputs(tmp_path):
+        for truth, candidate in ((path, net), (net, path)):
+            code = main(["verify", "--truth", str(truth), "--candidate", str(candidate)])
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 # ------------------------------------------------------- bench and bound

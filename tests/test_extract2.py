@@ -10,6 +10,7 @@ from netpeel.extract2 import (
     find_neuron_crossing,
     recover_neuron,
     recover_sign_u,
+    refine_units,
     subtracted_oracle,
 )
 from netpeel.oracle.generate import generate_two_layer
@@ -21,6 +22,7 @@ from netpeel.pwl import (
     PieceBudgetError,
     all_critical_points_1d,
 )
+from netpeel.verify import functional_equivalence
 
 DELTA = 1e-4
 
@@ -259,3 +261,47 @@ def test_each_round_removes_axis_break_points():
         counts.append(axis_breaks(work))
     assert counts[-1] == 0
     assert all(a > b for a, b in zip(counts, counts[1:]))
+
+
+# ---------------------------------------------------------------- refinement
+
+
+def _worst_plane_error(units, truth):
+    """Largest distance from a recovered plane to its nearest true plane."""
+    planes = [Hyperplane.from_coefficients(n.w, n.b).canonical() for n in truth]
+    worst = 0.0
+    for n in units:
+        p = Hyperplane.from_coefficients(n.w, n.b).canonical()
+        worst = max(worst, min(
+            max(float(np.max(np.abs(p.normal - q.normal))), abs(p.offset - q.offset))
+            for q in planes))
+    return worst
+
+
+def test_refinement_tightens_recovered_planes():
+    net = generate_two_layer(5, 8, np.random.default_rng(4))
+    oracle = as_oracle(net)
+    got = extract_two_layer(oracle, 5, DELTA, 12)
+    assert got.phase_queries["refine"] == got.width * 2 * (5 + 1)
+    assert _worst_plane_error(got.neurons, net.neurons) <= 1e-11
+    # Refining the refined units again moves no plane by more than that.
+    again = refine_units(oracle, got.neurons)
+    assert _worst_plane_error(again, net.neurons) <= 1e-11
+    assert [n.sign for n in again] == [n.sign for n in got.neurons]
+
+
+def test_refinement_keeps_units_it_cannot_widen():
+    """A plane hugging the orthant boundary leaves no room for a wider stencil."""
+    oracle = _relu_oracle([0.0, 1.0], -2e-4)
+    unit = Neuron(np.array([0.0, 1.0]), -2e-4, 1)
+    assert refine_units(oracle, [unit]) == [unit]
+    assert oracle.count == 0
+
+
+@pytest.mark.parametrize("seed", [58, 63, 66])
+def test_wide_nets_that_once_failed_the_residual_check(seed):
+    """(10, 24) draws whose unrefined planes left a non-affine residual."""
+    net = generate_two_layer(10, 24, np.random.default_rng(seed))
+    got = extract_two_layer(as_oracle(net), 10, DELTA, 512)
+    assert got.residual_headroom <= 0.05
+    assert functional_equivalence(net, got, 0.0, 10.0, tau=1e-6).passed

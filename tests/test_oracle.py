@@ -19,9 +19,6 @@ from netpeel.oracle.nets import (
     ThreeLayerNet,
     TwoLayerNet,
     batch_eval,
-    eval_three_layer,
-    eval_two_layer,
-    point_eval,
 )
 from netpeel.oracle.query import AccessAudit, as_oracle
 from netpeel.oracle.serialize import (
@@ -44,10 +41,15 @@ def _net(neurons, skip=None, d=None):
     )
 
 
+def _value(net, x):
+    """One point evaluated as a batch of one row."""
+    return float(batch_eval(net, [x])[0])
+
+
 def test_single_relu_unit():
     net = _net([([1.0], 0.0, 1)])
-    assert eval_two_layer(net, [2.0]) == 2.0
-    assert eval_two_layer(net, [0.0]) == 0.0
+    assert _value(net, [2.0]) == 2.0
+    assert _value(net, [0.0]) == 0.0
 
 
 def test_two_units_with_skip():
@@ -56,7 +58,7 @@ def test_two_units_with_skip():
         [([1.0, 0.0], -1.0, 1), ([0.0, 1.0], 0.0, -1)],
         skip=([0.0, 0.0], 5.0),
     )
-    assert eval_two_layer(net, [3.0, 2.0]) == 5.0
+    assert _value(net, [3.0, 2.0]) == 5.0
 
 
 def test_three_layer_identity_chain():
@@ -64,8 +66,8 @@ def test_three_layer_identity_chain():
     ident = ThreeLayerNet(W=np.array([[1.0]]), b=np.array([0.0]),
                           V=np.array([[1.0]]), c=np.array([0.0]),
                           signs=np.array([1]))
-    assert eval_three_layer(ident, [3.0]) == 3.0
-    assert eval_three_layer(ident, [-3.0]) == 0.0
+    assert _value(ident, [3.0]) == 3.0
+    assert _value(ident, [-3.0]) == 0.0
 
 
 def test_three_layer_matches_hand_rolled_loops():
@@ -81,15 +83,19 @@ def test_three_layer_matches_hand_rolled_loops():
         for k in range(4):
             z = sum(net.V[k][i] * hidden[i] for i in range(2)) + net.c[k]
             out += net.signs[k] * max(z, 0.0)
-        assert eval_three_layer(net, x) == pytest.approx(out, abs=1e-12)
+        assert _value(net, x) == pytest.approx(out, abs=1e-12)
 
 
-def test_batch_eval_matches_point_eval():
+def test_batch_eval_matches_oracle_queries():
+    """Batches and single-row queries agree with a unit-by-unit sum."""
     net = generate_two_layer(4, 6, np.random.default_rng(2))
+    oracle = as_oracle(net)
     xs = np.random.default_rng(3).uniform(0, 8, size=(50, 4))
     got = batch_eval(net, xs)
     for x, y in zip(xs, got):
-        assert point_eval(net, x) == pytest.approx(y, rel=1e-12)
+        ref = sum(n.sign * max(float(n.w @ x) + n.b, 0.0) for n in net.neurons)
+        assert y == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert oracle(x) == pytest.approx(y, rel=1e-12, abs=1e-12)
 
 
 def test_query_counter_counts_evaluations():

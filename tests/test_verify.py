@@ -8,7 +8,7 @@ import pytest
 
 from netpeel.extract2 import extract_two_layer
 from netpeel.oracle.generate import generate_two_layer
-from netpeel.oracle.nets import eval_two_layer
+from netpeel.oracle.nets import batch_eval
 from netpeel.oracle.query import as_oracle
 from netpeel.verify import (
     BenchRow,
@@ -32,7 +32,7 @@ class _Shifted:
         self.d = net.d
 
     def __call__(self, x):
-        return eval_two_layer(self.net, x) + self.offset
+        return float(batch_eval(self.net, [x])[0]) + self.offset
 
 
 # ----------------------------------------------------------- equivalence
