@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -20,14 +21,13 @@ import numpy as np
 from .extract2 import extract_two_layer
 from .extract3 import extract_three_layer
 from .oracle.generate import GenerationError, generate_three_layer, generate_two_layer
-from .oracle.nets import ThreeLayerFunction, ThreeLayerNet, TwoLayerNet
+from .oracle.nets import TwoLayerNet
 from .oracle.query import AccessAudit, as_oracle
 from .pwl import GeneralPositionError, PieceBudgetError
 from .oracle.serialize import (
+    check_document,
     document_to_net,
-    dumps_document,
     load_net,
-    loads_document,
     net_to_document,
     save_net,
 )
@@ -86,8 +86,8 @@ class UsageError(Exception):
 def _positive(cfg: RunConfig, names: list[str]) -> None:
     for name in names:
         value = getattr(cfg, name)
-        if value is not None and value <= 0:
-            raise UsageError(f"--{name.replace('_', '-')} must be positive")
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            raise UsageError(f"--{name.replace('_', '-')} must be positive and finite")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -197,10 +197,10 @@ def _load(loader, path: str):
 def _load_file(path: str):
     """A network from either a bare network file or an extraction report."""
     with open(path) as fh:
-        doc = json.loads(fh.read())
+        doc = json.load(fh)
     if isinstance(doc, dict) and doc.get("format") == REPORT_FORMAT:
-        return document_to_net(loads_document(json.dumps(doc["network"])))
-    return document_to_net(loads_document(json.dumps(doc)))
+        doc = doc["network"]
+    return document_to_net(check_document(doc))
 
 
 def cmd_extract(cfg: RunConfig) -> int:

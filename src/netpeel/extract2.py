@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import EPS
+from .config import JUMP_FLOOR, KINK_NOISE, NORMAL_FLOOR, PLANE_NOISE, RESIDUAL_TOL
 from .oracle.nets import AffineMap, Neuron, TwoLayerNet, batch_eval, evaluator
 from .oracle.query import DOMAIN_NONNEG, LineOracle, QueryOracle, axis_ray
 from .pwl import (
@@ -32,7 +32,6 @@ _SCAN_START = 1e-4
 _SKIP_SEED = 20240817
 _REFINE_SEED = 20240818
 _REFINE_CANDIDATES = 256
-_RESIDUAL_TOL = 1e-8
 
 
 @dataclass
@@ -94,23 +93,22 @@ def find_neuron_crossing(
     delta: float,
     *,
     start_axis: int = 0,
-    window: float | None = None,
 ):
     """Bracket the first remaining slope break on a coordinate ray.
 
-    Scans rays t -> t*e_i for i = start_axis..d-1 and, on the first ray with a
-    break at t0, returns (x1, x2, axis) with x1 = (t0-eps)*e_i and
-    x2 = (t0+eps)*e_i.  The half-width eps is half the gap to the next break
-    on that ray (found by a second leftmost search), capped at 0.01 and
-    floored at delta/4, so exactly one unit changes state between x1 and x2.
-    Returns None when every scanned ray is break-free.
+    Scans rays t -> t*e_i, t <= 1/delta, for i = start_axis..d-1 and, on the
+    first ray with a break at t0, returns (x1, x2, axis) with
+    x1 = (t0-eps)*e_i and x2 = (t0+eps)*e_i.  The half-width eps is half the
+    gap to the next break on that ray (found by a second leftmost search),
+    capped at 0.01 and floored at delta/4, so exactly one unit changes state
+    between x1 and x2.  Returns None when every scanned ray is break-free.
 
     Scans start a small offset inside the ray rather than at t = 0: an oracle
     built by subtraction or peeling carries residual micro-kinks hugging the
     orthant boundary, and a bisection anchored on top of one mislocates it as
     a break at ~delta with no actual slope jump.
     """
-    hi = (1.0 / delta) if window is None else float(window)
+    hi = 1.0 / delta
     lo = min(_SCAN_START, hi / 16.0)
     for axis in range(start_axis, d):
         ray = axis_ray(oracle, axis)
@@ -138,7 +136,7 @@ def recover_sign_u(oracle, x1, x2) -> int:
     f2 = float(oracle(x2))
     fm = float(oracle((x1 + x2) / 2.0))
     second = f1 + f2 - 2.0 * fm
-    tau = 1e4 * EPS * (1.0 + max(abs(f1), abs(f2), abs(fm)))
+    tau = KINK_NOISE * (1.0 + max(abs(f1), abs(f2), abs(fm)))
     if abs(second) <= tau:
         raise GeneralPositionError("no kink in segment")
     return 1 if second > 0 else -1
@@ -176,7 +174,7 @@ def recover_neuron(oracle, x1, x2, delta: float) -> Neuron:
     m2 = (float(oracle(x2 + h * e)) - f2) / h
     jump = abs(m2 - m1)
     scale = 1.0 + max(abs(f1), abs(f2))
-    if jump <= max(1e4 * EPS * scale / h, 1e-6):
+    if jump <= max(KINK_NOISE * scale / h, JUMP_FLOOR):
         raise GeneralPositionError("endpoints in same linear region")
     plane_dist = eps * jump
     step = max(min(eps / 8.0, plane_dist / 4.0, _STEP_CAP), delta / 64.0)
@@ -186,7 +184,8 @@ def recover_neuron(oracle, x1, x2, delta: float) -> Neuron:
     lam2 = reconstruct_affine(oracle, x2 + shift, step)
     w = lam2.w - lam1.w
     b = lam2.b - lam1.b
-    if float(np.linalg.norm(w)) <= max(1e3 * EPS * scale * np.sqrt(x1.size) / step, 1e-9):
+    noise = PLANE_NOISE * scale * np.sqrt(x1.size) / step
+    if float(np.linalg.norm(w)) <= max(noise, NORMAL_FLOOR):
         raise GeneralPositionError("endpoints in same linear region")
     return Neuron(w, b, recover_sign_u(oracle, x1, x2))
 
@@ -269,7 +268,7 @@ def _check_affine_residual(work: QueryOracle, skip: AffineMap, rng) -> float:
     for _ in range(16):
         x = rng.uniform(0.0, 4.0, size=work.dim)
         got = work(x)
-        worst = max(worst, abs(got - skip(x)) / (_RESIDUAL_TOL * (1.0 + abs(got))))
+        worst = max(worst, abs(got - skip(x)) / (RESIDUAL_TOL * (1.0 + abs(got))))
     if worst > 1.0:
         raise GeneralPositionError(
             f"residual is not affine (deviation {worst:.3g} x tolerance)")
@@ -281,8 +280,6 @@ def extract_two_layer(
     d: int,
     delta: float,
     d1_max: int,
-    *,
-    scan_window: float | None = None,
 ) -> ExtractedTwoLayer:
     """Full depth-2 recovery loop.
 
@@ -292,8 +289,8 @@ def extract_two_layer(
     validates that the residual really is affine at a handful of random
     points.
 
-    `scan_window` bounds the scanned portion of each ray (default 1/delta).
-    Raises PieceBudgetError("too many neurons") past `d1_max`.
+    Each ray is scanned up to t = 1/delta.  Raises
+    PieceBudgetError("too many neurons") past `d1_max`.
     """
     if oracle.domain != DOMAIN_NONNEG:
         raise ValueError("depth-2 extraction queries the nonnegative orthant")
@@ -303,8 +300,7 @@ def extract_two_layer(
     start_axis = 0
     while True:
         mark = oracle.count
-        hit = find_neuron_crossing(work, d, delta, start_axis=start_axis,
-                                   window=scan_window)
+        hit = find_neuron_crossing(work, d, delta, start_axis=start_axis)
         counts["scan"] += oracle.count - mark
         if hit is None:
             break

@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOL, EPS
+from .config import (
+    DEDUP_TOL,
+    INVERSE_TOL,
+    KINK_NOISE,
+    PROBE_FLOOR,
+    RANK_TOL,
+    SIGN_ATTEMPTS,
+)
 from .extract2 import ExtractedTwoLayer, extract_two_layer
 from .oracle.nets import ThreeLayerFunction, batch_eval
 from .oracle.query import DOMAIN_FULL, DOMAIN_NONNEG, LineOracle, QueryOracle
@@ -36,7 +43,7 @@ _PARALLEL_SIN = 0.02
 _FOLD_CLEARANCE = 80.0
 _FOLD_TRUST = 1e3
 _FILTER_STEP = 4.0
-_EPS_CAP = 0.01
+_SIGN_STEP_CAP = 0.01
 
 
 @dataclass
@@ -45,12 +52,11 @@ class CandidateList:
 
     planes: list[Hyperplane] = field(default_factory=list)
     sources: list[np.ndarray] = field(default_factory=list)
-    dedup_tol: float = DEFAULT_TOL.dedup
 
     def add(self, plane: Hyperplane, source: np.ndarray) -> bool:
         """Record a plane unless an equivalent one is already present."""
         for known in self.planes:
-            if known.close_to(plane, self.dedup_tol):
+            if known.close_to(plane, DEDUP_TOL):
                 return False
         self.planes.append(plane)
         self.sources.append(np.asarray(source, dtype=float))
@@ -97,20 +103,19 @@ def collect_candidate_hyperplanes(
     *,
     axis: int = 0,
     rng=None,
-    window: float | None = None,
 ) -> CandidateList:
     """Critical hyperplanes met by the line {t * e_axis}, deduplicated.
 
-    Every slope break of the restriction is localized, then the hyperplane
-    through it is reconstructed from a ball around the break point.  The
-    reconstruction uses a wider radius and step than the scan because breaks
-    on the line are far apart compared to delta and the larger stencil cuts
-    the slope noise of the fits.
+    Every slope break of the restriction with |t| <= 1/delta is localized,
+    then the hyperplane through it is reconstructed from a ball around the
+    break point.  The reconstruction uses a wider radius and step than the
+    scan because breaks on the line are far apart compared to delta and the
+    larger stencil cuts the slope noise of the fits.
     """
     rng = np.random.default_rng(12345) if rng is None else rng
     e = np.zeros(d)
     e[axis] = 1.0
-    lim = 1.0 / delta if window is None else float(window)
+    lim = 1.0 / delta
     line = LineOracle(oracle, np.zeros(d), e)
     found = all_critical_points_1d(line, delta, m_max, window=(-lim, lim))
     cands = CandidateList()
@@ -201,7 +206,6 @@ def recover_row_signs(
     eps: float,
     delta: float,
     *,
-    retries: int = 32,
     rng=None,
 ):
     """Orient each surviving plane; returns (W, b, flipped count).
@@ -244,9 +248,9 @@ def recover_row_signs(
         # the active-side signal above value noise when delta is tiny.
         step = max(eps, 1e-4)
         decided = False
-        for attempt in range(retries):
-            if attempt == retries // 2:
-                step = min(8.0 * step, _EPS_CAP)
+        for attempt in range(SIGN_ATTEMPTS):
+            if attempt == SIGN_ATTEMPTS // 2:
+                step = min(8.0 * step, _SIGN_STEP_CAP)
             x = base + tangent @ _ball_sample(rng, tangent.shape[1], 2.0)
             if any(abs(float(p.normal @ x + p.offset)) < 2.0 * delta
                    for j, p in enumerate(planes) if j != i):
@@ -254,7 +258,7 @@ def recover_row_signs(
             f0 = float(oracle(x))
             dp = abs(float(oracle(x + step * z)) - f0)
             dm = abs(float(oracle(x - step * z)) - f0)
-            tau = max(1e-4 * step, 1e4 * EPS * (1.0 + abs(f0)))
+            tau = max(PROBE_FLOOR * step, KINK_NOISE * (1.0 + abs(f0)))
             moved_p = dp > tau
             moved_m = dm > tau
             if moved_p == moved_m:
@@ -270,7 +274,8 @@ def recover_row_signs(
             break
         if not decided:
             raise GeneralPositionError(
-                f"sign recovery: plane {i} stayed ambiguous after {retries} probes")
+                f"sign recovery: plane {i} stayed ambiguous after "
+                f"{SIGN_ATTEMPTS} probes")
     return W, b, flipped
 
 
@@ -278,10 +283,10 @@ def right_inverse(W: np.ndarray) -> np.ndarray:
     """Minimum-norm right inverse of a full-row-rank matrix."""
     W = np.asarray(W, dtype=float)
     svals = np.linalg.svd(W, compute_uv=False)
-    if svals.size == 0 or svals[-1] < DEFAULT_TOL.rank:
+    if svals.size == 0 or svals[-1] < RANK_TOL:
         raise GeneralPositionError("W not right invertible")
     M = np.linalg.pinv(W)
-    if float(np.max(np.abs(W @ M - np.eye(W.shape[0])))) > 1e-9:
+    if float(np.max(np.abs(W @ M - np.eye(W.shape[0])))) > INVERSE_TOL:
         raise GeneralPositionError("W not right invertible")
     return M
 
@@ -311,21 +316,18 @@ def extract_three_layer(
     m_max: int = 256,
     d1_max: int | None = None,
     d2_max: int = 512,
-    rng=None,
-    line_window: float | None = None,
-    scan_window: float | None = None,
 ) -> ExtractedThreeLayer:
     """Full depth-3 recovery: collect, filter, orient, peel, extract.
 
     The probe line uses the first axis; if a phase fails on geometric
     grounds the remaining axes are tried in turn before giving up, and the
-    axis that succeeded is recorded in the result.  `line_window` bounds the
-    probe-line scan and `scan_window` the axis scans of the peeled depth-2
-    stage (both default to 1/delta).  Budget violations are not retried.
+    axis that succeeded is recorded in the result.  The probe line and the
+    axis scans of the peeled depth-2 stage reach |t| = 1/delta.  Budget
+    violations are not retried.
     """
     if oracle.domain != DOMAIN_FULL:
         raise ValueError("depth-3 extraction queries all of R^d")
-    rng = np.random.default_rng(12345) if rng is None else rng
+    rng = np.random.default_rng(12345)
     last: GeneralPositionError | None = None
     for axis in range(d):
         counts = {"collect": 0, "filter": 0, "signs": 0, "peel": 0}
@@ -333,7 +335,7 @@ def extract_three_layer(
         try:
             mark = oracle.count
             cands = collect_candidate_hyperplanes(
-                oracle, d, delta, m_max, axis=axis, rng=rng, window=line_window)
+                oracle, d, delta, m_max, axis=axis, rng=rng)
             counts["collect"] = oracle.count - mark
             if len(cands) == 0:
                 raise GeneralPositionError("probe line met no critical points")
@@ -361,8 +363,7 @@ def extract_three_layer(
             phase = "peel"
             mark = oracle.count
             top_oracle = peel_first_layer(oracle, W, b)
-            top = extract_two_layer(
-                top_oracle, W.shape[0], delta, d2_max, scan_window=scan_window)
+            top = extract_two_layer(top_oracle, W.shape[0], delta, d2_max)
             counts["peel"] = oracle.count - mark
 
             return ExtractedThreeLayer(

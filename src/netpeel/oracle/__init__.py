@@ -5,7 +5,6 @@ from .nets import (
     ThreeLayerFunction,
     ThreeLayerNet,
     TwoLayerNet,
-    as_three_layer_function,
     batch_eval,
     evaluator,
     relu,
@@ -40,7 +39,7 @@ from .serialize import (
 
 __all__ = [
     "AffineMap", "Neuron", "TwoLayerNet", "ThreeLayerNet", "ThreeLayerFunction",
-    "as_three_layer_function", "relu", "evaluator", "batch_eval",
+    "relu", "evaluator", "batch_eval",
     "QueryOracle", "LineOracle", "AccessAudit", "DomainError", "as_oracle",
     "axis_ray", "DOMAIN_NONNEG", "DOMAIN_FULL",
     "GeneratorMargins", "DEFAULT_MARGINS", "GenerationError",

@@ -16,8 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from ..config import DEFAULT_BUDGETS
+from ..config import ASSUMPTION_PROBES, REJECTION_LIMIT
 from .nets import Neuron, ThreeLayerNet, TwoLayerNet, relu
+
+
+# Designated axis crossings of the depth-2 units are drawn from this range.
+_CROSSING_LO = 0.5
+_CROSSING_HI = 9.5
 
 
 class GenerationError(RuntimeError):
@@ -113,29 +118,26 @@ def generate_two_layer(
     rng: np.random.Generator,
     *,
     margins: GeneratorMargins = DEFAULT_MARGINS,
-    crossing_lo: float = 0.5,
-    crossing_hi: float = 9.5,
-    retries: int | None = None,
+    retries: int = REJECTION_LIMIT,
 ) -> TwoLayerNet:
     """Sum of `d1` signed ReLU units over `R^d`, probed on the nonnegative orthant.
 
     Unit `j` is guaranteed to cross the axis ray `t e_{j mod d}` somewhere in
-    `[crossing_lo, crossing_hi]`, and every crossing of every unit with every
-    axis ray is isolated per `margins`.  The orientation of each `(w, b)` pair
-    is symmetric about zero, so recovery sees both unit orientations.
+    `[0.5, 9.5]`, and every crossing of every unit with every axis ray is
+    isolated per `margins`.  The orientation of each `(w, b)` pair is
+    symmetric about zero, so recovery sees both unit orientations.
     """
-    limit = DEFAULT_BUDGETS.rejection_limit if retries is None else retries
     neurons: list[Neuron] = []
     taken: list[tuple[int, float]] = []
     for j in range(d1):
         axis = j % d
-        for _ in range(limit):
+        for _ in range(retries):
             w = _unit_vector(rng, d)
             if abs(w[axis]) < margins.axis_cosine:
                 continue
             if float(np.min(np.abs(w))) < margins.min_axis_cosine:
                 continue
-            t = rng.uniform(crossing_lo, crossing_hi)
+            t = rng.uniform(_CROSSING_LO, _CROSSING_HI)
             b = -t * w[axis]
             if any(_planes_close(w, b, n.w, n.b, margins.plane_gap) for n in neurons):
                 continue
@@ -149,7 +151,7 @@ def generate_two_layer(
             break
         else:
             raise GenerationError(
-                f"two-layer unit {j}: no draw met the margins in {limit} tries"
+                f"two-layer unit {j}: no draw met the margins in {retries} tries"
             )
     return TwoLayerNet(d=d, neurons=tuple(neurons), skip=None)
 
@@ -173,7 +175,6 @@ def check_nonzero_partials(
     rng: np.random.Generator,
     *,
     margin: float = 0.0,
-    probes: int | None = None,
 ) -> bool:
     """Sampled test that the top map has nonvanishing one-sided partials.
 
@@ -189,7 +190,6 @@ def check_nonzero_partials(
     c = np.asarray(c, dtype=float)
     u = np.asarray(u, dtype=float)
     d2, d1 = V.shape
-    n = DEFAULT_BUDGETS.assumption_probes if probes is None else probes
 
     if _orthant_reachable(V, c):
         return False
@@ -200,7 +200,7 @@ def check_nonzero_partials(
             e = np.zeros(d1)
             e[i] = t
             points.append(e)
-    while len(points) < n:
+    while len(points) < ASSUMPTION_PROBES:
         y = np.abs(rng.standard_normal(d1)) * rng.choice((0.5, 2.0, 8.0))
         mask = rng.random(d1) < 0.35
         y[mask] = 0.0
@@ -227,12 +227,12 @@ def check_nonzero_partials(
     return True
 
 
-def _first_layer_block(d, d1, rng, m: GeneratorMargins, limit):
+def _first_layer_block(d, d1, rng, m: GeneratorMargins):
     rows: list[np.ndarray] = []
     offs: list[float] = []
     ts: list[float] = []
     for i in range(d1):
-        for _ in range(limit):
+        for _ in range(REJECTION_LIMIT):
             w = _unit_vector(rng, d)
             if abs(w[0]) < m.axis_cosine:
                 continue
@@ -264,13 +264,13 @@ def _first_layer_block(d, d1, rng, m: GeneratorMargins, limit):
     return W, np.asarray(offs), np.asarray(ts)
 
 
-def _second_layer_block(d1, d2, rng, m: GeneratorMargins, limit):
+def _second_layer_block(d1, d2, rng, m: GeneratorMargins):
     V = np.zeros((d2, d1))
     c = np.zeros(d2)
     taken: list[tuple[int, float]] = []
     for k in range(d2):
         axis = k % d1
-        for _ in range(limit):
+        for _ in range(REJECTION_LIMIT):
             row = rng.uniform(m.v_low, m.v_high, size=d1) * rng.choice((-1.0, 1.0), size=d1)
             t = rng.uniform(0.5, 4.5)
             off = -t * row[axis]
@@ -337,7 +337,6 @@ def generate_three_layer(
     rng: np.random.Generator,
     *,
     margins: GeneratorMargins = DEFAULT_MARGINS,
-    retries: int | None = None,
 ) -> ThreeLayerNet:
     """Three-layer network with the margins the full pipeline relies on.
 
@@ -351,13 +350,12 @@ def generate_three_layer(
     if not (1 <= d1 <= d):
         raise ValueError("need 1 <= d1 <= d")
     m = margins
-    limit = DEFAULT_BUDGETS.rejection_limit if retries is None else retries
-    for _ in range(limit):
-        first = _first_layer_block(d, d1, rng, m, limit)
+    for _ in range(REJECTION_LIMIT):
+        first = _first_layer_block(d, d1, rng, m)
         if first is None:
             continue
         W, b, _ = first
-        second = _second_layer_block(d1, d2, rng, m, limit)
+        second = _second_layer_block(d1, d2, rng, m)
         if second is None:
             continue
         V, c = second
@@ -389,5 +387,6 @@ def generate_three_layer(
             continue
         return ThreeLayerNet(W=W, b=b, V=V, c=c, signs=[int(s) for s in u])
     raise GenerationError(
-        f"three-layer draw (d={d}, d1={d1}, d2={d2}) failed margins {limit} times"
+        f"three-layer draw (d={d}, d1={d1}, d2={d2}) failed margins "
+        f"{REJECTION_LIMIT} times"
     )

@@ -17,16 +17,16 @@ matrix products; a single point is a batch of one row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..config import DEFAULT_TOL
+from ..config import UNIT_NORM_TOL
 
 
-def _frozen(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def _frozen(a) -> np.ndarray:
+    out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
 
@@ -119,7 +119,6 @@ class ThreeLayerNet:
     V: np.ndarray
     c: np.ndarray
     signs: np.ndarray
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         W = _frozen(np.atleast_2d(self.W))
@@ -140,12 +139,11 @@ class ThreeLayerNet:
         d2 = V.shape[0]
         if c.shape != (d2,) or signs.shape != (d2,):
             raise ValueError("c/signs length does not match rows of V")
-        if self.validate:
-            self._check_class()
+        self._check_class()
 
     def _check_class(self):
         row_norms = np.linalg.norm(self.W, axis=1)
-        if np.any(np.abs(row_norms - 1.0) > DEFAULT_TOL.unit_norm):
+        if np.any(np.abs(row_norms - 1.0) > UNIT_NORM_TOL):
             raise ValueError("rows of W must have unit norm")
         if self.d1 > self.d:
             raise ValueError("W must have at most d rows to be right-invertible")
@@ -197,14 +195,6 @@ class ThreeLayerFunction:
     @property
     def d1(self) -> int:
         return self.W.shape[0]
-
-
-def as_three_layer_function(net: ThreeLayerNet) -> ThreeLayerFunction:
-    top = TwoLayerNet(
-        d=net.d1,
-        neurons=tuple(Neuron(v, c, int(s)) for v, c, s in zip(net.V, net.c, net.signs)),
-    )
-    return ThreeLayerFunction(W=net.W, b=net.b, top=top)
 
 
 def relu_sum(xs: np.ndarray, W: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:

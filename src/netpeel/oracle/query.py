@@ -61,23 +61,16 @@ class QueryOracle:
 class LineOracle:
     """Restriction of an oracle to `t -> base + t * direction`.
 
-    Each evaluation costs exactly one underlying query.  Carries its own
-    counter so 1-d search primitives can be budgeted in isolation.
+    Each evaluation costs exactly one query of the parent oracle, which
+    counts it.
     """
 
-    def __init__(self, oracle: QueryOracle, base, direction, t_min: float | None = None):
+    def __init__(self, oracle: QueryOracle, base, direction):
         self.parent = oracle
         self.base = np.asarray(base, dtype=float)
         self.direction = np.asarray(direction, dtype=float)
-        self.t_min = t_min  # smallest admissible t, None when unbounded
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        return self._count
 
     def query(self, t: float) -> float:
-        self._count += 1
         return self.parent.query(self.base + float(t) * self.direction)
 
     def __call__(self, t: float) -> float:
@@ -87,8 +80,7 @@ class LineOracle:
 def axis_ray(oracle: QueryOracle, axis: int) -> LineOracle:
     e = np.zeros(oracle.dim)
     e[axis] = 1.0
-    t_min = 0.0 if oracle.domain == DOMAIN_NONNEG else None
-    return LineOracle(oracle, np.zeros(oracle.dim), e, t_min=t_min)
+    return LineOracle(oracle, np.zeros(oracle.dim), e)
 
 
 class AccessAudit:

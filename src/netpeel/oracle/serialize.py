@@ -12,8 +12,8 @@ One JSON document per network.  Layout:
     skip_w, skip_b
              optional affine term: over the input for depth 2, over the first
              hidden activations for depth 3
-    seed, delta
-             optional provenance metadata
+    seed     optional provenance metadata; a "delta" entry is accepted on
+             load and ignored
 
 Floats are written with 17 significant digits, so parsing reproduces the
 exact float64 bit pattern and serialization is deterministic.
@@ -79,7 +79,11 @@ def dumps_document(doc: dict) -> str:
 
 
 def loads_document(text: str) -> dict:
-    doc = json.loads(text)
+    return check_document(json.loads(text))
+
+
+def check_document(doc) -> dict:
+    """`doc` itself, once it is a network document of depth 2 or 3."""
     if not isinstance(doc, dict):
         raise ValueError("network document must be a JSON object")
     if doc.get("format", FORMAT_NAME) != FORMAT_NAME:
@@ -89,15 +93,13 @@ def loads_document(text: str) -> dict:
     return doc
 
 
-def _meta(doc: dict, seed, delta) -> dict:
+def _meta(doc: dict, seed) -> dict:
     if seed is not None:
         doc["seed"] = int(seed)
-    if delta is not None:
-        doc["delta"] = float(delta)
     return doc
 
 
-def two_layer_to_document(net: TwoLayerNet, seed=None, delta=None) -> dict:
+def two_layer_to_document(net: TwoLayerNet, seed=None) -> dict:
     doc = {
         "format": FORMAT_NAME,
         "depth": 2,
@@ -110,10 +112,10 @@ def two_layer_to_document(net: TwoLayerNet, seed=None, delta=None) -> dict:
     if net.skip is not None:
         doc["skip_w"] = [float(v) for v in net.skip.w]
         doc["skip_b"] = float(net.skip.b)
-    return _meta(doc, seed, delta)
+    return _meta(doc, seed)
 
 
-def three_layer_to_document(net, seed=None, delta=None) -> dict:
+def three_layer_to_document(net, seed=None) -> dict:
     if isinstance(net, ThreeLayerNet):
         W, b = net.W, net.b
         V, c, u = net.V, net.c, [int(s) for s in net.signs]
@@ -141,20 +143,29 @@ def three_layer_to_document(net, seed=None, delta=None) -> dict:
     if skip is not None:
         doc["skip_w"] = [float(v) for v in skip.w]
         doc["skip_b"] = float(skip.b)
-    return _meta(doc, seed, delta)
+    return _meta(doc, seed)
 
 
-def net_to_document(net, seed=None, delta=None) -> dict:
+def net_to_document(net, seed=None) -> dict:
     if isinstance(net, TwoLayerNet):
-        return two_layer_to_document(net, seed=seed, delta=delta)
-    return three_layer_to_document(net, seed=seed, delta=delta)
+        return two_layer_to_document(net, seed=seed)
+    return three_layer_to_document(net, seed=seed)
 
 
-def _reshape(flat, rows, cols, name) -> np.ndarray:
-    arr = np.asarray(flat, dtype=float)
-    if arr.size != rows * cols:
-        raise ValueError(f"{name} has {arr.size} entries, expected {rows}x{cols}")
-    return arr.reshape(rows, cols)
+def _numbers(doc: dict, name: str, size: int) -> np.ndarray:
+    """The finite numbers of field `name`, which must have `size` of them."""
+    arr = np.asarray(doc[name], dtype=float)
+    if arr.size != size:
+        raise ValueError(f"{name} has {arr.size} entries, expected {size}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} has a non-finite entry")
+    return arr.reshape(-1)
+
+
+def _skip(doc: dict, dim: int) -> AffineMap:
+    w = _numbers(doc, "skip_w", dim) if "skip_w" in doc else np.zeros(dim)
+    b = _numbers(doc, "skip_b", 1)[0] if "skip_b" in doc else 0.0
+    return AffineMap(w, b)
 
 
 def document_to_net(doc: dict):
@@ -166,41 +177,38 @@ def document_to_net(doc: dict):
     """
     d = int(doc["d"])
     d1 = int(doc["d1"])
+    if d < 1:
+        raise ValueError(f"input dimension d = {d}, expected at least 1")
+    has_skip = "skip_w" in doc or "skip_b" in doc
+    W = _numbers(doc, "W", d1 * d).reshape(d1, d)
+    b = _numbers(doc, "b", d1)
     if doc["depth"] == 2:
-        W = _reshape(doc["W"], d1, d, "W")
-        b = np.asarray(doc["b"], dtype=float)
-        u = [int(s) for s in doc["u"]]
-        skip = None
-        if "skip_w" in doc or "skip_b" in doc:
-            skip = AffineMap(np.asarray(doc.get("skip_w", np.zeros(d)), dtype=float),
-                             float(doc.get("skip_b", 0.0)))
+        u = [int(s) for s in _numbers(doc, "u", d1)]
+        skip = _skip(doc, d) if has_skip else None
         neurons = tuple(Neuron(W[j], b[j], u[j]) for j in range(d1))
         return TwoLayerNet(d=d, neurons=neurons, skip=skip)
 
     d2 = int(doc["d2"])
-    W = _reshape(doc["W"], d1, d, "W")
-    b = np.asarray(doc["b"], dtype=float)
-    V = _reshape(doc["V"], d2, d1, "V")
-    c = np.asarray(doc["c"], dtype=float)
-    u = [int(s) for s in doc["u"]]
-    if "skip_w" not in doc and "skip_b" not in doc:
+    V = _numbers(doc, "V", d2 * d1).reshape(d2, d1)
+    c = _numbers(doc, "c", d2)
+    u = [int(s) for s in _numbers(doc, "u", d2)]
+    if not has_skip:
         try:
             return ThreeLayerNet(W=W, b=b, V=V, c=c, signs=u)
         except ValueError:
             pass  # fall through to the loose container
-    skip = AffineMap(np.asarray(doc.get("skip_w", np.zeros(d1)), dtype=float),
-                     float(doc.get("skip_b", 0.0)))
+    skip = _skip(doc, d1)
     neurons = tuple(Neuron(V[k], c[k], u[k]) for k in range(d2))
     top = TwoLayerNet(d=d1, neurons=neurons, skip=skip)
     return ThreeLayerFunction(W=W, b=b, top=top)
 
 
-def save_net(path, net, seed=None, delta=None):
-    text = dumps_document(net_to_document(net, seed=seed, delta=delta))
+def save_net(path, net, seed=None):
+    text = dumps_document(net_to_document(net, seed=seed))
     with open(path, "w") as fh:
         fh.write(text)
 
 
 def load_net(path):
     with open(path) as fh:
-        return document_to_net(loads_document(fh.read()))
+        return document_to_net(check_document(json.load(fh)))

@@ -1,6 +1,8 @@
 """Piecewise-linear probing primitives.
 
-Everything here sees the target only through a query handle.  The primitives:
+Everything here sees the target only through a `QueryOracle`, or through a
+`LineOracle` restriction of one together with an explicit window.  The
+primitives:
 
 * reconstruct the local affine map around a point (d+1 queries),
 * find the leftmost slope break of a 1-D restriction by bisection,
@@ -12,7 +14,8 @@ Everything here sees the target only through a query handle.  The primitives:
 Tolerances are scale-aware: a fitted slope carries absolute error of order
 eps * |f| / step, and a line extrapolated over distance D carries that error
 times D.  The comparison thresholds below track both terms explicitly, so the
-same code works at step sizes from 1e-4 down to 1e-8.
+same code works at step sizes from 1e-4 down to 1e-8.  The factors and
+floors are the numeric policy of `config`.
 """
 from __future__ import annotations
 
@@ -22,13 +25,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import EPS
+from .config import (
+    BEND_DIRECTIONS,
+    CANON_FLOOR,
+    FIT_NOISE,
+    HYPERPLANE_ATTEMPTS,
+    NORMAL_FLOOR,
+    PLANE_NOISE,
+    PREDICT_NOISE,
+    PROBE_FLOOR,
+    SLOPE_FLOOR,
+    VALUE_FLOOR,
+)
 from .oracle.nets import AffineMap
-
-_TOL_FACTOR = 64.0
-_SLOPE_FLOOR = 2e-5
-_VALUE_FLOOR = 4e-5
-_CANON_FLOOR = 1e-9
+from .oracle.query import DOMAIN_NONNEG
 
 
 class GeneralPositionError(RuntimeError):
@@ -56,14 +66,14 @@ class Hyperplane:
     def from_coefficients(w, b: float) -> "Hyperplane":
         w = np.asarray(w, dtype=float)
         scale = float(np.linalg.norm(w))
-        if scale < _CANON_FLOOR:
+        if scale < CANON_FLOOR:
             raise ValueError("zero normal vector")
         return Hyperplane(w / scale, float(b) / scale)
 
     def canonical(self) -> "Hyperplane":
         """Fix the orientation: first non-negligible coordinate positive."""
         for v in self.normal:
-            if abs(v) > _CANON_FLOOR:
+            if abs(v) > CANON_FLOOR:
                 if v < 0:
                     return Hyperplane(-self.normal, -self.offset)
                 return self
@@ -80,26 +90,6 @@ class Hyperplane:
         a, b = self.canonical(), other.canonical()
         return (float(np.max(np.abs(a.normal - b.normal))) <= tol
                 and abs(a.offset - b.offset) <= tol)
-
-
-@dataclass(frozen=True)
-class Ray:
-    base: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        base = np.asarray(self.base, dtype=float)
-        direction = np.asarray(self.direction, dtype=float)
-        n = float(np.linalg.norm(direction))
-        if not math.isclose(n, 1.0, rel_tol=0, abs_tol=1e-9):
-            direction = direction / n
-        base.setflags(write=False)
-        direction.setflags(write=False)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "direction", direction)
-
-    def point(self, t: float) -> np.ndarray:
-        return self.base + t * self.direction
 
 
 def reconstruct_affine(oracle, x, delta: float) -> AffineMap:
@@ -144,7 +134,7 @@ def _slope_tol(scale: float, delta: float) -> float:
     phantom kink whose jump is the recovery error, orders of magnitude below
     any real unit's contribution but not always below pure roundoff.
     """
-    return max(_TOL_FACTOR * EPS * scale / delta, _SLOPE_FLOOR)
+    return max(FIT_NOISE * scale / delta, SLOPE_FLOOR)
 
 
 def _value_tol(anchor: _LocalLine, dist: float, local_scale: float, delta: float) -> float:
@@ -156,25 +146,12 @@ def _value_tol(anchor: _LocalLine, dist: float, local_scale: float, delta: float
     continuous, so a break always shows up as a slope jump, and the
     generators keep those jumps far above the floors.
     """
-    noise = _TOL_FACTOR * EPS * (anchor.scale * (1.0 + abs(dist) / delta) + local_scale)
-    return max(noise, _VALUE_FLOOR * (1.0 + abs(dist)))
+    noise = FIT_NOISE * (anchor.scale * (1.0 + abs(dist) / delta) + local_scale)
+    return max(noise, VALUE_FLOOR * (1.0 + abs(dist)))
 
 
-def default_window(delta: float, nonneg: bool) -> tuple[float, float]:
-    lim = 1.0 / delta
-    return (0.0, lim) if nonneg else (-lim, lim)
-
-
-def _resolve_window(line, delta, window):
-    if window is not None:
-        return float(window[0]), float(window[1])
-    lo = getattr(line, "t_min", None)
-    nonneg = lo is not None and lo >= 0.0
-    return default_window(delta, nonneg)
-
-
-def leftmost_critical_point_1d(line, delta: float, window=None) -> float | None:
-    """Leftmost slope break of a piecewise-linear 1-D function, or None.
+def leftmost_critical_point_1d(line, delta: float, window) -> float | None:
+    """Leftmost slope break of a piecewise-linear 1-D function on `window`, or None.
 
     Bisection: keep a local affine fit anchored at the highest point known to
     lie left of the first break, and at each round fit the function at the
@@ -188,7 +165,7 @@ def leftmost_critical_point_1d(line, delta: float, window=None) -> float | None:
     extends at least delta past the edge, and adjacent pieces have visibly
     different affine maps.
     """
-    lo, hi = _resolve_window(line, delta, window)
+    lo, hi = float(window[0]), float(window[1])
     if hi - lo <= 4 * delta:
         return None
     anchor = _fit_local(line, lo, delta)
@@ -245,13 +222,13 @@ def scan_segments(window: tuple[float, float], delta: float) -> list[tuple[float
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def all_critical_points_1d(line, delta: float, k_max: int, window=None) -> list[float]:
-    """All slope breaks on the line, sorted, by repeated leftmost search.
+def all_critical_points_1d(line, delta: float, k_max: int, window) -> list[float]:
+    """All slope breaks on `window`, sorted, by repeated leftmost search.
 
     After each find the window's left end advances past the break by delta/2.
     Raises PieceBudgetError when more than `k_max` breaks turn up.
     """
-    lo, hi = _resolve_window(line, delta, window)
+    lo, hi = float(window[0]), float(window[1])
     found: list[float] = []
     cursor = lo
     for seg_lo, seg_hi in scan_segments((lo, hi), delta):
@@ -281,11 +258,7 @@ def _inward(e: np.ndarray, x: np.ndarray, reach: float, nonneg: bool) -> np.ndar
     return e / n
 
 
-def _is_nonneg_domain(oracle) -> bool:
-    return getattr(oracle, "domain", None) == "nonneg"
-
-
-def is_critical_point(oracle, x, delta: float, n_dirs: int = 8, rng=None) -> bool:
+def is_critical_point(oracle, x, delta: float, rng=None) -> bool:
     """Does the function bend within `delta` of `x`?
 
     Probes x +/- delta*e for random unit directions e and checks the second
@@ -295,10 +268,10 @@ def is_critical_point(oracle, x, delta: float, n_dirs: int = 8, rng=None) -> boo
     """
     rng = np.random.default_rng(12345) if rng is None else rng
     x = np.asarray(x, dtype=float)
-    nonneg = _is_nonneg_domain(oracle)
+    nonneg = oracle.domain == DOMAIN_NONNEG
     f0 = float(oracle(x))
-    tau = max(1e3 * EPS * (1.0 + abs(f0)), 1e-4 * delta)
-    for _ in range(n_dirs):
+    tau = max(PLANE_NOISE * (1.0 + abs(f0)), PROBE_FLOOR * delta)
+    for _ in range(BEND_DIRECTIONS):
         e = rng.standard_normal(x.size)
         e /= np.linalg.norm(e)
         e = _inward(e, x, 1.5 * delta, nonneg)
@@ -315,7 +288,6 @@ def reconstruct_critical_hyperplane(
     x,
     delta: float,
     rng=None,
-    retries: int = 8,
     *,
     radius: float | None = None,
     step: float | None = None,
@@ -340,9 +312,9 @@ def reconstruct_critical_hyperplane(
     x = np.asarray(x, dtype=float)
     radius = delta if radius is None else radius
     step = delta / 4.0 if step is None else step
-    nonneg = _is_nonneg_domain(oracle)
+    nonneg = oracle.domain == DOMAIN_NONNEG
     d = x.size
-    for attempt in range(retries):
+    for attempt in range(HYPERPLANE_ATTEMPTS):
         shrink = 0.5 ** max(0, attempt - 1)
         r_a = max(radius * shrink, min(radius, 2.0 * delta))
         s_a = max(step * shrink, min(step, delta / 2.0))
@@ -358,7 +330,7 @@ def reconstruct_critical_hyperplane(
             lam = reconstruct_affine(oracle, base, s_a)
             probe = x + side * 2.0 * r_a * e
             scale = 1.0 + abs(lam.b) + float(np.abs(lam.w) @ np.abs(probe))
-            if abs(lam(probe) - float(oracle(probe))) > 1e5 * EPS * scale:
+            if abs(lam(probe) - float(oracle(probe))) > PREDICT_NOISE * scale:
                 ok = False
                 break
             maps.append(lam)
@@ -367,8 +339,8 @@ def reconstruct_critical_hyperplane(
         dw = maps[0].w - maps[1].w
         db = maps[0].b - maps[1].b
         norm = float(np.linalg.norm(dw))
-        noise = 1e3 * EPS * (1.0 + abs(maps[0].b) + abs(maps[1].b)) * math.sqrt(d) / s_a
-        if norm <= max(noise, 1e-9):
+        noise = PLANE_NOISE * (1.0 + abs(maps[0].b) + abs(maps[1].b)) * math.sqrt(d) / s_a
+        if norm <= max(noise, NORMAL_FLOOR):
             continue
         plane = Hyperplane(dw / norm, db / norm)
         if plane.distance(x) > r_a:

@@ -41,6 +41,7 @@ __all__ = [
 _LP_MARGIN = 1e-9
 _SCREEN_MARGIN = 1e-6
 _SCREEN_ROWS = 8
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -93,24 +94,12 @@ class BoundExperiment:
         ]
 
 
-def _input_dim(net) -> int:
-    if isinstance(net, TwoLayerNet):
-        return net.d
-    if isinstance(net, (ThreeLayerNet, ThreeLayerFunction)):
-        return net.W.shape[1]
-    d = getattr(net, "d", None)
-    if d is None:
-        raise TypeError(f"cannot determine input dimension of {type(net).__name__}")
-    return int(d)
-
-
-def _evaluate(net, xs: np.ndarray) -> np.ndarray:
-    if hasattr(net, "network"):
-        net = net.network()
-    try:
-        return np.asarray(batch_eval(net, xs), dtype=float)
-    except TypeError:
-        return np.array([float(net(x)) for x in xs], dtype=float)
+def _network(net):
+    """The network container of `net`, which may be an extraction result."""
+    net = net.network() if hasattr(net, "network") else net
+    if not isinstance(net, (TwoLayerNet, ThreeLayerNet, ThreeLayerFunction)):
+        raise TypeError(f"cannot evaluate {type(net).__name__}")
+    return net
 
 
 def functional_equivalence(
@@ -123,20 +112,22 @@ def functional_equivalence(
     tau: float = 1e-6,
     seed: int = 0,
 ) -> EquivalenceReport:
-    """Compare two evaluables on uniform samples from the box [lo, hi]^d.
+    """Compare two networks on uniform samples from the box [lo, hi]^d.
 
     The relative error at a point is |a - b| / (1 + max(|a|, |b|)), which
-    makes the report symmetric in its two arguments.  Deterministic per seed.
+    makes the report symmetric in its two arguments.  Either argument may be
+    a network or an extraction result.  Deterministic per seed.
     """
-    da, db = _input_dim(net_a), _input_dim(net_b)
-    if da != db:
-        raise ValueError(f"input dimensions differ: {da} vs {db}")
-    if hi <= lo:
-        raise ValueError("need hi > lo")
+    net_a, net_b = _network(net_a), _network(net_b)
+    da = net_a.d
+    if da != net_b.d:
+        raise ValueError(f"input dimensions differ: {da} vs {net_b.d}")
+    if not (hi > lo and math.isfinite(hi - lo)):
+        raise ValueError("need finite lo < hi")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(n_samples, da))
-    fa = _evaluate(net_a, pts)
-    fb = _evaluate(net_b, pts)
+    fa = batch_eval(net_a, pts)
+    fb = batch_eval(net_b, pts)
     abs_err = np.abs(fa - fb)
     rel_err = abs_err / (1.0 + np.maximum(np.abs(fa), np.abs(fb)))
     return EquivalenceReport(
@@ -228,23 +219,22 @@ def empirical_orthant_bound(
     trials: int,
     *,
     seed: int = 0,
-    chunk: int = 4096,
 ) -> BoundExperiment:
     """Draw standard-normal (W, b) pairs and count negative-orthant intersections.
 
-    Trials run in seeded chunks so the count is reproducible regardless of
-    chunking.  For planar inputs a duality screen settles most misses in
+    Trials run in chunks of 4096, each drawn from its own child of `seed`,
+    so the count is reproducible per seed.  For planar inputs a duality screen settles most misses in
     bulk; everything it leaves open goes through the solver-backed test.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
     ss = np.random.SeedSequence(seed)
-    n_chunks = (trials + chunk - 1) // chunk
+    n_chunks = (trials + _CHUNK - 1) // _CHUNK
     children = ss.spawn(n_chunks)
     hits = 0
     done = 0
     for child in children:
-        n = min(chunk, trials - done)
+        n = min(_CHUNK, trials - done)
         rng = np.random.default_rng(child)
         W = rng.standard_normal((n, d1, d))
         b = rng.standard_normal((n, d1))

@@ -5,11 +5,10 @@ import numpy as np
 from netpeel.oracle.query import LineOracle, QueryOracle
 
 
-def scalar_line(fn, domain="full"):
-    """Wrap a scalar function as a counted 1-d line oracle."""
-    oracle = QueryOracle(lambda x: fn(float(x[0])), 1, domain)
-    t_min = 0.0 if domain == "nonneg" else None
-    return LineOracle(oracle, np.zeros(1), np.ones(1), t_min=t_min)
+def scalar_line(fn):
+    """Wrap a scalar function as a 1-d line oracle; its parent counts queries."""
+    oracle = QueryOracle(lambda x: fn(float(x[0])), 1)
+    return LineOracle(oracle, np.zeros(1), np.ones(1))
 
 
 def synth_pwl(rng, max_kinks=6, lo=-8.0, hi=8.0, min_sep=0.2):

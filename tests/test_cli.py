@@ -1,6 +1,7 @@
 """Command-line flows: generate, extract, verify, bench, bound-experiment."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -94,6 +95,26 @@ def test_extract_is_deterministic_apart_from_timing(tmp_path):
     assert docs[0] == docs[1]
 
 
+# Seed 0 of the benchmark's d2-wide and d3-small cells.  Any change to these
+# counts is a change of the algorithm and has to be reported as one.
+_PINNED_COUNTS = [
+    (("--d", "10", "--d1", "32"),
+     {"scan": 4774, "recover": 928, "refine": 704, "skip": 27}, 6433),
+    (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"),
+     {"collect": 1112, "filter": 469, "signs": 9, "peel": 1741}, 3331),
+]
+
+
+@pytest.mark.parametrize("shape, phases, total", _PINNED_COUNTS)
+def test_extract_query_counts_are_pinned(tmp_path, shape, phases, total):
+    net = _generate(tmp_path, "net.json", *shape, "--seed", "0")
+    report = tmp_path / "report.json"
+    assert main(["extract", "--input", str(net), "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["phase_queries"] == phases
+    assert doc["total_queries"] == total
+
+
 def test_extract_fails_gracefully_on_an_unresolvable_kink(tmp_path):
     """A unit bending less than the probe resolution reads as degenerate."""
     net = TwoLayerNet(
@@ -121,9 +142,19 @@ def test_extract_missing_input_is_a_usage_error(tmp_path):
     assert code == 2
 
 
+_NET2 = {"format": "netpeel-net", "depth": 2, "d": 2, "d1": 2,
+         "W": [1.0, 0.0, 0.0, 1.0], "b": [-1.0, -2.0], "u": [1, -1]}
+_NET3 = {"format": "netpeel-net", "depth": 3, "d": 2, "d1": 2, "d2": 2,
+         "W": [1.0, 0.0, 0.0, 1.0], "b": [0.0, 0.0],
+         "V": [1.0, 1.0, 1.0, -1.0], "c": [0.5, -0.5], "u": [1, 1]}
 _BAD_INPUTS = {
     "malformed.json": '{"depth": 2, "d": ',
     "invalid.json": '{"format": "netpeel-net", "depth": 2, "d": 2}',
+    "short-u.json": json.dumps({**_NET2, "u": [1]}),
+    "short-b.json": json.dumps({**_NET2, "b": [0.5]}),
+    "nan-weight.json": json.dumps({**_NET2, "W": [math.nan, 0.0, 0.0, 1.0]}),
+    "short-c.json": json.dumps({**_NET3, "c": [0.5]}),
+    "zero-dim.json": json.dumps({**_NET2, "d": 0, "d1": 0, "W": [], "b": [], "u": []}),
 }
 
 
@@ -141,6 +172,17 @@ def test_extract_bad_input_file_is_a_usage_error(tmp_path, capsys):
                      "--out", str(tmp_path / "report.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_extract_non_finite_delta_is_a_usage_error(tmp_path, capsys):
+    net = _generate(tmp_path, "net.json", "--d", "2", "--d1", "2", "--seed", "0")
+    for delta in ("nan", "inf", "-1"):
+        capsys.readouterr()
+        code = main(["extract", "--input", str(net), "--delta", delta,
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --delta")
     assert not (tmp_path / "report.json").exists()
 
 
@@ -184,6 +226,16 @@ def test_verify_bad_input_file_is_a_usage_error(tmp_path, capsys):
             code = main(["verify", "--truth", str(truth), "--candidate", str(candidate)])
             assert code == 2
             assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_needs_a_finite_box(tmp_path, capsys):
+    net = _generate(tmp_path, "net.json", "--d", "2", "--d1", "2", "--seed", "0")
+    for lo, hi in (("nan", "1"), ("0", "nan"), ("-inf", "1"), ("1", "1"), ("2", "1")):
+        capsys.readouterr()
+        code = main(["verify", "--truth", str(net), "--candidate", str(net),
+                     f"--lo={lo}", f"--hi={hi}"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 # ------------------------------------------------------- bench and bound

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from netpeel.config import DEDUP_TOL
 from netpeel.extract3 import (
     collect_candidate_hyperplanes,
     extract_three_layer,
@@ -92,7 +93,7 @@ def test_collected_candidates_are_distinct(wide_candidates):
     _, cands = wide_candidates
     for i, a in enumerate(cands.planes):
         for b in cands.planes[i + 1:]:
-            assert not a.close_to(b, cands.dedup_tol)
+            assert not a.close_to(b, DEDUP_TOL)
 
 
 # ----------------------------------------------------------------- filtering

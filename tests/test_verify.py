@@ -8,7 +8,7 @@ import pytest
 
 from netpeel.extract2 import extract_two_layer
 from netpeel.oracle.generate import generate_two_layer
-from netpeel.oracle.nets import batch_eval
+from netpeel.oracle.nets import AffineMap, TwoLayerNet
 from netpeel.oracle.query import as_oracle
 from netpeel.verify import (
     BenchRow,
@@ -23,18 +23,6 @@ from netpeel.verify import (
 )
 
 
-class _Shifted:
-    """A network evaluable offset by a constant."""
-
-    def __init__(self, net, offset):
-        self.net = net
-        self.offset = offset
-        self.d = net.d
-
-    def __call__(self, x):
-        return float(batch_eval(self.net, [x])[0]) + self.offset
-
-
 # ----------------------------------------------------------- equivalence
 
 
@@ -47,7 +35,8 @@ def test_net_equals_itself():
 
 def test_constant_offset_shows_up_as_absolute_error():
     net = generate_two_layer(3, 4, np.random.default_rng(0))
-    rep = functional_equivalence(net, _Shifted(net, 1.0), 0.0, 10.0)
+    shifted = TwoLayerNet(d=3, neurons=net.neurons, skip=AffineMap(np.zeros(3), 1.0))
+    rep = functional_equivalence(net, shifted, 0.0, 10.0)
     assert abs(rep.max_abs_err - 1.0) < 1e-12
     assert not rep.passed
 
