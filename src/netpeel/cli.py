@@ -2,9 +2,11 @@
 
 Every run is deterministic given its flags; all randomness flows from
 `--seed`.  Exit codes: 0 success (or verification pass), 1 verification
-fail, 2 usage error (including an unreadable, malformed or invalid input
-file), 3 a geometric assumption did not hold, 4 a piece or width budget ran
-out.
+fail, 2 usage error (a negative seed, a flag or list entry out of range, or
+an unreadable, malformed or invalid input file, including a network that
+evaluates to a non-finite value), 3 a geometric assumption did not hold, 4 a
+piece or width budget ran out, 5 the extraction read a ground-truth
+parameter other than through queries.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .extract2 import extract_two_layer
 from .extract3 import extract_three_layer
 from .oracle.generate import GenerationError, generate_three_layer, generate_two_layer
 from .oracle.nets import TwoLayerNet
-from .oracle.query import AccessAudit, as_oracle
+from .oracle.query import AccessAudit, NonFiniteValueError, as_oracle
 from .pwl import GeneralPositionError, PieceBudgetError
 from .oracle.serialize import (
     check_document,
@@ -45,6 +47,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_ASSUMPTION = 3
 EXIT_BUDGET = 4
+EXIT_AUDIT = 5
 
 REPORT_FORMAT = "netpeel-report"
 
@@ -83,11 +86,23 @@ class UsageError(Exception):
     pass
 
 
+class AuditError(Exception):
+    """The extraction read ground-truth parameters other than through queries."""
+
+
 def _positive(cfg: RunConfig, names: list[str]) -> None:
+    """Every named flag, and every entry of a list flag, is positive and finite."""
     for name in names:
         value = getattr(cfg, name)
-        if value is not None and not (value > 0 and math.isfinite(value)):
+        entries = value if isinstance(value, tuple) else (value,)
+        if any(v is not None and not (v > 0 and math.isfinite(v)) for v in entries):
             raise UsageError(f"--{name.replace('_', '-')} must be positive and finite")
+
+
+def _check_seeds(cfg: RunConfig) -> None:
+    for name, values in (("seed", (cfg.seed,)), ("seeds", cfg.seeds)):
+        if any(v < 0 for v in values):
+            raise UsageError(f"--{name} must be non-negative")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -210,23 +225,26 @@ def cmd_extract(cfg: RunConfig) -> int:
     oracle = as_oracle(audit)
     audit.arm()
     t0 = time.perf_counter()
-    if isinstance(truth, TwoLayerNet):
-        result = extract_two_layer(oracle, oracle.dim, cfg.delta, cfg.d1_max)
-        depth = 2
-    else:
-        result = extract_three_layer(
-            oracle,
-            oracle.dim,
-            cfg.delta,
-            m_max=cfg.m_max,
-            d1_max=cfg.d1_max,
-            d2_max=cfg.d2_max,
-        )
-        depth = 3
+    try:
+        if isinstance(truth, TwoLayerNet):
+            result = extract_two_layer(oracle, oracle.dim, cfg.delta, cfg.d1_max)
+            depth = 2
+        else:
+            result = extract_three_layer(
+                oracle,
+                oracle.dim,
+                cfg.delta,
+                m_max=cfg.m_max,
+                d1_max=cfg.d1_max,
+                d2_max=cfg.d2_max,
+            )
+            depth = 3
+    except NonFiniteValueError as err:
+        raise UsageError(f"{cfg.input} is not a valid network: {err}")
     seconds = time.perf_counter() - t0
     audit.disarm()
     if audit.reads:
-        raise RuntimeError(f"extraction read {audit.reads} ground-truth attributes")
+        raise AuditError(f"extraction read {audit.reads} ground-truth attributes")
     stage2 = result if depth == 2 else result.top
     report = {
         "format": REPORT_FORMAT,
@@ -273,7 +291,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_bench(cfg: RunConfig) -> int:
-    _positive(cfg, ["depth"])
+    _positive(cfg, ["depth", "d_list", "d1_list", "d2_list", "deltas"])
     if not cfg.d_list or not cfg.d1_list or not cfg.deltas or not cfg.seeds:
         raise UsageError("bench needs non-empty --d-list, --d1-list, --deltas, --seeds")
     shapes = []
@@ -333,10 +351,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if err.code else EXIT_OK
     cfg = _config_from_args(args)
     try:
+        _check_seeds(cfg)
         return _COMMANDS[cfg.command](cfg)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except AuditError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_AUDIT
     except GenerationError as err:
         print(f"generation failed: {err}", file=sys.stderr)
         return EXIT_ASSUMPTION

@@ -15,6 +15,7 @@ from .query import (
     AccessAudit,
     DomainError,
     LineOracle,
+    NonFiniteValueError,
     QueryOracle,
     as_oracle,
     axis_ray,
@@ -40,7 +41,8 @@ from .serialize import (
 __all__ = [
     "AffineMap", "Neuron", "TwoLayerNet", "ThreeLayerNet", "ThreeLayerFunction",
     "relu", "evaluator", "batch_eval",
-    "QueryOracle", "LineOracle", "AccessAudit", "DomainError", "as_oracle",
+    "QueryOracle", "LineOracle", "AccessAudit", "DomainError",
+    "NonFiniteValueError", "as_oracle",
     "axis_ray", "DOMAIN_NONNEG", "DOMAIN_FULL",
     "GeneratorMargins", "DEFAULT_MARGINS", "GenerationError",
     "generate_two_layer", "generate_three_layer", "check_nonzero_partials",

@@ -25,6 +25,14 @@ class DomainError(ValueError):
     """A query fell outside the oracle's domain."""
 
 
+class NonFiniteValueError(ValueError):
+    """The function behind the oracle evaluated to inf or NaN at a query point.
+
+    Such a function (finite weights can still overflow) is not a valid input
+    to extraction.
+    """
+
+
 class QueryOracle:
     """Wraps `fn: R^dim -> R`, counting evaluations."""
 
@@ -51,7 +59,7 @@ class QueryOracle:
         self._count += 1
         val = float(self._fn(x))
         if not np.isfinite(val):
-            raise ValueError(f"oracle returned non-finite value {val}")
+            raise NonFiniteValueError(f"oracle returned non-finite value {val} at {x}")
         return val
 
     def __call__(self, x) -> float:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import netpeel.cli as cli
 from netpeel.cli import main
 from netpeel.oracle.generate import generate_two_layer
 from netpeel.oracle.nets import AffineMap, Neuron, TwoLayerNet, batch_eval
@@ -186,6 +187,43 @@ def test_extract_non_finite_delta_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_extract_audit_violation_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
+    net = _generate(tmp_path, "net.json", "--d", "2", "--d1", "2", "--seed", "0")
+    audits = []
+    real_as_oracle, real_extract = cli.as_oracle, cli.extract_two_layer
+
+    def spy(audit):
+        audits.append(audit)
+        return real_as_oracle(audit)
+
+    def peeking_extract(oracle, *args):
+        audits[0].neurons  # a ground-truth read while the audit is armed
+        return real_extract(oracle, *args)
+
+    monkeypatch.setattr(cli, "as_oracle", spy)
+    monkeypatch.setattr(cli, "extract_two_layer", peeking_extract)
+    capsys.readouterr()
+    code = main(["extract", "--input", str(net), "--out", str(tmp_path / "report.json")])
+    assert code == cli.EXIT_AUDIT == 5
+    assert capsys.readouterr().err.startswith("error: extraction read 1 ")
+    assert not (tmp_path / "report.json").exists()
+
+
+# A depth-2 unit whose finite weights overflow to inf at x > 0.
+_OVERFLOWING = {"format": "netpeel-net", "depth": 2, "d": 1, "d1": 1,
+                "W": [1e308], "b": [1e308], "u": [1]}
+
+
+def test_extract_overflowing_network_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(_OVERFLOWING))
+    capsys.readouterr()
+    code = main(["extract", "--input", str(path), "--out", str(tmp_path / "report.json")])
+    assert code == 2
+    assert "non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 # -------------------------------------------------------------------- verify
 
 
@@ -238,6 +276,15 @@ def test_verify_needs_a_finite_box(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_verify_overflowing_network_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(_OVERFLOWING))
+    capsys.readouterr()
+    code = main(["verify", "--truth", str(path), "--candidate", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: the first network evaluates")
+
+
 # ------------------------------------------------------- bench and bound
 
 
@@ -258,6 +305,43 @@ def test_bound_experiment_reports_and_saves(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert "bound" in capsys.readouterr().out
+
+
+_BENCH_GRID = ["bench", "--d-list", "2", "--d1-list", "2", "--seeds", "0"]
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "0"])
+def test_bench_deltas_must_be_positive_and_finite(tmp_path, capsys, value):
+    out = tmp_path / "bench.csv"
+    assert main([*_BENCH_GRID, f"--deltas={value}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --deltas")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--d-list", "--d1-list", "--d2-list"])
+def test_bench_widths_must_be_at_least_one(tmp_path, capsys, flag):
+    out = tmp_path / "bench.csv"
+    for value in ("0", "2,-1"):
+        capsys.readouterr()
+        assert main([*_BENCH_GRID, f"{flag}={value}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--seed", "-1", "--out", "net.json"],
+        ["bench", "--d-list", "2", "--d1-list", "2", "--seeds", "0,-1", "--out", "b.csv"],
+        ["bound-experiment", "--trials", "10", "--seed", "-1"],
+    ],
+    ids=["generate", "bench", "bound-experiment"],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --seed")
+    assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------- bad usage

@@ -1,11 +1,15 @@
 """Equivalence reports, negative-orthant experiment, query benchmarks."""
 
+import ast
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import netpeel.verify as verify
 from netpeel.extract2 import extract_two_layer
 from netpeel.oracle.generate import generate_two_layer
 from netpeel.oracle.nets import AffineMap, TwoLayerNet
@@ -130,6 +134,60 @@ def test_lp_confirms_every_sampled_witness():
             assert intersects_negative_orthant(W, b)
 
 
+def _single_margin(W, b):
+    """The margin optimum of one trial as its own dense LP: the reference."""
+    d1, d = W.shape
+    res = linprog(
+        c=np.concatenate([np.zeros(d), [-1.0]]),
+        A_ub=np.hstack([W, np.ones((d1, 1))]),
+        b_ub=-b,
+        bounds=[(None, None)] * d + [(None, 1.0)],
+        method="highs",
+    )
+    assert res.status == 0
+    return float(-res.fun)
+
+
+@pytest.mark.parametrize("d, d1", [(1, 2), (2, 4), (3, 6), (4, 8)])
+def test_block_margins_match_one_trial_margins(d, d1):
+    rng = np.random.default_rng(100 * d + d1)
+    decisions = []
+    for m in (1, 7, 128):
+        W = rng.standard_normal((m, d1, d))
+        b = rng.standard_normal((m, d1))
+        block = verify._orthant_margins(W, b)
+        single = np.array([_single_margin(W[i], b[i]) for i in range(m)])
+        assert block.shape == (m,)
+        assert np.max(np.abs(block - single)) <= 1e-10, (d, d1, m)
+        assert np.array_equal(block > verify._LP_MARGIN, single > verify._LP_MARGIN)
+        decisions.extend(block > verify._LP_MARGIN)
+    assert any(decisions) and not all(decisions)
+
+
+def test_solver_failure_names_the_chunk_and_trials(monkeypatch):
+    class Failed:
+        status, message = 4, "numerical difficulties"
+
+    monkeypatch.setattr(verify, "linprog", lambda *args, **kwargs: Failed())
+    with pytest.raises(RuntimeError, match=r"chunk 0, trials 0\.\.\d+: .*status 4 "
+                       r"\(numerical difficulties\)"):
+        empirical_orthant_bound(3, 12, 50, seed=0)
+
+
+def test_verify_names_linprog_once_inside_the_block_kernel():
+    """One LP construction: no per-trial path beside the block-diagonal one."""
+    tree = ast.parse(Path(verify.__file__).read_text())
+    owners = [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "linprog"
+    ]
+    names = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "linprog"]
+    assert owners == ["_orthant_margins"] and len(names) == 1
+
+
 # ------------------------------------------------------- bound experiment
 
 
@@ -148,6 +206,25 @@ def test_vacuous_bound_still_reports_a_rate():
 def test_wide_experiment_stays_under_the_bound():
     exp = empirical_orthant_bound(2, 30, 100_000, seed=0)
     assert exp.rate <= exp.bound
+
+
+# Hit counts of the per-trial solver, one LP per undecided trial; the block
+# LPs must make the same decisions.
+_PINNED_HITS = [
+    ((2, 16, 20_000, 1), 44),
+    ((2, 20, 20_000, 1), 7),
+    ((3, 18, 1500, 1), 5),
+    ((4, 24, 1000, 1), 0),
+    ((3, 12, 5000, 0), 382),
+]
+
+
+@pytest.mark.parametrize(
+    "cell, hits", _PINNED_HITS, ids=["-".join(map(str, cell)) for cell, _ in _PINNED_HITS]
+)
+def test_hit_counts_are_pinned(cell, hits):
+    d, d1, trials, seed = cell
+    assert empirical_orthant_bound(d, d1, trials, seed=seed).hits == hits
 
 
 def test_rate_respects_bound_across_shapes():
