@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,36 +51,6 @@ EXIT_AUDIT = 5
 REPORT_FORMAT = "netpeel-report"
 
 
-@dataclass
-class RunConfig:
-    """Parsed flags for one command; every field maps to one kebab-case flag."""
-
-    command: str
-    depth: int = 2
-    d: int = 2
-    d1: int = 2
-    d2: int = 6
-    delta: float = 1e-4
-    tau: float = 1e-6
-    seed: int = 0
-    d1_max: int = 512
-    m_max: int = 256
-    d2_max: int = 512
-    trials: int = 100_000
-    samples: int = 10_000
-    lo: float | None = None
-    hi: float | None = None
-    input: str | None = None
-    truth: str | None = None
-    candidate: str | None = None
-    out: str | None = None
-    d_list: tuple[int, ...] = field(default_factory=tuple)
-    d1_list: tuple[int, ...] = field(default_factory=tuple)
-    d2_list: tuple[int, ...] = field(default_factory=tuple)
-    deltas: tuple[float, ...] = field(default_factory=tuple)
-    seeds: tuple[int, ...] = field(default_factory=tuple)
-
-
 class UsageError(Exception):
     pass
 
@@ -90,17 +59,18 @@ class AuditError(Exception):
     """The extraction read ground-truth parameters other than through queries."""
 
 
-def _positive(cfg: RunConfig, names: list[str]) -> None:
+def _positive(args: argparse.Namespace, names: list[str]) -> None:
     """Every named flag, and every entry of a list flag, is positive and finite."""
     for name in names:
-        value = getattr(cfg, name)
+        value = getattr(args, name)
         entries = value if isinstance(value, tuple) else (value,)
         if any(v is not None and not (v > 0 and math.isfinite(v)) for v in entries):
             raise UsageError(f"--{name.replace('_', '-')} must be positive and finite")
 
 
-def _check_seeds(cfg: RunConfig) -> None:
-    for name, values in (("seed", (cfg.seed,)), ("seeds", cfg.seeds)):
+def _check_seeds(args: argparse.Namespace) -> None:
+    for name, values in (("seed", (getattr(args, "seed", 0),)),
+                         ("seeds", getattr(args, "seeds", ()))):
         if any(v < 0 for v in values):
             raise UsageError(f"--{name} must be non-negative")
 
@@ -172,22 +142,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
-    return RunConfig(**fields)
-
-
-def cmd_generate(cfg: RunConfig) -> int:
-    _positive(cfg, ["d", "d1", "d2", "depth"])
-    if cfg.depth == 3 and not (1 <= cfg.d1 <= cfg.d):
+def cmd_generate(args: argparse.Namespace) -> int:
+    _positive(args, ["d", "d1", "d2", "depth"])
+    if args.depth == 3 and not (1 <= args.d1 <= args.d):
         raise UsageError("depth 3 requires 1 <= d1 <= d")
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.depth == 2:
-        net = generate_two_layer(cfg.d, cfg.d1, rng)
+    rng = np.random.default_rng(args.seed)
+    if args.depth == 2:
+        net = generate_two_layer(args.d, args.d1, rng)
     else:
-        net = generate_three_layer(cfg.d, cfg.d1, cfg.d2, rng)
-    save_net(cfg.out, net, seed=cfg.seed)
-    print(f"wrote depth-{cfg.depth} network to {cfg.out}")
+        net = generate_three_layer(args.d, args.d1, args.d2, rng)
+    save_net(args.out, net, seed=args.seed)
+    print(f"wrote depth-{args.depth} network to {args.out}")
     return EXIT_OK
 
 
@@ -218,29 +183,32 @@ def _load_file(path: str):
     return document_to_net(check_document(doc))
 
 
-def cmd_extract(cfg: RunConfig) -> int:
-    _positive(cfg, ["delta", "d1_max", "m_max", "d2_max"])
-    truth = _load(load_net, cfg.input)
+def cmd_extract(args: argparse.Namespace) -> int:
+    _positive(args, ["delta", "d1_max", "m_max", "d2_max"])
+    truth = _load(load_net, args.input)
     audit = AccessAudit(truth)
     oracle = as_oracle(audit)
     audit.arm()
     t0 = time.perf_counter()
+    # A network with finite but huge weights overflows in the oracle; the
+    # oracle reports that as NonFiniteValueError, so numpy need not warn.
     try:
-        if isinstance(truth, TwoLayerNet):
-            result = extract_two_layer(oracle, oracle.dim, cfg.delta, cfg.d1_max)
-            depth = 2
-        else:
-            result = extract_three_layer(
-                oracle,
-                oracle.dim,
-                cfg.delta,
-                m_max=cfg.m_max,
-                d1_max=cfg.d1_max,
-                d2_max=cfg.d2_max,
-            )
-            depth = 3
+        with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(truth, TwoLayerNet):
+                result = extract_two_layer(oracle, oracle.dim, args.delta, args.d1_max)
+                depth = 2
+            else:
+                result = extract_three_layer(
+                    oracle,
+                    oracle.dim,
+                    args.delta,
+                    m_max=args.m_max,
+                    d1_max=args.d1_max,
+                    d2_max=args.d2_max,
+                )
+                depth = 3
     except NonFiniteValueError as err:
-        raise UsageError(f"{cfg.input} is not a valid network: {err}")
+        raise UsageError(f"{args.input} is not a valid network: {err}")
     seconds = time.perf_counter() - t0
     audit.disarm()
     if audit.reads:
@@ -249,7 +217,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     report = {
         "format": REPORT_FORMAT,
         "depth": depth,
-        "delta": cfg.delta,
+        "delta": args.delta,
         "total_queries": oracle.count,
         "phase_queries": dict(result.phase_queries),
         "residual_headroom": stage2.residual_headroom,
@@ -257,32 +225,32 @@ def cmd_extract(cfg: RunConfig) -> int:
         "parameter_reads": audit.reads,
         "network": net_to_document(result.network()),
     }
-    with open(cfg.out, "w") as fh:
+    with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     print(
         f"extracted depth-{depth} network with {oracle.count} queries "
-        f"in {seconds:.2f}s -> {cfg.out}"
+        f"in {seconds:.2f}s -> {args.out}"
     )
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    _positive(cfg, ["tau", "samples"])
-    truth = _load(_load_file, cfg.truth)
-    candidate = _load(_load_file, cfg.candidate)
+def cmd_verify(args: argparse.Namespace) -> int:
+    _positive(args, ["tau", "samples"])
+    truth = _load(_load_file, args.truth)
+    candidate = _load(_load_file, args.candidate)
     depth2 = isinstance(truth, TwoLayerNet)
-    lo = cfg.lo if cfg.lo is not None else (0.0 if depth2 else -5.0)
-    hi = cfg.hi if cfg.hi is not None else (10.0 if depth2 else 5.0)
+    lo = args.lo if args.lo is not None else (0.0 if depth2 else -5.0)
+    hi = args.hi if args.hi is not None else (10.0 if depth2 else 5.0)
     try:
         report = functional_equivalence(
             truth,
             candidate,
             lo,
             hi,
-            n_samples=cfg.samples,
-            tau=cfg.tau,
-            seed=cfg.seed,
+            n_samples=args.samples,
+            tau=args.tau,
+            seed=args.seed,
         )
     except ValueError as err:
         raise UsageError(str(err))
@@ -290,30 +258,30 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    _positive(cfg, ["depth", "d_list", "d1_list", "d2_list", "deltas"])
-    if not cfg.d_list or not cfg.d1_list or not cfg.deltas or not cfg.seeds:
+def cmd_bench(args: argparse.Namespace) -> int:
+    _positive(args, ["depth", "d_list", "d1_list", "d2_list", "deltas"])
+    if not args.d_list or not args.d1_list or not args.deltas or not args.seeds:
         raise UsageError("bench needs non-empty --d-list, --d1-list, --deltas, --seeds")
     shapes = []
-    for d in cfg.d_list:
-        for d1 in cfg.d1_list:
-            if cfg.depth == 2:
+    for d in args.d_list:
+        for d1 in args.d1_list:
+            if args.depth == 2:
                 shapes.append((2, d, d1, 0))
             else:
                 if d1 > d:
                     continue
-                for d2 in cfg.d2_list:
+                for d2 in args.d2_list:
                     shapes.append((3, d, d1, d2))
     if not shapes:
         raise UsageError("grid is empty after the d1 <= d filter")
-    rows = query_complexity_bench(shapes, deltas=cfg.deltas, seeds=cfg.seeds)
-    bench_to_csv(rows, cfg.out)
+    rows = query_complexity_bench(shapes, deltas=args.deltas, seeds=args.seeds)
+    bench_to_csv(rows, args.out)
     n_ok = sum(r.ok for r in rows)
-    print(f"{n_ok}/{len(rows)} cells succeeded -> {cfg.out}")
+    print(f"{n_ok}/{len(rows)} cells succeeded -> {args.out}")
     if n_ok == 0:
         print("every cell failed", file=sys.stderr)
         return EXIT_ASSUMPTION
-    fit = fit_query_bound(rows, cfg.depth)
+    fit = fit_query_bound(rows, args.depth)
     print(
         f"depth-{fit.depth} fit: queries ~ {fit.constant:.2f} * predictor, "
         f"worst ratio {fit.worst_ratio:.2f} over {fit.n_rows} rows"
@@ -321,16 +289,16 @@ def cmd_bench(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bound_experiment(cfg: RunConfig) -> int:
-    _positive(cfg, ["d", "d1", "trials"])
-    exp = empirical_orthant_bound(cfg.d, cfg.d1, cfg.trials, seed=cfg.seed)
+def cmd_bound_experiment(args: argparse.Namespace) -> int:
+    _positive(args, ["d", "d1", "trials"])
+    exp = empirical_orthant_bound(args.d, args.d1, args.trials, seed=args.seed)
     print(
         f"d={exp.d} d1={exp.d1}: {exp.hits}/{exp.trials} hits "
         f"(rate {exp.rate:.3e}), bound {exp.bound:.3e}"
     )
-    if cfg.out:
-        bound_to_csv([exp], cfg.out)
-        print(f"wrote {cfg.out}")
+    if args.out:
+        bound_to_csv([exp], args.out)
+        print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -349,10 +317,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code else EXIT_OK
-    cfg = _config_from_args(args)
     try:
-        _check_seeds(cfg)
-        return _COMMANDS[cfg.command](cfg)
+        _check_seeds(args)
+        return _COMMANDS[args.command](args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

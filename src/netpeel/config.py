@@ -31,7 +31,6 @@ PROBE_FLOOR = 1e-4            # least bend or move per unit of probe step
 
 # Checks on recovered and supplied parameters.
 RESIDUAL_TOL = 1e-8           # final affine-residual check, times 1 + |f|
-UNIT_NORM_TOL = 1e-12         # accepted deviation of a unit normal
 DEDUP_TOL = 1e-7              # canonical hyperplane dedup distance
 RANK_TOL = 1e-8               # least singular value in right_inverse
 INVERSE_TOL = 1e-9            # largest entry of W M - I in right_inverse

@@ -28,7 +28,7 @@ from .config import (
     SIGN_ATTEMPTS,
 )
 from .extract2 import ExtractedTwoLayer, extract_two_layer
-from .oracle.nets import ThreeLayerFunction, batch_eval
+from .oracle.nets import ThreeLayerNet, batch_eval
 from .oracle.query import DOMAIN_FULL, DOMAIN_NONNEG, LineOracle, QueryOracle
 from .pwl import (
     GeneralPositionError,
@@ -88,8 +88,8 @@ class ExtractedThreeLayer:
     def total_queries(self) -> int:
         return sum(self.phase_queries.values())
 
-    def network(self) -> ThreeLayerFunction:
-        return ThreeLayerFunction(W=self.W, b=self.b, top=self.top.network())
+    def network(self) -> ThreeLayerNet:
+        return ThreeLayerNet(W=self.W, b=self.b, top=self.top.network())
 
     def __call__(self, x) -> float:
         return float(batch_eval(self.network(), np.atleast_2d(x))[0])

@@ -2,7 +2,6 @@
 from .nets import (
     AffineMap,
     Neuron,
-    ThreeLayerFunction,
     ThreeLayerNet,
     TwoLayerNet,
     batch_eval,
@@ -39,7 +38,7 @@ from .serialize import (
 )
 
 __all__ = [
-    "AffineMap", "Neuron", "TwoLayerNet", "ThreeLayerNet", "ThreeLayerFunction",
+    "AffineMap", "Neuron", "TwoLayerNet", "ThreeLayerNet",
     "relu", "evaluator", "batch_eval",
     "QueryOracle", "LineOracle", "AccessAudit", "DomainError",
     "NonFiniteValueError", "as_oracle",

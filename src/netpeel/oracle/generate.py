@@ -385,7 +385,8 @@ def generate_three_layer(
                 break
         if not ok:
             continue
-        return ThreeLayerNet(W=W, b=b, V=V, c=c, signs=[int(s) for s in u])
+        top = tuple(Neuron(V[k], c[k], u[k]) for k in range(d2))
+        return ThreeLayerNet(W=W, b=b, top=TwoLayerNet(d=d1, neurons=top))
     raise GenerationError(
         f"three-layer draw (d={d}, d1={d1}, d2={d2}) failed margins "
         f"{REJECTION_LIMIT} times"

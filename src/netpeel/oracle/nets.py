@@ -6,12 +6,13 @@ positive orthant to the reals,
     f(x) = skip(x) + sum_j  s_j * relu(w_j . x + b_j),      s_j in {+1, -1},
 
 where the affine `skip` term is optional.  The three-layer class is defined on
-all of R^d,
+all of R^d as a first layer under a two-layer top,
 
-    f(x) = s . relu(V relu(W x + b) + c),
+    f(x) = top(relu(W x + b)),
 
-with unit-norm, linearly independent rows of W (so W has a right inverse) and
-no zero entry in V.  Containers are immutable.  Each class has one stacked
+where `top` is a two-layer net on the d1-dimensional hidden orthant.  A
+generated top is s . relu(V h + c) with no skip; a recovered top may carry an
+affine term in h.  Containers are immutable.  Each class has one stacked
 evaluator (`evaluator`), which maps a batch of points to values with a few
 matrix products; a single point is a batch of one row.
 """
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from ..config import UNIT_NORM_TOL
 
 
 def _frozen(a) -> np.ndarray:
@@ -112,68 +111,10 @@ class TwoLayerNet:
 
 @dataclass(frozen=True, eq=False)
 class ThreeLayerNet:
-    """s . relu(V relu(W x + b) + c) on all of R^d."""
+    """A first layer W, b under a two-layer top over its activations, on R^d.
 
-    W: np.ndarray
-    b: np.ndarray
-    V: np.ndarray
-    c: np.ndarray
-    signs: np.ndarray
-
-    def __post_init__(self):
-        W = _frozen(np.atleast_2d(self.W))
-        V = _frozen(np.atleast_2d(self.V))
-        b = _frozen(np.atleast_1d(self.b))
-        c = _frozen(np.atleast_1d(self.c))
-        signs = _frozen(np.atleast_1d(self.signs))
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "signs", signs)
-        d1, d = W.shape
-        if b.shape != (d1,):
-            raise ValueError("b length does not match rows of W")
-        if V.shape[1] != d1:
-            raise ValueError("V columns do not match rows of W")
-        d2 = V.shape[0]
-        if c.shape != (d2,) or signs.shape != (d2,):
-            raise ValueError("c/signs length does not match rows of V")
-        self._check_class()
-
-    def _check_class(self):
-        row_norms = np.linalg.norm(self.W, axis=1)
-        if np.any(np.abs(row_norms - 1.0) > UNIT_NORM_TOL):
-            raise ValueError("rows of W must have unit norm")
-        if self.d1 > self.d:
-            raise ValueError("W must have at most d rows to be right-invertible")
-        if np.linalg.matrix_rank(self.W, tol=1e-10) < self.d1:
-            raise ValueError("rows of W must be linearly independent")
-        if np.any(self.V == 0.0):
-            raise ValueError("V must have no zero entry")
-        if not np.all(np.isin(self.signs, (-1.0, 1.0))):
-            raise ValueError("output signs must be +1 or -1")
-
-    @property
-    def d(self) -> int:
-        return self.W.shape[1]
-
-    @property
-    def d1(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def d2(self) -> int:
-        return self.V.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ThreeLayerFunction:
-    """First layer plus an arbitrary two-layer top over the hidden activations.
-
-    Recovery of a three-layer net produces this shape: the top may carry an
-    affine term in the hidden activations, which the strict `ThreeLayerNet`
-    class does not.  A plain `ThreeLayerNet` embeds losslessly.
+    The top is a `TwoLayerNet` on the hidden orthant: a generated net has no
+    affine term there, a recovered one may.
     """
 
     W: np.ndarray
@@ -215,9 +156,6 @@ def evaluator(net) -> Callable[[np.ndarray], np.ndarray]:
             return lambda xs: relu_sum(xs, W, b, s)
         return lambda xs: relu_sum(xs, W, b, s) + skip.batch(xs)
     if isinstance(net, ThreeLayerNet):
-        W, b, V, c, s = net.W, net.b, net.V, net.c, net.signs
-        return lambda xs: relu_sum(relu(xs @ W.T + b), V, c, s)
-    if isinstance(net, ThreeLayerFunction):
         W, b = net.W, net.b
         top = evaluator(net.top)
         return lambda xs: top(relu(xs @ W.T + b))

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .nets import ThreeLayerFunction, ThreeLayerNet, TwoLayerNet, evaluator
+from .nets import ThreeLayerNet, TwoLayerNet, evaluator
 
 DOMAIN_NONNEG = "nonneg"
 DOMAIN_FULL = "full"
@@ -136,7 +136,7 @@ def as_oracle(net, label: str = "") -> QueryOracle:
     target = net.unwrap() if isinstance(net, AccessAudit) else net
     if isinstance(target, TwoLayerNet):
         domain = DOMAIN_NONNEG
-    elif isinstance(target, (ThreeLayerNet, ThreeLayerFunction)):
+    elif isinstance(target, ThreeLayerNet):
         domain = DOMAIN_FULL
     else:
         raise TypeError(f"cannot build an oracle from {type(target).__name__}")

@@ -7,13 +7,17 @@ One JSON document per network.  Layout:
     d1       hidden width (first hidden layer for depth 3)
     d2       second hidden width, depth 3 only
     W, b     first-layer weights (flat, row-major) and biases
-    V, c, u  second layer for depth 3; for depth 2 the unit signs live in "u"
-             and W/b are the unit weights/biases
+    V, c     the top's unit weights and biases, depth 3 only
+    u        unit signs: of the units W, b at depth 2, of the top at depth 3
     skip_w, skip_b
              optional affine term: over the input for depth 2, over the first
              hidden activations for depth 3
     seed     optional provenance metadata; a "delta" entry is accepted on
              load and ignored
+
+A depth-2 network and the two-layer top of a depth-3 network are written and
+read by the same unit-field code: the units of a depth-2 net are W, b, u over
+d inputs, those of a depth-3 top are V, c, u over d1.
 
 Floats are written with 17 significant digits, so parsing reproduces the
 exact float64 bit pattern and serialization is deterministic.
@@ -24,13 +28,7 @@ import json
 
 import numpy as np
 
-from .nets import (
-    AffineMap,
-    Neuron,
-    ThreeLayerFunction,
-    ThreeLayerNet,
-    TwoLayerNet,
-)
+from .nets import AffineMap, Neuron, ThreeLayerNet, TwoLayerNet
 
 FORMAT_NAME = "netpeel-net"
 
@@ -93,63 +91,33 @@ def check_document(doc) -> dict:
     return doc
 
 
-def _meta(doc: dict, seed) -> dict:
-    if seed is not None:
-        doc["seed"] = int(seed)
-    return doc
-
-
-def two_layer_to_document(net: TwoLayerNet, seed=None) -> dict:
-    doc = {
-        "format": FORMAT_NAME,
-        "depth": 2,
-        "d": net.d,
-        "d1": net.width,
-        "W": [float(v) for n in net.neurons for v in n.w],
-        "b": [float(n.b) for n in net.neurons],
-        "u": [n.sign for n in net.neurons],
-    }
+def _write_units(doc: dict, net: TwoLayerNet, names: tuple[str, str]) -> None:
+    """Write the units of `net` as fields `names` (weights, biases) and "u",
+    and its affine term, if any, as "skip_w" and "skip_b"."""
+    w_name, b_name = names
+    doc[w_name] = [float(v) for n in net.neurons for v in n.w]
+    doc[b_name] = [float(n.b) for n in net.neurons]
+    doc["u"] = [n.sign for n in net.neurons]
     if net.skip is not None:
         doc["skip_w"] = [float(v) for v in net.skip.w]
         doc["skip_b"] = float(net.skip.b)
-    return _meta(doc, seed)
-
-
-def three_layer_to_document(net, seed=None) -> dict:
-    if isinstance(net, ThreeLayerNet):
-        W, b = net.W, net.b
-        V, c, u = net.V, net.c, [int(s) for s in net.signs]
-        skip = None
-    elif isinstance(net, ThreeLayerFunction):
-        W, b = net.W, net.b
-        V = net.top.weight_matrix()
-        c = net.top.biases()
-        u = [n.sign for n in net.top.neurons]
-        skip = net.top.skip
-    else:
-        raise TypeError(f"not a three-layer container: {type(net).__name__}")
-    doc = {
-        "format": FORMAT_NAME,
-        "depth": 3,
-        "d": W.shape[1],
-        "d1": W.shape[0],
-        "d2": len(u),
-        "W": [float(v) for row in W for v in row],
-        "b": [float(v) for v in b],
-        "V": [float(v) for row in np.atleast_2d(V) for v in row],
-        "c": [float(v) for v in c],
-        "u": u,
-    }
-    if skip is not None:
-        doc["skip_w"] = [float(v) for v in skip.w]
-        doc["skip_b"] = float(skip.b)
-    return _meta(doc, seed)
 
 
 def net_to_document(net, seed=None) -> dict:
+    doc = {"format": FORMAT_NAME}
     if isinstance(net, TwoLayerNet):
-        return two_layer_to_document(net, seed=seed)
-    return three_layer_to_document(net, seed=seed)
+        doc.update(depth=2, d=net.d, d1=net.width)
+        _write_units(doc, net, ("W", "b"))
+    elif isinstance(net, ThreeLayerNet):
+        doc.update(depth=3, d=net.d, d1=net.d1, d2=net.top.width)
+        doc["W"] = [float(v) for row in net.W for v in row]
+        doc["b"] = [float(v) for v in net.b]
+        _write_units(doc, net.top, ("V", "c"))
+    else:
+        raise TypeError(f"not a network container: {type(net).__name__}")
+    if seed is not None:
+        doc["seed"] = int(seed)
+    return doc
 
 
 def _numbers(doc: dict, name: str, size: int) -> np.ndarray:
@@ -162,45 +130,35 @@ def _numbers(doc: dict, name: str, size: int) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def _skip(doc: dict, dim: int) -> AffineMap:
-    w = _numbers(doc, "skip_w", dim) if "skip_w" in doc else np.zeros(dim)
-    b = _numbers(doc, "skip_b", 1)[0] if "skip_b" in doc else 0.0
-    return AffineMap(w, b)
+def _read_units(doc: dict, names: tuple[str, str], dim: int, width: int) -> TwoLayerNet:
+    """The units of fields `names` (weights, biases) and "u" over `dim` inputs,
+    with the affine term of "skip_w" and "skip_b" when either is present."""
+    w_name, b_name = names
+    W = _numbers(doc, w_name, width * dim).reshape(width, dim)
+    b = _numbers(doc, b_name, width)
+    u = [int(s) for s in _numbers(doc, "u", width)]
+    skip = None
+    if "skip_w" in doc or "skip_b" in doc:
+        skip_w = _numbers(doc, "skip_w", dim) if "skip_w" in doc else np.zeros(dim)
+        skip_b = _numbers(doc, "skip_b", 1)[0] if "skip_b" in doc else 0.0
+        skip = AffineMap(skip_w, skip_b)
+    neurons = tuple(Neuron(W[j], b[j], u[j]) for j in range(width))
+    return TwoLayerNet(d=dim, neurons=neurons, skip=skip)
 
 
 def document_to_net(doc: dict):
-    """Rebuild the container a document describes.
-
-    Depth 2 gives a `TwoLayerNet`.  Depth 3 gives a `ThreeLayerNet` when there
-    is no affine term and the strict class invariants hold, otherwise a
-    `ThreeLayerFunction`.
-    """
+    """Rebuild the container a document describes: a `TwoLayerNet` for depth
+    2, a `ThreeLayerNet` for depth 3."""
     d = int(doc["d"])
     d1 = int(doc["d1"])
     if d < 1:
         raise ValueError(f"input dimension d = {d}, expected at least 1")
-    has_skip = "skip_w" in doc or "skip_b" in doc
+    if doc["depth"] == 2:
+        return _read_units(doc, ("W", "b"), d, d1)
     W = _numbers(doc, "W", d1 * d).reshape(d1, d)
     b = _numbers(doc, "b", d1)
-    if doc["depth"] == 2:
-        u = [int(s) for s in _numbers(doc, "u", d1)]
-        skip = _skip(doc, d) if has_skip else None
-        neurons = tuple(Neuron(W[j], b[j], u[j]) for j in range(d1))
-        return TwoLayerNet(d=d, neurons=neurons, skip=skip)
-
-    d2 = int(doc["d2"])
-    V = _numbers(doc, "V", d2 * d1).reshape(d2, d1)
-    c = _numbers(doc, "c", d2)
-    u = [int(s) for s in _numbers(doc, "u", d2)]
-    if not has_skip:
-        try:
-            return ThreeLayerNet(W=W, b=b, V=V, c=c, signs=u)
-        except ValueError:
-            pass  # fall through to the loose container
-    skip = _skip(doc, d1)
-    neurons = tuple(Neuron(V[k], c[k], u[k]) for k in range(d2))
-    top = TwoLayerNet(d=d1, neurons=neurons, skip=skip)
-    return ThreeLayerFunction(W=W, b=b, top=top)
+    top = _read_units(doc, ("V", "c"), d1, int(doc["d2"]))
+    return ThreeLayerNet(W=W, b=b, top=top)
 
 
 def save_net(path, net, seed=None):

@@ -21,7 +21,7 @@ from scipy.optimize import linprog
 from .extract2 import extract_two_layer
 from .extract3 import extract_three_layer
 from .oracle.generate import generate_three_layer, generate_two_layer
-from .oracle.nets import ThreeLayerFunction, ThreeLayerNet, TwoLayerNet, batch_eval
+from .oracle.nets import ThreeLayerNet, TwoLayerNet, batch_eval
 from .oracle.query import as_oracle
 
 __all__ = [
@@ -101,7 +101,7 @@ class BoundExperiment:
 def _network(net):
     """The network container of `net`, which may be an extraction result."""
     net = net.network() if hasattr(net, "network") else net
-    if not isinstance(net, (TwoLayerNet, ThreeLayerNet, ThreeLayerFunction)):
+    if not isinstance(net, (TwoLayerNet, ThreeLayerNet)):
         raise TypeError(f"cannot evaluate {type(net).__name__}")
     return net
 
@@ -332,6 +332,7 @@ class BenchFit:
 def _bench_cell(depth: int, d: int, d1: int, d2: int, delta: float, seed: int) -> BenchRow:
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
+    ok, total, phases, error = True, 0, {}, ""
     try:
         if depth == 2:
             net = generate_two_layer(d, d1, rng)
@@ -341,33 +342,22 @@ def _bench_cell(depth: int, d: int, d1: int, d2: int, delta: float, seed: int) -
             net = generate_three_layer(d, d1, d2, rng)
             oracle = as_oracle(net)
             result = extract_three_layer(oracle, d, delta)
-        dt = time.perf_counter() - t0
-        return BenchRow(
-            depth=depth,
-            d=d,
-            d1=d1,
-            d2=d2,
-            delta=delta,
-            seed=seed,
-            ok=True,
-            total_queries=oracle.count,
-            phase_queries=dict(result.phase_queries),
-            seconds=dt,
-        )
+        total, phases = oracle.count, dict(result.phase_queries)
     except Exception as err:  # noqa: BLE001 - recorded per cell, table survives
-        dt = time.perf_counter() - t0
-        return BenchRow(
-            depth=depth,
-            d=d,
-            d1=d1,
-            d2=d2,
-            delta=delta,
-            seed=seed,
-            ok=False,
-            total_queries=0,
-            error=str(err),
-            seconds=dt,
-        )
+        ok, error = False, str(err)
+    return BenchRow(
+        depth=depth,
+        d=d,
+        d1=d1,
+        d2=d2,
+        delta=delta,
+        seed=seed,
+        ok=ok,
+        total_queries=total,
+        phase_queries=phases,
+        error=error,
+        seconds=time.perf_counter() - t0,
+    )
 
 
 def query_complexity_bench(

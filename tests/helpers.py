@@ -2,7 +2,16 @@
 
 import numpy as np
 
+from netpeel.oracle.nets import Neuron, ThreeLayerNet, TwoLayerNet
 from netpeel.oracle.query import LineOracle, QueryOracle
+
+
+def three_layer(W, b, V, c, signs):
+    """The net s . relu(V relu(W x + b) + c): first layer W, b under a top
+    of units V[k], c[k], signs[k] with no affine term."""
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    units = tuple(Neuron(v, ck, s) for v, ck, s in zip(V, c, signs))
+    return ThreeLayerNet(W=W, b=b, top=TwoLayerNet(d=V.shape[1], neurons=units))
 
 
 def scalar_line(fn):

@@ -1,5 +1,6 @@
 """Command-line flows: generate, extract, verify, bench, bound-experiment."""
 
+import hashlib
 import json
 import math
 
@@ -52,6 +53,27 @@ def test_generated_file_reloads_to_the_same_function(tmp_path):
     direct = generate_two_layer(3, 4, np.random.default_rng(1))
     xs = np.random.default_rng(0).uniform(0.0, 10.0, size=(100, 3))
     assert np.array_equal(batch_eval(reloaded, xs), batch_eval(direct, xs))
+
+
+# sha256 of the concatenated `generate --seed s` files, in seed order, for
+# the benchmark's d2-wide and d3-small pools.  Any change to the document
+# format or to the generators' random stream shows here.
+_POOL_DIGESTS = [
+    (("--d", "10", "--d1", "32"), 10,
+     "1c85f21bef719264f7c96353a889d66e513510fcd390e4dad0729f33443ab98a"),
+    (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"), 48,
+     "4baa8517fe63cbfdfbfaf25339683fccb45d1c5e7b484d7cb69b5daecbb76317"),
+]
+
+
+@pytest.mark.parametrize("shape, n_seeds, digest", _POOL_DIGESTS,
+                         ids=["d2-wide", "d3-small"])
+def test_generated_documents_are_pinned(tmp_path, shape, n_seeds, digest):
+    sha = hashlib.sha256()
+    for seed in range(n_seeds):
+        path = _generate(tmp_path, f"net{seed}.json", *shape, "--seed", str(seed))
+        sha.update(path.read_bytes())
+    assert sha.hexdigest() == digest
 
 
 # ------------------------------------------------------------------- extract
@@ -214,6 +236,7 @@ _OVERFLOWING = {"format": "netpeel-net", "depth": 2, "d": 1, "d1": 1,
                 "W": [1e308], "b": [1e308], "u": [1]}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extract_overflowing_network_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(_OVERFLOWING))

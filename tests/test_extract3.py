@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import three_layer
 from netpeel.config import DEDUP_TOL
 from netpeel.extract3 import (
     collect_candidate_hyperplanes,
@@ -15,7 +16,7 @@ from netpeel.extract3 import (
     right_inverse,
 )
 from netpeel.oracle.generate import generate_three_layer
-from netpeel.oracle.nets import ThreeLayerNet, batch_eval, relu
+from netpeel.oracle.nets import batch_eval, relu
 from netpeel.oracle.query import QueryOracle, as_oracle
 from netpeel.pwl import GeneralPositionError, Hyperplane
 
@@ -23,7 +24,7 @@ DELTA = 1e-4
 
 
 def _scalar_net(w, b, v=1.0, c=0.0, sign=1):
-    return ThreeLayerNet(
+    return three_layer(
         W=np.array([[float(w)]]),
         b=np.array([float(b)]),
         V=np.array([[float(v)]]),
@@ -66,7 +67,7 @@ def test_collect_single_unit_chain():
 
 
 def test_collect_on_a_flat_probe_line_is_empty():
-    net = ThreeLayerNet(
+    net = three_layer(
         W=np.array([[0.0, 1.0]]),
         b=np.array([-5.0]),
         V=np.array([[1.0]]),
@@ -192,7 +193,7 @@ def test_right_inverse_rejects_rank_deficiency():
 
 
 def test_peel_with_identity_first_layer_is_the_restriction():
-    net = ThreeLayerNet(
+    net = three_layer(
         W=np.eye(2),
         b=np.zeros(2),
         V=np.array([[1.1, -0.4], [0.3, 0.9], [-0.8, 0.5]]),
@@ -216,9 +217,10 @@ def test_peel_shifts_out_the_bias():
 def test_peeled_oracle_equals_the_top_layers():
     net = generate_three_layer(3, 2, 5, np.random.default_rng(7))
     peeled = peel_first_layer(as_oracle(net), net.W, net.b)
+    V, c, signs = net.top.weight_matrix(), net.top.biases(), net.top.signs()
     rng = np.random.default_rng(8)
     for y in rng.uniform(0.0, 5.0, size=(1000, 2)):
-        top = float(net.signs @ relu(net.V @ y + net.c))
+        top = float(signs @ relu(V @ y + c))
         assert abs(peeled(y) - top) <= 1e-9 * (1.0 + abs(top))
 
 
@@ -228,9 +230,10 @@ def test_peeled_oracle_equals_the_top_layers():
 def test_extract_scalar_chain_end_to_end():
     net = _scalar_net(1.0, -1.0, v=1.2, c=0.3)
     got = extract_three_layer(as_oracle(net), 1, DELTA)
+    V, c, signs = net.top.weight_matrix(), net.top.biases(), net.top.signs()
     ts = np.linspace(-10.0, 10.0, 201)
     for t in ts:
-        want = float(net.signs @ relu(net.V @ relu(net.W @ [t] + net.b) + net.c))
+        want = float(signs @ relu(V @ relu(net.W @ [t] + net.b) + c))
         assert abs(got([t]) - want) <= 1e-7 * (1.0 + abs(want))
 
 

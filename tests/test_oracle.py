@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import three_layer
+from netpeel.extract3 import extract_three_layer
 from netpeel.oracle.generate import (
     GenerationError,
     check_nonzero_partials,
@@ -16,7 +18,6 @@ from netpeel.oracle.generate import (
 from netpeel.oracle.nets import (
     AffineMap,
     Neuron,
-    ThreeLayerNet,
     TwoLayerNet,
     batch_eval,
 )
@@ -63,9 +64,9 @@ def test_two_units_with_skip():
 
 def test_three_layer_identity_chain():
     """A 1-1-1 net with all weights 1 acts as relu on scalars."""
-    ident = ThreeLayerNet(W=np.array([[1.0]]), b=np.array([0.0]),
-                          V=np.array([[1.0]]), c=np.array([0.0]),
-                          signs=np.array([1]))
+    ident = three_layer(W=np.array([[1.0]]), b=np.array([0.0]),
+                        V=np.array([[1.0]]), c=np.array([0.0]),
+                        signs=np.array([1]))
     assert _value(ident, [3.0]) == 3.0
     assert _value(ident, [-3.0]) == 0.0
 
@@ -73,6 +74,7 @@ def test_three_layer_identity_chain():
 def test_three_layer_matches_hand_rolled_loops():
     """Vectorized evaluation against an index-by-index reimplementation."""
     net = generate_three_layer(3, 2, 4, np.random.default_rng(5))
+    V, c, signs = net.top.weight_matrix(), net.top.biases(), net.top.signs()
     rng = np.random.default_rng(6)
     for x in rng.uniform(-4, 4, size=(20, 3)):
         hidden = []
@@ -81,8 +83,8 @@ def test_three_layer_matches_hand_rolled_loops():
             hidden.append(max(z, 0.0))
         out = 0.0
         for k in range(4):
-            z = sum(net.V[k][i] * hidden[i] for i in range(2)) + net.c[k]
-            out += net.signs[k] * max(z, 0.0)
+            z = sum(V[k][i] * hidden[i] for i in range(2)) + c[k]
+            out += signs[k] * max(z, 0.0)
         assert _value(net, x) == pytest.approx(out, abs=1e-12)
 
 
@@ -146,18 +148,19 @@ def test_generation_is_deterministic_per_seed():
     three_a = generate_three_layer(4, 2, 6, np.random.default_rng(11))
     three_b = generate_three_layer(4, 2, 6, np.random.default_rng(11))
     assert np.array_equal(three_a.W, three_b.W)
-    assert np.array_equal(three_a.c, three_b.c)
+    assert np.array_equal(three_a.top.biases(), three_b.top.biases())
 
 
 def test_three_layer_rows_unit_norm_and_v_nonzero():
     net = generate_three_layer(2, 1, 3, np.random.default_rng(4))
     assert np.linalg.norm(net.W[0]) == pytest.approx(1.0, abs=1e-12)
-    assert np.all(np.abs(net.V) > 0)
+    assert np.all(np.abs(net.top.weight_matrix()) > 0)
 
 
 def test_generated_instance_passes_own_assumptions():
     net = generate_three_layer(4, 3, 9, np.random.default_rng(11))
-    assert check_nonzero_partials(net.V, net.c, net.signs,
+    top = net.top
+    assert check_nonzero_partials(top.weight_matrix(), top.biases(), top.signs(),
                                   np.random.default_rng(0))
     assert np.linalg.svd(net.W, compute_uv=False).min() > 0.0
 
@@ -193,12 +196,20 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_three_layer_save_load_round_trip(tmp_path):
+    """Generated (no skip) and extracted (with a skip over the hidden
+    activations) depth-3 nets reload and re-serialize to byte-identical text."""
     net = generate_three_layer(3, 2, 5, np.random.default_rng(13))
-    path = tmp_path / "net3.json"
-    save_net(path, net, seed=13)
-    again = load_net(path)
+    found = extract_three_layer(as_oracle(net), 3, 1e-4).network()
+    assert net.top.skip is None and found.top.skip is not None
     xs = np.random.default_rng(2).uniform(-4, 4, size=(100, 3))
-    assert np.array_equal(batch_eval(net, xs), batch_eval(again, xs))
+    for name, orig in (("net3.json", net), ("found3.json", found)):
+        path = tmp_path / name
+        save_net(path, orig, seed=13)
+        text_a = path.read_text()
+        again = load_net(path)
+        assert dumps_document(net_to_document(again, seed=13)) == text_a
+        assert ("skip_w" in json.loads(text_a)) == (orig.top.skip is not None)
+        assert np.array_equal(batch_eval(orig, xs), batch_eval(again, xs))
 
 
 def test_document_depth_is_validated():

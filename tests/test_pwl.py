@@ -233,7 +233,7 @@ def test_criticality_on_and_off_a_known_plane():
     for s in np.linspace(-3.0, 3.0, 121):
         x = -b0 * w0 + s * tangent
         others = [abs(float(net.W[j] @ x + net.b[j])) for j in (1,)]
-        z = net.V @ relu(net.W @ x + net.b) + net.c
+        z = net.top.weight_matrix() @ relu(net.W @ x + net.b) + net.top.biases()
         if min(others) > 0.05 and float(np.min(np.abs(z))) > 0.1:
             break
     else:
