@@ -17,13 +17,12 @@ import numpy as np
 
 from .config import JUMP_FLOOR, KINK_NOISE, NORMAL_FLOOR, PLANE_NOISE, RESIDUAL_TOL
 from .oracle.nets import AffineMap, Neuron, TwoLayerNet, batch_eval, evaluator
-from .oracle.query import DOMAIN_NONNEG, LineOracle, QueryOracle, axis_ray
+from .oracle.query import DOMAIN_NONNEG, QueryOracle, axis_ray
 from .pwl import (
     GeneralPositionError,
     PieceBudgetError,
-    leftmost_critical_point_1d,
+    iter_critical_points_1d,
     reconstruct_affine,
-    scan_segments,
 )
 
 _BRACKET_CAP = 0.01
@@ -63,30 +62,6 @@ class ExtractedTwoLayer:
         return float(batch_eval(self.network(), np.atleast_2d(x))[0])
 
 
-_FAR_STEP = 1e-6
-
-
-def _first_break(line: LineOracle, delta: float, window) -> float | None:
-    """Leftmost break over the window, scanned in magnitude blocks.
-
-    Far from the origin the oracle's evaluation noise grows with the summed
-    unit magnitudes, which cancellation can hide from |f|, so a fixed probe
-    step delta eventually reads noise as slope.  Each block is scanned with a
-    step proportional to its magnitude instead; the blocks that matter keep
-    the requested resolution and the far ones only confirm emptiness.
-    """
-    lo, hi = window
-    for seg_lo, seg_hi in scan_segments((lo, hi), delta):
-        start = max(seg_lo, lo)
-        step = max(delta, _FAR_STEP * abs(start))
-        if seg_hi - start <= 4 * step:
-            continue
-        t = leftmost_critical_point_1d(line, step, (start, seg_hi))
-        if t is not None:
-            return t
-    return None
-
-
 def find_neuron_crossing(
     oracle: QueryOracle,
     d: int,
@@ -99,9 +74,10 @@ def find_neuron_crossing(
     Scans rays t -> t*e_i, t <= 1/delta, for i = start_axis..d-1 and, on the
     first ray with a break at t0, returns (x1, x2, axis) with
     x1 = (t0-eps)*e_i and x2 = (t0+eps)*e_i.  The half-width eps is half the
-    gap to the next break on that ray (found by a second leftmost search),
-    capped at 0.01 and floored at delta/4, so exactly one unit changes state
-    between x1 and x2.  Returns None when every scanned ray is break-free.
+    gap to the next break t1 on that ray (t0 and t1 are the first two yields
+    of one `iter_critical_points_1d` sweep), capped at 0.01 and floored at
+    delta/4, so exactly one unit changes state between x1 and x2.  Returns
+    None when every scanned ray is break-free.
 
     Scans start a small offset inside the ray rather than at t = 0: an oracle
     built by subtraction or peeling carries residual micro-kinks hugging the
@@ -111,11 +87,11 @@ def find_neuron_crossing(
     hi = 1.0 / delta
     lo = min(_SCAN_START, hi / 16.0)
     for axis in range(start_axis, d):
-        ray = axis_ray(oracle, axis)
-        t0 = _first_break(ray, delta, (lo, hi))
+        sweep = iter_critical_points_1d(axis_ray(oracle, axis), delta, (lo, hi))
+        t0 = next(sweep, None)
         if t0 is None:
             continue
-        t1 = _first_break(ray, delta, (t0 + delta / 2.0, hi))
+        t1 = next(sweep, None)
         gap = (t1 - t0) if t1 is not None else np.inf
         eps = max(delta / 4.0, min(gap / 2.0, _BRACKET_CAP, t0 / 2.0))
         e = np.zeros(d)

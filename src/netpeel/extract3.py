@@ -29,7 +29,7 @@ from .config import (
 )
 from .extract2 import ExtractedTwoLayer, extract_two_layer
 from .oracle.nets import ThreeLayerNet, batch_eval
-from .oracle.query import DOMAIN_FULL, DOMAIN_NONNEG, LineOracle, QueryOracle
+from .oracle.query import DOMAIN_FULL, DOMAIN_NONNEG, QueryOracle, axis_ray
 from .pwl import (
     GeneralPositionError,
     Hyperplane,
@@ -97,7 +97,6 @@ class ExtractedThreeLayer:
 
 def collect_candidate_hyperplanes(
     oracle: QueryOracle,
-    d: int,
     delta: float,
     m_max: int,
     *,
@@ -113,14 +112,12 @@ def collect_candidate_hyperplanes(
     larger stencil cuts the slope noise of the fits.
     """
     rng = np.random.default_rng(12345) if rng is None else rng
-    e = np.zeros(d)
-    e[axis] = 1.0
+    line = axis_ray(oracle, axis)
     lim = 1.0 / delta
-    line = LineOracle(oracle, np.zeros(d), e)
     found = all_critical_points_1d(line, delta, m_max, window=(-lim, lim))
     cands = CandidateList()
     for i, t in enumerate(found):
-        x = t * e
+        x = t * line.direction
         gap = math.inf
         if i > 0:
             gap = t - found[i - 1]
@@ -335,7 +332,7 @@ def extract_three_layer(
         try:
             mark = oracle.count
             cands = collect_candidate_hyperplanes(
-                oracle, d, delta, m_max, axis=axis, rng=rng)
+                oracle, delta, m_max, axis=axis, rng=rng)
             counts["collect"] = oracle.count - mark
             if len(cands) == 0:
                 raise GeneralPositionError("probe line met no critical points")

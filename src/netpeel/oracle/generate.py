@@ -289,7 +289,7 @@ def _second_layer_block(d1, d2, rng, m: GeneratorMargins):
     return V, c
 
 
-def _probe_line_events(W, b, V, c, u, window: float):
+def _probe_line_events(W, b, V, c, window: float):
     """All slope breaks of t -> N(t e_1), or None if one falls outside the window.
 
     Exact arithmetic on the piecewise structure: between consecutive first-layer
@@ -367,7 +367,7 @@ def generate_three_layer(
                 break
         else:
             continue
-        events = _probe_line_events(W, b, V, c, u, m.line_window)
+        events = _probe_line_events(W, b, V, c, m.line_window)
         if events is None:
             continue
         if any(e2 - e1 < m.separation for e1, e2 in zip(events[:-1], events[1:])):

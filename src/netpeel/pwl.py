@@ -6,7 +6,7 @@ primitives:
 
 * reconstruct the local affine map around a point (d+1 queries),
 * find the leftmost slope break of a 1-D restriction by bisection,
-* enumerate all slope breaks on a line,
+* sweep a line for its slope breaks, left to right, resumably,
 * reconstruct the hyperplane a break lies on from the two adjacent
   affine maps,
 * test whether a point sits on a break at all.
@@ -202,12 +202,21 @@ def leftmost_critical_point_1d(line, delta: float, window) -> float | None:
     return float(t_star)
 
 
-def scan_segments(window: tuple[float, float], delta: float) -> list[tuple[float, float]]:
-    """Split a window at powers-of-16 magnitudes.
+# Far from the origin the oracle's evaluation noise grows with the summed
+# unit magnitudes, which cancellation can hide from |f|, so a fixed probe step
+# eventually reads noise as slope.  The sweep's step grows with |t| at this rate.
+_FAR_STEP = 1e-6
 
-    Fitting a slope from delta-spaced queries loses precision once |f| grows,
-    so wide windows are scanned in blocks of comparable magnitude; breaks of
-    interest live at moderate |t| and the far blocks just verify emptiness.
+
+def iter_critical_points_1d(line, delta: float, window):
+    """Slope breaks on `window`, left to right, by resumable leftmost search.
+
+    The window is cut at powers-of-16 magnitudes and each block is searched
+    with step max(delta, _FAR_STEP * m), where m is the smallest |t| the
+    search covers (0 for a block that straddles 0): breaks of interest live
+    at moderate |t| and keep the requested resolution, while the far blocks
+    only confirm emptiness.  After each break the search resumes delta/2
+    past it, so a caller that stops early pays for no search it did not use.
     """
     lo, hi = float(window[0]), float(window[1])
     edges = set()
@@ -219,30 +228,31 @@ def scan_segments(window: tuple[float, float], delta: float) -> list[tuple[float
                 edges.add(e)
         s *= 16.0
     cuts = [lo, *sorted(edges), hi]
-    return list(zip(cuts[:-1], cuts[1:]))
+    cursor = lo
+    for seg_lo, seg_hi in zip(cuts[:-1], cuts[1:]):
+        while True:
+            start = max(cursor, seg_lo)
+            near = 0.0 if start <= 0.0 <= seg_hi else min(abs(start), abs(seg_hi))
+            step = max(delta, _FAR_STEP * near)
+            if seg_hi - start <= 4 * step:
+                break
+            t = leftmost_critical_point_1d(line, step, (start, seg_hi))
+            if t is None:
+                break
+            yield t
+            cursor = t + delta / 2.0
 
 
 def all_critical_points_1d(line, delta: float, k_max: int, window) -> list[float]:
-    """All slope breaks on `window`, sorted, by repeated leftmost search.
+    """All slope breaks on `window`, sorted: the budgeted list form of the sweep.
 
-    After each find the window's left end advances past the break by delta/2.
     Raises PieceBudgetError when more than `k_max` breaks turn up.
     """
-    lo, hi = float(window[0]), float(window[1])
     found: list[float] = []
-    cursor = lo
-    for seg_lo, seg_hi in scan_segments((lo, hi), delta):
-        while True:
-            start = max(cursor, seg_lo)
-            if seg_hi - start <= 4 * delta:
-                break
-            t = leftmost_critical_point_1d(line, delta, (start, seg_hi))
-            if t is None:
-                break
-            found.append(t)
-            if len(found) > k_max:
-                raise PieceBudgetError("piece budget exceeded")
-            cursor = t + delta / 2.0
+    for t in iter_critical_points_1d(line, delta, window):
+        found.append(t)
+        if len(found) > k_max:
+            raise PieceBudgetError("piece budget exceeded")
     return found
 
 

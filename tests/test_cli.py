@@ -124,7 +124,7 @@ _PINNED_COUNTS = [
     (("--d", "10", "--d1", "32"),
      {"scan": 4774, "recover": 928, "refine": 704, "skip": 27}, 6433),
     (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"),
-     {"collect": 1112, "filter": 469, "signs": 9, "peel": 1741}, 3331),
+     {"collect": 1084, "filter": 469, "signs": 9, "peel": 1741}, 3303),
 ]
 
 

@@ -48,7 +48,7 @@ def wide_net():
 @pytest.fixture(scope="module")
 def wide_candidates(wide_net):
     oracle = as_oracle(wide_net)
-    return oracle, collect_candidate_hyperplanes(oracle, 4, DELTA, 64)
+    return oracle, collect_candidate_hyperplanes(oracle, DELTA, 64)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ def wide_extraction(wide_net):
 
 def test_collect_single_unit_chain():
     net = _scalar_net(1.0, -1.0)
-    cands = collect_candidate_hyperplanes(as_oracle(net), 1, DELTA, 8)
+    cands = collect_candidate_hyperplanes(as_oracle(net), DELTA, 8)
     assert len(cands) == 1
     assert cands.planes[0].close_to(Hyperplane(np.array([1.0]), -1.0), 1e-7)
 
@@ -74,7 +74,7 @@ def test_collect_on_a_flat_probe_line_is_empty():
         c=np.array([0.0]),
         signs=np.array([1]),
     )
-    cands = collect_candidate_hyperplanes(as_oracle(net), 2, DELTA, 8, axis=0)
+    cands = collect_candidate_hyperplanes(as_oracle(net), DELTA, 8, axis=0)
     assert len(cands) == 0
 
 
@@ -121,7 +121,7 @@ def test_filter_is_exact_across_seeds():
     for seed in range(100):
         net = generate_three_layer(3, 2, 6, np.random.default_rng(seed))
         oracle = as_oracle(net)
-        cands = collect_candidate_hyperplanes(oracle, 3, DELTA, 64)
+        cands = collect_candidate_hyperplanes(oracle, DELTA, 64)
         truth = _truth_planes(net)
         survivors = [
             plane

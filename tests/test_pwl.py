@@ -1,14 +1,18 @@
 """Affine reconstruction, 1-d break search, hyperplane recovery."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netpeel
 from helpers import dense_grid_kinks, scalar_line, synth_pwl
 from netpeel.oracle.generate import generate_three_layer, generate_two_layer
+from netpeel.oracle.nets import Neuron, TwoLayerNet
 from netpeel.oracle.query import QueryOracle, axis_ray, as_oracle
 from netpeel.pwl import (
     GeneralPositionError,
@@ -131,6 +135,36 @@ def test_all_critical_points_enforces_budget():
     line = scalar_line(lambda t: relu(t - 1.0) + relu(t - 2.0) + relu(t - 3.0))
     with pytest.raises(PieceBudgetError, match="piece budget exceeded"):
         all_critical_points_1d(line, 1e-4, 2, (-5.0, 10.0))
+
+
+def test_far_blocks_confirm_emptiness_with_a_wider_step():
+    """Cancelling unit pairs keep |f| small while the evaluation noise grows
+    with |w t|: a delta step far out reads that noise as a break, the sweep's
+    magnitude-scaled step does not."""
+    units = []
+    for k in range(5):
+        w, b = np.array([1e3 * (1 + 0.1 * k), 0.3]), 0.7 * k + 0.1
+        units += [Neuron(w, b, 1), Neuron(w * (1 + 1e-9), b + 1, -1)]
+    line = axis_ray(as_oracle(TwoLayerNet(d=2, neurons=tuple(units))), 0)
+    assert all_critical_points_1d(line, 1e-4, 64, (16, 1e4)) == []
+
+
+def _calls(node, name):
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))]
+
+
+def test_only_the_sweep_runs_leftmost_searches():
+    """Every ray sweep goes through `iter_critical_points_1d`, so no second copy
+    of the block walk and its step rule can grow back."""
+    name = "leftmost_critical_point_1d"
+    package = Path(netpeel.__file__).resolve().parent
+    trees = {str(path.relative_to(package)): ast.parse(path.read_text())
+             for path in package.rglob("*.py")}
+    assert sum(len(_calls(tree, name)) for tree in trees.values()) == 1
+    sites = [func.name for func in ast.walk(trees["pwl.py"])
+             if isinstance(func, ast.FunctionDef) and _calls(func, name)]
+    assert sites == ["iter_critical_points_1d"]
 
 
 def test_axis_restriction_yields_exactly_the_axis_crossings():
