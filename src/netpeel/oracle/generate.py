@@ -156,8 +156,19 @@ def generate_two_layer(
     return TwoLayerNet(d=d, neurons=tuple(neurons), skip=None)
 
 
+# Scales of the random probe points of the pattern walk; one is drawn per
+# point by index, which consumes the same stream as `rng.choice(_SCALES)`.
+_SCALES = np.array([0.5, 2.0, 8.0])
+# Magnitudes of the fixed probe points placed on each hidden axis.
+_AXIS_STEPS = np.array([0.3, 1.0, 3.0, 8.0])
+
+
 def _orthant_reachable(V, c) -> bool:
-    """True when some y >= 0 drives every second-layer pre-activation negative."""
+    """True when some y >= 0 drives every second-layer pre-activation negative.
+
+    Raises `RuntimeError` when HiGHS neither solves the LP nor proves it
+    infeasible, so a solver failure never passes for an answer.
+    """
     d2, d1 = V.shape
     # max s  s.t.  V y + s <= -c,  y >= 0,  0 <= s <= 1; reachable iff s* > 0.
     cobj = np.zeros(d1 + 1)
@@ -165,7 +176,53 @@ def _orthant_reachable(V, c) -> bool:
     A = np.hstack([V, np.ones((d2, 1))])
     res = linprog(cobj, A_ub=A, b_ub=-c, bounds=[(0, None)] * d1 + [(0, 1)],
                   method="highs")
-    return bool(res.status == 0 and -res.fun > 1e-9)
+    if res.status == 2:
+        return False
+    if res.status != 0:
+        raise RuntimeError(
+            f"dead-region LP: solver status {res.status} ({res.message})"
+        )
+    return bool(-res.fun > 1e-9)
+
+
+def _partials_walk(V, c, u, rng: np.random.Generator, margin: float) -> bool:
+    """Sampled half of `check_nonzero_partials`: every probed pattern passes.
+
+    Probes the origin, four points on each axis and random points of the
+    orthant up to `ASSUMPTION_PROBES`, drawn in a fixed order from `rng`.  At
+    each point and along each axis `e_i`, the active units are the interior
+    ones plus those on their boundary that a move along `+e_i` activates.  A
+    (point, axis) pattern fails when no unit is active or when the signed
+    column sum `sum_k u_k V[k, i]` over the active units is below `margin`.
+    """
+    d1 = V.shape[1]
+    n_axis = 1 + 4 * d1
+    n = max(ASSUMPTION_PROBES, n_axis)
+    P = np.zeros((n, d1))
+    steps = np.arange(4 * d1)
+    P[1 + steps, steps // 4] = np.tile(_AXIS_STEPS, d1)
+    # The random points keep their per-point draw order (normal, scale,
+    # mask) so the stream, and every generated network, stays fixed.
+    G = np.empty((n - n_axis, d1))
+    R = np.empty((n - n_axis, d1))
+    S = np.empty(n - n_axis, dtype=np.int64)
+    normal, pick, uniform = rng.standard_normal, rng.integers, rng.random
+    for j in range(n - n_axis):
+        normal(out=G[j])
+        S[j] = pick(3)
+        uniform(out=R[j])
+    G = np.abs(G) * _SCALES[S][:, None]
+    G[R < 0.35] = 0.0
+    P[n_axis:] = G
+
+    Z = P @ V.T + c
+    tol = 1e-12 * (1.0 + np.abs(c))
+    # A unit resting exactly on its boundary contributes to the one-sided
+    # partial along +e_i only if that move activates it.
+    active = (Z > tol)[:, None, :] | (
+        (np.abs(Z) <= tol)[:, None, :] & (V.T > 0.0))
+    sums = np.einsum("nik,ik->ni", active, (u[:, None] * V).T)
+    return bool(np.all(active.any(axis=2) & (np.abs(sums) >= margin)))
 
 
 def check_nonzero_partials(
@@ -176,55 +233,23 @@ def check_nonzero_partials(
     *,
     margin: float = 0.0,
 ) -> bool:
-    """Sampled test that the top map has nonvanishing one-sided partials.
+    """Test that the top map has nonvanishing one-sided partials.
 
-    The top map is `F(y) = sum_k u_k relu(V_k.y + c_k)` over `y >= 0`.  Its
-    one-sided partial along any coordinate equals the signed column sum of `V`
-    over the locally active units, so the test samples activation patterns
-    (interior points, boundary faces, and the origin) and checks each pattern's
-    column sums against `margin`.  It also rules out a region where every unit
-    is inactive, which would make the map locally constant; that part is exact,
-    via a linear program.
+    The top map is `F(y) = sum_k u_k relu(V_k.y + c_k)` over `y >= 0`.  The
+    test has two halves, and passes when both do.  The exact half is a
+    linear program on `(V, c)` alone: no region of the orthant may leave
+    every unit inactive, which would make the map locally constant there.
+    The sampled half walks activation patterns: a one-sided partial along a
+    coordinate equals the signed column sum of `V` over the locally active
+    units, so patterns at interior points, boundary faces and the origin are
+    checked against `margin`.  Points are drawn from `rng` only when the LP
+    passes.  `generate_three_layer` calls the halves directly, solving the
+    LP once per `(V, c)` and walking once per sign vector `u`.
     """
     V = np.asarray(V, dtype=float)
     c = np.asarray(c, dtype=float)
     u = np.asarray(u, dtype=float)
-    d2, d1 = V.shape
-
-    if _orthant_reachable(V, c):
-        return False
-
-    points = [np.zeros(d1)]
-    for i in range(d1):
-        for t in (0.3, 1.0, 3.0, 8.0):
-            e = np.zeros(d1)
-            e[i] = t
-            points.append(e)
-    while len(points) < ASSUMPTION_PROBES:
-        y = np.abs(rng.standard_normal(d1)) * rng.choice((0.5, 2.0, 8.0))
-        mask = rng.random(d1) < 0.35
-        y[mask] = 0.0
-        points.append(y)
-
-    seen: set[tuple] = set()
-    tol = 1e-12 * (1.0 + np.abs(c))
-    for y in points:
-        z = V @ y + c
-        interior = z > tol
-        boundary = np.abs(z) <= tol
-        for i in range(d1):
-            # A unit resting exactly on its boundary contributes to the
-            # one-sided partial along +e_i only if that move activates it.
-            active = interior | (boundary & (V[:, i] > 0.0))
-            key = (i, tuple(bool(a) for a in active))
-            if key in seen:
-                continue
-            seen.add(key)
-            if not active.any():
-                return False
-            if abs(float(u[active] @ V[active, i])) < margin:
-                return False
-    return True
+    return not _orthant_reachable(V, c) and _partials_walk(V, c, u, rng, margin)
 
 
 def _first_layer_block(d, d1, rng, m: GeneratorMargins):
@@ -360,10 +385,13 @@ def generate_three_layer(
             continue
         V, c = second
         # A fresh sign vector is free, so give each (V, c) draw several
-        # chances before discarding the weights along with it.
+        # chances before discarding the weights along with it.  The LP
+        # depends on (V, c) alone; when it finds a dead region, every u
+        # fails, but the 96 u draws still run so the stream stays fixed.
+        reachable = _orthant_reachable(V, c)
         for _ in range(96):
             u = rng.choice((-1, 1), size=d2).astype(int)
-            if check_nonzero_partials(V, c, u, rng, margin=m.partial_margin):
+            if not reachable and _partials_walk(V, c, u, rng, m.partial_margin):
                 break
         else:
             continue
@@ -374,16 +402,13 @@ def generate_three_layer(
             continue
         if min(abs(e) for e in events) < m.clearance:
             continue
-        ok = True
+        # One slope per gap between consecutive breaks; each break's jump is
+        # the difference of the slopes on its two sides.
         probes = [events[0] - 1.0, *events, events[-1] + 1.0]
-        for j in range(1, len(probes) - 1):
-            left = (probes[j - 1] + probes[j]) / 2.0
-            right = (probes[j] + probes[j + 1]) / 2.0
-            jump = _slope_at(W, b, V, c, u, right) - _slope_at(W, b, V, c, u, left)
-            if abs(jump) < m.jump_margin:
-                ok = False
-                break
-        if not ok:
+        slopes = [_slope_at(W, b, V, c, u, (lo + hi) / 2.0)
+                  for lo, hi in zip(probes[:-1], probes[1:])]
+        if any(abs(right - left) < m.jump_margin
+               for left, right in zip(slopes[:-1], slopes[1:])):
             continue
         top = tuple(Neuron(V[k], c[k], u[k]) for k in range(d2))
         return ThreeLayerNet(W=W, b=b, top=TwoLayerNet(d=d1, neurons=top))

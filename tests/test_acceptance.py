@@ -4,6 +4,7 @@ Each test prints a single "criterion N: PASS/FAIL" line with the measured
 numbers, so a plain pytest run doubles as the release checklist.
 """
 
+import hashlib
 import math
 import time
 
@@ -19,6 +20,7 @@ from netpeel.oracle.generate import (
     generate_two_layer,
 )
 from netpeel.oracle.query import AccessAudit, as_oracle
+from netpeel.oracle.serialize import dumps_document, net_to_document
 from netpeel.pwl import Hyperplane, all_critical_points_1d
 from netpeel.verify import (
     empirical_orthant_bound,
@@ -153,6 +155,20 @@ def test_criterion_3_depth3_round_trip(depth3_runs):
     _tally(3, ok, f"30 instances, max rel err {worst_err:.2e}, "
                   f"slowest extraction {worst_sec:.2f}s, "
                   f"worst residual headroom {headroom:.1e}")
+
+
+# sha256 of the 30 serialized depth-3 fixture nets, in order.  It covers
+# every depth-3 cell and retry offset the fixture draws, so any change to the
+# depth-3 generator's random stream shows here.
+_DEPTH3_FIXTURE_DIGEST = (
+    "70f65e74514746ea0e7af7d221644f69b7abd568154916a102d588a08d96e82c")
+
+
+def test_depth3_fixture_draws_are_pinned(depth3_runs):
+    sha = hashlib.sha256()
+    for run in depth3_runs:
+        sha.update(dumps_document(net_to_document(run["net"])).encode())
+    assert sha.hexdigest() == _DEPTH3_FIXTURE_DIGEST
 
 
 def test_criterion_4_first_layer_filter_is_exact(depth3_runs):

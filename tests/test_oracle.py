@@ -1,6 +1,7 @@
 """Network evaluation, query counting, instance generation, serialization."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import three_layer
+from netpeel.config import ASSUMPTION_PROBES
 from netpeel.extract3 import extract_three_layer
+from netpeel.oracle import generate
 from netpeel.oracle.generate import (
     GenerationError,
     check_nonzero_partials,
@@ -172,6 +175,112 @@ def test_nonzero_partials_on_scalar_cases():
     # with c = -10 the unit is dead everywhere near the origin
     assert not check_nonzero_partials(np.array([[1.0]]), np.array([-10.0]),
                                       np.array([1]), rng)
+
+
+def test_dead_region_lp_reads_infeasible_as_unreachable():
+    # Every unit is active at y = 0 and grows along the orthant, so the LP
+    # has no feasible point (HiGHS status 2).
+    assert not generate._orthant_reachable(np.array([[1.0, 1.0], [0.5, 2.0]]),
+                                           np.array([1.0, 0.5]))
+
+
+def test_dead_region_lp_failure_is_loud(monkeypatch):
+    def failing_linprog(*args, **kwargs):
+        return SimpleNamespace(status=4, message="numerical difficulties",
+                               fun=0.0)
+
+    monkeypatch.setattr(generate, "linprog", failing_linprog)
+    with pytest.raises(RuntimeError, match="status 4"):
+        check_nonzero_partials(np.array([[1.0]]), np.array([0.0]),
+                               np.array([1]), np.random.default_rng(0))
+
+
+def _reference_walk(V, c, u, rng, margin):
+    """Per-point pattern walk with a seen-set, as the generator first ran it."""
+    d2, d1 = V.shape
+    points = [np.zeros(d1)]
+    for i in range(d1):
+        for t in (0.3, 1.0, 3.0, 8.0):
+            e = np.zeros(d1)
+            e[i] = t
+            points.append(e)
+    while len(points) < ASSUMPTION_PROBES:
+        y = np.abs(rng.standard_normal(d1)) * rng.choice((0.5, 2.0, 8.0))
+        mask = rng.random(d1) < 0.35
+        y[mask] = 0.0
+        points.append(y)
+    seen = set()
+    tol = 1e-12 * (1.0 + np.abs(c))
+    for y in points:
+        z = V @ y + c
+        interior = z > tol
+        boundary = np.abs(z) <= tol
+        for i in range(d1):
+            active = interior | (boundary & (V[:, i] > 0.0))
+            key = (i, tuple(bool(a) for a in active))
+            if key in seen:
+                continue
+            seen.add(key)
+            if not active.any():
+                return False
+            if abs(float(u[active] @ V[active, i])) < margin:
+                return False
+    return True
+
+
+def test_pattern_walk_matches_the_reference_loop():
+    cases = np.random.default_rng(2024)
+    decisions = []
+    for case in range(600):
+        d1 = int(cases.integers(1, 5))
+        d2 = int(cases.integers(1, 7))
+        u = cases.choice((-1.0, 1.0), size=d2)
+        if case % 2:
+            # Quarter-step grid: zero entries, c_k = 0 exactly and column
+            # sums that tie the margin exactly, all without round-off.
+            V = cases.integers(-4, 5, size=(d2, d1)) / 4.0
+            c = cases.integers(-1, 4, size=d2) / 4.0
+            margin = int(cases.integers(0, 4)) / 4.0
+        else:
+            # Generator-like weights, some biases exactly zero, and a margin
+            # a relative 1e-9 above or below one signed partial sum.
+            V = (cases.uniform(0.8, 1.4, size=(d2, d1))
+                 * cases.choice((-1.0, 1.0), size=(d2, d1)))
+            c = cases.uniform(-1.0, 3.0, size=d2)
+            c[cases.random(d2) < 0.3] = 0.0
+            subset = cases.random(d2) < 0.3
+            column = int(cases.integers(d1))
+            near = abs(float(u[subset] @ V[subset, column]))
+            margin = near * (1.0 + float(cases.choice((-1e-9, 1e-9))))
+        seed = int(cases.integers(2**32))
+        fast_rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        fast = generate._partials_walk(V, c, u, fast_rng, margin)
+        assert fast == _reference_walk(V, c, u, ref_rng, margin), f"case {case}"
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+        decisions.append(fast)
+    assert 100 < sum(decisions) < 500
+
+
+def test_generator_solves_one_lp_per_second_layer_draw(monkeypatch):
+    counts = {"blocks": 0, "lps": 0}
+    block, linprog = generate._second_layer_block, generate.linprog
+
+    def counting_block(*args, **kwargs):
+        second = block(*args, **kwargs)
+        counts["blocks"] += second is not None
+        return second
+
+    def counting_linprog(*args, **kwargs):
+        counts["lps"] += 1
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(generate, "_second_layer_block", counting_block)
+    monkeypatch.setattr(generate, "linprog", counting_linprog)
+    for seed in range(5):
+        generate_three_layer(6, 3, 9, np.random.default_rng(seed))
+    assert counts["blocks"] > 0
+    assert counts["lps"] == counts["blocks"]
 
 
 def test_generation_failure_names_the_shape():
