@@ -144,8 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     _positive(args, ["d", "d1", "d2", "depth"])
-    if args.depth == 3 and not (1 <= args.d1 <= args.d):
-        raise UsageError("depth 3 requires 1 <= d1 <= d")
+    if args.depth == 3 and not (2 <= args.d1 <= args.d):
+        raise UsageError(
+            "depth 3 requires 2 <= d1 <= d: W must be right invertible, and with"
+            " d1 = 1 every second-layer crease is parallel to the first-layer"
+            " plane, so extraction cannot separate them")
     rng = np.random.default_rng(args.seed)
     if args.depth == 2:
         net = generate_two_layer(args.d, args.d1, rng)
@@ -268,12 +271,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if args.depth == 2:
                 shapes.append((2, d, d1, 0))
             else:
-                if d1 > d:
+                if not 2 <= d1 <= d:
                     continue
                 for d2 in args.d2_list:
                     shapes.append((3, d, d1, d2))
     if not shapes:
-        raise UsageError("grid is empty after the d1 <= d filter")
+        raise UsageError("grid is empty after the depth-3 2 <= d1 <= d filter")
     rows = query_complexity_bench(shapes, deltas=args.deltas, seeds=args.seeds)
     bench_to_csv(rows, args.out)
     n_ok = sum(r.ok for r in rows)

@@ -172,7 +172,7 @@ def subtracted_oracle(oracle: QueryOracle, recovered) -> QueryOracle:
     The units are subtracted through the stacked evaluator of their sum.
     """
     units = evaluator(TwoLayerNet(d=oracle.dim, neurons=tuple(recovered)))
-    fn = lambda x: oracle.query(x) - units(x[None, :])[0]
+    fn = lambda x: oracle.query(x) - units(x)
     return QueryOracle(fn, oracle.dim, oracle.domain, label=f"{oracle.label}-peel")
 
 

@@ -300,7 +300,7 @@ def peel_first_layer(oracle: QueryOracle, W: np.ndarray, b: np.ndarray) -> Query
     b = np.asarray(b, dtype=float)
 
     def fn(y):
-        return oracle.query(M @ (np.asarray(y, dtype=float) - b))
+        return oracle.query(M @ (y - b))
 
     return QueryOracle(fn, W.shape[0], DOMAIN_NONNEG, label=f"{oracle.label}-top")
 

@@ -83,9 +83,15 @@ def _unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
             return v / n
 
 
-def _planes_close(w1, b1, w2, b2, gap: float) -> bool:
+def _near_a_plane(w, b, W, B, gap: float) -> bool:
+    """True when the plane (w, b) is within `gap` of a row of (W, B), up to sign.
+
+    The distance to row k is the larger of max|w - s W[k]| and |b - s B[k]|,
+    for s = 1 and s = -1.  An empty W has no plane to be near.
+    """
     for s in (1.0, -1.0):
-        if max(float(np.max(np.abs(w1 - s * w2))), abs(b1 - s * b2)) < gap:
+        dist = np.maximum(np.max(np.abs(w - s * W), axis=1), np.abs(b - s * B))
+        if np.any(dist < gap):
             return True
     return False
 
@@ -128,6 +134,7 @@ def generate_two_layer(
     symmetric about zero, so recovery sees both unit orientations.
     """
     neurons: list[Neuron] = []
+    rows, offs = np.empty((d1, d)), np.empty(d1)
     taken: list[tuple[int, float]] = []
     for j in range(d1):
         axis = j % d
@@ -139,14 +146,15 @@ def generate_two_layer(
                 continue
             t = rng.uniform(_CROSSING_LO, _CROSSING_HI)
             b = -t * w[axis]
-            if any(_planes_close(w, b, n.w, n.b, margins.plane_gap) for n in neurons):
+            if _near_a_plane(w, b, rows[:j], offs[:j], margins.plane_gap):
                 continue
             cands = _positive_axis_crossings(w, b, np.inf)
             if any(t > margins.axis_window for _, t in cands):
                 continue
             if _crossing_conflict(cands, taken, margins):
                 continue
-            neurons.append(Neuron(w, b, int(rng.choice((-1, 1)))))
+            neurons.append(Neuron(w, b, (-1, 1)[rng.integers(2)]))
+            rows[j], offs[j] = w, b
             taken.extend(cands)
             break
         else:
@@ -253,8 +261,7 @@ def check_nonzero_partials(
 
 
 def _first_layer_block(d, d1, rng, m: GeneratorMargins):
-    rows: list[np.ndarray] = []
-    offs: list[float] = []
+    W, offs = np.empty((d1, d)), np.empty(d1)
     ts: list[float] = []
     for i in range(d1):
         for _ in range(REJECTION_LIMIT):
@@ -267,16 +274,13 @@ def _first_layer_block(d, d1, rng, m: GeneratorMargins):
             if any(abs(t - t2) < m.separation for t2 in ts):
                 continue
             b = -t * w[0]
-            if any(_planes_close(w, b, w2, b2, m.plane_gap)
-                   for w2, b2 in zip(rows, offs)):
+            if _near_a_plane(w, b, W[:i], offs[:i], m.plane_gap):
                 continue
-            rows.append(w)
-            offs.append(b)
+            W[i], offs[i] = w, b
             ts.append(t)
             break
         else:
             return None
-    W = np.stack(rows)
     if np.linalg.svd(W, compute_uv=False)[-1] < m.sigma_min:
         return None
     for i in range(d1):
@@ -286,7 +290,7 @@ def _first_layer_block(d, d1, rng, m: GeneratorMargins):
             resid = W[i] - q @ (q.T @ W[i])
             if np.linalg.norm(resid) < m.leave_one_out:
                 return None
-    return W, np.asarray(offs), np.asarray(ts)
+    return W, offs, np.asarray(ts)
 
 
 def _second_layer_block(d1, d2, rng, m: GeneratorMargins):
@@ -299,8 +303,7 @@ def _second_layer_block(d1, d2, rng, m: GeneratorMargins):
             row = rng.uniform(m.v_low, m.v_high, size=d1) * rng.choice((-1.0, 1.0), size=d1)
             t = rng.uniform(0.5, 4.5)
             off = -t * row[axis]
-            if any(_planes_close(row, off, V[k2], c[k2], m.plane_gap)
-                   for k2 in range(k)):
+            if _near_a_plane(row, off, V[:k], c[:k], m.plane_gap):
                 continue
             cands = _positive_axis_crossings(row, off, m.line_window)
             if _crossing_conflict(cands, taken, m):
@@ -371,6 +374,11 @@ def generate_three_layer(
     one-sided partials of the top map bounded away from zero.  Probe-line
     geometry (crossing isolation, gradient jumps, window) is checked exactly
     on the assembled network.
+
+    A net with `d1 = 1` can be drawn but not extracted: with one hidden
+    unit every second-layer crease is parallel to the first-layer plane, so
+    `extract_three_layer`'s filter cannot tell them apart.  The CLI accepts
+    depth 3 only for `2 <= d1 <= d`.
     """
     if not (1 <= d1 <= d):
         raise ValueError("need 1 <= d1 <= d")

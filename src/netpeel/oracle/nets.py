@@ -14,7 +14,7 @@ where `top` is a two-layer net on the d1-dimensional hidden orthant.  A
 generated top is s . relu(V h + c) with no skip; a recovered top may carry an
 affine term in h.  Containers are immutable.  Each class has one stacked
 evaluator (`evaluator`), which maps a batch of points to values with a few
-matrix products; a single point is a batch of one row.
+matrix products, and a single point to its one value.
 """
 from __future__ import annotations
 
@@ -146,8 +146,12 @@ def relu_sum(xs: np.ndarray, W: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.
 def evaluator(net) -> Callable[[np.ndarray], np.ndarray]:
     """The stacked evaluator of `net`: an (n, d) array of points to n values.
 
-    The parameters are stacked into arrays once, here; a single point is
-    evaluated as a batch of one row.
+    The parameters are stacked into arrays once, here.  A (d,) point gives
+    one value, bitwise equal to that point's value as a batch of one row;
+    the oracles rely on this to query without building a batch.  The
+    products keep `xs @ W.T` on the transposed view: a contiguous copy of
+    `W.T` takes another BLAS path and changes single-point values in the
+    last bit.
     """
     if isinstance(net, TwoLayerNet):
         W, b, s = net.weight_matrix(), net.biases(), net.signs()

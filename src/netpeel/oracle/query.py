@@ -8,6 +8,7 @@ than through queries.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -58,7 +59,7 @@ class QueryOracle:
             raise DomainError(f"point outside the positive orthant: min coord {x.min()}")
         self._count += 1
         val = float(self._fn(x))
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise NonFiniteValueError(f"oracle returned non-finite value {val} at {x}")
         return val
 
@@ -131,7 +132,7 @@ def as_oracle(net, label: str = "") -> QueryOracle:
 
     Accepts a bare net or an `AccessAudit` wrapper (reads performed during
     construction happen before the audit is armed).  The stacked evaluator
-    is built once; each query evaluates it on a batch of one row.
+    is built once, and each query hands it the bare point.
     """
     target = net.unwrap() if isinstance(net, AccessAudit) else net
     if isinstance(target, TwoLayerNet):
@@ -141,4 +142,4 @@ def as_oracle(net, label: str = "") -> QueryOracle:
     else:
         raise TypeError(f"cannot build an oracle from {type(target).__name__}")
     ev = evaluator(target)
-    return QueryOracle(lambda x: ev(x[None, :])[0], target.d, domain, label=label)
+    return QueryOracle(ev, target.d, domain, label=label)

@@ -171,6 +171,67 @@ def test_depth3_fixture_draws_are_pinned(depth3_runs):
     assert sha.hexdigest() == _DEPTH3_FIXTURE_DIGEST
 
 
+# sha256 of the 50 serialized depth-2 fixture nets, in order: any change to
+# the depth-2 generator's random stream or rejection tests shows here.
+_DEPTH2_FIXTURE_DIGEST = (
+    "69f3acdb1d866e4bb572b11ae017eada97f6b2cf1b6d66e0be815f14d847495c")
+
+
+def test_depth2_fixture_draws_are_pinned(depth2_runs):
+    sha = hashlib.sha256()
+    for run in depth2_runs:
+        sha.update(dumps_document(net_to_document(run["net"])).encode())
+    assert sha.hexdigest() == _DEPTH2_FIXTURE_DIGEST
+
+
+# Per-phase query counts of every fixture run, in fixture order.  Counts are
+# exact, so a speed-up must leave each of them as it is; recovered floats are
+# not pinned, so a harmless change of summation order still passes.
+_DEPTH2_PHASES = ("scan", "recover", "refine", "skip")
+_DEPTH2_PHASE_COUNTS = [
+    (520, 13, 6, 19), (1146, 104, 48, 19), (2942, 416, 192, 19),
+    (1010, 19, 12, 22), (1866, 152, 96, 22), (3826, 608, 384, 22),
+    (1818, 29, 22, 27), (2614, 232, 176, 27), (4754, 928, 704, 27),
+    (522, 13, 6, 19), (1156, 104, 48, 19), (2872, 416, 192, 19),
+    (1008, 19, 12, 22), (1886, 152, 96, 22), (3876, 608, 384, 22),
+    (1818, 29, 22, 27), (2540, 232, 176, 27), (4878, 928, 704, 27),
+    (520, 13, 6, 19), (1142, 104, 48, 19), (2864, 416, 192, 19),
+    (1008, 19, 12, 22), (1766, 152, 96, 22), (3930, 608, 384, 22),
+    (1818, 29, 22, 27), (2568, 232, 176, 27), (4748, 928, 704, 27),
+    (522, 13, 6, 19), (1200, 104, 48, 19), (2942, 416, 192, 19),
+    (1008, 19, 12, 22), (1814, 152, 96, 22), (3864, 608, 384, 22),
+    (1818, 29, 22, 27), (2626, 232, 176, 27), (4726, 928, 704, 27),
+    (520, 13, 6, 19), (1192, 104, 48, 19), (3018, 416, 192, 19),
+    (1008, 19, 12, 22), (1764, 152, 96, 22), (3766, 608, 384, 22),
+    (1816, 29, 22, 27), (2572, 232, 176, 27), (4742, 928, 704, 27),
+    (520, 13, 6, 19), (1152, 104, 48, 19), (2868, 416, 192, 19),
+    (1010, 19, 12, 22), (1768, 152, 96, 22),
+]
+_DEPTH3_PHASES = ("collect", "filter", "signs", "peel")
+_DEPTH3_PHASE_COUNTS = [
+    (774, 196, 6, 1141), (731, 194, 6, 1509), (1207, 495, 9, 1609),
+    (1541, 865, 9, 2191), (922, 219, 6, 1143), (1174, 311, 6, 1507),
+    (1264, 431, 9, 1491), (1480, 752, 9, 2321), (1076, 559, 12, 2363),
+    (1808, 1481, 12, 3159), (1076, 579, 15, 2753), (1258, 860, 15, 3925),
+    (1818, 1306, 18, 3433), (2136, 1944, 18, 4713), (663, 169, 6, 1143),
+    (572, 152, 6, 1505), (1062, 629, 9, 1619), (1484, 698, 9, 2311),
+    (890, 219, 6, 1141), (1172, 357, 6, 1513), (752, 220, 9, 1743),
+    (1442, 631, 9, 2311), (1270, 628, 12, 2233), (2196, 1732, 12, 3041),
+    (1618, 990, 15, 2887), (2350, 1481, 15, 4047), (1726, 1242, 18, 3431),
+    (2148, 1516, 18, 4849), (572, 134, 6, 1139), (1149, 548, 6, 1503),
+]
+
+
+@pytest.mark.parametrize("fixture, phases, counts", [
+    ("depth2_runs", _DEPTH2_PHASES, _DEPTH2_PHASE_COUNTS),
+    ("depth3_runs", _DEPTH3_PHASES, _DEPTH3_PHASE_COUNTS),
+], ids=["depth2", "depth3"])
+def test_fixture_phase_queries_are_pinned(request, fixture, phases, counts):
+    runs = request.getfixturevalue(fixture)
+    got = [run["result"].phase_queries for run in runs]
+    assert got == [dict(zip(phases, row)) for row in counts]
+
+
 def test_criterion_4_first_layer_filter_is_exact(depth3_runs):
     bad = 0
     for run in depth3_runs:

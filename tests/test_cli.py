@@ -47,6 +47,17 @@ def test_generate_rejects_wide_first_layer_before_writing(tmp_path):
     assert not path.exists()
 
 
+def test_generate_rejects_a_one_unit_first_layer(tmp_path, capsys):
+    """With d1 = 1 every second-layer crease is parallel to the first-layer
+    plane, so the net could be drawn but never extracted."""
+    path = tmp_path / "one.json"
+    code = main(["generate", "--depth", "3", "--d", "2", "--d1", "1",
+                 "--d2", "3", "--out", str(path)])
+    assert code == 2
+    assert "2 <= d1 <= d" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_generated_file_reloads_to_the_same_function(tmp_path):
     path = _generate(tmp_path, "net.json", "--d", "3", "--d1", "4", "--seed", "1")
     reloaded = load_net(path)
@@ -319,6 +330,19 @@ def test_bench_writes_csv_and_fits(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3
     assert "fit: queries ~" in capsys.readouterr().out
+
+
+def test_bench_drops_depth3_cells_with_one_first_layer_unit(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    grid = ["bench", "--depth", "3", "--d-list", "2", "--d2-list", "3",
+            "--deltas", "1e-4", "--seeds", "0", "--out", str(out)]
+    assert main([*grid, "--d1-list", "1"]) == 2
+    assert "filter" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*grid, "--d1-list", "1,2"]) == 0
+    header, *rows = out.read_text().strip().splitlines()
+    d1 = header.split(",").index("d1")
+    assert [row.split(",")[d1] for row in rows] == ["2"]
 
 
 def test_bound_experiment_reports_and_saves(tmp_path, capsys):

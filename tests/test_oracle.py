@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from helpers import three_layer
 from netpeel.config import ASSUMPTION_PROBES
-from netpeel.extract3 import extract_three_layer
+from netpeel.extract2 import subtracted_oracle
+from netpeel.extract3 import extract_three_layer, peel_first_layer
 from netpeel.oracle import generate
 from netpeel.oracle.generate import (
     GenerationError,
@@ -21,10 +22,18 @@ from netpeel.oracle.generate import (
 from netpeel.oracle.nets import (
     AffineMap,
     Neuron,
+    ThreeLayerNet,
     TwoLayerNet,
     batch_eval,
+    evaluator,
 )
-from netpeel.oracle.query import AccessAudit, as_oracle
+from netpeel.oracle.query import (
+    AccessAudit,
+    DomainError,
+    NonFiniteValueError,
+    QueryOracle,
+    as_oracle,
+)
 from netpeel.oracle.serialize import (
     document_to_net,
     dumps_document,
@@ -119,6 +128,90 @@ def test_query_counters_are_independent():
     a(np.array([2.0, 1.0]))
     b(np.array([1.0, 1.0]))
     assert (a.count, b.count) == (2, 1)
+
+
+def _random_skip(rng, d):
+    return AffineMap(rng.standard_normal(d), float(rng.standard_normal()))
+
+
+def _contract_nets():
+    """Depth-2 nets with and without skip, and depth-3 nets, with their boxes."""
+    rng = np.random.default_rng(808)
+    nets = []
+    for d, d1 in ((1, 1), (3, 5), (4, 8), (10, 32)):
+        net = generate_two_layer(d, d1, rng)
+        nets.append((net, 0.0, 10.0))
+        nets.append((TwoLayerNet(d, net.neurons, _random_skip(rng, d)), 0.0, 10.0))
+    for d, d1, d2 in ((2, 2, 6), (6, 3, 9)):
+        net = generate_three_layer(d, d1, d2, rng)
+        nets.append((net, -5.0, 5.0))
+        top = TwoLayerNet(d1, net.top.neurons, _random_skip(rng, d1))
+        nets.append((ThreeLayerNet(net.W, net.b, top), -5.0, 5.0))
+    return nets
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_evaluator_gives_a_point_the_value_of_its_one_row_batch(case):
+    """The oracles query with a bare (d,) point; it must be bitwise equal to
+    the same point evaluated as a batch of one row."""
+    net, lo, hi = _contract_nets()[case]
+    ev, oracle = evaluator(net), as_oracle(net)
+    xs = np.random.default_rng(case).uniform(lo, hi, size=(300, net.d))
+    for x in xs:
+        row = batch_eval(net, x[None, :])[0]
+        assert np.ndim(ev(x)) == 0
+        assert ev(x) == row
+        assert oracle.query(x) == row
+    assert oracle.count == len(xs)
+
+
+def _check_oracle_rejects(oracle, base):
+    """A nonneg oracle refuses off-orthant points and wrong shapes uncounted."""
+    counts = (oracle.count, base.count)
+    with pytest.raises(DomainError):
+        oracle.query(np.array([1.0, -0.5]))
+    for bad in (np.ones(3), np.ones((1, 2)), np.ones(1)):
+        with pytest.raises(ValueError):
+            oracle.query(bad)
+    assert (oracle.count, base.count) == counts
+
+
+def test_oracle_checks_the_domain_and_the_shape():
+    net = generate_two_layer(2, 3, np.random.default_rng(1))
+    base = as_oracle(net)
+    _check_oracle_rejects(base, base)
+    sub = subtracted_oracle(base, net.neurons[:1])
+    _check_oracle_rejects(sub, base)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_values_are_refused_at_every_layer(bad):
+    base = QueryOracle(lambda x: bad, 2, "nonneg")
+    with pytest.raises(NonFiniteValueError):
+        base.query(np.ones(2))
+    sub = subtracted_oracle(base, [Neuron([1.0, 0.0], -1.0, 1)])
+    with pytest.raises(NonFiniteValueError):
+        sub.query(np.ones(2))
+    # The units subtracted by a derived oracle can overflow on their own.
+    finite = QueryOracle(lambda x: 1.0, 2, "nonneg")
+    huge = subtracted_oracle(finite, [Neuron([1e308, 1e308], 0.0, 1)])
+    with pytest.raises(NonFiniteValueError), np.errstate(over="ignore"):
+        huge.query(np.full(2, 10.0))
+
+
+def test_each_derived_query_costs_one_base_query():
+    net = generate_three_layer(4, 3, 9, np.random.default_rng(3))
+    base = as_oracle(net)
+    top = peel_first_layer(base, net.W, net.b)
+    peel = subtracted_oracle(top, net.top.neurons[:4])
+    ys = np.random.default_rng(4).uniform(0.0, 3.0, size=(25, 3))
+    for k, y in enumerate(ys, start=1):
+        peel.query(y)
+        assert (peel.count, top.count, base.count) == (k, k, k)
+    for k, y in enumerate(ys, start=len(ys) + 1):
+        top.query(y)
+        assert (top.count, base.count) == (k, k)
+    assert peel.count == len(ys)
 
 
 def test_generated_scalar_unit_crosses_in_window():
@@ -260,6 +353,51 @@ def test_pattern_walk_matches_the_reference_loop():
         assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
         decisions.append(fast)
     assert 100 < sum(decisions) < 500
+
+
+def _reference_planes_close(w1, b1, w2, b2, gap):
+    """The generators' former pairwise plane-gap test, one row at a time."""
+    for s in (1.0, -1.0):
+        if max(float(np.max(np.abs(w1 - s * w2))), abs(b1 - s * b2)) < gap:
+            return True
+    return False
+
+
+def test_plane_gap_test_matches_the_pairwise_loop():
+    cases = np.random.default_rng(77)
+    gap = generate.DEFAULT_MARGINS.plane_gap
+    decisions = []
+    for case in range(3000):
+        d = int(cases.integers(1, 7))
+        k = int(cases.integers(0, 9))
+        if case % 3 == 0:
+            # Multiples of 2**-10 with gap 2**-10: differences are exact, so
+            # gaps land exactly on the threshold.
+            g = 2.0 ** -10
+            W = cases.integers(-8, 9, size=(k, d)) * g
+            B = cases.integers(-8, 9, size=k) * g
+        else:
+            g = gap
+            W = cases.standard_normal((k, d))
+            B = cases.uniform(-4.0, 4.0, size=k)
+        if k and cases.random() < 0.8:
+            # Near a stored row or its negation, at a gap below, at or above
+            # the threshold in one weight or in the offset.
+            j = int(cases.integers(k))
+            s = float(cases.choice((1.0, -1.0)))
+            w, b = s * W[j].copy(), s * float(B[j])
+            step = g * float(cases.choice((0.5, 1.0, 1.0, 2.0)))
+            if cases.random() < 0.5:
+                w[int(cases.integers(d))] += float(cases.choice((-1.0, 1.0))) * step
+            else:
+                b += float(cases.choice((-1.0, 1.0))) * step
+        else:
+            w, b = cases.standard_normal(d), float(cases.uniform(-4.0, 4.0))
+        got = generate._near_a_plane(w, b, W, B, g)
+        ref = any(_reference_planes_close(w, b, W[i], B[i], g) for i in range(k))
+        assert got == ref, f"case {case}"
+        decisions.append(got)
+    assert 500 < sum(decisions) < 2500
 
 
 def test_generator_solves_one_lp_per_second_layer_draw(monkeypatch):
