@@ -23,6 +23,7 @@ from .pwl import (
     PieceBudgetError,
     iter_critical_points_1d,
     reconstruct_affine,
+    sweep_step,
 )
 
 _BRACKET_CAP = 0.01
@@ -74,10 +75,14 @@ def find_neuron_crossing(
     Scans rays t -> t*e_i, t <= 1/delta, for i = start_axis..d-1 and, on the
     first ray with a break at t0, returns (x1, x2, axis) with
     x1 = (t0-eps)*e_i and x2 = (t0+eps)*e_i.  The half-width eps is half the
-    gap to the next break t1 on that ray (t0 and t1 are the first two yields
-    of one `iter_critical_points_1d` sweep), capped at 0.01 and floored at
-    delta/4, so exactly one unit changes state between x1 and x2.  Returns
-    None when every scanned ray is break-free.
+    gap to the next break t1 on that ray, capped at min(0.01, t0/2) and
+    floored at delta/4, so exactly one unit changes state between x1 and x2.
+    Returns None when every scanned ray is break-free.
+
+    The gap can only lower eps when it is below the reach min(0.02, t0), so
+    t1 is sought by a second sweep that starts delta/2 past t0 and ends at
+    the reach plus four sweep steps, the sweep's resolution; a ray with no
+    break there gets the same eps as one whose next break is far away.
 
     Scans start a small offset inside the ray rather than at t = 0: an oracle
     built by subtraction or peeling carries residual micro-kinks hugging the
@@ -87,11 +92,13 @@ def find_neuron_crossing(
     hi = 1.0 / delta
     lo = min(_SCAN_START, hi / 16.0)
     for axis in range(start_axis, d):
-        sweep = iter_critical_points_1d(axis_ray(oracle, axis), delta, (lo, hi))
-        t0 = next(sweep, None)
+        ray = axis_ray(oracle, axis)
+        t0 = next(iter_critical_points_1d(ray, delta, (lo, hi)), None)
         if t0 is None:
             continue
-        t1 = next(sweep, None)
+        reach = min(2.0 * _BRACKET_CAP, t0)
+        end = min(hi, t0 + reach + 4.0 * sweep_step(delta, t0 + reach))
+        t1 = next(iter_critical_points_1d(ray, delta, (t0 + delta / 2.0, end)), None)
         gap = (t1 - t0) if t1 is not None else np.inf
         eps = max(delta / 4.0, min(gap / 2.0, _BRACKET_CAP, t0 / 2.0))
         e = np.zeros(d)

@@ -208,11 +208,16 @@ def leftmost_critical_point_1d(line, delta: float, window) -> float | None:
 _FAR_STEP = 1e-6
 
 
+def sweep_step(delta: float, t: float) -> float:
+    """The sweep's probe step at magnitude |t|; it resolves breaks to 4 steps."""
+    return max(delta, _FAR_STEP * abs(t))
+
+
 def iter_critical_points_1d(line, delta: float, window):
     """Slope breaks on `window`, left to right, by resumable leftmost search.
 
     The window is cut at powers-of-16 magnitudes and each block is searched
-    with step max(delta, _FAR_STEP * m), where m is the smallest |t| the
+    with step `sweep_step(delta, m)`, where m is the smallest |t| the
     search covers (0 for a block that straddles 0): breaks of interest live
     at moderate |t| and keep the requested resolution, while the far blocks
     only confirm emptiness.  After each break the search resumes delta/2
@@ -233,7 +238,7 @@ def iter_critical_points_1d(line, delta: float, window):
         while True:
             start = max(cursor, seg_lo)
             near = 0.0 if start <= 0.0 <= seg_hi else min(abs(start), abs(seg_hi))
-            step = max(delta, _FAR_STEP * near)
+            step = sweep_step(delta, near)
             if seg_hi - start <= 4 * step:
                 break
             t = leftmost_critical_point_1d(line, step, (start, seg_hi))

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from netpeel.oracle.generate import generate_two_layer
 from netpeel.oracle.nets import Neuron, ThreeLayerNet, TwoLayerNet
 from netpeel.oracle.query import LineOracle, QueryOracle
 
@@ -12,6 +13,24 @@ def three_layer(W, b, V, c, signs):
     V = np.atleast_2d(np.asarray(V, dtype=float))
     units = tuple(Neuron(v, ck, s) for v, ck, s in zip(V, c, signs))
     return ThreeLayerNet(W=W, b=b, top=TwoLayerNet(d=V.shape[1], neurons=units))
+
+
+def near_coincident_net(seed, gap):
+    """A generated (4, 8) net plus a ninth unit crossing axis 0 `gap` past unit 0.
+
+    The ninth unit's row is unit 0's row plus N(0, 0.3^2) noise per
+    coordinate, so the two planes cross axis 0 at t0 and t0 + gap and part
+    ways off the ray.  Everything is drawn from one `default_rng(seed)`:
+    the net, then the noise, then the sign.
+    """
+    rng = np.random.default_rng(seed)
+    net = generate_two_layer(4, 8, rng)
+    first = net.neurons[0]
+    t0 = -first.b / first.w[0]
+    w = first.w + rng.normal(0.0, 0.3, 4)
+    b = -(t0 + gap) * w[0]
+    sign = int(rng.choice((-1, 1)))
+    return TwoLayerNet(d=4, neurons=net.neurons + (Neuron(w, b, sign),), skip=net.skip)
 
 
 def scalar_line(fn):

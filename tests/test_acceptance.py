@@ -189,36 +189,36 @@ def test_depth2_fixture_draws_are_pinned(depth2_runs):
 # not pinned, so a harmless change of summation order still passes.
 _DEPTH2_PHASES = ("scan", "recover", "refine", "skip")
 _DEPTH2_PHASE_COUNTS = [
-    (520, 13, 6, 19), (1146, 104, 48, 19), (2942, 416, 192, 19),
-    (1010, 19, 12, 22), (1866, 152, 96, 22), (3826, 608, 384, 22),
-    (1818, 29, 22, 27), (2614, 232, 176, 27), (4754, 928, 704, 27),
-    (522, 13, 6, 19), (1156, 104, 48, 19), (2872, 416, 192, 19),
-    (1008, 19, 12, 22), (1886, 152, 96, 22), (3876, 608, 384, 22),
-    (1818, 29, 22, 27), (2540, 232, 176, 27), (4878, 928, 704, 27),
-    (520, 13, 6, 19), (1142, 104, 48, 19), (2864, 416, 192, 19),
-    (1008, 19, 12, 22), (1766, 152, 96, 22), (3930, 608, 384, 22),
-    (1818, 29, 22, 27), (2568, 232, 176, 27), (4748, 928, 704, 27),
-    (522, 13, 6, 19), (1200, 104, 48, 19), (2942, 416, 192, 19),
-    (1008, 19, 12, 22), (1814, 152, 96, 22), (3864, 608, 384, 22),
-    (1818, 29, 22, 27), (2626, 232, 176, 27), (4726, 928, 704, 27),
-    (520, 13, 6, 19), (1192, 104, 48, 19), (3018, 416, 192, 19),
-    (1008, 19, 12, 22), (1764, 152, 96, 22), (3766, 608, 384, 22),
-    (1816, 29, 22, 27), (2572, 232, 176, 27), (4742, 928, 704, 27),
-    (520, 13, 6, 19), (1152, 104, 48, 19), (2868, 416, 192, 19),
-    (1010, 19, 12, 22), (1768, 152, 96, 22),
+    (374, 13, 6, 19), (728, 104, 48, 19), (1990, 416, 192, 19),
+    (862, 19, 12, 22), (1300, 152, 96, 22), (2508, 608, 384, 22),
+    (1672, 29, 22, 27), (2062, 232, 176, 27), (3404, 928, 704, 27),
+    (374, 13, 6, 19), (730, 104, 48, 19), (1940, 416, 192, 19),
+    (862, 19, 12, 22), (1214, 152, 96, 22), (2548, 608, 384, 22),
+    (1670, 29, 22, 27), (2108, 232, 176, 27), (3356, 928, 704, 27),
+    (374, 13, 6, 19), (726, 104, 48, 19), (1948, 416, 192, 19),
+    (862, 19, 12, 22), (1218, 152, 96, 22), (2598, 608, 384, 22),
+    (1672, 29, 22, 27), (2022, 232, 176, 27), (3412, 928, 704, 27),
+    (376, 13, 6, 19), (772, 104, 48, 19), (1990, 416, 192, 19),
+    (862, 19, 12, 22), (1258, 152, 96, 22), (2646, 608, 384, 22),
+    (1672, 29, 22, 27), (2070, 232, 176, 27), (3404, 928, 704, 27),
+    (374, 13, 6, 19), (768, 104, 48, 19), (2066, 416, 192, 19),
+    (860, 19, 12, 22), (1216, 152, 96, 22), (2552, 608, 384, 22),
+    (1670, 29, 22, 27), (2024, 232, 176, 27), (3408, 928, 704, 27),
+    (374, 13, 6, 19), (728, 104, 48, 19), (1934, 416, 192, 19),
+    (862, 19, 12, 22), (1216, 152, 96, 22),
 ]
 _DEPTH3_PHASES = ("collect", "filter", "signs", "peel")
 _DEPTH3_PHASE_COUNTS = [
-    (774, 196, 6, 1141), (731, 194, 6, 1509), (1207, 495, 9, 1609),
-    (1541, 865, 9, 2191), (922, 219, 6, 1143), (1174, 311, 6, 1507),
-    (1264, 431, 9, 1491), (1480, 752, 9, 2321), (1076, 559, 12, 2363),
-    (1808, 1481, 12, 3159), (1076, 579, 15, 2753), (1258, 860, 15, 3925),
-    (1818, 1306, 18, 3433), (2136, 1944, 18, 4713), (663, 169, 6, 1143),
-    (572, 152, 6, 1505), (1062, 629, 9, 1619), (1484, 698, 9, 2311),
-    (890, 219, 6, 1141), (1172, 357, 6, 1513), (752, 220, 9, 1743),
-    (1442, 631, 9, 2311), (1270, 628, 12, 2233), (2196, 1732, 12, 3041),
-    (1618, 990, 15, 2887), (2350, 1481, 15, 4047), (1726, 1242, 18, 3431),
-    (2148, 1516, 18, 4849), (572, 134, 6, 1139), (1149, 548, 6, 1503),
+    (774, 196, 6, 761), (731, 194, 6, 1039), (1207, 495, 9, 1163),
+    (1541, 865, 9, 1609), (922, 219, 6, 763), (1174, 311, 6, 1037),
+    (1264, 431, 9, 1169), (1480, 752, 9, 1615), (1076, 559, 12, 1601),
+    (1808, 1481, 12, 2213), (1076, 579, 15, 2053), (1258, 860, 15, 2871),
+    (1818, 1306, 18, 2531), (2136, 1944, 18, 3553), (663, 169, 6, 761),
+    (572, 152, 6, 1037), (1062, 629, 9, 1169), (1484, 698, 9, 1609),
+    (890, 219, 6, 761), (1172, 357, 6, 1041), (752, 220, 9, 1171),
+    (1442, 631, 9, 1607), (1270, 628, 12, 1597), (2196, 1732, 12, 2225),
+    (1618, 990, 15, 2053), (2350, 1481, 15, 2873), (1726, 1242, 18, 2535),
+    (2148, 1516, 18, 3561), (572, 134, 6, 757), (1149, 548, 6, 1035),
 ]
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import near_coincident_net
 from netpeel.extract2 import (
     extract_two_layer,
     find_neuron_crossing,
@@ -14,13 +15,14 @@ from netpeel.extract2 import (
     subtracted_oracle,
 )
 from netpeel.oracle.generate import generate_two_layer
-from netpeel.oracle.nets import AffineMap, Neuron, TwoLayerNet, batch_eval, relu
+from netpeel.oracle.nets import AffineMap, Neuron, TwoLayerNet, batch_eval, evaluator, relu
 from netpeel.oracle.query import QueryOracle, as_oracle, axis_ray
 from netpeel.pwl import (
     GeneralPositionError,
     Hyperplane,
     PieceBudgetError,
     all_critical_points_1d,
+    iter_critical_points_1d,
 )
 from netpeel.verify import functional_equivalence
 
@@ -64,6 +66,42 @@ def test_crossing_brackets_exactly_one_unit():
     net = generate_two_layer(3, 6, np.random.default_rng(0))
     x1, x2, _ = find_neuron_crossing(as_oracle(net), 3, DELTA)
     _bracketed_truth(net, x1, x2)
+
+
+def _two_crossings(t0, t1):
+    """A 1-d net with units crossing axis 0 at t0 and t1, and the t of every query."""
+    net = TwoLayerNet(d=1, neurons=(Neuron(np.array([1.0]), -t0, 1),
+                                    Neuron(np.array([0.5]), -0.5 * t1, -1)))
+    ev = evaluator(net)
+    seen = []
+
+    def fn(x):
+        seen.append(float(x[0]))
+        return ev(x)
+
+    return net, QueryOracle(fn, 1, "nonneg"), seen
+
+
+@pytest.mark.parametrize("t0, t1, eps", [
+    (2.0, 2.004, 0.002),   # t1 inside the reach 0.02: eps is half the gap
+    (2.0, 2.5, 0.01),      # t1 past the reach: eps is the cap
+    (0.01, 0.018, 0.004),  # t0 < 0.02, so the reach is t0; t1 inside it
+    (0.01, 0.025, 0.005),  # t1 past the reach t0: eps is t0/2
+])
+def test_crossing_search_looks_for_the_next_break_only_within_reach(t0, t1, eps):
+    net, oracle, seen = _two_crossings(t0, t1)
+    x1, x2, axis = find_neuron_crossing(oracle, 1, DELTA)
+    assert axis == 0
+    assert abs((x2[0] - x1[0]) / 2.0 - eps) < 1e-9
+    assert _bracketed_truth(net, x1, x2) == 0
+    # The search first sweeps the ray for t0 alone ...
+    _, alone, first = _two_crossings(t0, t1)
+    found = next(iter_critical_points_1d(axis_ray(alone, 0), DELTA, (1e-4, 1 / DELTA)))
+    assert abs(found - t0) < 1e-9
+    assert seen[:len(first)] == first
+    # ... then looks for t1 only up to the reach min(0.02, t0) plus four sweep
+    # steps; a located break's last fit reaches one step further.
+    assert max(seen[len(first):]) <= t0 + min(0.02, t0) + 5 * DELTA
 
 
 # ------------------------------------------------------------- sign recovery
@@ -304,4 +342,12 @@ def test_wide_nets_that_once_failed_the_residual_check(seed):
     net = generate_two_layer(10, 24, np.random.default_rng(seed))
     got = extract_two_layer(as_oracle(net), 10, DELTA, 512)
     assert got.residual_headroom <= 0.05
+    assert functional_equivalence(net, got, 0.0, 10.0, tau=1e-6).passed
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_near_coincident_crossings_a_bracket_apart(seed):
+    """A ninth unit crossing axis 0 1e-3 past unit 0: inside the bracket's reach."""
+    net = near_coincident_net(seed, 1e-3)
+    got = extract_two_layer(as_oracle(net), 4, DELTA, 13)
     assert functional_equivalence(net, got, 0.0, 10.0, tau=1e-6).passed
