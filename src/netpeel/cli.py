@@ -300,7 +300,7 @@ def cmd_bound_experiment(args: argparse.Namespace) -> int:
         f"(rate {exp.rate:.3e}), bound {exp.bound:.3e}"
     )
     if args.out:
-        bound_to_csv([exp], args.out)
+        bound_to_csv(exp, args.out)
         print(f"wrote {args.out}")
     return EXIT_OK
 

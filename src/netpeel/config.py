@@ -1,4 +1,4 @@
-"""The numeric policy: every round-off threshold and retry budget, named once.
+"""The numeric policy: every threshold, budget and margin, named once.
 
 The probing primitives (`pwl`) and the extractors (`extract2`, `extract3`)
 compare measured quantities against noise estimates of the form
@@ -8,6 +8,12 @@ each floor is a constant here; the modules that use them multiply in the
 same left-to-right order as `k * EPS * scale / step`, so every threshold is
 the same float wherever it is derived.  No other module refers to `EPS`.
 All floating point work is float64.
+
+The general-position margins say what the generators accept as a network in
+general position, the class on which extraction is exact.  They are fixed:
+the extractors size their probes from them (`extract2` derives its step cap
+from `SEPARATION` and `MIN_AXIS_COSINE`), so a network drawn under other
+margins could be recovered wrongly without notice.
 """
 from __future__ import annotations
 
@@ -41,3 +47,28 @@ HYPERPLANE_ATTEMPTS = 8       # directions tried per critical hyperplane
 SIGN_ATTEMPTS = 32            # probe points tried per first-layer sign
 REJECTION_LIMIT = 100         # the generators' per-unit resampling cap
 ASSUMPTION_PROBES = 256       # sample points of the generator's derivative check
+
+# General position: the margins every generated network meets.
+AXIS_COSINE = 0.2             # least |w_i| along a unit's designated axis, so
+                              # its crossing there is well conditioned
+MIN_AXIS_COSINE = 5e-3        # least |w_i| along every axis, so any incidental
+                              # axis crossing still bends the restriction detectably
+SEPARATION = 0.05             # least gap between two crossings on one probe line
+CLEARANCE = 0.05              # least distance of a crossing from the line origin
+PLANE_GAP = 1e-3              # least parameter distance between two unit
+                              # hyperplanes, up to orientation
+SIGMA_MIN = 0.1               # least singular value of the first-layer weights
+LEAVE_ONE_OUT = 0.1           # least norm of a first-layer row after projecting
+                              # out the other rows, for recovering orientations
+V_LOW = 0.8                   # least magnitude of a second-layer weight
+V_HIGH = 1.4                  # largest magnitude of a second-layer weight
+PARTIAL_MARGIN = 0.02         # least |one-sided partial| of the second-layer map
+                              # over the nonnegative orthant
+JUMP_MARGIN = 1e-3            # least gradient jump at a depth-3 probe-line break
+LINE_WINDOW = 50.0            # every depth-3 probe-line crossing, and every
+                              # hidden axis-ray crossing, lies within |t|
+# Every positive axis-ray crossing of a depth-2 unit lies within this t, and
+# SEPARATION holds among all of them.  Crossings near the origin keep function
+# values at the recovery probes small, which keeps the phantom kinks left by
+# subtracting recovered units below the scanner's slope floor.
+AXIS_WINDOW = 50.0

@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import JUMP_FLOOR, KINK_NOISE, NORMAL_FLOOR, PLANE_NOISE, RESIDUAL_TOL
+from .config import (
+    JUMP_FLOOR,
+    KINK_NOISE,
+    MIN_AXIS_COSINE,
+    NORMAL_FLOOR,
+    PLANE_NOISE,
+    RESIDUAL_TOL,
+    SEPARATION,
+)
 from .oracle.nets import AffineMap, Neuron, TwoLayerNet, batch_eval, evaluator
 from .oracle.query import DOMAIN_NONNEG, QueryOracle, axis_ray
 from .pwl import (
@@ -27,7 +35,9 @@ from .pwl import (
 )
 
 _BRACKET_CAP = 0.01
-_STEP_CAP = 1.25e-4
+# Half the least distance to a neighbouring unit's plane in general position;
+# see `recover_neuron`.
+_STEP_CAP = SEPARATION * MIN_AXIS_COSINE / 2.0
 _SCAN_START = 1e-4
 _SKIP_SEED = 20240817
 _REFINE_SEED = 20240818
@@ -107,16 +117,16 @@ def find_neuron_crossing(
     return None
 
 
-def recover_sign_u(oracle, x1, x2) -> int:
+def recover_sign_u(oracle, x1, x2, f1: float, f2: float) -> int:
     """Sign of the bracketed unit from the bend direction of the restriction.
 
     A +1 unit contributes a convex kink, so the second difference
     f(x1) + f(x2) - 2 f(midpoint) is positive; a -1 unit makes it negative.
+    The caller passes the endpoint values f1 = f(x1) and f2 = f(x2), so only
+    the midpoint is queried.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    f1 = float(oracle(x1))
-    f2 = float(oracle(x2))
     fm = float(oracle((x1 + x2) / 2.0))
     second = f1 + f2 - 2.0 * fm
     tau = KINK_NOISE * (1.0 + max(abs(f1), abs(f2), abs(fm)))
@@ -140,7 +150,8 @@ def recover_neuron(oracle, x1, x2, delta: float) -> Neuron:
     would straddle the very plane being measured.  The step is also capped
     so the probes cannot reach a neighboring unit's hyperplane, whose
     distance is at worst the crossing separation times the smallest axis
-    component the generators allow.  Finally the fit bases are nudged off
+    component that general position allows (`config.SEPARATION` and
+    `config.MIN_AXIS_COSINE`).  Finally the fit bases are nudged off
     the scan ray into the domain interior: when the oracle is itself a
     peeled network, the ray lies exactly on the hidden orthant's boundary
     faces, where peeling leaves micro-kinks that would bias the fits.
@@ -170,7 +181,7 @@ def recover_neuron(oracle, x1, x2, delta: float) -> Neuron:
     noise = PLANE_NOISE * scale * np.sqrt(x1.size) / step
     if float(np.linalg.norm(w)) <= max(noise, NORMAL_FLOOR):
         raise GeneralPositionError("endpoints in same linear region")
-    return Neuron(w, b, recover_sign_u(oracle, x1, x2))
+    return Neuron(w, b, recover_sign_u(oracle, x1, x2, f1, f2))
 
 
 def subtracted_oracle(oracle: QueryOracle, recovered) -> QueryOracle:

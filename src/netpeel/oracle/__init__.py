@@ -20,9 +20,7 @@ from .query import (
     axis_ray,
 )
 from .generate import (
-    DEFAULT_MARGINS,
     GenerationError,
-    GeneratorMargins,
     check_nonzero_partials,
     generate_three_layer,
     generate_two_layer,
@@ -43,7 +41,7 @@ __all__ = [
     "QueryOracle", "LineOracle", "AccessAudit", "DomainError",
     "NonFiniteValueError", "as_oracle",
     "axis_ray", "DOMAIN_NONNEG", "DOMAIN_FULL",
-    "GeneratorMargins", "DEFAULT_MARGINS", "GenerationError",
+    "GenerationError",
     "generate_two_layer", "generate_three_layer", "check_nonzero_partials",
     "FORMAT_NAME", "dumps_document", "loads_document", "net_to_document",
     "document_to_net", "save_net", "load_net",

@@ -4,19 +4,33 @@ The extraction routines assume the target is in "general position": hyperplanes
 are distinct, crossings along probe lines are isolated, and gradient jumps are
 large enough to detect at the working step size.  Rather than sampling blindly
 and hoping, each generator places crossings constructively and then rejects
-draws that violate an explicit margin.  The margins live in `GeneratorMargins`
-so tests can tighten or relax them.
+draws that violate an explicit margin.  The margins are the fixed
+general-position constants of `config`, which the extractors rely on too.
 
 All randomness flows through a caller-supplied `numpy.random.Generator`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linprog
 
-from ..config import ASSUMPTION_PROBES, REJECTION_LIMIT
+from ..config import (
+    ASSUMPTION_PROBES,
+    AXIS_COSINE,
+    AXIS_WINDOW,
+    CLEARANCE,
+    JUMP_MARGIN,
+    LEAVE_ONE_OUT,
+    LINE_WINDOW,
+    MIN_AXIS_COSINE,
+    PARTIAL_MARGIN,
+    PLANE_GAP,
+    REJECTION_LIMIT,
+    SEPARATION,
+    SIGMA_MIN,
+    V_HIGH,
+    V_LOW,
+)
 from .nets import Neuron, ThreeLayerNet, TwoLayerNet, relu
 
 
@@ -27,52 +41,6 @@ _CROSSING_HI = 9.5
 
 class GenerationError(RuntimeError):
     """Could not produce a network meeting the margins within the retry budget."""
-
-
-@dataclass(frozen=True)
-class GeneratorMargins:
-    """Minimum separations a generated network must respect.
-
-    axis_cosine: least |w_i| along the axis a unit is designated to cross,
-        so the crossing is well conditioned.
-    min_axis_cosine: least |w_i| along every axis, so any incidental axis
-        crossing still bends the restriction detectably.
-    separation: least gap between any two crossings on the same probe line.
-    clearance: least distance of any crossing from the line origin.
-    plane_gap: least parameter distance between two unit hyperplanes,
-        up to orientation.
-    sigma_min: least singular value of the first-layer weight matrix.
-    leave_one_out: least norm of a first-layer row after projecting out
-        the span of the other rows (used when recovering orientations).
-    v_low, v_high: magnitude range for second-layer weight entries.
-    partial_margin: least |one-sided directional derivative| of the
-        second-layer map over the nonnegative orthant.
-    jump_margin: least gradient jump across any crossing of the probe line.
-    line_window: all probe-line crossings must fall within this |t|.
-    axis_window: every positive axis-ray crossing must fall within this t
-        (draws with a farther crossing are rejected), and separation is
-        enforced among all of them.  Keeping crossings near the origin keeps
-        function values at the recovery probes small, which keeps the
-        phantom kinks left by subtracting recovered units below the slope
-        tolerance floor of the scanner.
-    """
-
-    axis_cosine: float = 0.2
-    min_axis_cosine: float = 5e-3
-    separation: float = 0.05
-    clearance: float = 0.05
-    plane_gap: float = 1e-3
-    sigma_min: float = 0.1
-    leave_one_out: float = 0.1
-    v_low: float = 0.8
-    v_high: float = 1.4
-    partial_margin: float = 0.02
-    jump_margin: float = 1e-3
-    line_window: float = 50.0
-    axis_window: float = 50.0
-
-
-DEFAULT_MARGINS = GeneratorMargins()
 
 
 def _unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -108,50 +76,44 @@ def _positive_axis_crossings(w, b, window: float) -> list[tuple[int, float]]:
     return out
 
 
-def _crossing_conflict(cands, accepted, m: GeneratorMargins) -> bool:
+def _crossing_conflict(cands, accepted) -> bool:
     for axis, t in cands:
-        if t < m.clearance:
+        if t < CLEARANCE:
             return True
         for axis2, t2 in accepted:
-            if axis == axis2 and abs(t - t2) < m.separation:
+            if axis == axis2 and abs(t - t2) < SEPARATION:
                 return True
     return False
 
 
-def generate_two_layer(
-    d: int,
-    d1: int,
-    rng: np.random.Generator,
-    *,
-    margins: GeneratorMargins = DEFAULT_MARGINS,
-    retries: int = REJECTION_LIMIT,
-) -> TwoLayerNet:
+def generate_two_layer(d: int, d1: int, rng: np.random.Generator) -> TwoLayerNet:
     """Sum of `d1` signed ReLU units over `R^d`, probed on the nonnegative orthant.
 
     Unit `j` is guaranteed to cross the axis ray `t e_{j mod d}` somewhere in
     `[0.5, 9.5]`, and every crossing of every unit with every axis ray is
-    isolated per `margins`.  The orientation of each `(w, b)` pair is
-    symmetric about zero, so recovery sees both unit orientations.
+    isolated per `SEPARATION` and `CLEARANCE`.  The orientation of each
+    `(w, b)` pair is symmetric about zero, so recovery sees both unit
+    orientations.
     """
     neurons: list[Neuron] = []
     rows, offs = np.empty((d1, d)), np.empty(d1)
     taken: list[tuple[int, float]] = []
     for j in range(d1):
         axis = j % d
-        for _ in range(retries):
+        for _ in range(REJECTION_LIMIT):
             w = _unit_vector(rng, d)
-            if abs(w[axis]) < margins.axis_cosine:
+            if abs(w[axis]) < AXIS_COSINE:
                 continue
-            if float(np.min(np.abs(w))) < margins.min_axis_cosine:
+            if float(np.min(np.abs(w))) < MIN_AXIS_COSINE:
                 continue
             t = rng.uniform(_CROSSING_LO, _CROSSING_HI)
             b = -t * w[axis]
-            if _near_a_plane(w, b, rows[:j], offs[:j], margins.plane_gap):
+            if _near_a_plane(w, b, rows[:j], offs[:j], PLANE_GAP):
                 continue
             cands = _positive_axis_crossings(w, b, np.inf)
-            if any(t > margins.axis_window for _, t in cands):
+            if any(t > AXIS_WINDOW for _, t in cands):
                 continue
-            if _crossing_conflict(cands, taken, margins):
+            if _crossing_conflict(cands, taken):
                 continue
             neurons.append(Neuron(w, b, (-1, 1)[rng.integers(2)]))
             rows[j], offs[j] = w, b
@@ -159,7 +121,8 @@ def generate_two_layer(
             break
         else:
             raise GenerationError(
-                f"two-layer unit {j}: no draw met the margins in {retries} tries"
+                f"two-layer unit {j}: no draw met the margins in "
+                f"{REJECTION_LIMIT} tries"
             )
     return TwoLayerNet(d=d, neurons=tuple(neurons), skip=None)
 
@@ -260,53 +223,53 @@ def check_nonzero_partials(
     return not _orthant_reachable(V, c) and _partials_walk(V, c, u, rng, margin)
 
 
-def _first_layer_block(d, d1, rng, m: GeneratorMargins):
+def _first_layer_block(d, d1, rng):
     W, offs = np.empty((d1, d)), np.empty(d1)
     ts: list[float] = []
     for i in range(d1):
         for _ in range(REJECTION_LIMIT):
             w = _unit_vector(rng, d)
-            if abs(w[0]) < m.axis_cosine:
+            if abs(w[0]) < AXIS_COSINE:
                 continue
             t = rng.uniform(-4.0, 4.0)
-            if abs(t) < m.clearance:
+            if abs(t) < CLEARANCE:
                 continue
-            if any(abs(t - t2) < m.separation for t2 in ts):
+            if any(abs(t - t2) < SEPARATION for t2 in ts):
                 continue
             b = -t * w[0]
-            if _near_a_plane(w, b, W[:i], offs[:i], m.plane_gap):
+            if _near_a_plane(w, b, W[:i], offs[:i], PLANE_GAP):
                 continue
             W[i], offs[i] = w, b
             ts.append(t)
             break
         else:
             return None
-    if np.linalg.svd(W, compute_uv=False)[-1] < m.sigma_min:
+    if np.linalg.svd(W, compute_uv=False)[-1] < SIGMA_MIN:
         return None
     for i in range(d1):
         others = np.delete(W, i, axis=0)
         if others.size:
             q, _ = np.linalg.qr(others.T, mode="reduced")
             resid = W[i] - q @ (q.T @ W[i])
-            if np.linalg.norm(resid) < m.leave_one_out:
+            if np.linalg.norm(resid) < LEAVE_ONE_OUT:
                 return None
-    return W, offs, np.asarray(ts)
+    return W, offs
 
 
-def _second_layer_block(d1, d2, rng, m: GeneratorMargins):
+def _second_layer_block(d1, d2, rng):
     V = np.zeros((d2, d1))
     c = np.zeros(d2)
     taken: list[tuple[int, float]] = []
     for k in range(d2):
         axis = k % d1
         for _ in range(REJECTION_LIMIT):
-            row = rng.uniform(m.v_low, m.v_high, size=d1) * rng.choice((-1.0, 1.0), size=d1)
+            row = rng.uniform(V_LOW, V_HIGH, size=d1) * rng.choice((-1.0, 1.0), size=d1)
             t = rng.uniform(0.5, 4.5)
             off = -t * row[axis]
-            if _near_a_plane(row, off, V[:k], c[:k], m.plane_gap):
+            if _near_a_plane(row, off, V[:k], c[:k], PLANE_GAP):
                 continue
-            cands = _positive_axis_crossings(row, off, m.line_window)
-            if _crossing_conflict(cands, taken, m):
+            cands = _positive_axis_crossings(row, off, LINE_WINDOW)
+            if _crossing_conflict(cands, taken):
                 continue
             V[k] = row
             c[k] = off
@@ -317,8 +280,8 @@ def _second_layer_block(d1, d2, rng, m: GeneratorMargins):
     return V, c
 
 
-def _probe_line_events(W, b, V, c, window: float):
-    """All slope breaks of t -> N(t e_1), or None if one falls outside the window.
+def _probe_line_events(W, b, V, c):
+    """All slope breaks of t -> N(t e_1), or None if one lies past `LINE_WINDOW`.
 
     Exact arithmetic on the piecewise structure: between consecutive first-layer
     crossings the hidden activations are affine in t, so each second-layer
@@ -329,7 +292,7 @@ def _probe_line_events(W, b, V, c, window: float):
     events = list(t_first)
     bounds = [-np.inf, *t_first, np.inf]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid = np.clip((lo + hi) / 2.0, -2 * window, 2 * window)
+        mid = np.clip((lo + hi) / 2.0, -2 * LINE_WINDOW, 2 * LINE_WINDOW)
         if not np.isfinite(mid):
             mid = lo + 1.0 if np.isfinite(lo) else hi - 1.0
         act = (mid * w0 + b) > 0
@@ -342,10 +305,10 @@ def _probe_line_events(W, b, V, c, window: float):
                 continue
             root = -vals[k] / slopes[k]
             if lo < root < hi:
-                if abs(root) > window:
+                if abs(root) > LINE_WINDOW:
                     return None
                 events.append(float(root))
-    if np.max(np.abs(t_first)) > window:
+    if np.max(np.abs(t_first)) > LINE_WINDOW:
         return None
     return sorted(events)
 
@@ -359,18 +322,13 @@ def _slope_at(W, b, V, c, u, t: float) -> float:
 
 
 def generate_three_layer(
-    d: int,
-    d1: int,
-    d2: int,
-    rng: np.random.Generator,
-    *,
-    margins: GeneratorMargins = DEFAULT_MARGINS,
+    d: int, d1: int, d2: int, rng: np.random.Generator
 ) -> ThreeLayerNet:
     """Three-layer network with the margins the full pipeline relies on.
 
     First layer: unit rows, well separated from singularity, each crossing the
     line `t e_1` at an isolated |t| <= 4.  Second layer: entry magnitudes in
-    `[v_low, v_high]`, each unit crossing an axis ray of the hidden orthant,
+    `[V_LOW, V_HIGH]`, each unit crossing an axis ray of the hidden orthant,
     one-sided partials of the top map bounded away from zero.  Probe-line
     geometry (crossing isolation, gradient jumps, window) is checked exactly
     on the assembled network.
@@ -382,13 +340,12 @@ def generate_three_layer(
     """
     if not (1 <= d1 <= d):
         raise ValueError("need 1 <= d1 <= d")
-    m = margins
     for _ in range(REJECTION_LIMIT):
-        first = _first_layer_block(d, d1, rng, m)
+        first = _first_layer_block(d, d1, rng)
         if first is None:
             continue
-        W, b, _ = first
-        second = _second_layer_block(d1, d2, rng, m)
+        W, b = first
+        second = _second_layer_block(d1, d2, rng)
         if second is None:
             continue
         V, c = second
@@ -399,23 +356,23 @@ def generate_three_layer(
         reachable = _orthant_reachable(V, c)
         for _ in range(96):
             u = rng.choice((-1, 1), size=d2).astype(int)
-            if not reachable and _partials_walk(V, c, u, rng, m.partial_margin):
+            if not reachable and _partials_walk(V, c, u, rng, PARTIAL_MARGIN):
                 break
         else:
             continue
-        events = _probe_line_events(W, b, V, c, m.line_window)
+        events = _probe_line_events(W, b, V, c)
         if events is None:
             continue
-        if any(e2 - e1 < m.separation for e1, e2 in zip(events[:-1], events[1:])):
+        if any(e2 - e1 < SEPARATION for e1, e2 in zip(events[:-1], events[1:])):
             continue
-        if min(abs(e) for e in events) < m.clearance:
+        if min(abs(e) for e in events) < CLEARANCE:
             continue
         # One slope per gap between consecutive breaks; each break's jump is
         # the difference of the slopes on its two sides.
         probes = [events[0] - 1.0, *events, events[-1] + 1.0]
         slopes = [_slope_at(W, b, V, c, u, (lo + hi) / 2.0)
                   for lo, hi in zip(probes[:-1], probes[1:])]
-        if any(abs(right - left) < m.jump_margin
+        if any(abs(right - left) < JUMP_MARGIN
                for left, right in zip(slopes[:-1], slopes[1:])):
             continue
         top = tuple(Neuron(V[k], c[k], u[k]) for k in range(d2))

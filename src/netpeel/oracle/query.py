@@ -68,19 +68,18 @@ class QueryOracle:
 
 
 class LineOracle:
-    """Restriction of an oracle to `t -> base + t * direction`.
+    """Restriction of an oracle to the line `t -> t * direction` through 0.
 
     Each evaluation costs exactly one query of the parent oracle, which
     counts it.
     """
 
-    def __init__(self, oracle: QueryOracle, base, direction):
+    def __init__(self, oracle: QueryOracle, direction):
         self.parent = oracle
-        self.base = np.asarray(base, dtype=float)
         self.direction = np.asarray(direction, dtype=float)
 
     def query(self, t: float) -> float:
-        return self.parent.query(self.base + float(t) * self.direction)
+        return self.parent.query(float(t) * self.direction)
 
     def __call__(self, t: float) -> float:
         return self.query(t)
@@ -89,7 +88,7 @@ class LineOracle:
 def axis_ray(oracle: QueryOracle, axis: int) -> LineOracle:
     e = np.zeros(oracle.dim)
     e[axis] = 1.0
-    return LineOracle(oracle, np.zeros(oracle.dim), e)
+    return LineOracle(oracle, e)
 
 
 class AccessAudit:
@@ -127,7 +126,7 @@ class AccessAudit:
         raise AttributeError("audited networks are read-only")
 
 
-def as_oracle(net, label: str = "") -> QueryOracle:
+def as_oracle(net) -> QueryOracle:
     """Query access to a network; parameters are captured once, here.
 
     Accepts a bare net or an `AccessAudit` wrapper (reads performed during
@@ -142,4 +141,4 @@ def as_oracle(net, label: str = "") -> QueryOracle:
     else:
         raise TypeError(f"cannot build an oracle from {type(target).__name__}")
     ev = evaluator(target)
-    return QueryOracle(ev, target.d, domain, label=label)
+    return QueryOracle(ev, target.d, domain)

@@ -85,18 +85,6 @@ class BoundExperiment:
     def rate(self) -> float:
         return self.hits / self.trials
 
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "d": self.d,
-                "d1": self.d1,
-                "trials": self.trials,
-                "hits": self.hits,
-                "rate": self.rate,
-                "bound": self.bound,
-            }
-        ]
-
 
 def _network(net):
     """The network container of `net`, which may be an extraction result."""
@@ -434,12 +422,11 @@ def bench_to_csv(rows: Sequence[BenchRow], path: str) -> None:
             )
 
 
-def bound_to_csv(experiments: Sequence[BoundExperiment], path: str) -> None:
+def bound_to_csv(exp: BoundExperiment, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["d", "d1", "trials", "hits", "rate", "bound"]
         )
         writer.writeheader()
-        for exp in experiments:
-            for row in exp.rows():
-                writer.writerow(row)
+        writer.writerow({"d": exp.d, "d1": exp.d1, "trials": exp.trials,
+                         "hits": exp.hits, "rate": exp.rate, "bound": exp.bound})

@@ -36,7 +36,7 @@ def near_coincident_net(seed, gap):
 def scalar_line(fn):
     """Wrap a scalar function as a 1-d line oracle; its parent counts queries."""
     oracle = QueryOracle(lambda x: fn(float(x[0])), 1)
-    return LineOracle(oracle, np.zeros(1), np.ones(1))
+    return LineOracle(oracle, np.ones(1))
 
 
 def synth_pwl(rng, max_kinks=6, lo=-8.0, hi=8.0, min_sep=0.2):

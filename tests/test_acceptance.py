@@ -189,36 +189,36 @@ def test_depth2_fixture_draws_are_pinned(depth2_runs):
 # not pinned, so a harmless change of summation order still passes.
 _DEPTH2_PHASES = ("scan", "recover", "refine", "skip")
 _DEPTH2_PHASE_COUNTS = [
-    (374, 13, 6, 19), (728, 104, 48, 19), (1990, 416, 192, 19),
-    (862, 19, 12, 22), (1300, 152, 96, 22), (2508, 608, 384, 22),
-    (1672, 29, 22, 27), (2062, 232, 176, 27), (3404, 928, 704, 27),
-    (374, 13, 6, 19), (730, 104, 48, 19), (1940, 416, 192, 19),
-    (862, 19, 12, 22), (1214, 152, 96, 22), (2548, 608, 384, 22),
-    (1670, 29, 22, 27), (2108, 232, 176, 27), (3356, 928, 704, 27),
-    (374, 13, 6, 19), (726, 104, 48, 19), (1948, 416, 192, 19),
-    (862, 19, 12, 22), (1218, 152, 96, 22), (2598, 608, 384, 22),
-    (1672, 29, 22, 27), (2022, 232, 176, 27), (3412, 928, 704, 27),
-    (376, 13, 6, 19), (772, 104, 48, 19), (1990, 416, 192, 19),
-    (862, 19, 12, 22), (1258, 152, 96, 22), (2646, 608, 384, 22),
-    (1672, 29, 22, 27), (2070, 232, 176, 27), (3404, 928, 704, 27),
-    (374, 13, 6, 19), (768, 104, 48, 19), (2066, 416, 192, 19),
-    (860, 19, 12, 22), (1216, 152, 96, 22), (2552, 608, 384, 22),
-    (1670, 29, 22, 27), (2024, 232, 176, 27), (3408, 928, 704, 27),
-    (374, 13, 6, 19), (728, 104, 48, 19), (1934, 416, 192, 19),
-    (862, 19, 12, 22), (1216, 152, 96, 22),
+    (374, 11, 6, 19), (728, 88, 48, 19), (1990, 352, 192, 19),
+    (862, 17, 12, 22), (1300, 136, 96, 22), (2508, 544, 384, 22),
+    (1672, 27, 22, 27), (2062, 216, 176, 27), (3404, 864, 704, 27),
+    (374, 11, 6, 19), (730, 88, 48, 19), (1940, 352, 192, 19),
+    (862, 17, 12, 22), (1214, 136, 96, 22), (2548, 544, 384, 22),
+    (1670, 27, 22, 27), (2108, 216, 176, 27), (3356, 864, 704, 27),
+    (374, 11, 6, 19), (726, 88, 48, 19), (1948, 352, 192, 19),
+    (862, 17, 12, 22), (1218, 136, 96, 22), (2598, 544, 384, 22),
+    (1672, 27, 22, 27), (2022, 216, 176, 27), (3412, 864, 704, 27),
+    (376, 11, 6, 19), (772, 88, 48, 19), (1990, 352, 192, 19),
+    (862, 17, 12, 22), (1258, 136, 96, 22), (2646, 544, 384, 22),
+    (1672, 27, 22, 27), (2070, 216, 176, 27), (3404, 864, 704, 27),
+    (374, 11, 6, 19), (768, 88, 48, 19), (2066, 352, 192, 19),
+    (860, 17, 12, 22), (1216, 136, 96, 22), (2552, 544, 384, 22),
+    (1670, 27, 22, 27), (2024, 216, 176, 27), (3408, 864, 704, 27),
+    (374, 11, 6, 19), (728, 88, 48, 19), (1934, 352, 192, 19),
+    (862, 17, 12, 22), (1216, 136, 96, 22),
 ]
 _DEPTH3_PHASES = ("collect", "filter", "signs", "peel")
 _DEPTH3_PHASE_COUNTS = [
-    (774, 196, 6, 761), (731, 194, 6, 1039), (1207, 495, 9, 1163),
-    (1541, 865, 9, 1609), (922, 219, 6, 763), (1174, 311, 6, 1037),
-    (1264, 431, 9, 1169), (1480, 752, 9, 1615), (1076, 559, 12, 1601),
-    (1808, 1481, 12, 2213), (1076, 579, 15, 2053), (1258, 860, 15, 2871),
-    (1818, 1306, 18, 2531), (2136, 1944, 18, 3553), (663, 169, 6, 761),
-    (572, 152, 6, 1037), (1062, 629, 9, 1169), (1484, 698, 9, 1609),
-    (890, 219, 6, 761), (1172, 357, 6, 1041), (752, 220, 9, 1171),
-    (1442, 631, 9, 1607), (1270, 628, 12, 1597), (2196, 1732, 12, 2225),
-    (1618, 990, 15, 2053), (2350, 1481, 15, 2873), (1726, 1242, 18, 2535),
-    (2148, 1516, 18, 3561), (572, 134, 6, 757), (1149, 548, 6, 1035),
+    (774, 196, 6, 749), (731, 194, 6, 1019), (1207, 495, 9, 1145),
+    (1541, 865, 9, 1579), (922, 219, 6, 751), (1174, 311, 6, 1017),
+    (1264, 431, 9, 1151), (1480, 752, 9, 1585), (1076, 559, 12, 1577),
+    (1808, 1481, 12, 2173), (1076, 579, 15, 2023), (1258, 860, 15, 2821),
+    (1818, 1306, 18, 2495), (2136, 1944, 18, 3493), (663, 169, 6, 749),
+    (572, 152, 6, 1017), (1062, 629, 9, 1151), (1484, 698, 9, 1579),
+    (890, 219, 6, 749), (1172, 357, 6, 1021), (752, 220, 9, 1153),
+    (1442, 631, 9, 1577), (1270, 628, 12, 1573), (2196, 1732, 12, 2185),
+    (1618, 990, 15, 2023), (2350, 1481, 15, 2823), (1726, 1242, 18, 2499),
+    (2148, 1516, 18, 3501), (572, 134, 6, 745), (1149, 548, 6, 1015),
 ]
 
 

@@ -133,9 +133,9 @@ def test_extract_is_deterministic_apart_from_timing(tmp_path):
 # counts is a change of the algorithm and has to be reported as one.
 _PINNED_COUNTS = [
     (("--d", "10", "--d1", "32"),
-     {"scan": 3364, "recover": 928, "refine": 704, "skip": 27}, 5023),
+     {"scan": 3364, "recover": 864, "refine": 704, "skip": 27}, 4959),
     (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"),
-     {"collect": 1084, "filter": 469, "signs": 9, "peel": 1169}, 2731),
+     {"collect": 1084, "filter": 469, "signs": 9, "peel": 1151}, 2713),
 ]
 
 

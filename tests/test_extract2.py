@@ -107,20 +107,30 @@ def test_crossing_search_looks_for_the_next_break_only_within_reach(t0, t1, eps)
 # ------------------------------------------------------------- sign recovery
 
 
+def _sign(oracle, x1, x2):
+    """`recover_sign_u` given the endpoint values; it queries the midpoint only."""
+    f1, f2 = oracle(x1), oracle(x2)
+    before = oracle.count
+    try:
+        return recover_sign_u(oracle, x1, x2, f1, f2)
+    finally:
+        assert oracle.count == before + 1
+
+
 def test_sign_of_positive_unit():
     oracle = _relu_oracle([1.0], -2.0)
-    assert recover_sign_u(oracle, [1.9], [2.1]) == 1
+    assert _sign(oracle, [1.9], [2.1]) == 1
 
 
 def test_sign_of_negative_unit():
     oracle = _relu_oracle([1.0], -2.0, sign=-1)
-    assert recover_sign_u(oracle, [1.9], [2.1]) == -1
+    assert _sign(oracle, [1.9], [2.1]) == -1
 
 
 def test_sign_without_a_kink_fails():
     oracle = _relu_oracle([1.0], -2.0)
     with pytest.raises(GeneralPositionError, match="no kink in segment"):
-        recover_sign_u(oracle, [0.1], [0.3])
+        _sign(oracle, [0.1], [0.3])
 
 
 def test_sign_matches_truth_across_seeds():
@@ -129,7 +139,7 @@ def test_sign_matches_truth_across_seeds():
         oracle = as_oracle(net)
         x1, x2, _ = find_neuron_crossing(oracle, 2, DELTA)
         j = _bracketed_truth(net, x1, x2)
-        assert recover_sign_u(oracle, x1, x2) == net.neurons[j].sign
+        assert _sign(oracle, x1, x2) == net.neurons[j].sign
 
 
 # ----------------------------------------------------------- weight recovery

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import three_layer
-from netpeel.config import ASSUMPTION_PROBES
+from netpeel.config import ASSUMPTION_PROBES, PLANE_GAP
 from netpeel.extract2 import subtracted_oracle
 from netpeel.extract3 import extract_three_layer, peel_first_layer
 from netpeel.oracle import generate
@@ -365,7 +365,6 @@ def _reference_planes_close(w1, b1, w2, b2, gap):
 
 def test_plane_gap_test_matches_the_pairwise_loop():
     cases = np.random.default_rng(77)
-    gap = generate.DEFAULT_MARGINS.plane_gap
     decisions = []
     for case in range(3000):
         d = int(cases.integers(1, 7))
@@ -377,7 +376,7 @@ def test_plane_gap_test_matches_the_pairwise_loop():
             W = cases.integers(-8, 9, size=(k, d)) * g
             B = cases.integers(-8, 9, size=k) * g
         else:
-            g = gap
+            g = PLANE_GAP
             W = cases.standard_normal((k, d))
             B = cases.uniform(-4.0, 4.0, size=k)
         if k and cases.random() < 0.8:
@@ -422,11 +421,10 @@ def test_generator_solves_one_lp_per_second_layer_draw(monkeypatch):
 
 
 def test_generation_failure_names_the_shape():
-    margins = generate_two_layer.__kwdefaults__["margins"]
-    tight = type(margins)(**{**margins.__dict__, "separation": 40.0})
-    with pytest.raises(GenerationError):
-        generate_two_layer(2, 8, np.random.default_rng(0), margins=tight,
-                           retries=5)
+    # One axis ray holds at most 180 crossings 0.05 apart in [0.5, 9.5], so
+    # 200 units on one axis cannot all be placed.
+    with pytest.raises(GenerationError, match="two-layer unit"):
+        generate_two_layer(1, 200, np.random.default_rng(0))
 
 
 def test_save_load_round_trip(tmp_path):

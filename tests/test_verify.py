@@ -314,7 +314,7 @@ def test_bench_and_bound_csv_round_trip(tmp_path):
 
     exp = empirical_orthant_bound(2, 4, 50, seed=0)
     bound_path = tmp_path / "bound.csv"
-    bound_to_csv([exp], str(bound_path))
+    bound_to_csv(exp, str(bound_path))
     with open(bound_path, newline="") as fh:
         parsed = list(csv.DictReader(fh))
     assert len(parsed) == 1
