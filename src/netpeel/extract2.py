@@ -188,10 +188,14 @@ def subtracted_oracle(oracle: QueryOracle, recovered) -> QueryOracle:
     """Oracle for oracle(x) - sum of the recovered units; one query per call.
 
     The units are subtracted through the stacked evaluator of their sum.
+    The returned oracle has `oracle` as its parent, with the same dim and
+    domain: `oracle` checks each point before the units see it, so the
+    returned oracle does not check it again.
     """
     units = evaluator(TwoLayerNet(d=oracle.dim, neurons=tuple(recovered)))
     fn = lambda x: oracle.query(x) - units(x)
-    return QueryOracle(fn, oracle.dim, oracle.domain, label=f"{oracle.label}-peel")
+    return QueryOracle(fn, oracle.dim, oracle.domain, label=f"{oracle.label}-peel",
+                       parent=oracle)
 
 
 def _refine_point(normals: np.ndarray, offsets: np.ndarray, i: int, rng):

@@ -294,7 +294,9 @@ def peel_first_layer(oracle: QueryOracle, W: np.ndarray, b: np.ndarray) -> Query
     With M a right inverse of W, the point M(y - b) has first-layer
     pre-activation exactly y - b + b = y, so for y >= 0 the hidden layer
     passes y through and the returned oracle evaluates the top function
-    directly.  One underlying query per call.
+    directly.  One underlying query per call.  The returned oracle lives in
+    another dimension and domain than `oracle`, so it checks its own points:
+    its orthant check is what keeps y >= 0.
     """
     M = right_inverse(W)
     b = np.asarray(b, dtype=float)
@@ -302,7 +304,8 @@ def peel_first_layer(oracle: QueryOracle, W: np.ndarray, b: np.ndarray) -> Query
     def fn(y):
         return oracle.query(M @ (y - b))
 
-    return QueryOracle(fn, W.shape[0], DOMAIN_NONNEG, label=f"{oracle.label}-top")
+    return QueryOracle(fn, W.shape[0], DOMAIN_NONNEG, label=f"{oracle.label}-top",
+                       parent=oracle)
 
 
 def extract_three_layer(

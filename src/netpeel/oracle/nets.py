@@ -138,9 +138,16 @@ class ThreeLayerNet:
         return self.W.shape[0]
 
 
+def relu_layer(xs: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """relu(W x + b) for every row x of `xs`, computed in one fresh array."""
+    z = np.dot(xs, W.T)
+    z += b
+    return np.maximum(z, 0.0, out=z)
+
+
 def relu_sum(xs: np.ndarray, W: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
     """s . relu(W x + b) for every row x of `xs`: the kernel every evaluator shares."""
-    return relu(xs @ W.T + b) @ s
+    return np.dot(relu_layer(xs, W, b), s)
 
 
 def evaluator(net) -> Callable[[np.ndarray], np.ndarray]:
@@ -149,9 +156,10 @@ def evaluator(net) -> Callable[[np.ndarray], np.ndarray]:
     The parameters are stacked into arrays once, here.  A (d,) point gives
     one value, bitwise equal to that point's value as a batch of one row;
     the oracles rely on this to query without building a batch.  The
-    products keep `xs @ W.T` on the transposed view: a contiguous copy of
-    `W.T` takes another BLAS path and changes single-point values in the
-    last bit.
+    products keep `np.dot(xs, W.T)` on the transposed view: a contiguous
+    copy of `W.T` takes another BLAS path and changes single-point values in
+    the last bit.  Bias and ReLU are applied in place on the product, so a
+    query allocates no temporaries beyond it.
     """
     if isinstance(net, TwoLayerNet):
         W, b, s = net.weight_matrix(), net.biases(), net.signs()
@@ -162,7 +170,7 @@ def evaluator(net) -> Callable[[np.ndarray], np.ndarray]:
     if isinstance(net, ThreeLayerNet):
         W, b = net.W, net.b
         top = evaluator(net.top)
-        return lambda xs: top(relu(xs @ W.T + b))
+        return lambda xs: top(relu_layer(xs, W, b))
     raise TypeError(f"cannot evaluate {type(net).__name__}")
 
 

@@ -1,10 +1,21 @@
 """Black-box query access with exact call accounting.
 
 Extraction code is only ever handed a `QueryOracle`.  The oracle counts every
-evaluation (one increment per call) and enforces the domain the underlying
-function class lives on.  `AccessAudit` wraps a network so tests
-can prove that an extraction run never touched ground-truth parameters other
-than through queries.
+answered query (one increment per call, after the value is known to be
+finite) and enforces the domain the underlying function class lives on.
+
+Each point is checked once.  Two kinds of oracle check their points (the
+shape, and the positive orthant on a nonneg domain): the base oracle of a
+network, and an oracle whose parent has another dim or domain, such as the
+peeled top of a depth-3 net, whose orthant check guards the peel.  An
+oracle derived from a parent of the same `dim` and `domain`, such as a
+subtracted oracle, passes each point on to `parent.query` and trusts that
+call to check it.  Every layer refuses a non-finite value, because a
+derived oracle's own terms can overflow, and no layer counts a point it
+refused.
+
+`AccessAudit` wraps a network so tests can prove that an extraction run
+never touched ground-truth parameters other than through queries.
 """
 from __future__ import annotations
 
@@ -35,16 +46,24 @@ class NonFiniteValueError(ValueError):
 
 
 class QueryOracle:
-    """Wraps `fn: R^dim -> R`, counting evaluations."""
+    """Wraps `fn: R^dim -> R`, counting answered queries.
+
+    `parent` names the oracle that `fn` queries at the same point, if any.
+    When it has this oracle's `dim` and `domain`, its `query` checks the
+    point, so this oracle does not check it again.
+    """
 
     def __init__(self, fn: Callable[[np.ndarray], float], dim: int,
-                 domain: str = DOMAIN_FULL, label: str = ""):
+                 domain: str = DOMAIN_FULL, label: str = "",
+                 parent: "QueryOracle | None" = None):
         if domain not in (DOMAIN_NONNEG, DOMAIN_FULL):
             raise ValueError(f"unknown domain flag {domain!r}")
         self._fn = fn
         self.dim = int(dim)
         self.domain = domain
         self.label = label
+        self._checks_points = (parent is None or parent.dim != self.dim
+                               or parent.domain != domain)
         self._count = 0
 
     @property
@@ -53,14 +72,18 @@ class QueryOracle:
 
     def query(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected point of dim {self.dim}, got shape {x.shape}")
-        if self.domain == DOMAIN_NONNEG and x.min() < -_ORTHANT_SLACK:
-            raise DomainError(f"point outside the positive orthant: min coord {x.min()}")
-        self._count += 1
+        if self._checks_points:
+            if x.shape != (self.dim,):
+                raise ValueError(f"expected point of dim {self.dim}, got shape {x.shape}")
+            if self.domain == DOMAIN_NONNEG:
+                lo = min(x.tolist())  # ndarray.min costs twice as much at d ~ 10
+                if lo < -_ORTHANT_SLACK:
+                    raise DomainError(
+                        f"point outside the positive orthant: min coord {lo}")
         val = float(self._fn(x))
         if not math.isfinite(val):
             raise NonFiniteValueError(f"oracle returned non-finite value {val} at {x}")
+        self._count += 1
         return val
 
     def __call__(self, x) -> float:

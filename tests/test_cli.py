@@ -149,6 +149,35 @@ def test_extract_query_counts_are_pinned(tmp_path, shape, phases, total):
     assert doc["total_queries"] == total
 
 
+# sha256 of the seed-0 `extract` report of each cell above, with `seconds`
+# dropped and the keys sorted.
+_REPORT_DIGESTS = [
+    (("--d", "10", "--d1", "32"),
+     "336cfd055313c23e5cc4a0c715b942b36e6f57b6d85589b0b5d371af269d4ae5"),
+    (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"),
+     "7c9ceb5e363a1f544fbd0219ea24d1f579b02279532ffea2e02ceb89e11ff74b"),
+]
+
+
+@pytest.mark.parametrize("shape, digest", _REPORT_DIGESTS,
+                         ids=["d2-wide", "d3-small"])
+def test_extract_reports_are_pinned_byte_for_byte(tmp_path, shape, digest):
+    """A speed-up must leave every recovered parameter as it was, to the bit.
+
+    The digest pins this BLAS build (numpy 2.4.6 with scipy-openblas
+    0.3.31): another BLAS may sum a product in another order and change a
+    parameter in the last bit.  Where the query counts above still hold and
+    only this test fails, check for that before suspecting the code.
+    """
+    net = _generate(tmp_path, "net.json", *shape, "--seed", "0")
+    report = tmp_path / "report.json"
+    assert main(["extract", "--input", str(net), "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    doc.pop("seconds")
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_extract_fails_gracefully_on_an_unresolvable_kink(tmp_path):
     """A unit bending less than the probe resolution reads as degenerate."""
     net = TwoLayerNet(

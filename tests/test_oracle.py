@@ -165,23 +165,35 @@ def test_evaluator_gives_a_point_the_value_of_its_one_row_batch(case):
     assert oracle.count == len(xs)
 
 
-def _check_oracle_rejects(oracle, base):
-    """A nonneg oracle refuses off-orthant points and wrong shapes uncounted."""
-    counts = (oracle.count, base.count)
+def _check_oracle_rejects(oracle, *below):
+    """A nonneg oracle refuses off-orthant points and wrong shapes, and
+    neither it nor any oracle below it counts them."""
+    layers = (oracle, *below)
+    counts = [layer.count for layer in layers]
+    off = np.ones(oracle.dim)
+    off[-1] = -0.5
     with pytest.raises(DomainError):
-        oracle.query(np.array([1.0, -0.5]))
-    for bad in (np.ones(3), np.ones((1, 2)), np.ones(1)):
+        oracle.query(off)
+    n = oracle.dim
+    for bad in (np.ones(n + 1), np.ones((1, n)), np.ones(n - 1)):
         with pytest.raises(ValueError):
             oracle.query(bad)
-    assert (oracle.count, base.count) == counts
+    assert [layer.count for layer in layers] == counts
 
 
 def test_oracle_checks_the_domain_and_the_shape():
     net = generate_two_layer(2, 3, np.random.default_rng(1))
     base = as_oracle(net)
-    _check_oracle_rejects(base, base)
+    _check_oracle_rejects(base)
     sub = subtracted_oracle(base, net.neurons[:1])
     _check_oracle_rejects(sub, base)
+    # A depth-3 base takes any point of R^d, so the peel's own check is the
+    # one guard against y < 0, for it and for the oracles built over it.
+    net3 = generate_three_layer(4, 3, 9, np.random.default_rng(3))
+    base3 = as_oracle(net3)
+    top = peel_first_layer(base3, net3.W, net3.b)
+    _check_oracle_rejects(top, base3)
+    _check_oracle_rejects(subtracted_oracle(top, net3.top.neurons[:4]), top, base3)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -192,11 +204,13 @@ def test_non_finite_values_are_refused_at_every_layer(bad):
     sub = subtracted_oracle(base, [Neuron([1.0, 0.0], -1.0, 1)])
     with pytest.raises(NonFiniteValueError):
         sub.query(np.ones(2))
+    assert (sub.count, base.count) == (0, 0)
     # The units subtracted by a derived oracle can overflow on their own.
     finite = QueryOracle(lambda x: 1.0, 2, "nonneg")
     huge = subtracted_oracle(finite, [Neuron([1e308, 1e308], 0.0, 1)])
     with pytest.raises(NonFiniteValueError), np.errstate(over="ignore"):
         huge.query(np.full(2, 10.0))
+    assert (huge.count, finite.count) == (0, 1)
 
 
 def test_each_derived_query_costs_one_base_query():
