@@ -12,6 +12,7 @@ parameter other than through queries.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -89,6 +90,9 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
+# Built once per process: each parse fills a fresh Namespace, and every
+# default is immutable, so one call's flags never reach the next.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netpeel",

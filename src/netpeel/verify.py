@@ -9,6 +9,7 @@ counts against their expected growth.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -146,6 +147,8 @@ def _orthant_margins(W: np.ndarray, b: np.ndarray) -> np.ndarray:
     sum_i t_i; the blocks share no variables, so each t_i of the joint
     optimum is that block's own optimum.  One solver call replaces m,
     which saves the per-call set-up that dominates small programs.
+    Presolve is off: on these blocks it took an eighth to a fifth of each
+    solve, and the margins without it match the presolved ones to 1.4e-14.
 
     W has shape (m, d1, d), b has shape (m, d1).  Returns the m optima t_i.
     """
@@ -168,6 +171,7 @@ def _orthant_margins(W: np.ndarray, b: np.ndarray) -> np.ndarray:
         b_ub=-b.reshape(-1),
         bounds=bounds.reshape(-1, 2),
         method="highs",
+        options={"presolve": False},
     )
     if res.status != 0:
         raise RuntimeError(
@@ -207,35 +211,61 @@ def _screen_misses(W: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     W has shape (n, d1, d) with d = 2, b has shape (n, d1).  Returns a
     boolean mask of certified misses.
+
+    All triples go through one array pass: each quantity is an (n, triples)
+    array, built in a few preallocated buffers.  Every sum over a triple is
+    added left to right, as `np.sum` adds three entries, so each (trial,
+    triple) pair gets the same float operations as a per-triple loop and
+    the mask matches that loop bit for bit.
     """
     n, d1, d = W.shape
     k = min(_SCREEN_ROWS, d1)
     top = np.argsort(-b, axis=1)[:, :k]
     rows = np.take_along_axis(W, top[:, :, None], axis=1)
     offs = np.take_along_axis(b, top, axis=1)
+    x, z = rows[:, :, 0], rows[:, :, 1]
+    i, j, l = np.array(list(itertools.combinations(range(k), 3))).T
+    yi, yj, yl, s, t = np.empty((5, n, len(i)))
 
-    certified = np.zeros(n, dtype=bool)
-    idx = [(i, j, l) for i in range(k) for j in range(i + 1, k) for l in range(j + 1, k)]
-    for i, j, l in idx:
-        wi, wj, wl = rows[:, i], rows[:, j], rows[:, l]
-        # Null vector of the 3x2 stack via 2x2 cofactors: y . [wi wj wl] = 0.
-        yi = wj[:, 0] * wl[:, 1] - wj[:, 1] * wl[:, 0]
-        yj = wl[:, 0] * wi[:, 1] - wl[:, 1] * wi[:, 0]
-        yl = wi[:, 0] * wj[:, 1] - wi[:, 1] * wj[:, 0]
-        y = np.stack([yi, yj, yl], axis=1)
-        y *= np.sign(np.sum(y, axis=1, keepdims=True) + 1e-300)
-        scale = np.max(np.abs(y), axis=1)
-        valid = (np.min(y, axis=1) >= 0.0) & (scale > 1e-12)
-        ysum = np.sum(y, axis=1)
-        num = (
-            y[:, 0] * offs[:, i] + y[:, 1] * offs[:, j] + y[:, 2] * offs[:, l]
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            upper = -num / ysum
-        certified |= valid & (upper <= -_SCREEN_MARGIN)
-        if certified.all():
-            break
-    return certified
+    def gather(a, idx, out):
+        # mode="clip" writes straight into `out`; every index is in range.
+        return np.take(a, idx, axis=1, out=out, mode="clip")
+
+    def cofactor(y, p, q):
+        np.multiply(gather(x, p, s), gather(z, q, t), out=y)
+        np.multiply(gather(z, p, s), gather(x, q, t), out=s)
+        y -= s
+
+    # Null vector of each 3x2 stack via 2x2 cofactors: y . [wi wj wl] = 0.
+    cofactor(yi, j, l)
+    cofactor(yj, l, i)
+    cofactor(yl, i, j)
+    np.add(yi, yj, out=s)
+    s += yl
+    s += 1e-300
+    np.sign(s, out=s)
+    yi *= s
+    yj *= s
+    yl *= s
+    np.minimum(np.minimum(yi, yj, out=s), yl, out=s)
+    valid = s >= 0.0
+    np.abs(yi, out=s)
+    np.maximum(s, np.abs(yj, out=t), out=s)
+    np.maximum(s, np.abs(yl, out=t), out=s)
+    valid &= s > 1e-12
+    ysum = np.add(yi, yj, out=s)
+    ysum += yl
+    # The bound's numerator y . offs, accumulated in yi.
+    yi *= gather(offs, i, t)
+    yj *= gather(offs, j, t)
+    yl *= gather(offs, l, t)
+    yi += yj
+    yi += yl
+    np.negative(yi, out=yi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = np.divide(yi, ysum, out=yi)
+    valid &= upper <= -_SCREEN_MARGIN
+    return valid.any(axis=1)
 
 
 def empirical_orthant_bound(

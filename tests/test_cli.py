@@ -429,3 +429,18 @@ def test_missing_required_flag_is_a_usage_error():
 
 def test_unknown_command_is_a_usage_error():
     assert main(["frobnicate"]) == 2
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(monkeypatch, tmp_path):
+    """One parser serves every `main` call: each sees its own flags and the defaults."""
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "verify", lambda args: seen.append(args) or 0)
+    files = ["verify", "--truth", "a.json", "--candidate", "b.json"]
+    assert main([*files, "--seed", "5", "--tau", "0.5"]) == 0
+    assert main(files) == 0
+    assert [(a.seed, a.tau, a.samples) for a in seen] == [(5, 0.5, 10_000), (0, 1e-6, 10_000)]
+    assert main(["verify", "--seed", "x"]) == 2
+    out = tmp_path / "bound.csv"
+    assert main(["bound-experiment", "--d1", "4", "--trials", "20", "--out", str(out)]) == 0
+    assert out.exists()

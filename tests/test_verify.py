@@ -188,6 +188,91 @@ def test_verify_names_linprog_once_inside_the_block_kernel():
     assert owners == ["_orthant_margins"] and len(names) == 1
 
 
+# --------------------------------------------------------- duality screen
+
+
+def _screen_misses_loop(W, b):
+    """The duality screen one row triple at a time: the reference."""
+    n, d1, d = W.shape
+    k = min(verify._SCREEN_ROWS, d1)
+    top = np.argsort(-b, axis=1)[:, :k]
+    rows = np.take_along_axis(W, top[:, :, None], axis=1)
+    offs = np.take_along_axis(b, top, axis=1)
+
+    certified = np.zeros(n, dtype=bool)
+    idx = [(i, j, l) for i in range(k) for j in range(i + 1, k) for l in range(j + 1, k)]
+    for i, j, l in idx:
+        wi, wj, wl = rows[:, i], rows[:, j], rows[:, l]
+        yi = wj[:, 0] * wl[:, 1] - wj[:, 1] * wl[:, 0]
+        yj = wl[:, 0] * wi[:, 1] - wl[:, 1] * wi[:, 0]
+        yl = wi[:, 0] * wj[:, 1] - wi[:, 1] * wj[:, 0]
+        y = np.stack([yi, yj, yl], axis=1)
+        y *= np.sign(np.sum(y, axis=1, keepdims=True) + 1e-300)
+        scale = np.max(np.abs(y), axis=1)
+        valid = (np.min(y, axis=1) >= 0.0) & (scale > 1e-12)
+        ysum = np.sum(y, axis=1)
+        num = y[:, 0] * offs[:, i] + y[:, 1] * offs[:, j] + y[:, 2] * offs[:, l]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            upper = -num / ysum
+        certified |= valid & (upper <= -verify._SCREEN_MARGIN)
+        if certified.all():
+            break
+    return certified
+
+
+def _assert_screen_matches_loop(W, b, case):
+    mask = verify._screen_misses(W, b)
+    assert mask.dtype == bool and mask.shape == (W.shape[0],), case
+    assert np.array_equal(mask, _screen_misses_loop(W, b)), case
+    return mask
+
+
+def test_screen_matches_the_loop_on_the_benchmark_pool():
+    """The (2, 30, 1024) draws of bound-experiment seeds 0-31, bit for bit."""
+    certified = 0
+    for seed in range(32):
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        W, b = rng.standard_normal((1024, 30, 2)), rng.standard_normal((1024, 30))
+        certified += np.count_nonzero(_assert_screen_matches_loop(W, b, seed))
+    assert 0.8 < certified / (32 * 1024) < 1.0
+
+
+@pytest.mark.parametrize("d1", [3, 4, 5, 8, 9, 30])
+def test_screen_matches_the_loop_on_degenerate_rows(d1):
+    rng = np.random.default_rng(d1)
+    n = 2000
+    masks = []
+    cases = ("generic", "parallel", "near-parallel", "zero-second", "scaled-duplicate")
+    for case in cases:
+        W, b = rng.standard_normal((n, d1, 2)), rng.standard_normal((n, d1))
+        b[:, :3] += 2.0  # keep the altered rows among the largest offsets
+        if case == "parallel":
+            W[:, 1] = -2.0 * W[:, 0]
+            W[:, 2] = 0.5 * W[:, 0]
+        elif case == "near-parallel":
+            W[:, 1:3] = [[-1.0], [1.0]] * W[:, :1] + 1e-13 * rng.standard_normal((n, 2, 2))
+        elif case == "zero-second":
+            W[:, :2, 1] = 0.0
+            W[::2, :, 1] = 0.0
+        elif case == "scaled-duplicate":
+            scale = rng.uniform(0.5, 2.0, n)
+            W[:, 1] = scale[:, None] * W[:, 0]
+            b[:, 1] = scale * b[:, 0]
+        masks.append(_assert_screen_matches_loop(W, b, case))
+    assert any(m.any() for m in masks) and not all(m.all() for m in masks)
+
+
+def test_screen_has_no_python_loop():
+    """The screen is one array pass: a per-triple loop must not come back."""
+    tree = ast.parse(Path(verify.__file__).read_text())
+    (screen,) = [
+        fn for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_screen_misses"
+    ]
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
+    assert not [node for node in ast.walk(screen) if isinstance(node, loops)]
+
+
 # ------------------------------------------------------- bound experiment
 
 
