@@ -6,7 +6,12 @@ fail, 2 usage error (a negative seed, a flag or list entry out of range, or
 an unreadable, malformed or invalid input file, including a network that
 evaluates to a non-finite value), 3 a geometric assumption did not hold, 4 a
 piece or width budget ran out, 5 the extraction read a ground-truth
-parameter other than through queries.
+parameter other than through queries, 6 the LP solver failed (HiGHS neither
+solved a program nor proved it infeasible).
+
+Importing this module does not import scipy.  It is imported at the first
+LP solve, which only `bound-experiment` and the depth-3 `generate` and
+`bench` can reach.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 
 from .extract2 import extract_two_layer
 from .extract3 import extract_three_layer
+from .highs import SolverError
 from .oracle.generate import GenerationError, generate_three_layer, generate_two_layer
 from .oracle.nets import TwoLayerNet
 from .oracle.query import AccessAudit, NonFiniteValueError, as_oracle
@@ -48,6 +54,7 @@ EXIT_USAGE = 2
 EXIT_ASSUMPTION = 3
 EXIT_BUDGET = 4
 EXIT_AUDIT = 5
+EXIT_SOLVER = 6
 
 REPORT_FORMAT = "netpeel-report"
 
@@ -333,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     except AuditError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_AUDIT
+    except SolverError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_SOLVER
     except GenerationError as err:
         print(f"generation failed: {err}", file=sys.stderr)
         return EXIT_ASSUMPTION

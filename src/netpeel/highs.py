@@ -1,0 +1,22 @@
+"""The package's one door to scipy's HiGHS solver, opened at the first solve.
+
+Importing `scipy.optimize` takes most of a `netpeel` process's start-up,
+and only the orthant LPs need it: depth-2 runs never solve one, and the
+verifier settles small orthant cells without a solver.  So nothing here
+imports scipy until `linprog` is first called.  `verify` and
+`oracle.generate` bind `linprog` under that name, which keeps each module's
+`linprog` attribute a patch point of its own.
+"""
+
+from __future__ import annotations
+
+
+class SolverError(RuntimeError):
+    """HiGHS neither solved a program nor proved it infeasible."""
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported at the first call."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)

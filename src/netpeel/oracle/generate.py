@@ -12,7 +12,6 @@ All randomness flows through a caller-supplied `numpy.random.Generator`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..config import (
     ASSUMPTION_PROBES,
@@ -31,6 +30,7 @@ from ..config import (
     V_HIGH,
     V_LOW,
 )
+from ..highs import SolverError, linprog
 from .nets import Neuron, ThreeLayerNet, TwoLayerNet, relu
 
 
@@ -137,7 +137,7 @@ _AXIS_STEPS = np.array([0.3, 1.0, 3.0, 8.0])
 def _orthant_reachable(V, c) -> bool:
     """True when some y >= 0 drives every second-layer pre-activation negative.
 
-    Raises `RuntimeError` when HiGHS neither solves the LP nor proves it
+    Raises `SolverError` when HiGHS neither solves the LP nor proves it
     infeasible, so a solver failure never passes for an answer.
     """
     d2, d1 = V.shape
@@ -150,7 +150,7 @@ def _orthant_reachable(V, c) -> bool:
     if res.status == 2:
         return False
     if res.status != 0:
-        raise RuntimeError(
+        raise SolverError(
             f"dead-region LP: solver status {res.status} ({res.message})"
         )
     return bool(-res.fun > 1e-9)

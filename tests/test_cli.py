@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +273,53 @@ def test_extract_audit_violation_has_its_own_exit_code(tmp_path, monkeypatch, ca
     assert code == cli.EXIT_AUDIT == 5
     assert capsys.readouterr().err.startswith("error: extraction read 1 ")
     assert not (tmp_path / "report.json").exists()
+
+
+class _FailedSolve:
+    status, message = 4, "numerical difficulties"
+
+
+@pytest.mark.parametrize(
+    "module, argv",
+    [
+        ("netpeel.verify", ["bound-experiment", "--d", "2", "--d1", "30", "--trials", "1024"]),
+        ("netpeel.oracle.generate", ["generate", "--depth", "3", "--d", "6", "--d1", "3",
+                                     "--d2", "9"]),
+    ],
+    ids=["bound-experiment", "generate-depth3"],
+)
+def test_solver_failure_has_its_own_exit_code(module, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(f"{module}.linprog", lambda *args, **kwargs: _FailedSolve())
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == cli.EXIT_SOLVER == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "status 4 (numerical difficulties)" in err
+    assert not out.exists()
+
+
+_DEPTH2_ROUND_TRIP = """
+import sys
+import netpeel.cli
+assert "scipy" not in sys.modules, "import"
+net, report = sys.argv[1] + "/net.json", sys.argv[1] + "/report.json"
+for argv in (["generate", "--d", "3", "--d1", "4", "--out", net],
+             ["extract", "--input", net, "--out", report],
+             ["verify", "--truth", net, "--candidate", report]):
+    assert netpeel.cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv[0]
+assert netpeel.cli.main(["bound-experiment", "--d", "2", "--d1", "30", "--trials", "200"]) == 0
+assert "scipy" in sys.modules, "bound-experiment"
+"""
+
+
+def test_depth2_commands_never_import_scipy(tmp_path):
+    """Only an LP solve loads scipy; a depth-2 round trip never makes one."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _DEPTH2_ROUND_TRIP, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # A depth-2 unit whose finite weights overflow to inf at x > 0.

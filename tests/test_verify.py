@@ -11,6 +11,7 @@ from scipy.optimize import linprog
 
 import netpeel.verify as verify
 from netpeel.extract2 import extract_two_layer
+from netpeel.highs import SolverError
 from netpeel.oracle.generate import generate_two_layer
 from netpeel.oracle.nets import AffineMap, TwoLayerNet
 from netpeel.oracle.query import as_oracle
@@ -169,9 +170,94 @@ def test_solver_failure_names_the_chunk_and_trials(monkeypatch):
         status, message = 4, "numerical difficulties"
 
     monkeypatch.setattr(verify, "linprog", lambda *args, **kwargs: Failed())
-    with pytest.raises(RuntimeError, match=r"chunk 0, trials 0\.\.\d+: .*status 4 "
+    # (2, 30) is too wide for the vertex kernel, so the trials the screen
+    # leaves open, the first of them trial 10, reach HiGHS.
+    with pytest.raises(SolverError, match=r"chunk 0, trials 10\.\.\d+: .*status 4 "
                        r"\(numerical difficulties\)"):
-        empirical_orthant_bound(3, 12, 50, seed=0)
+        empirical_orthant_bound(2, 30, 1024, seed=0)
+
+
+# ---------------------------------------------------------- vertex kernel
+
+
+@pytest.mark.parametrize("d, d1", [(1, 2), (2, 4), (3, 6), (3, 12), (4, 8)])
+def test_vertex_kernel_matches_the_block_lp(d, d1):
+    rng = np.random.default_rng(10 * d + d1)
+    W = rng.standard_normal((128, d1, d))
+    b = rng.standard_normal((128, d1))
+    kernel = verify._vertex_margins(W, b)
+    lp = verify._orthant_margins(W, b)
+    assert not np.isnan(kernel).any()
+    assert np.max(np.abs(kernel - lp)) <= 1e-10
+    hits = kernel > verify._LP_MARGIN
+    assert np.array_equal(hits, lp > verify._LP_MARGIN)
+    assert hits.any() and not hits.all()
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """The trial count of every block LP that reaches the solver."""
+    calls = []
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(int(np.count_nonzero(kwargs["c"])))
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "linprog", counting_linprog)
+    return calls
+
+
+_DEGENERATE = {
+    "repeated-row": ([[1.0, 2.0], [1.0, 2.0], [-1.0, 0.5], [0.3, -1.0]],
+                     [0.2, -0.1, 0.4, -0.3]),
+    "zero-row": ([[1.0, 2.0], [0.0, 0.0], [-1.0, 0.5], [0.3, -1.0]],
+                 [0.2, -0.1, 0.4, -0.3]),
+    "antiparallel-pair": ([[1.0, 2.0], [-0.5, -1.0], [-1.0, 0.5], [0.3, -1.0]],
+                          [0.2, -0.1, 0.4, -0.3]),
+    "rank-deficient-wide": ([[1.0, 2.0, 3.0], [-2.0, -4.0, -6.0]], [0.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEGENERATE))
+def test_degenerate_inputs_go_to_highs(case, solver_calls):
+    W, b = (np.array(a) for a in _DEGENERATE[case])
+    assert np.isnan(verify._vertex_margins(W[None], b[None])).all()
+    expected = _single_margin(W, b) > verify._LP_MARGIN
+    assert intersects_negative_orthant(W, b) == expected
+    assert solver_calls == [1]
+
+
+def test_a_margin_at_the_threshold_goes_to_highs(solver_calls):
+    W, b = np.array([[1.0], [-1.0]]), np.array([0.0, 0.0])
+    assert verify._vertex_margins(W[None], b[None])[0] == 0.0
+    assert not intersects_negative_orthant(W, b)
+    assert solver_calls == [1]
+
+
+def test_the_kernel_settles_general_trials_and_passes_on_the_rest(solver_calls):
+    rng = np.random.default_rng(5)
+    W, b = rng.standard_normal((40, 12, 3)), rng.standard_normal((40, 12))
+    expected = verify._orthant_margins(W, b) > verify._LP_MARGIN
+    solver_calls.clear()
+    assert np.array_equal(verify._orthant_hits(W, b), expected)
+    assert solver_calls == []
+    W[7, 3] = W[7, 5]  # a repeated row
+    W[21, 0] = 0.0  # a zero row
+    expected = verify._orthant_margins(W, b) > verify._LP_MARGIN
+    solver_calls.clear()
+    assert np.array_equal(verify._orthant_hits(W, b), expected)
+    assert solver_calls == [2]
+
+
+def test_wide_cells_skip_the_kernel(solver_calls):
+    assert verify._table_size(30, 2) > verify._VERTEX_LIMIT
+    assert verify._table_size(12, 3) <= verify._VERTEX_LIMIT
+    # The largest level bounds the table even when d + 1 is past d1 / 2.
+    assert verify._table_size(40, 39) == math.comb(40, 20)
+    rng = np.random.default_rng(6)
+    W, b = rng.standard_normal((3, 30, 2)), rng.standard_normal((3, 30))
+    verify._orthant_hits(W, b)
+    assert solver_calls == [3]
 
 
 def test_verify_names_linprog_once_inside_the_block_kernel():
