@@ -1,16 +1,18 @@
 """Recovery of depth-3 ReLU networks by peeling the first layer.
 
-The pipeline has four phases.  Collect: walk a probe line through the
-origin, reconstruct the critical hyperplane at every slope break, dedup.
-Filter: keep the candidates that stay critical across every transversal
-candidate, which separates genuine first-layer planes (critical everywhere)
-from flat extensions of bent second-layer surfaces.  Signs: orient each
-surviving plane by testing on which side of it the network actually bends,
-probing along a direction orthogonal to all other survivors so only one
-hidden unit changes state.  Peel: compose the oracle with a right inverse
-of the recovered first layer, which exposes the top two layers as a
-depth-2 network on the nonnegative orthant and hands off to the depth-2
-extractor.
+The pipeline makes one pass over four phases.  Collect: walk the probe
+line t * e_1 through the origin, reconstruct the critical hyperplane at
+every slope break, dedup.  Filter: keep the candidates that stay critical
+across every transversal candidate, which separates genuine first-layer
+planes (critical everywhere) from flat extensions of bent second-layer
+surfaces.  Signs: orient each surviving plane by testing on which side of
+it the network actually bends, probing along a direction orthogonal to all
+other survivors so only one hidden unit changes state.  Peel: compose the
+oracle with a right inverse of the recovered first layer, which exposes the
+top two layers as a depth-2 network on the nonnegative orthant and hands
+off to the depth-2 extractor.  No other probe line is tried: the generator
+keeps t * e_1 in general position, and a `GeneralPositionError` names the
+phase and the axis it came from.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ _FOLD_CLEARANCE = 80.0
 _FOLD_TRUST = 1e3
 _FILTER_STEP = 4.0
 _SIGN_STEP_CAP = 0.01
+_PHASES = ("collect", "filter", "signs", "peel")
 
 
 @dataclass
@@ -74,7 +77,6 @@ class ExtractedThreeLayer:
     W: np.ndarray
     b: np.ndarray
     top: ExtractedTwoLayer
-    probe_axis: int
     n_candidates: int
     n_survivors: int
     flipped: int
@@ -100,10 +102,9 @@ def collect_candidate_hyperplanes(
     delta: float,
     m_max: int,
     *,
-    axis: int = 0,
     rng=None,
 ) -> CandidateList:
-    """Critical hyperplanes met by the line {t * e_axis}, deduplicated.
+    """Critical hyperplanes met by the probe line {t * e_1}, deduplicated.
 
     Every slope break of the restriction with |t| <= 1/delta is localized,
     then the hyperplane through it is reconstructed from a ball around the
@@ -112,7 +113,7 @@ def collect_candidate_hyperplanes(
     larger stencil cuts the slope noise of the fits.
     """
     rng = np.random.default_rng(12345) if rng is None else rng
-    line = axis_ray(oracle, axis)
+    line = axis_ray(oracle, 0)
     lim = 1.0 / delta
     found = all_critical_points_1d(line, delta, m_max, window=(-lim, lim))
     cands = CandidateList()
@@ -319,59 +320,47 @@ def extract_three_layer(
 ) -> ExtractedThreeLayer:
     """Full depth-3 recovery: collect, filter, orient, peel, extract.
 
-    The probe line uses the first axis; if a phase fails on geometric
-    grounds the remaining axes are tried in turn before giving up, and the
-    axis that succeeded is recorded in the result.  The probe line and the
-    axis scans of the peeled depth-2 stage reach |t| = 1/delta.  Budget
-    violations are not retried.
+    One pass over the four phases on the probe line t * e_1, which the
+    generator keeps in general position.  There is no fallback to another
+    line: a `GeneralPositionError` from any phase is re-raised naming the
+    phase and the axis, and `phase_queries` accounts for every oracle query
+    of a run that returns.  The probe line and the axis scans of the peeled
+    depth-2 stage reach |t| = 1/delta.
     """
     if oracle.domain != DOMAIN_FULL:
         raise ValueError("depth-3 extraction queries all of R^d")
     rng = np.random.default_rng(12345)
-    last: GeneralPositionError | None = None
-    for axis in range(d):
-        counts = {"collect": 0, "filter": 0, "signs": 0, "peel": 0}
-        phase = "collect"
-        try:
-            mark = oracle.count
-            cands = collect_candidate_hyperplanes(
-                oracle, delta, m_max, axis=axis, rng=rng)
-            counts["collect"] = oracle.count - mark
-            if len(cands) == 0:
-                raise GeneralPositionError("probe line met no critical points")
+    # oracle.count as each phase starts; marks[-1] belongs to the running phase.
+    marks = [oracle.count]
+    try:
+        cands = collect_candidate_hyperplanes(oracle, delta, m_max, rng=rng)
+        if len(cands) == 0:
+            raise GeneralPositionError("probe line met no critical points")
+        marks.append(oracle.count)
 
-            phase = "filter"
-            mark = oracle.count
-            survivors: list[Hyperplane] = []
-            for i, plane in enumerate(cands.planes):
-                rest = cands.planes[:i] + cands.planes[i + 1:]
-                if is_first_layer_plane(oracle, plane, rest, delta,
-                                        source=cands.sources[i], rng=rng):
-                    survivors.append(plane)
-            counts["filter"] = oracle.count - mark
-            if not survivors:
-                raise GeneralPositionError("no candidate survived the fold test")
-            if d1_max is not None and len(survivors) > d1_max:
-                raise PieceBudgetError("too many first-layer planes")
+        survivors: list[Hyperplane] = []
+        for i, plane in enumerate(cands.planes):
+            rest = cands.planes[:i] + cands.planes[i + 1:]
+            if is_first_layer_plane(oracle, plane, rest, delta,
+                                    source=cands.sources[i], rng=rng):
+                survivors.append(plane)
+        if not survivors:
+            raise GeneralPositionError("no candidate survived the fold test")
+        if d1_max is not None and len(survivors) > d1_max:
+            raise PieceBudgetError("too many first-layer planes")
+        marks.append(oracle.count)
 
-            phase = "signs"
-            mark = oracle.count
-            W, b, flipped = recover_row_signs(
-                oracle, survivors, eps=delta / 2.0, delta=delta, rng=rng)
-            counts["signs"] = oracle.count - mark
+        W, b, flipped = recover_row_signs(
+            oracle, survivors, eps=delta / 2.0, delta=delta, rng=rng)
+        marks.append(oracle.count)
 
-            phase = "peel"
-            mark = oracle.count
-            top_oracle = peel_first_layer(oracle, W, b)
-            top = extract_two_layer(top_oracle, W.shape[0], delta, d2_max)
-            counts["peel"] = oracle.count - mark
-
-            return ExtractedThreeLayer(
-                d=d, W=W, b=b, top=top, probe_axis=axis,
-                n_candidates=len(cands), n_survivors=len(survivors),
-                flipped=flipped, phase_queries=counts)
-        except GeneralPositionError as err:
-            last = GeneralPositionError(f"{phase} phase (axis {axis}): {err}")
-            continue
-    assert last is not None
-    raise last
+        top_oracle = peel_first_layer(oracle, W, b)
+        top = extract_two_layer(top_oracle, W.shape[0], delta, d2_max)
+        marks.append(oracle.count)
+    except GeneralPositionError as err:
+        phase = _PHASES[len(marks) - 1]
+        raise GeneralPositionError(f"{phase} phase (axis 0): {err}") from err
+    counts = {phase: hi - lo for phase, lo, hi in zip(_PHASES, marks, marks[1:])}
+    return ExtractedThreeLayer(
+        d=d, W=W, b=b, top=top, n_candidates=len(cands),
+        n_survivors=len(survivors), flipped=flipped, phase_queries=counts)

@@ -493,6 +493,8 @@ def _bench_cell(depth: int, d: int, d1: int, d2: int, delta: float, seed: int) -
             oracle = as_oracle(net)
             result = extract_three_layer(oracle, d, delta)
         total, phases = oracle.count, dict(result.phase_queries)
+    except SolverError:
+        raise
     except Exception as err:  # noqa: BLE001 - recorded per cell, table survives
         ok, error = False, str(err)
     return BenchRow(
@@ -517,7 +519,8 @@ def query_complexity_bench(
 ) -> list[BenchRow]:
     """Run extractions over (depth, d, d1, d2) shapes and record query counts.
 
-    Failures are recorded in their row rather than aborting the sweep.
+    Failures are recorded in their row rather than aborting the sweep, except
+    an LP solver failure (`SolverError`), which says nothing about the cell.
     """
     rows = []
     for depth, d, d1, d2 in shapes:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from netpeel.oracle.generate import generate_two_layer
+from netpeel.oracle.generate import generate_three_layer, generate_two_layer
 from netpeel.oracle.nets import Neuron, ThreeLayerNet, TwoLayerNet
 from netpeel.oracle.query import LineOracle, QueryOracle
 
@@ -13,6 +13,17 @@ def three_layer(W, b, V, c, signs):
     V = np.atleast_2d(np.asarray(V, dtype=float))
     units = tuple(Neuron(v, ck, s) for v, ck, s in zip(V, c, signs))
     return ThreeLayerNet(W=W, b=b, top=TwoLayerNet(d=V.shape[1], neurons=units))
+
+
+def flat_probe_line_net():
+    """The seed-0 (2, 2, 6) depth-3 draw with a zero first input column.
+
+    The net lives on R^3 but ignores x_1, so it is constant along the probe
+    line t * e_1 while bending along both other axes.
+    """
+    net = generate_three_layer(2, 2, 6, np.random.default_rng(0))
+    W = np.hstack([np.zeros((net.d1, 1)), net.W])
+    return ThreeLayerNet(W=W, b=net.b, top=net.top)
 
 
 def near_coincident_net(seed, gap):

@@ -110,8 +110,12 @@ def test_extract_depth3_end_to_end(tmp_path):
     assert main(["verify", "--truth", str(net), "--candidate", str(report)]) == 0
 
 
-def test_extract_accounts_every_query(tmp_path):
-    net = _generate(tmp_path, "net.json", "--d", "2", "--d1", "3", "--seed", "5")
+@pytest.mark.parametrize("shape", [
+    ("--d", "2", "--d1", "3", "--seed", "5"),
+    ("--depth", "3", "--d", "3", "--d1", "2", "--d2", "6", "--seed", "2"),
+], ids=["depth2", "depth3"])
+def test_extract_accounts_every_query(tmp_path, shape):
+    net = _generate(tmp_path, "net.json", *shape)
     report = tmp_path / "report.json"
     assert main(["extract", "--input", str(net), "--out", str(report)]) == 0
     doc = json.loads(report.read_text())
@@ -285,8 +289,10 @@ class _FailedSolve:
         ("netpeel.verify", ["bound-experiment", "--d", "2", "--d1", "30", "--trials", "1024"]),
         ("netpeel.oracle.generate", ["generate", "--depth", "3", "--d", "6", "--d1", "3",
                                      "--d2", "9"]),
+        ("netpeel.oracle.generate", ["bench", "--depth", "3", "--d-list", "3", "--d1-list", "2",
+                                     "--d2-list", "6", "--seeds", "0"]),
     ],
-    ids=["bound-experiment", "generate-depth3"],
+    ids=["bound-experiment", "generate-depth3", "bench-depth3"],
 )
 def test_solver_failure_has_its_own_exit_code(module, argv, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(f"{module}.linprog", lambda *args, **kwargs: _FailedSolve())

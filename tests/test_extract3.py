@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import three_layer
+from helpers import flat_probe_line_net, three_layer
+from netpeel.cli import main
 from netpeel.config import DEDUP_TOL
 from netpeel.extract3 import (
     collect_candidate_hyperplanes,
@@ -18,6 +19,7 @@ from netpeel.extract3 import (
 from netpeel.oracle.generate import generate_three_layer
 from netpeel.oracle.nets import batch_eval, relu
 from netpeel.oracle.query import QueryOracle, as_oracle
+from netpeel.oracle.serialize import save_net
 from netpeel.pwl import GeneralPositionError, Hyperplane
 
 DELTA = 1e-4
@@ -74,14 +76,26 @@ def test_collect_on_a_flat_probe_line_is_empty():
         c=np.array([0.0]),
         signs=np.array([1]),
     )
-    cands = collect_candidate_hyperplanes(as_oracle(net), DELTA, 8, axis=0)
+    cands = collect_candidate_hyperplanes(as_oracle(net), DELTA, 8)
     assert len(cands) == 0
 
 
-def test_extraction_fails_when_every_probe_line_is_flat():
+def test_extraction_fails_when_the_probe_line_is_flat():
     oracle = QueryOracle(lambda x: 5.0, 2, "full")
     with pytest.raises(GeneralPositionError, match="no critical points"):
         extract_three_layer(oracle, 2, DELTA)
+
+
+def test_no_other_line_is_tried_when_the_probe_line_is_flat(tmp_path):
+    """A net that bends along e_2 and e_3 but not e_1 fails loudly in collect."""
+    net = flat_probe_line_net()
+    with pytest.raises(GeneralPositionError) as err:
+        extract_three_layer(as_oracle(net), 3, DELTA)
+    assert "collect" in str(err.value) and "axis 0" in str(err.value)
+    path, report = tmp_path / "flat.json", tmp_path / "report.json"
+    save_net(path, net)
+    assert main(["extract", "--input", str(path), "--out", str(report)]) == 3
+    assert not report.exists()
 
 
 def test_collect_contains_all_first_layer_planes(wide_net, wide_candidates):
