@@ -2,10 +2,11 @@
 
 Importing `scipy.optimize` takes most of a `netpeel` process's start-up,
 and only the orthant LPs need it: depth-2 runs never solve one, and the
-verifier settles small orthant cells without a solver.  So nothing here
-imports scipy until `linprog` is first called.  `verify` and
-`oracle.generate` bind `linprog` under that name, which keeps each module's
-`linprog` attribute a patch point of its own.
+verifier's duality screen and vertex kernel settle planar trials and small
+blocks without a solver.  So nothing here imports scipy until `linprog` is
+first called.  `verify` and `oracle.generate` bind `linprog` under that
+name, which keeps each module's `linprog` attribute a patch point of its
+own.
 """
 
 from __future__ import annotations

@@ -42,7 +42,9 @@ __all__ = [
 
 _LP_MARGIN = 1e-9
 _SCREEN_MARGIN = 1e-6
-_SCREEN_ROWS = 8
+# Row counts of the duality screen's passes: the whole chunk at 8 rows (56
+# triples), then the trials still open at 12 (220 triples).
+_SCREEN_ROWS = (8, 12)
 _CHUNK = 4096
 # Undecided trials per block-diagonal LP: the per-trial solver cost is flat
 # up to about 256 blocks and grows beyond.
@@ -50,10 +52,12 @@ _LP_BLOCK = 128
 # A d-row minor counts as nonzero when it exceeds this share of Hadamard's
 # bound on it, the product of its rows' norms.
 _MINOR_FLOOR = 1e-6
-# Cells whose minor table (see `_vertex_margins`) has a level of more row
-# subsets than this skip the vertex kernel and go to HiGHS.  On 128-trial
-# blocks the kernel took 1.4-2.1x less time than one HiGHS call at about 2000
-# subsets and tied with it at 3000-4000 (2-vCPU VM, BLAS on one thread).
+# The vertex kernel's budget in row subsets per trial of a full block: a
+# block of m trials goes to the kernel when m times the largest level of its
+# minor table (see `_vertex_margins`) is at most this times `_LP_BLOCK`, and
+# to HiGHS otherwise.  On 128-trial blocks the kernel took 1.4-2.1x less
+# time than one HiGHS call at about 2000 subsets and tied with it at
+# 3000-4000 (2-vCPU VM, BLAS on one thread).
 _VERTEX_LIMIT = 2048
 
 
@@ -287,14 +291,17 @@ def _vertex_margins(W: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _orthant_hits(W: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Decide m negative-orthant trials, by the vertex kernel where it is sure.
 
-    `_vertex_margins` settles a trial when its enumeration is complete and
-    its optimum lies more than `_SCREEN_MARGIN` from `_LP_MARGIN`.  One
-    block LP solves the rest, and every trial of a cell whose minor table
-    would exceed `_VERTEX_LIMIT` subsets.  W has shape (m, d1, d), b has
-    shape (m, d1).  Returns the boolean mask of hits.
+    The kernel's work is m times the largest level of the minor table, so a
+    block goes to `_vertex_margins` when that stays within the work of a
+    full `_LP_BLOCK` of `_VERTEX_LIMIT`-subset trials: a few trials of a wide
+    cell run on the kernel, a full block of them goes to HiGHS.  The kernel
+    settles a trial when its enumeration is complete and its optimum lies
+    more than `_SCREEN_MARGIN` from `_LP_MARGIN`.  One block LP solves the
+    rest, and every trial of an over-budget block.  W has shape (m, d1, d),
+    b has shape (m, d1).  Returns the boolean mask of hits.
     """
     m, d1, d = W.shape
-    if _table_size(d1, d) <= _VERTEX_LIMIT:
+    if m * _table_size(d1, d) <= _VERTEX_LIMIT * _LP_BLOCK:
         margins = _vertex_margins(W, b)
         # NaN compares false, so an incomplete enumeration is unsure too.
         unsure = ~(np.abs(margins - _LP_MARGIN) > _SCREEN_MARGIN)
@@ -328,7 +335,7 @@ def orthant_bound_value(d: int, d1: int) -> float:
     return (math.e * d1 / d) ** (d + 1) / 2.0**d1
 
 
-def _screen_misses(W: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _screen_misses(W: np.ndarray, b: np.ndarray, rows: int) -> np.ndarray:
     """Mark trials certified to have no negative-orthant point.
 
     By weak duality, any y >= 0 with sum_j y_j w_j = 0 bounds the margin
@@ -337,7 +344,8 @@ def _screen_misses(W: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows with the largest offsets, where the constraints bind hardest.
     The test is one-sided: an uncertified trial is merely undecided.
 
-    W has shape (n, d1, d) with d = 2, b has shape (n, d1).  Returns a
+    W has shape (n, d1, d) with d = 2, b has shape (n, d1); the triples come
+    from the `rows` largest offsets, or all d1 rows if fewer.  Returns a
     boolean mask of certified misses.
 
     All triples go through one array pass: each quantity is an (n, triples)
@@ -347,11 +355,11 @@ def _screen_misses(W: np.ndarray, b: np.ndarray) -> np.ndarray:
     the mask matches that loop bit for bit.
     """
     n, d1, d = W.shape
-    k = min(_SCREEN_ROWS, d1)
+    k = min(rows, d1)
     top = np.argsort(-b, axis=1)[:, :k]
-    rows = np.take_along_axis(W, top[:, :, None], axis=1)
+    stack = np.take_along_axis(W, top[:, :, None], axis=1)
     offs = np.take_along_axis(b, top, axis=1)
-    x, z = rows[:, :, 0], rows[:, :, 1]
+    x, z = stack[:, :, 0], stack[:, :, 1]
     i, j, l = np.array(list(itertools.combinations(range(k), 3))).T
     yi, yj, yl, s, t = np.empty((5, n, len(i)))
 
@@ -408,11 +416,16 @@ def empirical_orthant_bound(
     Trials run in chunks of 4096, each drawn from its own child of `seed`,
     so the count is reproducible per seed.  Each trial takes one of three
     routes.  For planar inputs a duality screen settles most misses in
-    bulk.  The trials it leaves open go in blocks of up to 128 to the exact
-    vertex kernel, which settles those in general position whose optimum
-    is clear of the threshold.  One block-diagonal LP per block solves the
-    rest, and every trial of a cell too wide for the kernel.  A solver
-    failure raises `SolverError` naming the chunk and the block's trials.
+    bulk: it tries the row triples of the 8 largest offsets on the whole
+    chunk, then those of the 12 largest on the trials still open (a pass
+    skipped when d1 <= 8, which has no new triples).  The trials it leaves
+    open go in blocks of up to 128 to the exact vertex kernel when the
+    block's minor tables fit its budget (see `_orthant_hits`), and the
+    kernel settles those in general position whose optimum is clear of the
+    threshold.  One block-diagonal LP per block solves the rest, and every
+    trial of an over-budget block.  A solver failure raises `SolverError`
+    naming the chunk, the number of trials in the failed block and the
+    range they span.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -426,17 +439,21 @@ def empirical_orthant_bound(
         rng = np.random.default_rng(child)
         W = rng.standard_normal((n, d1, d))
         b = rng.standard_normal((n, d1))
+        undecided = np.arange(n)
         if d == 2 and d1 >= 3:
-            undecided = np.flatnonzero(~_screen_misses(W, b))
-        else:
-            undecided = np.arange(n)
+            for rows in _SCREEN_ROWS:
+                certified = _screen_misses(W[undecided], b[undecided], rows)
+                undecided = undecided[~certified]
+                if d1 <= rows:
+                    break
         for lo in range(0, len(undecided), _LP_BLOCK):
             block = undecided[lo : lo + _LP_BLOCK]
             try:
                 hit = _orthant_hits(W[block], b[block])
             except SolverError as err:
                 raise SolverError(
-                    f"chunk {k}, trials {done + block[0]}..{done + block[-1]}: {err}"
+                    f"chunk {k}, {len(block)} trials in "
+                    f"{done + block[0]}..{done + block[-1]}: {err}"
                 ) from err
             hits += int(np.count_nonzero(hit))
         done += n

@@ -286,7 +286,7 @@ class _FailedSolve:
 @pytest.mark.parametrize(
     "module, argv",
     [
-        ("netpeel.verify", ["bound-experiment", "--d", "2", "--d1", "30", "--trials", "1024"]),
+        ("netpeel.verify", ["bound-experiment", "--d", "4", "--d1", "24", "--trials", "50"]),
         ("netpeel.oracle.generate", ["generate", "--depth", "3", "--d", "6", "--d1", "3",
                                      "--d2", "9"]),
         ("netpeel.oracle.generate", ["bench", "--depth", "3", "--d-list", "3", "--d1-list", "2",
@@ -315,12 +315,15 @@ for argv in (["generate", "--d", "3", "--d1", "4", "--out", net],
     assert netpeel.cli.main(argv) == 0, argv
     assert "scipy" not in sys.modules, argv[0]
 assert netpeel.cli.main(["bound-experiment", "--d", "2", "--d1", "30", "--trials", "200"]) == 0
-assert "scipy" in sys.modules, "bound-experiment"
+assert "scipy" not in sys.modules, "bound-experiment (2, 30)"
+assert netpeel.cli.main(["bound-experiment", "--d", "3", "--d1", "18", "--trials", "200"]) == 0
+assert "scipy" in sys.modules, "bound-experiment (3, 18)"
 """
 
 
 def test_depth2_commands_never_import_scipy(tmp_path):
-    """Only an LP solve loads scipy; a depth-2 round trip never makes one."""
+    """Only an LP solve loads scipy: a depth-2 round trip never makes one, and
+    the screen and the kernel settle every planar orthant trial at (2, 30)."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", _DEPTH2_ROUND_TRIP, str(tmp_path)],

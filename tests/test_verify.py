@@ -170,11 +170,11 @@ def test_solver_failure_names_the_chunk_and_trials(monkeypatch):
         status, message = 4, "numerical difficulties"
 
     monkeypatch.setattr(verify, "linprog", lambda *args, **kwargs: Failed())
-    # (2, 30) is too wide for the vertex kernel, so the trials the screen
-    # leaves open, the first of them trial 10, reach HiGHS.
-    with pytest.raises(SolverError, match=r"chunk 0, trials 10\.\.\d+: .*status 4 "
+    # 50 (4, 24) trials are past the vertex kernel's budget, so the whole
+    # block reaches HiGHS.
+    with pytest.raises(SolverError, match=r"chunk 0, 50 trials in 0\.\.49: .*status 4 "
                        r"\(numerical difficulties\)"):
-        empirical_orthant_bound(2, 30, 1024, seed=0)
+        empirical_orthant_bound(4, 24, 50, seed=0)
 
 
 # ---------------------------------------------------------- vertex kernel
@@ -250,14 +250,18 @@ def test_the_kernel_settles_general_trials_and_passes_on_the_rest(solver_calls):
 
 
 def test_wide_cells_skip_the_kernel(solver_calls):
-    assert verify._table_size(30, 2) > verify._VERTEX_LIMIT
-    assert verify._table_size(12, 3) <= verify._VERTEX_LIMIT
+    budget = verify._VERTEX_LIMIT * verify._LP_BLOCK
+    assert 3 * verify._table_size(30, 2) <= budget
+    assert 128 * verify._table_size(18, 3) > budget
     # The largest level bounds the table even when d + 1 is past d1 / 2.
     assert verify._table_size(40, 39) == math.comb(40, 20)
     rng = np.random.default_rng(6)
     W, b = rng.standard_normal((3, 30, 2)), rng.standard_normal((3, 30))
     verify._orthant_hits(W, b)
-    assert solver_calls == [3]
+    assert solver_calls == []
+    W, b = rng.standard_normal((128, 18, 3)), rng.standard_normal((128, 18))
+    verify._orthant_hits(W, b)
+    assert solver_calls == [128]
 
 
 def test_verify_names_linprog_once_inside_the_block_kernel():
@@ -277,18 +281,18 @@ def test_verify_names_linprog_once_inside_the_block_kernel():
 # --------------------------------------------------------- duality screen
 
 
-def _screen_misses_loop(W, b):
+def _screen_misses_loop(W, b, rows):
     """The duality screen one row triple at a time: the reference."""
     n, d1, d = W.shape
-    k = min(verify._SCREEN_ROWS, d1)
+    k = min(rows, d1)
     top = np.argsort(-b, axis=1)[:, :k]
-    rows = np.take_along_axis(W, top[:, :, None], axis=1)
+    stack = np.take_along_axis(W, top[:, :, None], axis=1)
     offs = np.take_along_axis(b, top, axis=1)
 
     certified = np.zeros(n, dtype=bool)
     idx = [(i, j, l) for i in range(k) for j in range(i + 1, k) for l in range(j + 1, k)]
     for i, j, l in idx:
-        wi, wj, wl = rows[:, i], rows[:, j], rows[:, l]
+        wi, wj, wl = stack[:, i], stack[:, j], stack[:, l]
         yi = wj[:, 0] * wl[:, 1] - wj[:, 1] * wl[:, 0]
         yj = wl[:, 0] * wi[:, 1] - wl[:, 1] * wi[:, 0]
         yl = wi[:, 0] * wj[:, 1] - wi[:, 1] * wj[:, 0]
@@ -306,21 +310,26 @@ def _screen_misses_loop(W, b):
     return certified
 
 
-def _assert_screen_matches_loop(W, b, case):
-    mask = verify._screen_misses(W, b)
-    assert mask.dtype == bool and mask.shape == (W.shape[0],), case
-    assert np.array_equal(mask, _screen_misses_loop(W, b)), case
+def _assert_screen_matches_loop(W, b, rows, case):
+    mask = verify._screen_misses(W, b, rows)
+    assert mask.dtype == bool and mask.shape == (W.shape[0],), (rows, case)
+    assert np.array_equal(mask, _screen_misses_loop(W, b, rows)), (rows, case)
     return mask
 
 
 def test_screen_matches_the_loop_on_the_benchmark_pool():
     """The (2, 30, 1024) draws of bound-experiment seeds 0-31, bit for bit."""
-    certified = 0
+    assert verify._SCREEN_ROWS == (8, 12)
+    left_open = {8: 0, 12: 0}
     for seed in range(32):
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         W, b = rng.standard_normal((1024, 30, 2)), rng.standard_normal((1024, 30))
-        certified += np.count_nonzero(_assert_screen_matches_loop(W, b, seed))
-    assert 0.8 < certified / (32 * 1024) < 1.0
+        for rows in verify._SCREEN_ROWS:
+            certified = _assert_screen_matches_loop(W, b, rows, seed)
+            left_open[rows] += np.count_nonzero(~certified)
+    # The 12 largest offsets include the 8 largest, so the wide pass on the
+    # whole chunk leaves open what the re-screen of the 8-row pass does.
+    assert left_open == {8: 2104, 12: 202}
 
 
 @pytest.mark.parametrize("d1", [3, 4, 5, 8, 9, 30])
@@ -344,8 +353,16 @@ def test_screen_matches_the_loop_on_degenerate_rows(d1):
             scale = rng.uniform(0.5, 2.0, n)
             W[:, 1] = scale[:, None] * W[:, 0]
             b[:, 1] = scale * b[:, 0]
-        masks.append(_assert_screen_matches_loop(W, b, case))
+        for rows in verify._SCREEN_ROWS:
+            masks.append(_assert_screen_matches_loop(W, b, rows, case))
     assert any(m.any() for m in masks) and not all(m.all() for m in masks)
+
+
+def test_the_benchmark_pool_makes_no_solver_call(solver_calls):
+    """The two screen passes and the kernel settle every (2, 30, 1024) trial."""
+    for seed in range(32):
+        assert empirical_orthant_bound(2, 30, 1024, seed=seed).hits == 0
+    assert solver_calls == []
 
 
 def test_screen_has_no_python_loop():
