@@ -2,8 +2,11 @@
 
 Importing `scipy.optimize` takes most of a `netpeel` process's start-up,
 and only the orthant LPs need it: depth-2 runs never solve one, and the
-verifier's duality screen and vertex kernel settle planar trials and small
-blocks without a solver.  So nothing here imports scipy until `linprog` is
+exact vertex kernel of `orthant` settles most of the rest without a solver.
+The verifier's duality screen and the kernel settle planar trials and small
+blocks, and the kernel decides the depth-3 generator's dead-region test
+except for draws with dependent rows, a margin at the threshold or a minor
+table past its budget.  So nothing here imports scipy until `linprog` is
 first called.  `verify` and `oracle.generate` bind `linprog` under that
 name, which keeps each module's `linprog` attribute a patch point of its
 own.

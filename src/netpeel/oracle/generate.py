@@ -31,6 +31,14 @@ from ..config import (
     V_LOW,
 )
 from ..highs import SolverError, linprog
+from ..orthant import (
+    _LP_MARGIN,
+    _SCREEN_MARGIN,
+    _VERTEX_LIMIT,
+    _table_size,
+    _unsure,
+    _vertex_margins,
+)
 from .nets import Neuron, ThreeLayerNet, TwoLayerNet, relu
 
 
@@ -137,11 +145,33 @@ _AXIS_STEPS = np.array([0.3, 1.0, 3.0, 8.0])
 def _orthant_reachable(V, c) -> bool:
     """True when some y >= 0 drives every second-layer pre-activation negative.
 
+    The question is the LP max s s.t. V y + s <= -c, y >= 0, 0 <= s <= 1,
+    reachable when s* > `_LP_MARGIN`, and three steps answer it, each only
+    where the one before is unsure:
+
+    1. When every c_k is below -(`_LP_MARGIN` + `_SCREEN_MARGIN`), y = 0
+       already reaches.
+    2. The exact vertex kernel decides the negative-orthant problem of
+       W = [V; -I], b = [c; 0] when its table fits `_VERTEX_LIMIT` and its
+       margin lies further than `_SCREEN_MARGIN` from `_LP_MARGIN`.  Its
+       margin is positive exactly when s* is: an x >= t > 0 with
+       V x + t <= -c is a feasible y, and a feasible y with s > 0 moves to
+       x = y + eps*1.  So it decides as the LP does, and no draw changes.
+    3. HiGHS solves the LP for the rest, NaN margins (dependent rows of W)
+       included.
+
     Raises `SolverError` when HiGHS neither solves the LP nor proves it
     infeasible, so a solver failure never passes for an answer.
     """
     d2, d1 = V.shape
-    # max s  s.t.  V y + s <= -c,  y >= 0,  0 <= s <= 1; reachable iff s* > 0.
+    if np.all(c < -(_LP_MARGIN + _SCREEN_MARGIN)):
+        return True
+    if _table_size(d2 + d1, d1) <= _VERTEX_LIMIT:
+        W = np.vstack([V, -np.eye(d1)])
+        b = np.concatenate([c, np.zeros(d1)])
+        margins = _vertex_margins(W[None], b[None])
+        if not _unsure(margins)[0]:
+            return bool(margins[0] > _LP_MARGIN)
     cobj = np.zeros(d1 + 1)
     cobj[-1] = -1.0
     A = np.hstack([V, np.ones((d2, 1))])
@@ -153,7 +183,7 @@ def _orthant_reachable(V, c) -> bool:
         raise SolverError(
             f"dead-region LP: solver status {res.status} ({res.message})"
         )
-    return bool(-res.fun > 1e-9)
+    return bool(-res.fun > _LP_MARGIN)
 
 
 def _partials_walk(V, c, u, rng: np.random.Generator, margin: float) -> bool:
@@ -214,7 +244,7 @@ def check_nonzero_partials(
     coordinate equals the signed column sum of `V` over the locally active
     units, so patterns at interior points, boundary faces and the origin are
     checked against `margin`.  Points are drawn from `rng` only when the LP
-    passes.  `generate_three_layer` calls the halves directly, solving the
+    passes.  `generate_three_layer` calls the halves directly, deciding the
     LP once per `(V, c)` and walking once per sign vector `u`.
     """
     V = np.asarray(V, dtype=float)

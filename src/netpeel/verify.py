@@ -9,7 +9,6 @@ counts against their expected growth.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
 import time
@@ -24,6 +23,14 @@ from .highs import SolverError, linprog
 from .oracle.generate import generate_three_layer, generate_two_layer
 from .oracle.nets import ThreeLayerNet, TwoLayerNet, batch_eval
 from .oracle.query import as_oracle
+from .orthant import (
+    _LP_MARGIN,
+    _SCREEN_MARGIN,
+    _VERTEX_LIMIT,
+    _table_size,
+    _unsure,
+    _vertex_margins,
+)
 
 __all__ = [
     "EquivalenceReport",
@@ -40,8 +47,6 @@ __all__ = [
     "bound_to_csv",
 ]
 
-_LP_MARGIN = 1e-9
-_SCREEN_MARGIN = 1e-6
 # Row counts of the duality screen's passes: the whole chunk at 8 rows (56
 # triples), then the trials still open at 12 (220 triples).
 _SCREEN_ROWS = (8, 12)
@@ -49,16 +54,6 @@ _CHUNK = 4096
 # Undecided trials per block-diagonal LP: the per-trial solver cost is flat
 # up to about 256 blocks and grows beyond.
 _LP_BLOCK = 128
-# A d-row minor counts as nonzero when it exceeds this share of Hadamard's
-# bound on it, the product of its rows' norms.
-_MINOR_FLOOR = 1e-6
-# The vertex kernel's budget in row subsets per trial of a full block: a
-# block of m trials goes to the kernel when m times the largest level of its
-# minor table (see `_vertex_margins`) is at most this times `_LP_BLOCK`, and
-# to HiGHS otherwise.  On 128-trial blocks the kernel took 1.4-2.1x less
-# time than one HiGHS call at about 2000 subsets and tied with it at
-# 3000-4000 (2-vCPU VM, BLAS on one thread).
-_VERTEX_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -195,99 +190,6 @@ def _orthant_margins(W: np.ndarray, b: np.ndarray) -> np.ndarray:
     return res.x[d::width]
 
 
-@functools.cache
-def _minor_plan(d1: int, d: int) -> tuple:
-    """Index tables of the Laplace expansions behind `_vertex_margins`.
-
-    Level k, for k = 0 .. min(d + 1, d1), lists the k-row subsets of
-    range(d1) in `itertools.combinations` order as a pair (rows, sub), both
-    of shape (k, C(d1, k)): rows[j] holds each subset's j-th row, and
-    sub[j] the index in level k - 1 of the subset without that row.
-    """
-    empty = np.zeros((0, 1), dtype=np.intp)
-    plan = [(empty, empty)]
-    index = {(): 0}
-    for k in range(1, min(d + 1, d1) + 1):
-        subsets = list(itertools.combinations(range(d1), k))
-        rows = np.array(subsets, dtype=np.intp).T.copy()
-        sub = np.array(
-            [[index[s[:j] + s[j + 1:]] for s in subsets] for j in range(k)],
-            dtype=np.intp,
-        )
-        plan.append((rows, sub))
-        index = {s: i for i, s in enumerate(subsets)}
-    return tuple(plan)
-
-
-def _table_size(d1: int, d: int) -> int:
-    """Row subsets in the largest level of `_minor_plan(d1, d)`."""
-    return max(math.comb(d1, k) for k in range(min(d + 1, d1) + 1))
-
-
-def _vertex_margins(W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The margin optima of `_orthant_margins`, by enumerating dual vertices.
-
-    The dual of max t s.t. Wx + t <= -b, t <= 1 minimizes 1 - y.1 - y.b
-    over y >= 0 with W^T y = 0 and y.1 <= 1.  Its vertices are y = 0 and
-    points with y.1 = 1.  When no d rows of W are dependent, each of the
-    latter is supported on d + 1 rows S, on which y is the null vector of
-    W_S^T, unique up to scale: by Cramer's rule its j-th entry is
-    (-1)^(j+d) times the d-row minor of S without its j-th row.  So
-    t* = min(1, -(y.b_S)/(y.1)) over the subsets S whose y has one sign.
-
-    Every minor comes from one table built column by column: the k-row
-    minors on the first k columns are the Laplace expansions of the
-    (k-1)-row minors along column k - 1.  Its level min(d, d1) is the
-    general-position test.  For d1 > d it holds every minor y is made of;
-    for d1 <= d it is one minor, and when that is nonzero W has full row
-    rank, no y but 0 exists and t* = 1.  A trial with a minor at that
-    level below `_MINOR_FLOOR` times Hadamard's bound gets NaN.
-
-    Arrays run trials last, so each gather copies whole rows of m values.
-    W has shape (m, d1, d), b has shape (m, d1).  Returns the m optima, NaN
-    where the enumeration is not known to be complete.
-    """
-    m, d1, d = W.shape
-    plan = _minor_plan(d1, d)
-    cols = np.ascontiguousarray(W.transpose(2, 1, 0))
-    level = min(d, d1)
-    minors = np.ones((1, m))
-    for k in range(1, level + 1):
-        rows, sub = plan[k]
-        expansion = np.zeros((rows.shape[1], m))
-        for j in range(k):
-            term = cols[k - 1][rows[j]] * minors[sub[j]]
-            if (j + k - 1) % 2:
-                expansion -= term
-            else:
-                expansion += term
-        minors = expansion
-    norms = np.linalg.norm(cols[:level], axis=0)
-    hadamard = np.prod(norms[plan[level][0]], axis=0)
-    general = np.all(np.abs(minors) > _MINOR_FLOOR * hadamard, axis=0)
-    margins = np.ones(m)
-    if d1 > d:
-        rows, sub = plan[d + 1]
-        offs = b.T
-        num = np.zeros((rows.shape[1], m))
-        den = np.zeros_like(num)
-        positive = np.ones(num.shape, dtype=bool)
-        negative = np.ones(num.shape, dtype=bool)
-        for j in range(d + 1):
-            y = minors[sub[j]]
-            if (j + d) % 2:
-                np.negative(y, out=y)
-            num += y * offs[rows[j]]
-            den += y
-            positive &= y > 0.0
-            negative &= y < 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bounds = np.where(positive | negative, -num / den, np.inf)
-        np.minimum(margins, bounds.min(axis=0), out=margins)
-    margins[~general] = np.nan
-    return margins
-
-
 def _orthant_hits(W: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Decide m negative-orthant trials, by the vertex kernel where it is sure.
 
@@ -303,8 +205,7 @@ def _orthant_hits(W: np.ndarray, b: np.ndarray) -> np.ndarray:
     m, d1, d = W.shape
     if m * _table_size(d1, d) <= _VERTEX_LIMIT * _LP_BLOCK:
         margins = _vertex_margins(W, b)
-        # NaN compares false, so an incomplete enumeration is unsure too.
-        unsure = ~(np.abs(margins - _LP_MARGIN) > _SCREEN_MARGIN)
+        unsure = _unsure(margins)
     else:
         margins = np.empty(m)
         unsure = np.ones(m, dtype=bool)

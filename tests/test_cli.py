@@ -296,6 +296,8 @@ class _FailedSolve:
 )
 def test_solver_failure_has_its_own_exit_code(module, argv, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(f"{module}.linprog", lambda *args, **kwargs: _FailedSolve())
+    # An unsure kernel sends every orthant problem it sees to the solver.
+    monkeypatch.setattr(f"{module}._vertex_margins", lambda W, b: np.full(len(W), np.nan))
     out = tmp_path / "out"
     capsys.readouterr()
     assert main([*argv, "--out", str(out)]) == cli.EXIT_SOLVER == 6
@@ -327,6 +329,29 @@ def test_depth2_commands_never_import_scipy(tmp_path):
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", _DEPTH2_ROUND_TRIP, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+_DEPTH3_ROUND_TRIP = """
+import sys
+import netpeel.cli
+net, report = sys.argv[1] + "/net.json", sys.argv[1] + "/report.json"
+for argv in (["generate", "--depth", "3", "--d", "6", "--d1", "3", "--d2", "9",
+              "--seed", "0", "--out", net],
+             ["extract", "--input", net, "--out", report],
+             ["verify", "--truth", net, "--candidate", report]):
+    assert netpeel.cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv[0]
+"""
+
+
+def test_depth3_round_trip_never_imports_scipy(tmp_path):
+    """The kernel settles every dead-region decision of the (6, 3, 9) seed-0
+    draw, so a depth-3 round trip makes no LP solve."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _DEPTH3_ROUND_TRIP, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 

@@ -10,6 +10,7 @@ import pytest
 from scipy.optimize import linprog
 
 import netpeel.verify as verify
+from netpeel import orthant
 from netpeel.extract2 import extract_two_layer
 from netpeel.highs import SolverError
 from netpeel.oracle.generate import generate_two_layer
@@ -160,8 +161,8 @@ def test_block_margins_match_one_trial_margins(d, d1):
         single = np.array([_single_margin(W[i], b[i]) for i in range(m)])
         assert block.shape == (m,)
         assert np.max(np.abs(block - single)) <= 1e-10, (d, d1, m)
-        assert np.array_equal(block > verify._LP_MARGIN, single > verify._LP_MARGIN)
-        decisions.extend(block > verify._LP_MARGIN)
+        assert np.array_equal(block > orthant._LP_MARGIN, single > orthant._LP_MARGIN)
+        decisions.extend(block > orthant._LP_MARGIN)
     assert any(decisions) and not all(decisions)
 
 
@@ -185,12 +186,12 @@ def test_vertex_kernel_matches_the_block_lp(d, d1):
     rng = np.random.default_rng(10 * d + d1)
     W = rng.standard_normal((128, d1, d))
     b = rng.standard_normal((128, d1))
-    kernel = verify._vertex_margins(W, b)
+    kernel = orthant._vertex_margins(W, b)
     lp = verify._orthant_margins(W, b)
     assert not np.isnan(kernel).any()
     assert np.max(np.abs(kernel - lp)) <= 1e-10
-    hits = kernel > verify._LP_MARGIN
-    assert np.array_equal(hits, lp > verify._LP_MARGIN)
+    hits = kernel > orthant._LP_MARGIN
+    assert np.array_equal(hits, lp > orthant._LP_MARGIN)
     assert hits.any() and not hits.all()
 
 
@@ -221,15 +222,15 @@ _DEGENERATE = {
 @pytest.mark.parametrize("case", sorted(_DEGENERATE))
 def test_degenerate_inputs_go_to_highs(case, solver_calls):
     W, b = (np.array(a) for a in _DEGENERATE[case])
-    assert np.isnan(verify._vertex_margins(W[None], b[None])).all()
-    expected = _single_margin(W, b) > verify._LP_MARGIN
+    assert np.isnan(orthant._vertex_margins(W[None], b[None])).all()
+    expected = _single_margin(W, b) > orthant._LP_MARGIN
     assert intersects_negative_orthant(W, b) == expected
     assert solver_calls == [1]
 
 
 def test_a_margin_at_the_threshold_goes_to_highs(solver_calls):
     W, b = np.array([[1.0], [-1.0]]), np.array([0.0, 0.0])
-    assert verify._vertex_margins(W[None], b[None])[0] == 0.0
+    assert orthant._vertex_margins(W[None], b[None])[0] == 0.0
     assert not intersects_negative_orthant(W, b)
     assert solver_calls == [1]
 
@@ -237,24 +238,24 @@ def test_a_margin_at_the_threshold_goes_to_highs(solver_calls):
 def test_the_kernel_settles_general_trials_and_passes_on_the_rest(solver_calls):
     rng = np.random.default_rng(5)
     W, b = rng.standard_normal((40, 12, 3)), rng.standard_normal((40, 12))
-    expected = verify._orthant_margins(W, b) > verify._LP_MARGIN
+    expected = verify._orthant_margins(W, b) > orthant._LP_MARGIN
     solver_calls.clear()
     assert np.array_equal(verify._orthant_hits(W, b), expected)
     assert solver_calls == []
     W[7, 3] = W[7, 5]  # a repeated row
     W[21, 0] = 0.0  # a zero row
-    expected = verify._orthant_margins(W, b) > verify._LP_MARGIN
+    expected = verify._orthant_margins(W, b) > orthant._LP_MARGIN
     solver_calls.clear()
     assert np.array_equal(verify._orthant_hits(W, b), expected)
     assert solver_calls == [2]
 
 
 def test_wide_cells_skip_the_kernel(solver_calls):
-    budget = verify._VERTEX_LIMIT * verify._LP_BLOCK
-    assert 3 * verify._table_size(30, 2) <= budget
-    assert 128 * verify._table_size(18, 3) > budget
+    budget = orthant._VERTEX_LIMIT * verify._LP_BLOCK
+    assert 3 * orthant._table_size(30, 2) <= budget
+    assert 128 * orthant._table_size(18, 3) > budget
     # The largest level bounds the table even when d + 1 is past d1 / 2.
-    assert verify._table_size(40, 39) == math.comb(40, 20)
+    assert orthant._table_size(40, 39) == math.comb(40, 20)
     rng = np.random.default_rng(6)
     W, b = rng.standard_normal((3, 30, 2)), rng.standard_normal((3, 30))
     verify._orthant_hits(W, b)
@@ -304,7 +305,7 @@ def _screen_misses_loop(W, b, rows):
         num = y[:, 0] * offs[:, i] + y[:, 1] * offs[:, j] + y[:, 2] * offs[:, l]
         with np.errstate(divide="ignore", invalid="ignore"):
             upper = -num / ysum
-        certified |= valid & (upper <= -verify._SCREEN_MARGIN)
+        certified |= valid & (upper <= -orthant._SCREEN_MARGIN)
         if certified.all():
             break
     return certified
