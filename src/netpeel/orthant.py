@@ -3,11 +3,13 @@
 Whether Wx + b < 0 has a solution is the sign of the margin optimum
 max t s.t. Wx + t <= -b, t <= 1.  `_vertex_margins` finds that optimum
 without a solver by enumerating the vertices of its dual, the alternative
-system of Motzkin's transposition theorem.  Two callers ask the question:
-the verifier's orthant experiment (`verify._orthant_hits`) and the depth-3
-generator's dead-region test (`oracle.generate._orthant_reachable`).  Each
-settles a problem here when the kernel is sure of its optimum, and passes
-the rest to its own HiGHS call.  Nothing here imports scipy.
+system of Motzkin's transposition theorem.  Three callers ask the
+question: the verifier's duality screen (`verify._screen_misses`), on the
+rows of largest offset, its orthant experiment (`verify._orthant_hits`)
+and the depth-3 generator's dead-region test
+(`oracle.generate._orthant_reachable`).  Each takes from here only what
+the kernel is sure of; the last two pass the rest to their own HiGHS
+call.  Nothing here imports scipy.
 """
 
 from __future__ import annotations

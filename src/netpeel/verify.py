@@ -9,11 +9,10 @@ counts against their expected growth.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,12 +46,13 @@ __all__ = [
     "bound_to_csv",
 ]
 
-# Row counts of the duality screen's passes: the whole chunk at 8 rows (56
-# triples), then the trials still open at 12 (220 triples).
+# Row counts of the duality screen's passes: the whole chunk on the kernel
+# at its 8 largest offsets, then the trials still open at their 12 largest.
 _SCREEN_ROWS = (8, 12)
 _CHUNK = 4096
 # Undecided trials per block-diagonal LP: the per-trial solver cost is flat
-# up to about 256 blocks and grows beyond.
+# up to about 256 blocks and grows beyond.  The screen's kernel calls take as
+# many trials: chunk-wide calls had tables large enough to page-fault anew.
 _LP_BLOCK = 128
 
 
@@ -239,70 +239,21 @@ def orthant_bound_value(d: int, d1: int) -> float:
 def _screen_misses(W: np.ndarray, b: np.ndarray, rows: int) -> np.ndarray:
     """Mark trials certified to have no negative-orthant point.
 
-    By weak duality, any y >= 0 with sum_j y_j w_j = 0 bounds the margin
-    optimum by -(y.b)/(y.1); a comfortably negative bound settles the
-    trial without a solver call.  Candidate y come from triples among the
-    rows with the largest offsets, where the constraints bind hardest.
-    The test is one-sided: an uncertified trial is merely undecided.
-
-    W has shape (n, d1, d) with d = 2, b has shape (n, d1); the triples come
-    from the `rows` largest offsets, or all d1 rows if fewer.  Returns a
-    boolean mask of certified misses.
-
-    All triples go through one array pass: each quantity is an (n, triples)
-    array, built in a few preallocated buffers.  Every sum over a triple is
-    added left to right, as `np.sum` adds three entries, so each (trial,
-    triple) pair gets the same float operations as a per-triple loop and
-    the mask matches that loop bit for bit.
+    Dropping rows can only raise the margin optimum, so the vertex kernel's
+    exact optimum on the `rows` rows of largest offset, where the
+    constraints bind hardest, bounds the trial's; at most -`_SCREEN_MARGIN`
+    it certifies a miss, and NaN certifies nothing.  The kernel runs on
+    `_LP_BLOCK` trials at a time, which keeps its tables small.  W has shape
+    (n, d1, d), b has shape (n, d1).  Returns a boolean mask of misses.
     """
-    n, d1, d = W.shape
-    k = min(rows, d1)
-    top = np.argsort(-b, axis=1)[:, :k]
-    stack = np.take_along_axis(W, top[:, :, None], axis=1)
-    offs = np.take_along_axis(b, top, axis=1)
-    x, z = stack[:, :, 0], stack[:, :, 1]
-    i, j, l = np.array(list(itertools.combinations(range(k), 3))).T
-    yi, yj, yl, s, t = np.empty((5, n, len(i)))
-
-    def gather(a, idx, out):
-        # mode="clip" writes straight into `out`; every index is in range.
-        return np.take(a, idx, axis=1, out=out, mode="clip")
-
-    def cofactor(y, p, q):
-        np.multiply(gather(x, p, s), gather(z, q, t), out=y)
-        np.multiply(gather(z, p, s), gather(x, q, t), out=s)
-        y -= s
-
-    # Null vector of each 3x2 stack via 2x2 cofactors: y . [wi wj wl] = 0.
-    cofactor(yi, j, l)
-    cofactor(yj, l, i)
-    cofactor(yl, i, j)
-    np.add(yi, yj, out=s)
-    s += yl
-    s += 1e-300
-    np.sign(s, out=s)
-    yi *= s
-    yj *= s
-    yl *= s
-    np.minimum(np.minimum(yi, yj, out=s), yl, out=s)
-    valid = s >= 0.0
-    np.abs(yi, out=s)
-    np.maximum(s, np.abs(yj, out=t), out=s)
-    np.maximum(s, np.abs(yl, out=t), out=s)
-    valid &= s > 1e-12
-    ysum = np.add(yi, yj, out=s)
-    ysum += yl
-    # The bound's numerator y . offs, accumulated in yi.
-    yi *= gather(offs, i, t)
-    yj *= gather(offs, j, t)
-    yl *= gather(offs, l, t)
-    yi += yj
-    yi += yl
-    np.negative(yi, out=yi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        upper = np.divide(yi, ysum, out=yi)
-    valid &= upper <= -_SCREEN_MARGIN
-    return valid.any(axis=1)
+    top = np.argsort(-b, axis=1)[:, :rows]
+    W = np.take_along_axis(W, top[:, :, None], axis=1)
+    b = np.take_along_axis(b, top, axis=1)
+    misses = np.empty(len(b), dtype=bool)
+    for lo in range(0, len(b), _LP_BLOCK):
+        part = slice(lo, lo + _LP_BLOCK)
+        misses[part] = _vertex_margins(W[part], b[part]) <= -_SCREEN_MARGIN
+    return misses
 
 
 def empirical_orthant_bound(
@@ -316,13 +267,12 @@ def empirical_orthant_bound(
 
     Trials run in chunks of 4096, each drawn from its own child of `seed`,
     so the count is reproducible per seed.  Each trial takes one of three
-    routes.  For planar inputs a duality screen settles most misses in
-    bulk: it tries the row triples of the 8 largest offsets on the whole
-    chunk, then those of the 12 largest on the trials still open (a pass
-    skipped when d1 <= 8, which has no new triples).  The trials it leaves
-    open go in blocks of up to 128 to the exact vertex kernel when the
-    block's minor tables fit its budget (see `_orthant_hits`), and the
-    kernel settles those in general position whose optimum is clear of the
+    routes.  A duality screen settles most misses in bulk: the vertex kernel
+    on each trial's 8 largest offsets, then on the 12 largest for the trials
+    still open, each pass only when d < rows < d1 (see `_screen_misses`).
+    The trials it leaves open go in blocks of up to 128 to the kernel on all
+    rows when the block's minor tables fit its budget (see `_orthant_hits`),
+    which settles those in general position whose optimum is clear of the
     threshold.  One block-diagonal LP per block solves the rest, and every
     trial of an over-budget block.  A solver failure raises `SolverError`
     naming the chunk, the number of trials in the failed block and the
@@ -341,12 +291,11 @@ def empirical_orthant_bound(
         W = rng.standard_normal((n, d1, d))
         b = rng.standard_normal((n, d1))
         undecided = np.arange(n)
-        if d == 2 and d1 >= 3:
-            for rows in _SCREEN_ROWS:
-                certified = _screen_misses(W[undecided], b[undecided], rows)
-                undecided = undecided[~certified]
-                if d1 <= rows:
-                    break
+        for rows in _SCREEN_ROWS:
+            # On at most d rows the kernel certifies no miss, and on d1 rows
+            # the pass would be the full kernel.
+            if d < rows < d1:
+                undecided = undecided[~_screen_misses(W[undecided], b[undecided], rows)]
         for lo in range(0, len(undecided), _LP_BLOCK):
             block = undecided[lo : lo + _LP_BLOCK]
             try:

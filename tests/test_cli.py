@@ -319,13 +319,16 @@ for argv in (["generate", "--d", "3", "--d1", "4", "--out", net],
 assert netpeel.cli.main(["bound-experiment", "--d", "2", "--d1", "30", "--trials", "200"]) == 0
 assert "scipy" not in sys.modules, "bound-experiment (2, 30)"
 assert netpeel.cli.main(["bound-experiment", "--d", "3", "--d1", "18", "--trials", "200"]) == 0
-assert "scipy" in sys.modules, "bound-experiment (3, 18)"
+assert "scipy" not in sys.modules, "bound-experiment (3, 18)"
+assert netpeel.cli.main(["bound-experiment", "--d", "4", "--d1", "24", "--trials", "200"]) == 0
+assert "scipy" in sys.modules, "bound-experiment (4, 24)"
 """
 
 
 def test_depth2_commands_never_import_scipy(tmp_path):
-    """Only an LP solve loads scipy: a depth-2 round trip never makes one, and
-    the screen and the kernel settle every planar orthant trial at (2, 30)."""
+    """Only an LP solve loads scipy: a depth-2 round trip never makes one, the
+    screen and the kernel settle all 200 orthant trials at (2, 30) and at
+    (3, 18), and at (4, 24) they leave 11 over-budget trials to HiGHS."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", _DEPTH2_ROUND_TRIP, str(tmp_path)],
