@@ -27,10 +27,10 @@ import numpy as np
 
 from .extract2 import extract_two_layer
 from .extract3 import extract_three_layer
-from .highs import SolverError
 from .oracle.generate import GenerationError, generate_three_layer, generate_two_layer
 from .oracle.nets import TwoLayerNet
 from .oracle.query import AccessAudit, NonFiniteValueError, as_oracle
+from .orthant import SolverError
 from .pwl import GeneralPositionError, PieceBudgetError
 from .oracle.serialize import (
     check_document,

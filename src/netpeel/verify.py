@@ -3,7 +3,8 @@
 Everything here sits on the consumer side of an extraction run: compare a
 recovered network against the ground truth on a sampled box, measure how
 often a random affine image meets the open negative orthant, and fit query
-counts against their expected growth.
+counts against their expected growth.  Each orthant trial is decided by
+`orthant`; `intersects_negative_orthant` is re-exported from there.
 """
 
 from __future__ import annotations
@@ -18,17 +19,16 @@ import numpy as np
 
 from .extract2 import extract_two_layer
 from .extract3 import extract_three_layer
-from .highs import SolverError, linprog
 from .oracle.generate import generate_three_layer, generate_two_layer
 from .oracle.nets import ThreeLayerNet, TwoLayerNet, batch_eval
 from .oracle.query import as_oracle
+from . import orthant
 from .orthant import (
-    _LP_MARGIN,
-    _SCREEN_MARGIN,
-    _VERTEX_LIMIT,
-    _table_size,
-    _unsure,
-    _vertex_margins,
+    _LP_BLOCK,
+    SolverError,
+    _screen_misses,
+    intersects_negative_orthant,
+    linprog,  # noqa: F401 - bound for `TRACED_LOCAL` in perfbench/spans.py
 )
 
 __all__ = [
@@ -50,10 +50,6 @@ __all__ = [
 # at its 8 largest offsets, then the trials still open at their 12 largest.
 _SCREEN_ROWS = (8, 12)
 _CHUNK = 4096
-# Undecided trials per block-diagonal LP: the per-trial solver cost is flat
-# up to about 256 blocks and grows beyond.  The screen's kernel calls take as
-# many trials: chunk-wide calls had tables large enough to page-fault anew.
-_LP_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -146,114 +142,9 @@ def functional_equivalence(
     )
 
 
-def _orthant_margins(W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Margin optima of m independent negative-orthant problems in one LP.
-
-    Trial i asks for max t_i subject to W_i x_i + t_i <= -b_i and t_i <= 1.
-    All m blocks go into one sparse block-diagonal program that maximizes
-    sum_i t_i; the blocks share no variables, so each t_i of the joint
-    optimum is that block's own optimum.  One solver call replaces m,
-    which saves the per-call set-up that dominates small programs.
-    Presolve is off: on these blocks it took an eighth to a fifth of each
-    solve, and the margins without it match the presolved ones to 1.4e-14.
-
-    W has shape (m, d1, d), b has shape (m, d1).  Returns the m optima t_i.
-    Raises `SolverError` when HiGHS reports any status but solved.
-    """
-    from scipy import sparse
-
-    m, d1, d = W.shape
-    width = d + 1
-    data = np.concatenate([W, np.ones((m, d1, 1))], axis=2).reshape(-1)
-    cols = np.arange(m)[:, None, None] * width + np.arange(width)
-    A_ub = sparse.csr_array(
-        (data, np.broadcast_to(cols, (m, d1, width)).reshape(-1),
-         np.arange(0, m * d1 * width + 1, width)),
-        shape=(m * d1, m * width),
-    )
-    c = np.zeros((m, width))
-    c[:, d] = -1.0
-    bounds = np.full((m, width, 2), [-np.inf, np.inf])
-    bounds[:, d, 1] = 1.0
-    res = linprog(
-        c=c.reshape(-1),
-        A_ub=A_ub,
-        b_ub=-b.reshape(-1),
-        bounds=bounds.reshape(-1, 2),
-        method="highs",
-        options={"presolve": False},
-    )
-    if res.status != 0:
-        raise SolverError(
-            f"negative-orthant LP: solver status {res.status} ({res.message})"
-        )
-    return res.x[d::width]
-
-
-def _orthant_hits(W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Decide m negative-orthant trials, by the vertex kernel where it is sure.
-
-    The kernel's work is m times the largest level of the minor table, so a
-    block goes to `_vertex_margins` when that stays within the work of a
-    full `_LP_BLOCK` of `_VERTEX_LIMIT`-subset trials: a few trials of a wide
-    cell run on the kernel, a full block of them goes to HiGHS.  The kernel
-    settles a trial when its enumeration is complete and its optimum lies
-    more than `_SCREEN_MARGIN` from `_LP_MARGIN`.  One block LP solves the
-    rest, and every trial of an over-budget block.  W has shape (m, d1, d),
-    b has shape (m, d1).  Returns the boolean mask of hits.
-    """
-    m, d1, d = W.shape
-    if m * _table_size(d1, d) <= _VERTEX_LIMIT * _LP_BLOCK:
-        margins = _vertex_margins(W, b)
-        unsure = _unsure(margins)
-    else:
-        margins = np.empty(m)
-        unsure = np.ones(m, dtype=bool)
-    todo = np.flatnonzero(unsure)
-    if todo.size:
-        margins[todo] = _orthant_margins(W[todo], b[todo])
-    return margins > _LP_MARGIN
-
-
-def intersects_negative_orthant(W: np.ndarray, b: np.ndarray) -> bool:
-    """Decide whether some x satisfies Wx + b < 0 in every component.
-
-    Solved as a margin problem: maximize t subject to Wx + t <= -b and
-    t <= 1.  The strict system is feasible exactly when the optimum is
-    positive; a small threshold keeps boundary cases (measure zero for
-    continuous draws) from flipping on rounding.  Small inputs in general
-    position are settled by vertex enumeration, the rest by HiGHS.
-    """
-    W = np.asarray(W, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if W.ndim != 2 or b.shape != (W.shape[0],):
-        raise ValueError("W must be (d1, d) and b must be (d1,)")
-    return bool(_orthant_hits(W[None], b[None])[0])
-
-
 def orthant_bound_value(d: int, d1: int) -> float:
     """Closed-form tail bound (e*d1/d)^(d+1) / 2^d1."""
     return (math.e * d1 / d) ** (d + 1) / 2.0**d1
-
-
-def _screen_misses(W: np.ndarray, b: np.ndarray, rows: int) -> np.ndarray:
-    """Mark trials certified to have no negative-orthant point.
-
-    Dropping rows can only raise the margin optimum, so the vertex kernel's
-    exact optimum on the `rows` rows of largest offset, where the
-    constraints bind hardest, bounds the trial's; at most -`_SCREEN_MARGIN`
-    it certifies a miss, and NaN certifies nothing.  The kernel runs on
-    `_LP_BLOCK` trials at a time, which keeps its tables small.  W has shape
-    (n, d1, d), b has shape (n, d1).  Returns a boolean mask of misses.
-    """
-    top = np.argsort(-b, axis=1)[:, :rows]
-    W = np.take_along_axis(W, top[:, :, None], axis=1)
-    b = np.take_along_axis(b, top, axis=1)
-    misses = np.empty(len(b), dtype=bool)
-    for lo in range(0, len(b), _LP_BLOCK):
-        part = slice(lo, lo + _LP_BLOCK)
-        misses[part] = _vertex_margins(W[part], b[part]) <= -_SCREEN_MARGIN
-    return misses
 
 
 def empirical_orthant_bound(
@@ -266,17 +157,15 @@ def empirical_orthant_bound(
     """Draw standard-normal (W, b) pairs and count negative-orthant intersections.
 
     Trials run in chunks of 4096, each drawn from its own child of `seed`,
-    so the count is reproducible per seed.  Each trial takes one of three
-    routes.  A duality screen settles most misses in bulk: the vertex kernel
-    on each trial's 8 largest offsets, then on the 12 largest for the trials
-    still open, each pass only when d < rows < d1 (see `_screen_misses`).
-    The trials it leaves open go in blocks of up to 128 to the kernel on all
-    rows when the block's minor tables fit its budget (see `_orthant_hits`),
-    which settles those in general position whose optimum is clear of the
-    threshold.  One block-diagonal LP per block solves the rest, and every
-    trial of an over-budget block.  A solver failure raises `SolverError`
-    naming the chunk, the number of trials in the failed block and the
-    range they span.
+    so the count is reproducible per seed.  A duality screen settles most
+    misses in bulk: the vertex kernel on each trial's 8 largest offsets,
+    then on the 12 largest for the trials still open, each pass only when
+    d < rows < d1 (see `orthant._screen_misses`).  The trials it leaves
+    open go in blocks of up to 128 to `orthant.hits`, which gives a block
+    to the kernel on all rows when that costs less than one HiGHS call and
+    solves the rest as one block-diagonal LP.  A solver failure raises
+    `SolverError` naming the chunk, the number of trials in the failed
+    block and the range they span.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -299,7 +188,7 @@ def empirical_orthant_bound(
         for lo in range(0, len(undecided), _LP_BLOCK):
             block = undecided[lo : lo + _LP_BLOCK]
             try:
-                hit = _orthant_hits(W[block], b[block])
+                hit = orthant.hits(W[block], b[block])
             except SolverError as err:
                 raise SolverError(
                     f"chunk {k}, {len(block)} trials in "

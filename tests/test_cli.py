@@ -1,6 +1,7 @@
 """Command-line flows: generate, extract, verify, bench, bound-experiment."""
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -284,25 +285,25 @@ class _FailedSolve:
 
 
 @pytest.mark.parametrize(
-    "module, argv",
+    "argv",
     [
-        ("netpeel.verify", ["bound-experiment", "--d", "4", "--d1", "24", "--trials", "50"]),
-        ("netpeel.oracle.generate", ["generate", "--depth", "3", "--d", "6", "--d1", "3",
-                                     "--d2", "9"]),
-        ("netpeel.oracle.generate", ["bench", "--depth", "3", "--d-list", "3", "--d1-list", "2",
-                                     "--d2-list", "6", "--seeds", "0"]),
+        ["bound-experiment", "--d", "4", "--d1", "24", "--trials", "50"],
+        ["generate", "--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"],
+        ["bench", "--depth", "3", "--d-list", "3", "--d1-list", "2", "--d2-list", "6",
+         "--seeds", "0"],
     ],
     ids=["bound-experiment", "generate-depth3", "bench-depth3"],
 )
-def test_solver_failure_has_its_own_exit_code(module, argv, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(f"{module}.linprog", lambda *args, **kwargs: _FailedSolve())
+def test_solver_failure_has_its_own_exit_code(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("netpeel.orthant.linprog", lambda *args, **kwargs: _FailedSolve())
     # An unsure kernel sends every orthant problem it sees to the solver.
-    monkeypatch.setattr(f"{module}._vertex_margins", lambda W, b: np.full(len(W), np.nan))
+    monkeypatch.setattr("netpeel.orthant._vertex_margins",
+                        lambda W, b: np.full(len(W), np.nan))
     out = tmp_path / "out"
     capsys.readouterr()
     assert main([*argv, "--out", str(out)]) == cli.EXIT_SOLVER == 6
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "status 4 (numerical difficulties)" in err
+    assert err.startswith("error: ") and "negative-orthant LP: solver status 4 (numerical difficulties)" in err
     assert not out.exists()
 
 
@@ -532,3 +533,31 @@ def test_the_cached_parser_keeps_no_state_between_calls(monkeypatch, tmp_path):
     out = tmp_path / "bound.csv"
     assert main(["bound-experiment", "--d1", "4", "--trials", "20", "--out", str(out)]) == 0
     assert out.exists()
+
+
+def test_the_benchmark_tracer_wraps_every_traced_name_and_restores_it(monkeypatch):
+    """`perfbench/spans.py` wraps package names from outside the package, so a
+    name it lists that the package drops would break `run.py --trace 1`."""
+    path = Path(cli.__file__).resolve().parents[2] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look it up
+    spec.loader.exec_module(spans)
+    from netpeel.oracle.query import QueryOracle
+
+    modules = {name: mod for name, mod in sys.modules.items()
+               if name == "netpeel" or name.startswith("netpeel.")}
+    before = {name: dict(vars(mod)) for name, mod in modules.items()}
+    query = QueryOracle.query
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for name, attr, _ in (*spans.TRACED, *spans.TRACED_LOCAL):
+            assert getattr(sys.modules[name], attr) is not before[name][attr], (name, attr)
+        assert QueryOracle.query is not query
+    finally:
+        tracer.uninstall()
+    for name, mod in modules.items():
+        now = vars(mod)
+        assert all(now.get(key) is value for key, value in before[name].items()), name
+    assert QueryOracle.query is query

@@ -1,8 +1,6 @@
 """Network evaluation, query counting, instance generation, serialization."""
 
-import ast
 import json
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import three_layer
-from netpeel import orthant, verify
+from netpeel import orthant
 from netpeel.config import ASSUMPTION_PROBES, PLANE_GAP
 from netpeel.extract2 import subtracted_oracle
 from netpeel.extract3 import extract_three_layer, peel_first_layer
@@ -288,17 +286,18 @@ def test_nonzero_partials_on_scalar_cases():
 
 
 def test_dead_region_lp_reads_infeasible_as_unreachable(monkeypatch):
-    # Every unit is active at y = 0 and grows along the orthant, so the LP
-    # has no feasible point (HiGHS status 2).  The repeated row leaves the
-    # kernel a zero minor, so the decision is HiGHS's.
+    # Every unit is active at y = 0 and grows along the orthant, so no y >= 0
+    # with a positive slack exists.  The repeated row leaves the kernel a zero
+    # minor, so the decision is HiGHS's; the orthant program is always
+    # feasible, and HiGHS reads this case as an optimum t* <= 0.
     calls = []
-    solve = generate.linprog
+    solve = orthant.linprog
 
     def counting_linprog(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(generate, "linprog", counting_linprog)
+    monkeypatch.setattr(orthant, "linprog", counting_linprog)
     assert not generate._orthant_reachable(
         np.array([[1.0, 1.0], [1.0, 1.0], [0.5, 2.0]]), np.array([1.0, 1.0, 0.5]))
     assert calls == [1]
@@ -309,7 +308,7 @@ def test_dead_region_lp_failure_is_loud(monkeypatch):
         return SimpleNamespace(status=4, message="numerical difficulties",
                                fun=0.0)
 
-    monkeypatch.setattr(generate, "linprog", failing_linprog)
+    monkeypatch.setattr(orthant, "linprog", failing_linprog)
     # A repeated row of V: the kernel's minor table has a zero, so the
     # decision goes to the solver.
     with pytest.raises(RuntimeError, match="status 4"):
@@ -429,11 +428,14 @@ def test_plane_gap_test_matches_the_pairwise_loop():
 
 
 def _kernel_unsure(V, c):
-    """Whether `_orthant_reachable` leaves (V, c) to HiGHS, by its three rules."""
+    """Whether `_orthant_reachable` leaves (V, c) to HiGHS: y = 0 does not
+    reach, and the cost rule routes its one problem past the kernel or the
+    kernel is unsure."""
     d2, d1 = V.shape
     if np.all(c < -(orthant._LP_MARGIN + orthant._SCREEN_MARGIN)):
         return False
-    if orthant._table_size(d2 + d1, d1) > orthant._VERTEX_LIMIT:
+    work = orthant._table_size(d2 + d1, d1) * (d1 + 1)
+    if work > orthant._HIGHS_CALL + orthant._HIGHS_TRIAL:
         return True
     W = np.vstack([V, -np.eye(d1)])
     b = np.concatenate([c, np.zeros(d1)])
@@ -444,7 +446,7 @@ def test_generator_decides_the_dead_region_once_per_second_layer_draw(monkeypatc
     counts = {"blocks": 0, "lps": 0}
     unsure = []
     block, decide, linprog = (generate._second_layer_block, generate._orthant_reachable,
-                              generate.linprog)
+                              orthant.linprog)
 
     def counting_block(*args, **kwargs):
         second = block(*args, **kwargs)
@@ -461,29 +463,15 @@ def test_generator_decides_the_dead_region_once_per_second_layer_draw(monkeypatc
 
     monkeypatch.setattr(generate, "_second_layer_block", counting_block)
     monkeypatch.setattr(generate, "_orthant_reachable", recording_decide)
-    monkeypatch.setattr(generate, "linprog", counting_linprog)
+    monkeypatch.setattr(orthant, "linprog", counting_linprog)
     for seed in range(5):
         generate_three_layer(6, 3, 9, np.random.default_rng(seed))
-    # (4, 3, 20) has 8855 row subsets in its table, past the kernel's budget.
-    generate_three_layer(4, 3, 20, np.random.default_rng(0))
+    # The (5, 4, 20) embedding, 42504 row subsets of 5 columns, costs the
+    # kernel more than one HiGHS call.
+    generate_three_layer(5, 4, 20, np.random.default_rng(0))
     assert counts["blocks"] > 0
     assert len(unsure) == counts["blocks"]
     assert 0 < counts["lps"] == sum(unsure) < counts["blocks"]
-
-
-def test_generate_names_linprog_once_inside_the_dead_region_test():
-    """One dead-region LP, and the kernel it falls back from is orthant's own."""
-    tree = ast.parse(Path(generate.__file__).read_text())
-    owners = [
-        fn.name
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Name) and node.id == "linprog"
-    ]
-    names = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "linprog"]
-    assert owners == ["_orthant_reachable"] and len(names) == 1
-    assert generate._vertex_margins is orthant._vertex_margins is verify._vertex_margins
 
 
 def test_generation_failure_names_the_shape():

@@ -1,12 +1,14 @@
-"""The solver-free orthant kernel: its minor tables and the generator's dead-region test."""
+"""The orthant module: its minor tables, its one HiGHS program and the generator's dead-region test."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from netpeel import orthant
+from netpeel import orthant, verify
 from netpeel.oracle import generate
 from netpeel.oracle.generate import generate_three_layer
 
@@ -54,15 +56,15 @@ def _highs_reachable(V, c):
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Count the generator's HiGHS calls."""
+    """Count the HiGHS calls."""
     calls = []
-    solve = generate.linprog
+    solve = orthant.linprog
 
     def counting_linprog(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(generate, "linprog", counting_linprog)
+    monkeypatch.setattr(orthant, "linprog", counting_linprog)
     return calls
 
 
@@ -103,7 +105,42 @@ def test_a_margin_in_the_band_goes_to_highs(solver_calls):
 
 
 def test_negative_offsets_reach_the_orthant_without_the_kernel(monkeypatch, solver_calls):
-    monkeypatch.setattr(generate, "_vertex_margins", None)
+    monkeypatch.setattr(orthant, "_vertex_margins", None)
     V, c = np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([-0.5, -1e-3])
     assert generate._orthant_reachable(V, c)
     assert solver_calls == []
+
+
+@pytest.mark.parametrize("d1, d2, route", [(5, 15, "highs"), (6, 12, "highs"), (4, 20, "highs"),
+                                          (3, 30, "highs"), (3, 20, "kernel")])
+def test_wide_dead_region_decisions_match_the_generators_old_lp(d1, d2, route, solver_calls):
+    """Wide draws reach HiGHS through the block program on [V; -I], and (3, 20)
+    draws reach the kernel; both decide as the generator's own LP did."""
+    rng = np.random.default_rng(d1 * d2)
+    draws = []
+    while len(draws) < 6:
+        second = generate._second_layer_block(d1, d2, rng)
+        if second is not None:
+            draws.append(second)
+    decisions = [generate._orthant_reachable(V, c) for V, c in draws]
+    assert len(solver_calls) == (len(draws) if route == "highs" else 0)
+    assert decisions == [_highs_reachable(V, c) for V, c in draws]
+    # Wide draws seldom leave a dead region; the fifth (6, 12) draw does.
+    assert any(decisions) == ((d1, d2) == (6, 12))
+
+
+def test_src_names_linprog_once_inside_the_block_program():
+    """One HiGHS program in the package, and no kernel name outside `orthant`."""
+    owners = [
+        (path.name, fn.name)
+        for path in sorted(Path(orthant.__file__).parent.rglob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "linprog"
+    ]
+    assert owners == [("orthant.py", "_orthant_margins")]
+    assert generate.linprog is verify.linprog is orthant.linprog
+    for module in (generate, verify):
+        for name in ("_vertex_margins", "_table_size", "_unsure", "_orthant_margins"):
+            assert not hasattr(module, name), (module.__name__, name)

@@ -1,9 +1,7 @@
 """Equivalence reports, negative-orthant experiment, query benchmarks."""
 
-import ast
 import csv
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +10,7 @@ from scipy.optimize import linprog
 import netpeel.verify as verify
 from netpeel import orthant
 from netpeel.extract2 import extract_two_layer
-from netpeel.highs import SolverError
+from netpeel.orthant import SolverError
 from netpeel.oracle.generate import generate_two_layer
 from netpeel.oracle.nets import AffineMap, TwoLayerNet
 from netpeel.oracle.query import as_oracle
@@ -157,7 +155,7 @@ def test_block_margins_match_one_trial_margins(d, d1):
     for m in (1, 7, 128):
         W = rng.standard_normal((m, d1, d))
         b = rng.standard_normal((m, d1))
-        block = verify._orthant_margins(W, b)
+        block = orthant._orthant_margins(W, b)
         single = np.array([_single_margin(W[i], b[i]) for i in range(m)])
         assert block.shape == (m,)
         assert np.max(np.abs(block - single)) <= 1e-10, (d, d1, m)
@@ -170,10 +168,10 @@ def test_solver_failure_names_the_chunk_and_trials(monkeypatch):
     class Failed:
         status, message = 4, "numerical difficulties"
 
-    monkeypatch.setattr(verify, "linprog", lambda *args, **kwargs: Failed())
+    monkeypatch.setattr(orthant, "linprog", lambda *args, **kwargs: Failed())
     # An unsure kernel certifies nothing in the screen, so the whole block
     # of 50 (4, 24) trials reaches HiGHS.
-    monkeypatch.setattr(verify, "_vertex_margins", lambda W, b: np.full(len(W), np.nan))
+    monkeypatch.setattr(orthant, "_vertex_margins", lambda W, b: np.full(len(W), np.nan))
     with pytest.raises(SolverError, match=r"chunk 0, 50 trials in 0\.\.49: .*status 4 "
                        r"\(numerical difficulties\)"):
         empirical_orthant_bound(4, 24, 50, seed=0)
@@ -188,7 +186,7 @@ def test_vertex_kernel_matches_the_block_lp(d, d1):
     W = rng.standard_normal((128, d1, d))
     b = rng.standard_normal((128, d1))
     kernel = orthant._vertex_margins(W, b)
-    lp = verify._orthant_margins(W, b)
+    lp = orthant._orthant_margins(W, b)
     assert not np.isnan(kernel).any()
     assert np.max(np.abs(kernel - lp)) <= 1e-10
     hits = kernel > orthant._LP_MARGIN
@@ -205,7 +203,7 @@ def solver_calls(monkeypatch):
         calls.append(int(np.count_nonzero(kwargs["c"])))
         return linprog(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "linprog", counting_linprog)
+    monkeypatch.setattr(orthant, "linprog", counting_linprog)
     return calls
 
 
@@ -239,45 +237,50 @@ def test_a_margin_at_the_threshold_goes_to_highs(solver_calls):
 def test_the_kernel_settles_general_trials_and_passes_on_the_rest(solver_calls):
     rng = np.random.default_rng(5)
     W, b = rng.standard_normal((40, 12, 3)), rng.standard_normal((40, 12))
-    expected = verify._orthant_margins(W, b) > orthant._LP_MARGIN
+    expected = orthant._orthant_margins(W, b) > orthant._LP_MARGIN
     solver_calls.clear()
-    assert np.array_equal(verify._orthant_hits(W, b), expected)
+    assert np.array_equal(orthant.hits(W, b), expected)
     assert solver_calls == []
     W[7, 3] = W[7, 5]  # a repeated row
     W[21, 0] = 0.0  # a zero row
-    expected = verify._orthant_margins(W, b) > orthant._LP_MARGIN
+    expected = orthant._orthant_margins(W, b) > orthant._LP_MARGIN
     solver_calls.clear()
-    assert np.array_equal(verify._orthant_hits(W, b), expected)
+    assert np.array_equal(orthant.hits(W, b), expected)
     assert solver_calls == [2]
 
 
-def test_wide_cells_skip_the_kernel(solver_calls):
-    budget = orthant._VERTEX_LIMIT * verify._LP_BLOCK
-    assert 3 * orthant._table_size(30, 2) <= budget
-    assert 128 * orthant._table_size(18, 3) > budget
+_ROUTES = {
+    # The largest open blocks of the benchmark pool and of (3, 18, 1500).
+    (13, 30, 2): "kernel",
+    (16, 12, 3): "kernel",
+    (61, 18, 3): "kernel",
+    # One (40, 3) input to `intersects_negative_orthant`, a (4, 24) tail
+    # block and the generator's (5, 15) embedding.
+    (1, 40, 3): "highs",
+    (6, 24, 4): "highs",
+    (1, 20, 5): "highs",
+}
+
+
+@pytest.mark.parametrize("m, d1, d", sorted(_ROUTES))
+def test_blocks_go_where_the_cost_rule_sends_them(m, d1, d, monkeypatch, solver_calls):
+    kernel_calls = []
+    kernel = orthant._vertex_margins
+
+    def recording_kernel(W, b):
+        kernel_calls.append(W.shape)
+        return kernel(W, b)
+
+    monkeypatch.setattr(orthant, "_vertex_margins", recording_kernel)
+    rng = np.random.default_rng(m + d1 + d)
+    W, b = rng.standard_normal((m, d1, d)), rng.standard_normal((m, d1))
+    orthant.hits(W, b)
+    if _ROUTES[m, d1, d] == "kernel":
+        assert kernel_calls == [(m, d1, d)] and solver_calls == []
+    else:
+        assert kernel_calls == [] and solver_calls == [m]
     # The largest level bounds the table even when d + 1 is past d1 / 2.
     assert orthant._table_size(40, 39) == math.comb(40, 20)
-    rng = np.random.default_rng(6)
-    W, b = rng.standard_normal((3, 30, 2)), rng.standard_normal((3, 30))
-    verify._orthant_hits(W, b)
-    assert solver_calls == []
-    W, b = rng.standard_normal((128, 18, 3)), rng.standard_normal((128, 18))
-    verify._orthant_hits(W, b)
-    assert solver_calls == [128]
-
-
-def test_verify_names_linprog_once_inside_the_block_kernel():
-    """One LP construction: no per-trial path beside the block-diagonal one."""
-    tree = ast.parse(Path(verify.__file__).read_text())
-    owners = [
-        fn.name
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Name) and node.id == "linprog"
-    ]
-    names = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "linprog"]
-    assert owners == ["_orthant_margins"] and len(names) == 1
 
 
 # --------------------------------------------------------- duality screen
@@ -291,12 +294,12 @@ def test_screen_leaves_the_pinned_trials_open_on_the_benchmark_pool():
     for seed in range(32):
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         W, b = rng.standard_normal((1024, 30, 2)), rng.standard_normal((1024, 30))
-        masks = {rows: verify._screen_misses(W, b, rows) for rows in verify._SCREEN_ROWS}
+        masks = {rows: orthant._screen_misses(W, b, rows) for rows in verify._SCREEN_ROWS}
         for rows, certified in masks.items():
             assert certified.dtype == bool and certified.shape == (1024,)
             left_open[rows] += np.count_nonzero(~certified)
         open8 = np.flatnonzero(~masks[8])
-        rescreened += np.count_nonzero(~verify._screen_misses(W[open8], b[open8], 12))
+        rescreened += np.count_nonzero(~orthant._screen_misses(W[open8], b[open8], 12))
     assert left_open == {8: 2104, 12: 203}
     # One trial of seed 10 is certified at 8 rows but NaN at 12, where a
     # near-dependent pair joins the top rows, so the re-screen leaves one
@@ -328,13 +331,13 @@ def test_screen_certifies_only_misses(d1):
                 b[:, 1] = scale * b[:, 0]
             misses = np.zeros(n, dtype=bool)
             for rows in verify._SCREEN_ROWS:
-                mask = verify._screen_misses(W, b, rows)
+                mask = orthant._screen_misses(W, b, rows)
                 assert mask.dtype == bool and mask.shape == (n,), (d, case, rows)
                 certified += np.count_nonzero(mask)
                 misses |= mask
             total += 2 * n
             if misses.any():
-                margins = verify._orthant_margins(W[misses], b[misses])
+                margins = orthant._orthant_margins(W[misses], b[misses])
                 assert np.all(margins <= orthant._LP_MARGIN), (d, case)
     assert 0 < certified < total
 
