@@ -1,6 +1,8 @@
 """Network evaluation, query counting, instance generation, serialization."""
 
+import ast
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -472,6 +474,23 @@ def test_generator_decides_the_dead_region_once_per_second_layer_draw(monkeypatc
     assert counts["blocks"] > 0
     assert len(unsure) == counts["blocks"]
     assert 0 < counts["lps"] == sum(unsure) < counts["blocks"]
+
+
+def test_generate_names_linprog_once_inside_the_dead_region_test():
+    """The generator's one dead-region LP is `orthant`'s block program; the
+    generator builds none of its own and keeps no kernel name."""
+    owners = [
+        (path.name, fn.name)
+        for path in (Path(generate.__file__), Path(orthant.__file__))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "linprog"
+    ]
+    assert owners == [("orthant.py", "_orthant_margins")]
+    assert generate.linprog is orthant.linprog
+    for name in ("_vertex_margins", "_table_size", "_unsure", "_orthant_margins"):
+        assert not hasattr(generate, name), name
 
 
 def test_generation_failure_names_the_shape():

@@ -1,14 +1,12 @@
 """The orthant module: its minor tables, its one HiGHS program and the generator's dead-region test."""
 
-import ast
 import itertools
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from netpeel import orthant, verify
+from netpeel import orthant
 from netpeel.oracle import generate
 from netpeel.oracle.generate import generate_three_layer
 
@@ -127,20 +125,3 @@ def test_wide_dead_region_decisions_match_the_generators_old_lp(d1, d2, route, s
     assert decisions == [_highs_reachable(V, c) for V, c in draws]
     # Wide draws seldom leave a dead region; the fifth (6, 12) draw does.
     assert any(decisions) == ((d1, d2) == (6, 12))
-
-
-def test_src_names_linprog_once_inside_the_block_program():
-    """One HiGHS program in the package, and no kernel name outside `orthant`."""
-    owners = [
-        (path.name, fn.name)
-        for path in sorted(Path(orthant.__file__).parent.rglob("*.py"))
-        for fn in ast.walk(ast.parse(path.read_text()))
-        if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Name) and node.id == "linprog"
-    ]
-    assert owners == [("orthant.py", "_orthant_margins")]
-    assert generate.linprog is verify.linprog is orthant.linprog
-    for module in (generate, verify):
-        for name in ("_vertex_margins", "_table_size", "_unsure", "_orthant_margins"):
-            assert not hasattr(module, name), (module.__name__, name)

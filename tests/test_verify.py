@@ -1,7 +1,9 @@
 """Equivalence reports, negative-orthant experiment, query benchmarks."""
 
+import ast
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +283,23 @@ def test_blocks_go_where_the_cost_rule_sends_them(m, d1, d, monkeypatch, solver_
         assert kernel_calls == [] and solver_calls == [m]
     # The largest level bounds the table even when d + 1 is past d1 / 2.
     assert orthant._table_size(40, 39) == math.comb(40, 20)
+
+
+def test_verify_names_linprog_once_inside_the_block_kernel():
+    """One HiGHS program in the package, inside the block kernel `orthant`
+    owns, and no kernel name left in the verifier."""
+    owners = [
+        (path.name, fn.name)
+        for path in sorted(Path(orthant.__file__).parent.rglob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "linprog"
+    ]
+    assert owners == [("orthant.py", "_orthant_margins")]
+    assert verify.linprog is orthant.linprog
+    for name in ("_vertex_margins", "_table_size", "_unsure", "_orthant_margins"):
+        assert not hasattr(verify, name), name
 
 
 # --------------------------------------------------------- duality screen
