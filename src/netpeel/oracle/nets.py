@@ -12,9 +12,10 @@ all of R^d as a first layer under a two-layer top,
 
 where `top` is a two-layer net on the d1-dimensional hidden orthant.  A
 generated top is s . relu(V h + c) with no skip; a recovered top may carry an
-affine term in h.  Containers are immutable.  Each class has one stacked
-evaluator (`evaluator`), which maps a batch of points to values with a few
-matrix products, and a single point to its one value.
+affine term in h.  Containers are immutable.  Each class has one evaluator
+(`evaluator`), a closure over its stacked parameters with the layer
+arithmetic inline, which maps a batch of points to values with a few matrix
+products, and a single point to its one value.
 """
 from __future__ import annotations
 
@@ -138,39 +139,42 @@ class ThreeLayerNet:
         return self.W.shape[0]
 
 
-def relu_layer(xs: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """relu(W x + b) for every row x of `xs`, computed in one fresh array."""
-    z = np.dot(xs, W.T)
-    z += b
-    return np.maximum(z, 0.0, out=z)
-
-
-def relu_sum(xs: np.ndarray, W: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """s . relu(W x + b) for every row x of `xs`: the kernel every evaluator shares."""
-    return np.dot(relu_layer(xs, W, b), s)
-
-
 def evaluator(net) -> Callable[[np.ndarray], np.ndarray]:
     """The stacked evaluator of `net`: an (n, d) array of points to n values.
 
-    The parameters are stacked into arrays once, here.  A (d,) point gives
-    one value, bitwise equal to that point's value as a batch of one row;
-    the oracles rely on this to query without building a batch.  The
-    products keep `np.dot(xs, W.T)` on the transposed view: a contiguous
-    copy of `W.T` takes another BLAS path and changes single-point values in
-    the last bit.  Bias and ReLU are applied in place on the product, so a
-    query allocates no temporaries beyond it.
+    The parameters are stacked into arrays once, here, and each class gets
+    one closure with its layer arithmetic inline; a depth-3 closure runs its
+    first layer and calls the top's closure.  A (d,) point gives one value,
+    bitwise equal to that point's value as a batch of one row; the oracles
+    rely on this to query without building a batch.  Each product is
+    `xs.dot(WT)` with `WT` the transposed view `W.T`: a contiguous copy
+    takes another BLAS path and changes single-point values in the last
+    bit.  Bias and ReLU are applied in place on the product, so a query
+    allocates no temporaries beyond it.  `xs` must be an array; `batch_eval`
+    converts other input.
     """
     if isinstance(net, TwoLayerNet):
         W, b, s = net.weight_matrix(), net.biases(), net.signs()
-        skip = net.skip
+        WT, skip, maximum = W.T, net.skip, np.maximum
+
+        def two_layer(xs):
+            z = xs.dot(WT)
+            z += b
+            return maximum(z, 0.0, out=z).dot(s)
+
         if skip is None:
-            return lambda xs: relu_sum(xs, W, b, s)
-        return lambda xs: relu_sum(xs, W, b, s) + skip.batch(xs)
+            return two_layer
+        return lambda xs: two_layer(xs) + skip.batch(xs)
     if isinstance(net, ThreeLayerNet):
-        W, b = net.W, net.b
+        WT, b, maximum = net.W.T, net.b, np.maximum
         top = evaluator(net.top)
-        return lambda xs: top(relu_layer(xs, W, b))
+
+        def three_layer(xs):
+            h = xs.dot(WT)
+            h += b
+            return top(maximum(h, 0.0, out=h))
+
+        return three_layer
     raise TypeError(f"cannot evaluate {type(net).__name__}")
 
 

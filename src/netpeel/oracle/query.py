@@ -87,6 +87,7 @@ class QueryOracle:
         return val
 
     def __call__(self, x) -> float:
+        # Looks up `self.query` per call, so a wrapper set on the class counts it.
         return self.query(x)
 
 

@@ -14,8 +14,11 @@ import pytest
 
 import netpeel.cli as cli
 from netpeel.cli import main
-from netpeel.oracle.generate import generate_two_layer
+from netpeel.extract2 import extract_two_layer
+from netpeel.extract3 import extract_three_layer
+from netpeel.oracle.generate import generate_three_layer, generate_two_layer
 from netpeel.oracle.nets import AffineMap, Neuron, TwoLayerNet, batch_eval
+from netpeel.oracle.query import as_oracle
 from netpeel.oracle.serialize import load_net, save_net
 
 
@@ -555,6 +558,17 @@ def test_the_benchmark_tracer_wraps_every_traced_name_and_restores_it(monkeypatc
         for name, attr, _ in (*spans.TRACED, *spans.TRACED_LOCAL):
             assert getattr(sys.modules[name], attr) is not before[name][attr], (name, attr)
         assert QueryOracle.query is not query
+        # Every base query must pass the class wrapper, or traced runs fail
+        # `check_trace` while untraced ones pass.
+        for net, extract, queries in (
+            (generate_two_layer(4, 8, np.random.default_rng(0)),
+             lambda o: extract_two_layer(o, 4, 1e-4, 512), 1273),
+            (generate_three_layer(4, 3, 9, np.random.default_rng(1)),
+             lambda o: extract_three_layer(o, 4, 1e-4), 2454),
+        ):
+            oracle, q0 = as_oracle(net), tracer.base_queries
+            got = extract(oracle)
+            assert tracer.base_queries - q0 == oracle.count == got.total_queries == queries
     finally:
         tracer.uninstall()
     for name, mod in modules.items():

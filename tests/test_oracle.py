@@ -138,7 +138,8 @@ def _random_skip(rng, d):
 
 
 def _contract_nets():
-    """Depth-2 nets with and without skip, and depth-3 nets, with their boxes."""
+    """Depth-2 nets with and without skip, depth-3 nets and unitless nets, with
+    their boxes."""
     rng = np.random.default_rng(808)
     nets = []
     for d, d1 in ((1, 1), (3, 5), (4, 8), (10, 32)):
@@ -150,10 +151,14 @@ def _contract_nets():
         nets.append((net, -5.0, 5.0))
         top = TwoLayerNet(d1, net.top.neurons, _random_skip(rng, d1))
         nets.append((ThreeLayerNet(net.W, net.b, top), -5.0, 5.0))
+    # No units: a (0, d) weight matrix, as when `refine_units` refits the
+    # only unit of a one-unit net.
+    nets.append((TwoLayerNet(3, ()), 0.0, 10.0))
+    nets.append((TwoLayerNet(3, (), _random_skip(rng, 3)), 0.0, 10.0))
     return nets
 
 
-@pytest.mark.parametrize("case", range(12))
+@pytest.mark.parametrize("case", range(14))
 def test_evaluator_gives_a_point_the_value_of_its_one_row_batch(case):
     """The oracles query with a bare (d,) point; it must be bitwise equal to
     the same point evaluated as a batch of one row."""
