@@ -1,19 +1,20 @@
-"""The numeric policy: every threshold, budget and margin, named once.
+"""The numeric policy: the shared thresholds, budgets and margins, named once.
 
 The probing primitives (`pwl`) and the extractors (`extract2`, `extract3`)
-compare measured quantities against noise estimates of the form
-`k * EPS * scale`, where `scale` is the magnitude of the values involved, and
-most comparisons also carry an absolute floor.  Each factor `k * EPS` and
-each floor is a constant here; the modules that use them multiply in the
-same left-to-right order as `k * EPS * scale / step`, so every threshold is
-the same float wherever it is derived.  No other module refers to `EPS`.
-All floating point work is float64.
+compare measured quantities against noise estimates `k * EPS * scale`, where
+`scale` is the magnitude of the values involved, most with an absolute floor.
+Those factors and floors are constants here, multiplied in the left-to-right
+order `k * EPS * scale / step`, so a threshold is the same float wherever it
+is derived; no other module refers to `EPS`.  All work is float64.  What one
+module alone uses stays private to it: probe geometry such as
+`extract2._BRACKET_CAP`, `extract3._PARALLEL_SIN` and `pwl._FAR_STEP`, the
+decision margins of `orthant`, and literal guards against a zero divisor.
 
 The general-position margins say what the generators accept as a network in
-general position, the class on which extraction is exact.  They are fixed:
-the extractors size their probes from them (`extract2` derives its step cap
-from `SEPARATION` and `MIN_AXIS_COSINE`), so a network drawn under other
-margins could be recovered wrongly without notice.
+general position, the class on which extraction is exact; `margins` measures
+some of them.  They are fixed: the extractors size their probes from them
+(`extract2` derives its step cap from `SEPARATION` and `MIN_AXIS_COSINE`), so
+a network drawn under other margins could be recovered wrongly without notice.
 """
 from __future__ import annotations
 

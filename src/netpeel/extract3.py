@@ -30,6 +30,7 @@ from .config import (
     SIGN_ATTEMPTS,
 )
 from .extract2 import ExtractedTwoLayer, extract_two_layer
+from .margins import leave_one_out, least_singular_value, plane_gap
 from .oracle.nets import ThreeLayerNet, batch_eval
 from .oracle.query import DOMAIN_FULL, DOMAIN_NONNEG, QueryOracle, axis_ray
 from .pwl import (
@@ -58,9 +59,10 @@ class CandidateList:
 
     def add(self, plane: Hyperplane, source: np.ndarray) -> bool:
         """Record a plane unless an equivalent one is already present."""
-        for known in self.planes:
-            if known.close_to(plane, DEDUP_TOL):
-                return False
+        normals = np.array([known.normal for known in self.planes])
+        offsets = np.array([known.offset for known in self.planes])
+        if plane_gap(plane.normal, plane.offset, normals, offsets) <= DEDUP_TOL:
+            return False
         self.planes.append(plane)
         self.sources.append(np.asarray(source, dtype=float))
         return True
@@ -223,20 +225,14 @@ def recover_row_signs(
     W = np.zeros((m, d))
     b = np.zeros(m)
     flipped = 0
+    resid = leave_one_out([plane.normal for plane in planes])
     for i, plane in enumerate(planes):
         n_i = plane.normal
-        rest = [p.normal for j, p in enumerate(planes) if j != i]
-        if rest:
-            a = np.stack(rest)
-            q, _ = np.linalg.qr(a.T)
-            z = n_i - q @ (q.T @ n_i)
-        else:
-            z = n_i.copy()
-        norm = float(np.linalg.norm(z))
+        norm = float(np.linalg.norm(resid[i]))
         if norm < 1e-6:
             raise GeneralPositionError(
                 f"sign recovery: plane {i} lies in the span of the others")
-        z /= norm
+        z = resid[i] / norm
         if float(z @ n_i) < 0:
             z = -z
         tangent = _tangent_basis(n_i)
@@ -280,8 +276,7 @@ def recover_row_signs(
 def right_inverse(W: np.ndarray) -> np.ndarray:
     """Minimum-norm right inverse of a full-row-rank matrix."""
     W = np.asarray(W, dtype=float)
-    svals = np.linalg.svd(W, compute_uv=False)
-    if svals.size == 0 or svals[-1] < RANK_TOL:
+    if least_singular_value(W) < RANK_TOL:
         raise GeneralPositionError("W not right invertible")
     M = np.linalg.pinv(W)
     if float(np.max(np.abs(W @ M - np.eye(W.shape[0])))) > INVERSE_TOL:

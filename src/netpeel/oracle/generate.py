@@ -1,11 +1,9 @@
 """Random test networks with verified recovery margins.
 
-The extraction routines assume the target is in "general position": hyperplanes
-are distinct, crossings along probe lines are isolated, and gradient jumps are
-large enough to detect at the working step size.  Rather than sampling blindly
-and hoping, each generator places crossings constructively and then rejects
-draws that violate an explicit margin.  The margins are the fixed
-general-position constants of `config`, which the extractors rely on too.
+Extraction is exact only in general position (see `margins`).  Each generator
+places crossings constructively and rejects draws that miss a margin: the
+fixed constants of `config` are the pass marks, and `margins` measures the
+plane gap and the conditioning of a depth-3 first layer.
 
 All randomness flows through a caller-supplied `numpy.random.Generator`.
 """
@@ -30,6 +28,7 @@ from ..config import (
     V_HIGH,
     V_LOW,
 )
+from ..margins import leave_one_out, least_singular_value, plane_gap
 from ..orthant import (
     _LP_MARGIN,
     _SCREEN_MARGIN,
@@ -54,19 +53,6 @@ def _unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
         n = float(np.linalg.norm(v))
         if n > 1e-6:
             return v / n
-
-
-def _near_a_plane(w, b, W, B, gap: float) -> bool:
-    """True when the plane (w, b) is within `gap` of a row of (W, B), up to sign.
-
-    The distance to row k is the larger of max|w - s W[k]| and |b - s B[k]|,
-    for s = 1 and s = -1.  An empty W has no plane to be near.
-    """
-    for s in (1.0, -1.0):
-        dist = np.maximum(np.max(np.abs(w - s * W), axis=1), np.abs(b - s * B))
-        if np.any(dist < gap):
-            return True
-    return False
 
 
 def _positive_axis_crossings(w, b, window: float) -> list[tuple[int, float]]:
@@ -113,7 +99,7 @@ def generate_two_layer(d: int, d1: int, rng: np.random.Generator) -> TwoLayerNet
                 continue
             t = rng.uniform(_CROSSING_LO, _CROSSING_HI)
             b = -t * w[axis]
-            if _near_a_plane(w, b, rows[:j], offs[:j], PLANE_GAP):
+            if plane_gap(w, b, rows[:j], offs[:j]) < PLANE_GAP:
                 continue
             cands = _positive_axis_crossings(w, b, np.inf)
             if any(t > AXIS_WINDOW for _, t in cands):
@@ -207,15 +193,8 @@ def _partials_walk(V, c, u, rng: np.random.Generator, margin: float) -> bool:
     return bool(np.all(active.any(axis=2) & (np.abs(sums) >= margin)))
 
 
-def check_nonzero_partials(
-    V: np.ndarray,
-    c: np.ndarray,
-    u,
-    rng: np.random.Generator,
-    *,
-    margin: float = 0.0,
-) -> bool:
-    """Test that the top map has nonvanishing one-sided partials.
+def check_nonzero_partials(V: np.ndarray, c: np.ndarray, u, rng: np.random.Generator) -> bool:
+    """Test that the top map has one-sided partials of at least `PARTIAL_MARGIN`.
 
     The top map is `F(y) = sum_k u_k relu(V_k.y + c_k)` over `y >= 0`.  The
     test has two halves, and passes when both do.  The exact half is a
@@ -224,14 +203,15 @@ def check_nonzero_partials(
     The sampled half walks activation patterns: a one-sided partial along a
     coordinate equals the signed column sum of `V` over the locally active
     units, so patterns at interior points, boundary faces and the origin are
-    checked against `margin`.  Points are drawn from `rng` only when the LP
-    passes.  `generate_three_layer` calls the halves directly, deciding the
-    LP once per `(V, c)` and walking once per sign vector `u`.
+    checked against `PARTIAL_MARGIN`, the generator's pass mark.  Points are
+    drawn from `rng` only when the LP passes.  They are the caller's own
+    probes, not a replay of the generator's walk, so this check can reject a
+    net the generator accepted.  `generate_three_layer` calls the halves
+    directly, deciding the LP once per `(V, c)` and walking once per sign
+    vector `u`.
     """
-    V = np.asarray(V, dtype=float)
-    c = np.asarray(c, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return not _orthant_reachable(V, c) and _partials_walk(V, c, u, rng, margin)
+    V, c, u = (np.asarray(a, dtype=float) for a in (V, c, u))
+    return not _orthant_reachable(V, c) and _partials_walk(V, c, u, rng, PARTIAL_MARGIN)
 
 
 def _first_layer_block(d, d1, rng):
@@ -248,22 +228,17 @@ def _first_layer_block(d, d1, rng):
             if any(abs(t - t2) < SEPARATION for t2 in ts):
                 continue
             b = -t * w[0]
-            if _near_a_plane(w, b, W[:i], offs[:i], PLANE_GAP):
+            if plane_gap(w, b, W[:i], offs[:i]) < PLANE_GAP:
                 continue
             W[i], offs[i] = w, b
             ts.append(t)
             break
         else:
             return None
-    if np.linalg.svd(W, compute_uv=False)[-1] < SIGMA_MIN:
+    if least_singular_value(W) < SIGMA_MIN:
         return None
-    for i in range(d1):
-        others = np.delete(W, i, axis=0)
-        if others.size:
-            q, _ = np.linalg.qr(others.T, mode="reduced")
-            resid = W[i] - q @ (q.T @ W[i])
-            if np.linalg.norm(resid) < LEAVE_ONE_OUT:
-                return None
+    if any(np.linalg.norm(row) < LEAVE_ONE_OUT for row in leave_one_out(W)):
+        return None
     return W, offs
 
 
@@ -277,7 +252,7 @@ def _second_layer_block(d1, d2, rng):
             row = rng.uniform(V_LOW, V_HIGH, size=d1) * rng.choice((-1.0, 1.0), size=d1)
             t = rng.uniform(0.5, 4.5)
             off = -t * row[axis]
-            if _near_a_plane(row, off, V[:k], c[:k], PLANE_GAP):
+            if plane_gap(row, off, V[:k], c[:k]) < PLANE_GAP:
                 continue
             cands = _positive_axis_crossings(row, off, LINE_WINDOW)
             if _crossing_conflict(cands, taken):

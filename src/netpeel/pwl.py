@@ -37,6 +37,7 @@ from .config import (
     SLOPE_FLOOR,
     VALUE_FLOOR,
 )
+from .margins import plane_gap
 from .oracle.nets import AffineMap
 from .oracle.query import DOMAIN_NONNEG
 
@@ -79,17 +80,12 @@ class Hyperplane:
                 return self
         return self
 
-    def signed_value(self, x) -> float:
-        return float(self.normal @ np.asarray(x, dtype=float) + self.offset)
-
     def distance(self, x) -> float:
-        return abs(self.signed_value(x))
+        return abs(float(self.normal @ np.asarray(x, dtype=float) + self.offset))
 
     def close_to(self, other: "Hyperplane", tol: float) -> bool:
         """Same hyperplane as a set, up to orientation, within `tol`."""
-        a, b = self.canonical(), other.canonical()
-        return (float(np.max(np.abs(a.normal - b.normal))) <= tol
-                and abs(a.offset - b.offset) <= tol)
+        return plane_gap(self.normal, self.offset, [other.normal], [other.offset]) <= tol
 
 
 def reconstruct_affine(oracle, x, delta: float) -> AffineMap:

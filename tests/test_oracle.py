@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import three_layer
-from netpeel import orthant
+from netpeel import margins, orthant
 from netpeel.config import ASSUMPTION_PROBES, PLANE_GAP
 from netpeel.extract2 import subtracted_oracle
 from netpeel.extract3 import extract_three_layer, peel_first_layer
@@ -292,6 +292,13 @@ def test_nonzero_partials_on_scalar_cases():
                                       np.array([1]), rng)
 
 
+def test_nonzero_partials_applies_the_generators_margin():
+    # The one unit is active on the whole orthant, but its partial along
+    # y_0 is 0.01, below PARTIAL_MARGIN.
+    assert not check_nonzero_partials(np.array([[0.01, 1.0]]), np.array([0.5]),
+                                      np.array([1]), np.random.default_rng(0))
+
+
 def test_dead_region_lp_reads_infeasible_as_unreachable(monkeypatch):
     # Every unit is active at y = 0 and grows along the orthant, so no y >= 0
     # with a positive slack exists.  The repeated row leaves the kernel a zero
@@ -427,7 +434,7 @@ def test_plane_gap_test_matches_the_pairwise_loop():
                 b += float(cases.choice((-1.0, 1.0))) * step
         else:
             w, b = cases.standard_normal(d), float(cases.uniform(-4.0, 4.0))
-        got = generate._near_a_plane(w, b, W, B, g)
+        got = margins.plane_gap(w, b, W, B) < g
         ref = any(_reference_planes_close(w, b, W[i], B[i], g) for i in range(k))
         assert got == ref, f"case {case}"
         decisions.append(got)

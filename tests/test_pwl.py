@@ -293,3 +293,12 @@ def test_canonicalization_is_idempotent_and_sign_invariant(d, seed):
     flipped = Hyperplane.from_coefficients(-w, -b).canonical()
     assert np.array_equal(flipped.normal, plane.normal)
     assert flipped.offset == plane.offset
+
+
+def test_close_to_matches_planes_whose_first_coordinate_straddles_the_floor():
+    # One set, 2e-10 apart, but canonical() flips only the first normal,
+    # whose leading coordinate is above CANON_FLOOR.
+    a = Hyperplane(np.array([-1.1e-9, 1.0, 0.0]), 0.3)
+    b = Hyperplane(np.array([0.9e-9, -1.0, 0.0]), -0.3)
+    assert a.close_to(b, 1e-7) and b.close_to(a, 1e-7)
+    assert not a.close_to(b, 1e-10)
