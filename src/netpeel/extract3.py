@@ -81,7 +81,6 @@ class ExtractedThreeLayer:
     top: ExtractedTwoLayer
     n_candidates: int
     n_survivors: int
-    flipped: int
     phase_queries: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -110,17 +109,17 @@ def collect_candidate_hyperplanes(
 
     Every slope break of the restriction with |t| <= 1/delta is localized,
     then the hyperplane through it is reconstructed from a ball around the
-    break point.  The reconstruction uses a wider radius and step than the
-    scan because breaks on the line are far apart compared to delta and the
-    larger stencil cuts the slope noise of the fits.
+    break point.  The reconstruction uses a wider radius, and with it a
+    wider step, than the scan because breaks on the line are far apart
+    compared to delta and the larger stencil cuts the slope noise of the fits.
     """
     rng = np.random.default_rng(12345) if rng is None else rng
-    line = axis_ray(oracle, 0)
     lim = 1.0 / delta
-    found = all_critical_points_1d(line, delta, m_max, window=(-lim, lim))
+    found = all_critical_points_1d(axis_ray(oracle, 0), delta, m_max, window=(-lim, lim))
+    e1 = np.eye(oracle.dim)[0]
     cands = CandidateList()
     for i, t in enumerate(found):
-        x = t * line.direction
+        x = t * e1
         gap = math.inf
         if i > 0:
             gap = t - found[i - 1]
@@ -131,8 +130,7 @@ def collect_candidate_hyperplanes(
         # fold test downstream needs the plane to be good to well under
         # delta even when delta is tiny.
         radius = max(min(gap / 8.0, max(8.0 * delta, 2e-4)), 2.0 * delta)
-        plane = reconstruct_critical_hyperplane(
-            oracle, x, delta, rng, radius=radius, step=radius / 4.0)
+        plane = reconstruct_critical_hyperplane(oracle, x, delta, rng, radius=radius)
         cands.add(plane, x)
     return cands
 
@@ -203,12 +201,11 @@ def _ball_sample(rng, dim: int, radius: float) -> np.ndarray:
 def recover_row_signs(
     oracle: QueryOracle,
     planes,
-    eps: float,
     delta: float,
     *,
     rng=None,
 ):
-    """Orient each surviving plane; returns (W, b, flipped count).
+    """Orient each surviving plane; returns the signed rows (W, b).
 
     For plane i, pick x on it but at least 2*delta off every other plane,
     and a unit direction z orthogonal to all the other normals with
@@ -217,14 +214,13 @@ def recover_row_signs(
     If the value changes toward +z the candidate orientation is the true
     row; if toward -z it is flipped.  Ambiguous reads (both sides moving,
     or neither) retry with a fresh x and, halfway through the budget, a
-    larger eps.
+    larger probe step.
     """
     rng = np.random.default_rng(12345) if rng is None else rng
     d = oracle.dim
     m = len(planes)
     W = np.zeros((m, d))
     b = np.zeros(m)
-    flipped = 0
     resid = leave_one_out([plane.normal for plane in planes])
     for i, plane in enumerate(planes):
         n_i = plane.normal
@@ -240,7 +236,7 @@ def recover_row_signs(
         # Moving along z leaves every other first-layer pre-activation
         # unchanged, so the probe step owes nothing to delta; a floor keeps
         # the active-side signal above value noise when delta is tiny.
-        step = max(eps, 1e-4)
+        step = max(delta / 2.0, 1e-4)
         decided = False
         for attempt in range(SIGN_ATTEMPTS):
             if attempt == SIGN_ATTEMPTS // 2:
@@ -263,14 +259,13 @@ def recover_row_signs(
             else:
                 W[i] = -n_i
                 b[i] = -plane.offset
-                flipped += 1
             decided = True
             break
         if not decided:
             raise GeneralPositionError(
                 f"sign recovery: plane {i} stayed ambiguous after "
                 f"{SIGN_ATTEMPTS} probes")
-    return W, b, flipped
+    return W, b
 
 
 def right_inverse(W: np.ndarray) -> np.ndarray:
@@ -345,8 +340,7 @@ def extract_three_layer(
             raise PieceBudgetError("too many first-layer planes")
         marks.append(oracle.count)
 
-        W, b, flipped = recover_row_signs(
-            oracle, survivors, eps=delta / 2.0, delta=delta, rng=rng)
+        W, b = recover_row_signs(oracle, survivors, delta, rng=rng)
         marks.append(oracle.count)
 
         top_oracle = peel_first_layer(oracle, W, b)
@@ -358,4 +352,4 @@ def extract_three_layer(
     counts = {phase: hi - lo for phase, lo, hi in zip(_PHASES, marks, marks[1:])}
     return ExtractedThreeLayer(
         d=d, W=W, b=b, top=top, n_candidates=len(cands),
-        n_survivors=len(survivors), flipped=flipped, phase_queries=counts)
+        n_survivors=len(survivors), phase_queries=counts)

@@ -23,13 +23,22 @@ def plane_gap(w, b, W, B) -> float:
 def leave_one_out(W) -> np.ndarray:
     """Each row of W minus its projection on the span of the other rows.
 
-    The span is that of a reduced QR of the other rows, so it is exact when
-    they are independent.  A one-row W is its own residual.
+    The span is that of a reduced QR of the other rows.  While the QR shows
+    a row within 1e-10 of the span of the rows before it (relative to the
+    largest entry of R), that row is dropped and the rest factored again,
+    so dependent rows leave no spurious direction in the basis.  A one-row
+    W is its own residual.
     """
     W = np.asarray(W, dtype=float)
     resid = W.copy()
     for i, row in enumerate(W):
-        q, _ = np.linalg.qr(np.delete(W, i, axis=0).T)
+        others = np.delete(W, i, axis=0).T
+        while True:
+            q, r = np.linalg.qr(others)
+            dependent = np.abs(np.diag(r)) <= 1e-10 * np.abs(r).max(initial=0.0)
+            if not dependent.any():
+                break
+            others = np.delete(others, np.argmax(dependent), axis=1)
         resid[i] = row - q @ (q.T @ row)
     return resid
 

@@ -69,7 +69,7 @@ class Neuron:
         object.__setattr__(self, "w", _frozen(np.atleast_1d(self.w)))
         object.__setattr__(self, "b", float(self.b))
         sign = int(self.sign)
-        if sign not in (-1, 1):
+        if sign not in (-1, 1) or sign != self.sign:
             raise ValueError(f"neuron sign must be +1 or -1, got {self.sign}")
         object.__setattr__(self, "sign", sign)
 

@@ -91,28 +91,11 @@ class QueryOracle:
         return self.query(x)
 
 
-class LineOracle:
-    """Restriction of an oracle to the line `t -> t * direction` through 0.
-
-    Each evaluation costs exactly one query of the parent oracle, which
-    counts it.
-    """
-
-    def __init__(self, oracle: QueryOracle, direction):
-        self.parent = oracle
-        self.direction = np.asarray(direction, dtype=float)
-
-    def query(self, t: float) -> float:
-        return self.parent.query(float(t) * self.direction)
-
-    def __call__(self, t: float) -> float:
-        return self.query(t)
-
-
-def axis_ray(oracle: QueryOracle, axis: int) -> LineOracle:
+def axis_ray(oracle: QueryOracle, axis: int) -> Callable[[float], float]:
+    """The restriction t -> oracle(t * e_axis); one query of `oracle` per call."""
     e = np.zeros(oracle.dim)
     e[axis] = 1.0
-    return LineOracle(oracle, e)
+    return lambda t: oracle.query(t * e)
 
 
 class AccessAudit:

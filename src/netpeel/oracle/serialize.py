@@ -136,7 +136,7 @@ def _read_units(doc: dict, names: tuple[str, str], dim: int, width: int) -> TwoL
     w_name, b_name = names
     W = _numbers(doc, w_name, width * dim).reshape(width, dim)
     b = _numbers(doc, b_name, width)
-    u = [int(s) for s in _numbers(doc, "u", width)]
+    u = _numbers(doc, "u", width)
     skip = None
     if "skip_w" in doc or "skip_b" in doc:
         skip_w = _numbers(doc, "skip_w", dim) if "skip_w" in doc else np.zeros(dim)
@@ -146,18 +146,26 @@ def _read_units(doc: dict, names: tuple[str, str], dim: int, width: int) -> TwoL
     return TwoLayerNet(d=dim, neurons=neurons, skip=skip)
 
 
+def _integer(doc: dict, name: str) -> int:
+    """Field `name`, which must hold an integral number (2.0 reads as 2)."""
+    value = doc[name]
+    if not float(value).is_integer():
+        raise ValueError(f"{name} = {value!r} is not an integer")
+    return int(value)
+
+
 def document_to_net(doc: dict):
     """Rebuild the container a document describes: a `TwoLayerNet` for depth
     2, a `ThreeLayerNet` for depth 3."""
-    d = int(doc["d"])
-    d1 = int(doc["d1"])
+    d = _integer(doc, "d")
+    d1 = _integer(doc, "d1")
     if d < 1:
         raise ValueError(f"input dimension d = {d}, expected at least 1")
     if doc["depth"] == 2:
         return _read_units(doc, ("W", "b"), d, d1)
     W = _numbers(doc, "W", d1 * d).reshape(d1, d)
     b = _numbers(doc, "b", d1)
-    top = _read_units(doc, ("V", "c"), d1, int(doc["d2"]))
+    top = _read_units(doc, ("V", "c"), d1, _integer(doc, "d2"))
     return ThreeLayerNet(W=W, b=b, top=top)
 
 

@@ -1,8 +1,8 @@
 """Piecewise-linear probing primitives.
 
 Everything here sees the target only through a `QueryOracle`, or through a
-`LineOracle` restriction of one together with an explicit window.  The
-primitives:
+function t -> value restricting one to a line (`axis_ray`) together with an
+explicit window.  The primitives:
 
 * reconstruct the local affine map around a point (d+1 queries),
 * find the leftmost slope break of a 1-D restriction by bisection,
@@ -301,7 +301,6 @@ def reconstruct_critical_hyperplane(
     rng=None,
     *,
     radius: float | None = None,
-    step: float | None = None,
 ) -> Hyperplane:
     """Hyperplane through the slope break at `x`, canonicalized.
 
@@ -311,24 +310,23 @@ def reconstruct_critical_hyperplane(
     a failed check means the probes straddled a second break, and a fresh
     direction is drawn.  O(d) queries per attempt.
 
-    `radius` defaults to delta and `step` (the finite-difference offset of
-    the affine fits) to delta/4.  Callers working against well-separated
-    breaks can pass larger values: the slope error of a fit shrinks
-    linearly in the step, and the cross-check still catches a straddle.
-    After two failed attempts the stencil halves on each retry (never
-    below the delta-scale default), trading precision for isolation when
+    `radius` defaults to delta, and the finite-difference step of the
+    affine fits is a quarter of the attempt's radius.  Callers working
+    against well-separated breaks can pass a larger radius: the slope error
+    of a fit shrinks linearly in the step, and the cross-check still catches
+    a straddle.  After two failed attempts the radius halves on each retry
+    (never below min(radius, 2 delta)), trading precision for isolation when
     the generous radius keeps hitting a second break.
     """
     rng = np.random.default_rng(12345) if rng is None else rng
     x = np.asarray(x, dtype=float)
     radius = delta if radius is None else radius
-    step = delta / 4.0 if step is None else step
     nonneg = oracle.domain == DOMAIN_NONNEG
     d = x.size
     for attempt in range(HYPERPLANE_ATTEMPTS):
         shrink = 0.5 ** max(0, attempt - 1)
         r_a = max(radius * shrink, min(radius, 2.0 * delta))
-        s_a = max(step * shrink, min(step, delta / 2.0))
+        s_a = r_a / 4.0
         e = rng.standard_normal(d)
         e /= np.linalg.norm(e)
         e = _inward(e, x, 2.0 * r_a + 2.0 * s_a, nonneg)

@@ -27,24 +27,9 @@ from .orthant import (
     _LP_BLOCK,
     SolverError,
     _screen_misses,
-    intersects_negative_orthant,
+    intersects_negative_orthant,  # noqa: F401 - imported from here by perfbench/warmup.py
     linprog,  # noqa: F401 - bound for `TRACED_LOCAL` in perfbench/spans.py
 )
-
-__all__ = [
-    "EquivalenceReport",
-    "BoundExperiment",
-    "BenchRow",
-    "BenchFit",
-    "functional_equivalence",
-    "intersects_negative_orthant",
-    "empirical_orthant_bound",
-    "orthant_bound_value",
-    "query_complexity_bench",
-    "fit_query_bound",
-    "bench_to_csv",
-    "bound_to_csv",
-]
 
 # Row counts of the duality screen's passes: the whole chunk on the kernel
 # at its 8 largest offsets, then the trials still open at their 12 largest.
@@ -322,25 +307,15 @@ _BENCH_FIELDS = [
 
 def bench_to_csv(rows: Sequence[BenchRow], path: str) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_BENCH_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=_BENCH_FIELDS, extrasaction="ignore")
         writer.writeheader()
         for r in rows:
-            writer.writerow(
-                {
-                    "depth": r.depth,
-                    "d": r.d,
-                    "d1": r.d1,
-                    "d2": r.d2,
-                    "delta": r.delta,
-                    "seed": r.seed,
-                    "ok": r.ok,
-                    "total_queries": r.total_queries,
-                    "predictor": f"{r.predictor:.6g}",
-                    "seconds": f"{r.seconds:.4f}",
-                    "phases": ";".join(f"{k}={v}" for k, v in r.phase_queries.items()),
-                    "error": r.error,
-                }
-            )
+            writer.writerow({
+                **vars(r),
+                "predictor": f"{r.predictor:.6g}",
+                "seconds": f"{r.seconds:.4f}",
+                "phases": ";".join(f"{k}={v}" for k, v in r.phase_queries.items()),
+            })
 
 
 def bound_to_csv(exp: BoundExperiment, path: str) -> None:

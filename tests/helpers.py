@@ -4,7 +4,7 @@ import numpy as np
 
 from netpeel.oracle.generate import generate_three_layer, generate_two_layer
 from netpeel.oracle.nets import Neuron, ThreeLayerNet, TwoLayerNet
-from netpeel.oracle.query import LineOracle, QueryOracle
+from netpeel.oracle.query import QueryOracle, axis_ray
 
 
 def three_layer(W, b, V, c, signs):
@@ -45,9 +45,8 @@ def near_coincident_net(seed, gap):
 
 
 def scalar_line(fn):
-    """Wrap a scalar function as a 1-d line oracle; its parent counts queries."""
-    oracle = QueryOracle(lambda x: fn(float(x[0])), 1)
-    return LineOracle(oracle, np.ones(1))
+    """Wrap a scalar function as a line t -> fn(t) whose queries a 1-d oracle counts."""
+    return axis_ray(QueryOracle(lambda x: fn(float(x[0])), 1), 0)
 
 
 def synth_pwl(rng, max_kinks=6, lo=-8.0, hi=8.0, min_sep=0.2):

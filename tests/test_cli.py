@@ -230,6 +230,12 @@ _BAD_INPUTS = {
     "nan-weight.json": json.dumps({**_NET2, "W": [math.nan, 0.0, 0.0, 1.0]}),
     "short-c.json": json.dumps({**_NET3, "c": [0.5]}),
     "zero-dim.json": json.dumps({**_NET2, "d": 0, "d1": 0, "W": [], "b": [], "u": []}),
+    "fractional-d.json": json.dumps(
+        {"depth": 2, "d": 2.7, "d1": 1, "W": [1, 0.5], "b": [0.1], "u": [1.7]}),
+    "fractional-d1.json": json.dumps({**_NET2, "d1": 2.5}),
+    "fractional-d2.json": json.dumps({**_NET3, "d2": 2.5}),
+    "fractional-u.json": json.dumps({**_NET2, "u": [1.7, -1]}),
+    "infinite-d.json": json.dumps({**_NET2, "d": math.inf}),
 }
 
 

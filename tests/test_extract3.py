@@ -155,25 +155,22 @@ def test_filter_is_exact_across_seeds():
 def test_sign_kept_when_candidate_matches_truth():
     oracle = as_oracle(_scalar_net(1.0, -1.0))
     planes = [Hyperplane(np.array([1.0]), -1.0)]
-    W, b, flipped = recover_row_signs(oracle, planes, eps=DELTA / 2, delta=DELTA)
+    W, b = recover_row_signs(oracle, planes, DELTA)
     assert W[0, 0] == 1.0 and b[0] == -1.0
-    assert flipped == 0
 
 
 def test_sign_flipped_on_the_mirror_instance():
     oracle = as_oracle(_scalar_net(-1.0, 1.0))
     planes = [Hyperplane(np.array([1.0]), -1.0)]
-    W, b, flipped = recover_row_signs(oracle, planes, eps=DELTA / 2, delta=DELTA)
+    W, b = recover_row_signs(oracle, planes, DELTA)
     assert W[0, 0] == -1.0 and b[0] == 1.0
-    assert flipped == 1
 
 
 def test_signed_rows_match_truth_across_seeds():
     for seed in range(100):
         net = generate_three_layer(4, 3, 9, np.random.default_rng(seed))
         oracle = as_oracle(net)
-        W, b, _ = recover_row_signs(oracle, _truth_planes(net),
-                                    eps=DELTA / 2, delta=DELTA)
+        W, b = recover_row_signs(oracle, _truth_planes(net), DELTA)
         assert np.max(np.abs(W - net.W)) < 1e-7, f"seed {seed}"
         assert np.max(np.abs(b - net.b)) < 1e-7, f"seed {seed}"
 

@@ -54,11 +54,36 @@ def _stacks():
             yield mix
 
 
+def _independent_others(W, i):
+    others = np.delete(W, i, axis=0)
+    return np.linalg.matrix_rank(others) == len(others)
+
+
+def _least_squares_residual(W, i):
+    """Row i of W minus its least-squares fit by the other rows."""
+    others = np.delete(W, i, axis=0).T
+    if others.size == 0:
+        return W[i]
+    return W[i] - others @ np.linalg.lstsq(others, W[i], rcond=None)[0]
+
+
 def test_leave_one_out_is_bitwise_the_former_loops():
+    """Bitwise where the other rows are independent, as at every caller; where
+    they are dependent, the former loops projected out a spurious direction,
+    so those rows are held to the least-squares residual instead."""
+    dependent = 0
     for W in _stacks():
         got = leave_one_out(W)
-        assert np.array_equal(got, _sign_recovery_loop(W))
-        assert np.array_equal(got, _generator_loop(W))
+        sign_loop, generator_loop = _sign_recovery_loop(W), _generator_loop(W)
+        for i in range(len(W)):
+            if _independent_others(W, i):
+                assert np.array_equal(got[i], sign_loop[i])
+                assert np.array_equal(got[i], generator_loop[i])
+            else:
+                dependent += 1
+                assert np.allclose(got[i], _least_squares_residual(W, i),
+                                   rtol=0.0, atol=1e-12)
+    assert dependent > 0
 
 
 def test_leave_one_out_is_zero_on_a_repeated_row_and_the_row_on_its_own():
@@ -67,6 +92,13 @@ def test_leave_one_out_is_zero_on_a_repeated_row_and_the_row_on_its_own():
     assert np.array_equal(leave_one_out(W[2:]), W[2:])
     indep = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
     assert np.allclose(leave_one_out(indep), [[0.5, -0.5, 0.0], [0.0, 1.0, 0.0]])
+
+
+def test_leave_one_out_ignores_dependent_other_rows():
+    """A repeated row must not take the independent row's residual with it."""
+    W = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    assert np.array_equal(leave_one_out(W), [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert np.array_equal(leave_one_out(W[::-1]), [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 def test_least_singular_value_is_the_last_singular_value():

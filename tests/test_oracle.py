@@ -36,6 +36,7 @@ from netpeel.oracle.query import (
     NonFiniteValueError,
     QueryOracle,
     as_oracle,
+    axis_ray,
 )
 from netpeel.oracle.serialize import (
     document_to_net,
@@ -131,6 +132,18 @@ def test_query_counters_are_independent():
     a(np.array([2.0, 1.0]))
     b(np.array([1.0, 1.0]))
     assert (a.count, b.count) == (2, 1)
+
+
+def test_axis_ray_is_one_query_of_its_oracle_per_call():
+    net = generate_three_layer(4, 3, 9, np.random.default_rng(3))
+    oracle, reference = as_oracle(net), as_oracle(net)
+    for axis in range(4):
+        ray = axis_ray(oracle, axis)
+        e = np.eye(4)[axis]
+        for t in (-2.5, -1e-3, 0.0, 0.75, 37.0):
+            before = oracle.count
+            assert ray(t) == reference(t * e)
+            assert oracle.count == before + 1
 
 
 def _random_skip(rng, d):
@@ -548,6 +561,15 @@ def test_document_depth_is_validated():
     doc["depth"] = 4
     with pytest.raises(ValueError, match="depth must be 2 or 3"):
         loads_document(json.dumps(doc))
+
+
+def test_document_counts_may_be_whole_floats():
+    """A whole float reads as its integer; `_BAD_INPUTS` in test_cli.py holds
+    the fractional counts and signs that are refused."""
+    net = generate_three_layer(2, 2, 4, np.random.default_rng(8))
+    doc = net_to_document(net)
+    whole = {**doc, "d": 2.0, "d1": 2.0, "d2": 4.0, "u": [float(s) for s in doc["u"]]}
+    assert dumps_document(net_to_document(document_to_net(whole))) == dumps_document(doc)
 
 
 def test_document_is_plain_json():

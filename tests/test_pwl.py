@@ -110,11 +110,11 @@ def test_leftmost_rejects_pieces_with_matching_slopes():
 
 def test_leftmost_query_budget():
     for delta, window in ((1e-4, (0.0, 100.0)), (1e-3, (-1e3, 1e3))):
-        line = scalar_line(lambda t: relu(t - 0.5))
-        t = leftmost_critical_point_1d(line, delta, window)
+        oracle = QueryOracle(lambda x: relu(float(x[0]) - 0.5), 1)
+        t = leftmost_critical_point_1d(axis_ray(oracle, 0), delta, window)
         assert abs(t - 0.5) < 1e-6
         bound = 2 * (math.ceil(math.log2(2.0 / delta**2)) + 1) + 8
-        assert line.parent.count <= bound
+        assert oracle.count <= bound
 
 
 # ------------------------------------------------------------ full 1-d sweep

@@ -504,6 +504,8 @@ def test_bench_and_bound_csv_round_trip(tmp_path):
     rows = query_complexity_bench([(2, 2, 2, 0)], (1e-4,), (0,))
     bench_path = tmp_path / "bench.csv"
     bench_to_csv(rows, str(bench_path))
+    assert bench_path.read_text().splitlines()[0] == (
+        "depth,d,d1,d2,delta,seed,ok,total_queries,predictor,seconds,phases,error")
     with open(bench_path, newline="") as fh:
         parsed = list(csv.DictReader(fh))
     assert len(parsed) == 1
