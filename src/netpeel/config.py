@@ -38,6 +38,8 @@ PROBE_FLOOR = 1e-4            # least bend or move per unit of probe step
 
 # Checks on recovered and supplied parameters.
 RESIDUAL_TOL = 1e-8           # final affine-residual check, times 1 + |f|
+OUTPUT_TOL = 1e-6             # composed depth-3 network against the oracle,
+                              # times 1 + |f|
 DEDUP_TOL = 1e-7              # canonical hyperplane dedup distance
 RANK_TOL = 1e-8               # least singular value in right_inverse
 INVERSE_TOL = 1e-9            # largest entry of W M - I in right_inverse

@@ -96,8 +96,8 @@ def find_neuron_crossing(
 
     Scans start a small offset inside the ray rather than at t = 0: an oracle
     built by subtraction or peeling carries residual micro-kinks hugging the
-    orthant boundary, and a bisection anchored on top of one mislocates it as
-    a break at ~delta with no actual slope jump.
+    orthant boundary, and a break search anchored on top of one mislocates it
+    as a break at ~delta with no actual slope jump.
     """
     hi = 1.0 / delta
     lo = min(_SCAN_START, hi / 16.0)

@@ -10,7 +10,8 @@ it the network actually bends, probing along a direction orthogonal to all
 other survivors so only one hidden unit changes state.  Peel: compose the
 oracle with a right inverse of the recovered first layer, which exposes the
 top two layers as a depth-2 network on the nonnegative orthant and hands
-off to the depth-2 extractor.  No other probe line is tried: the generator
+off to the depth-2 extractor, then compares the composed network with the
+oracle at 16 seeded points.  No other probe line is tried: the generator
 keeps t * e_1 in general position, and a `GeneralPositionError` names the
 phase and the axis it came from.
 """
@@ -25,6 +26,7 @@ from .config import (
     DEDUP_TOL,
     INVERSE_TOL,
     KINK_NOISE,
+    OUTPUT_TOL,
     PROBE_FLOOR,
     RANK_TOL,
     SIGN_ATTEMPTS,
@@ -47,6 +49,7 @@ _FOLD_CLEARANCE = 80.0
 _FOLD_TRUST = 1e3
 _FILTER_STEP = 4.0
 _SIGN_STEP_CAP = 0.01
+_OUTPUT_SEED = 20240819
 _PHASES = ("collect", "filter", "signs", "peel")
 
 
@@ -299,6 +302,25 @@ def peel_first_layer(oracle: QueryOracle, W: np.ndarray, b: np.ndarray) -> Query
                        parent=oracle)
 
 
+def _check_output(oracle: QueryOracle, net: ThreeLayerNet) -> None:
+    """Compare `net` with the oracle f at 16 seeded points of [-5, 5]^d.
+
+    Raises `GeneralPositionError`, naming the worst point, when the largest
+    |net - f| / (1 + |f|) exceeds `OUTPUT_TOL`.  The peeled stage sees f only
+    through the right inverse of the recovered first layer, so it cannot
+    tell when a first-layer plane is missing: f then varies along the null
+    space of W while the composed net does not.  16 queries.
+    """
+    xs = np.random.default_rng(_OUTPUT_SEED).uniform(-5.0, 5.0, size=(16, oracle.dim))
+    want = np.array([oracle(x) for x in xs])
+    dev = np.abs(batch_eval(net, xs) - want) / (1.0 + np.abs(want))
+    k = int(np.argmax(dev))
+    if dev[k] > OUTPUT_TOL:
+        raise GeneralPositionError(
+            f"composed network deviates {dev[k]:.3g} > {OUTPUT_TOL:g} from the "
+            f"oracle at x = {np.array2string(xs[k], precision=4)}")
+
+
 def extract_three_layer(
     oracle: QueryOracle,
     d: int,
@@ -314,8 +336,10 @@ def extract_three_layer(
     generator keeps in general position.  There is no fallback to another
     line: a `GeneralPositionError` from any phase is re-raised naming the
     phase and the axis, and `phase_queries` accounts for every oracle query
-    of a run that returns.  The probe line and the axis scans of the peeled
-    depth-2 stage reach |t| = 1/delta.
+    of a run that returns.  The peel ends by checking the composed network
+    against the oracle, so a run that misses a first-layer plane raises.
+    The probe line and the axis scans of the peeled depth-2 stage reach
+    |t| = 1/delta.
     """
     if oracle.domain != DOMAIN_FULL:
         raise ValueError("depth-3 extraction queries all of R^d")
@@ -345,6 +369,7 @@ def extract_three_layer(
 
         top_oracle = peel_first_layer(oracle, W, b)
         top = extract_two_layer(top_oracle, W.shape[0], delta, d2_max)
+        _check_output(oracle, ThreeLayerNet(W=W, b=b, top=top.network()))
         marks.append(oracle.count)
     except GeneralPositionError as err:
         phase = _PHASES[len(marks) - 1]

@@ -5,7 +5,8 @@ function t -> value restricting one to a line (`axis_ray`) together with an
 explicit window.  The primitives:
 
 * reconstruct the local affine map around a point (d+1 queries),
-* find the leftmost slope break of a 1-D restriction by bisection,
+* find the leftmost slope break of a 1-D restriction by intersecting the
+  lines fitted at the ends of a window, bisecting where that test fails,
 * sweep a line for its slope breaks, left to right, resumably,
 * reconstruct the hyperplane a break lies on from the two adjacent
   affine maps,
@@ -146,15 +147,41 @@ def _value_tol(anchor: _LocalLine, dist: float, local_scale: float, delta: float
     return max(noise, VALUE_FLOOR * (1.0 + abs(dist)))
 
 
+def _same_piece(anchor: _LocalLine, local: _LocalLine, delta: float) -> bool:
+    """Do two local fits lie on one affine piece, by extrapolated value and slope?"""
+    dist = local.t0 - anchor.t0
+    value_ok = abs(local.f0 - anchor.value(local.t0)) <= _value_tol(
+        anchor, dist, local.scale, delta)
+    slope_ok = abs(local.slope - anchor.slope) <= _slope_tol(
+        max(anchor.scale, local.scale), delta)
+    return value_ok and slope_ok
+
+
+def _crossing(left: _LocalLine, right: _LocalLine, t: float) -> float:
+    """Where the lines of two fits meet, solved around `t`; inf when parallel."""
+    gap = right.slope - left.slope
+    if gap == 0.0:
+        return math.inf
+    return t + (left.value(t) - right.value(t)) / gap
+
+
 def leftmost_critical_point_1d(line, delta: float, window) -> float | None:
     """Leftmost slope break of a piecewise-linear 1-D function on `window`, or None.
 
-    Bisection: keep a local affine fit anchored at the highest point known to
-    lie left of the first break, and at each round fit the function at the
-    midpoint from two queries.  If the midpoint fit agrees with the anchor in
-    both slope and extrapolated value, the break (if any) is to the right and
-    the midpoint fit becomes the new anchor; otherwise it is to the left.
-    Ends with the intersection of the fits flanking the localized break.
+    Fits a local line at each end of the window (4 queries); when both lie on
+    one piece the window holds no break.  Otherwise the search keeps an
+    anchor fit left of the first break and a far fit right of it, and
+    alternates two kinds of round, after Carlini, Jagielski and Mironov
+    (CRYPTO 2020).  An intersection round probes where the anchor and far
+    lines cross, t*: a fit at t* - 2 delta on the anchor's piece and one at
+    t* + delta on the far fit's piece bracket the one break between them in
+    4 delta.  A midpoint round probes the middle of the window, as in
+    bisection.  A probe on the anchor's piece becomes the new anchor, any
+    other the new far fit.  "On one piece" means agreement in extrapolated
+    value and in slope: near t* the two lines agree in value by
+    construction.  A window with one break is settled by the first
+    intersection round, so its count does not grow with log(1/delta).  Ends
+    with the intersection of the fits flanking the localized break.
 
     Preconditions (caller's responsibility): every linear piece inside the
     window is at least a few delta long, the piece at the window's left edge
@@ -165,34 +192,46 @@ def leftmost_critical_point_1d(line, delta: float, window) -> float | None:
     if hi - lo <= 4 * delta:
         return None
     anchor = _fit_local(line, lo, delta)
-    saw_break = False
-    cap = math.ceil(math.log2(max((hi - lo) / delta, 8.0))) + 16
+    far = _fit_local(line, hi - delta, delta)
+    if _same_piece(anchor, far, delta):
+        return None
+    cap = 2 * (math.ceil(math.log2(max((hi - lo) / delta, 8.0))) + 16)
     rounds = 0
+    cross = True
     while hi - lo > 4 * delta:
         rounds += 1
         if rounds > cap:
             raise GeneralPositionError("bisection failed to converge")
+        t = _crossing(anchor, far, (lo + hi) / 2.0)
+        if cross and lo < t - 2 * delta and t + 2 * delta <= hi:
+            cross = False
+            left = _fit_local(line, t - 2 * delta, delta)
+            if not _same_piece(anchor, left, delta):
+                hi, far = t - delta, left
+                continue
+            lo, anchor = t - 2 * delta, left
+            right = _fit_local(line, t + delta, delta)
+            if _same_piece(far, right, delta):
+                hi = t + 2 * delta
+                break
+            if _same_piece(anchor, right, delta):
+                lo, anchor = t + delta, right
+            else:
+                hi, far = t + 2 * delta, right
+            continue
         mid = (lo + hi) / 2.0
         local = _fit_local(line, mid, delta)
-        dist = mid - anchor.t0
-        value_ok = abs(local.f0 - anchor.value(mid)) <= _value_tol(
-            anchor, dist, local.scale, delta)
-        slope_ok = abs(local.slope - anchor.slope) <= _slope_tol(
-            max(anchor.scale, local.scale), delta)
-        if value_ok and slope_ok:
+        if _same_piece(anchor, local, delta):
             lo, anchor = mid, local
         else:
-            saw_break = True
-            hi = min(hi, mid + delta)
-    if not saw_break:
-        return None
+            hi, far = min(hi, mid + delta), local
+        cross = True
 
     right = _fit_local(line, hi + delta / 2.0, delta / 2.0)
     gap = right.slope - anchor.slope
     if abs(gap) <= 4.0 * _slope_tol(max(anchor.scale, right.scale), delta):
         raise GeneralPositionError("pieces share affine function")
-    mid = (lo + hi) / 2.0
-    t_star = mid + (anchor.value(mid) - right.value(mid)) / gap
+    t_star = _crossing(anchor, right, (lo + hi) / 2.0)
     if not (lo - 2 * delta <= t_star <= hi + 2 * delta):
         raise GeneralPositionError("pieces share affine function")
     return float(t_star)

@@ -204,6 +204,14 @@ class BenchRow:
 
     @property
     def predictor(self) -> float:
+        """The paper's query bound up to a constant: d d1 log2(1/delta) at
+        depth 2, d d1 d2 log2(1/delta) + d1^2 d2^2 at depth 3.
+
+        Its log2(1/delta) factor is that of plain bisection.  The break
+        search bisects only where its line-intersection test fails, so the
+        counts grow slower than that factor: the predictor is an upper bound
+        on their growth with 1/delta, and fits their shape at a fixed delta.
+        """
         log_term = math.log2(1.0 / self.delta)
         if self.depth == 2:
             return self.d * self.d1 * log_term

@@ -44,6 +44,24 @@ def near_coincident_net(seed, gap):
     return TwoLayerNet(d=4, neurons=net.neurons + (Neuron(w, b, sign),), skip=net.skip)
 
 
+def near_coincident_rows(seed, gap):
+    """A generated (4, 3, 9) net whose first-layer row 1 crosses the probe
+    line t * e_1 `gap` past row 0.
+
+    Row 1 becomes row 0 plus N(0, 0.3^2) noise per coordinate, normalised,
+    so the two planes cross e_1 at t0 and t0 + gap and part ways off the
+    line.  The net and then the noise are drawn from one `default_rng(seed)`.
+    """
+    rng = np.random.default_rng(seed)
+    net = generate_three_layer(4, 3, 9, rng)
+    W, b = net.W.copy(), net.b.copy()
+    t0 = -b[0] / W[0, 0]
+    w = W[0] + rng.normal(0.0, 0.3, 4)
+    W[1] = w / np.linalg.norm(w)
+    b[1] = -(t0 + gap) * W[1, 0]
+    return ThreeLayerNet(W=W, b=b, top=net.top)
+
+
 def scalar_line(fn):
     """Wrap a scalar function as a line t -> fn(t) whose queries a 1-d oracle counts."""
     return axis_ray(QueryOracle(lambda x: fn(float(x[0])), 1), 0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import flat_probe_line_net, three_layer
+from helpers import flat_probe_line_net, near_coincident_rows, three_layer
 from netpeel.cli import main
 from netpeel.config import DEDUP_TOL
 from netpeel.extract3 import (
@@ -280,3 +280,14 @@ def test_phase_query_bounds(wide_extraction):
     log = math.log2(1.0 / DELTA)
     assert got.phase_queries["collect"] <= 12 * 4 * m * log
     assert got.phase_queries["filter"] <= m * m * (4 + 1) * 8
+
+
+@pytest.mark.parametrize("seed", [0, 10, 20])
+def test_a_missed_first_layer_plane_fails_the_output_check(seed):
+    """Two first-layer planes 1e-4 apart on the probe line read as one, and
+    the peeled top then fits f without the missing row; only the composed
+    network's comparison with the oracle shows it."""
+    net = near_coincident_rows(seed, 1e-4)
+    with pytest.raises(GeneralPositionError,
+                       match=r"peel phase \(axis 0\): composed network deviates"):
+        extract_three_layer(as_oracle(net), 4, DELTA)

@@ -117,6 +117,31 @@ def test_leftmost_query_budget():
         assert oracle.count <= bound
 
 
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-8])
+def test_leftmost_settles_an_affine_window_with_two_fits(delta):
+    oracle = QueryOracle(lambda x: 2.0 * float(x[0]) + 1.0, 1)
+    assert leftmost_critical_point_1d(axis_ray(oracle, 0), delta, (0.0, 100.0)) is None
+    assert oracle.count == 4
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-8])
+def test_leftmost_finds_one_kink_where_the_flanking_lines_cross(delta):
+    """The count does not grow like log2(1/delta): the lines meet at the kink."""
+    oracle = QueryOracle(lambda x: relu(float(x[0]) - 0.5), 1)
+    t = leftmost_critical_point_1d(axis_ray(oracle, 0), delta, (0.0, 100.0))
+    assert abs(t - 0.5) < 1e-6
+    assert oracle.count <= 20
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-8])
+def test_leftmost_rejects_a_crossing_on_the_far_piece(delta):
+    """Slopes 0, -1, 2 with kinks at 1 and 2: the flanking lines meet at 2.5,
+    on the far piece, where the two lines agree in value by construction."""
+    line = scalar_line(lambda t: -relu(t - 1.0) + 3.0 * relu(t - 2.0))
+    t = leftmost_critical_point_1d(line, delta, (0.0, 10.0))
+    assert abs(t - 1.0) < 1e-6
+
+
 # ------------------------------------------------------------ full 1-d sweep
 
 
