@@ -224,8 +224,11 @@ def _refine_point(normals: np.ndarray, offsets: np.ndarray, i: int, rng):
     reach = float(np.mean(t[hit]))
     mu = rng.uniform(0.0, reach, size=(_REFINE_CANDIDATES, rays.shape[0]))
     pts = lam @ corners + mu @ rays
-    others = np.abs(pts @ np.delete(normals, i, axis=0).T + np.delete(offsets, i))
-    clearance = np.minimum(pts.min(axis=1), others.min(axis=1, initial=np.inf))
+    dist = normals @ pts.T
+    dist += offsets[:, None]
+    np.abs(dist, out=dist)
+    dist[i] = np.inf
+    clearance = np.minimum(pts.min(axis=1), dist.min(axis=0))
     best = int(np.argmax(clearance))
     return pts[best], float(clearance[best])
 
@@ -233,13 +236,16 @@ def _refine_point(normals: np.ndarray, offsets: np.ndarray, i: int, rng):
 def refine_units(oracle: QueryOracle, units) -> list[Neuron]:
     """Refit every recovered unit where no other recovered plane is near.
 
-    For unit i, the oracle minus all other units is affine on each side of
-    plane i within the clearance of the point from `_refine_point`.  Fitting
-    both sides a distance r (half the clearance) off the plane with step r/4
-    gives the unit's jump, sign * (right - left), with a stencil hundreds of
-    times wider than the crossing bracket allowed, so the fit's round-off
-    shrinks by as much.  A unit whose clearance would not widen the stencil
-    past the recovery's own step keeps its recovered parameters.
+    Unit i is fitted on `oracle` itself on each side of plane i, a distance r
+    (half the clearance of the point from `_refine_point`) off the plane with
+    step r/4.  Both stencils stay at least 3r/4 from every other recovered
+    plane, so each other unit is one affine map over both and cancels in
+    right - left, which leaves the unit's jump, sign * (right - left).  The
+    stencil is hundreds of times wider than the crossing bracket allowed, so
+    the fit's round-off shrinks by as much.  A refit reads only the oracle
+    and its own point, never another unit.  A unit whose clearance would not
+    widen the stencil past the recovery's own step keeps its recovered
+    parameters.
     """
     units = list(units)
     net = TwoLayerNet(d=oracle.dim, neurons=tuple(units))
@@ -252,9 +258,8 @@ def refine_units(oracle: QueryOracle, units) -> list[Neuron]:
         r = clearance / 2.0
         if r / 4.0 <= _STEP_CAP:
             continue
-        work = subtracted_oracle(oracle, units[:i] + units[i + 1:])
-        left = reconstruct_affine(work, point - r * normals[i], r / 4.0)
-        right = reconstruct_affine(work, point + r * normals[i], r / 4.0)
+        left = reconstruct_affine(oracle, point - r * normals[i], r / 4.0)
+        right = reconstruct_affine(oracle, point + r * normals[i], r / 4.0)
         units[i] = Neuron(unit.sign * (right.w - left.w),
                           unit.sign * (right.b - left.b), unit.sign)
     return units

@@ -166,9 +166,9 @@ def test_extract_query_counts_are_pinned(tmp_path, shape, phases, total):
 # dropped and the keys sorted.
 _REPORT_DIGESTS = [
     (("--d", "10", "--d1", "32"),
-     "3cc4944bd99049f09e9863d8582a110738efa20e40ffedfade727198da2f1e11"),
+     "e6dd4a8bc2e8b5d5df09998855d8c319d7f33ff5124d08c7aa50ac3499601f41"),
     (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"),
-     "d7123aa5b19def938fb855141ddb5a460f8539b8a37b8414ff931ec80451e5bd"),
+     "33d2a846d0376f029937cca16835af36187efd2a73a49bab05e3a8b39bc1a7db"),
 ]
 
 

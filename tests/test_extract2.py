@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import near_coincident_net
+from netpeel import extract2
 from netpeel.extract2 import (
     extract_two_layer,
     find_neuron_crossing,
@@ -326,16 +327,50 @@ def _worst_plane_error(units, truth):
     return worst
 
 
-def test_refinement_tightens_recovered_planes():
+def _refined_net():
     net = generate_two_layer(5, 8, np.random.default_rng(4))
     oracle = as_oracle(net)
-    got = extract_two_layer(oracle, 5, DELTA, 12)
+    return net, oracle, extract_two_layer(oracle, 5, DELTA, 12)
+
+
+def test_refinement_tightens_recovered_planes(monkeypatch):
+    net, oracle, got = _refined_net()
     assert got.phase_queries["refine"] == got.width * 2 * (5 + 1)
     assert _worst_plane_error(got.neurons, net.neurons) <= 1e-11
-    # Refining the refined units again moves no plane by more than that.
+    # Refining the refined units again fits the oracle itself, 2(d+1) queries
+    # per widened unit, and moves no plane by more than that.
+
+    def no_residual(*args):
+        raise AssertionError("refine_units built a subtracted oracle")
+
+    monkeypatch.setattr(extract2, "subtracted_oracle", no_residual)
+    before = oracle.count
     again = refine_units(oracle, got.neurons)
+    widened = sum(new is not old for new, old in zip(again, got.neurons))
+    assert widened == got.width
+    assert oracle.count - before == widened * 2 * (5 + 1)
     assert _worst_plane_error(again, net.neurons) <= 1e-11
     assert [n.sign for n in again] == [n.sign for n in got.neurons]
+
+
+def test_each_refit_reads_no_other_unit():
+    """Doubling one unit's (w, b) keeps its plane, so the refine points and
+    draws stay as they were (a power of two scales the normalisation
+    exactly); no refit may then move by a bit.  The doubled unit's own refit
+    reads only its plane, so it comes back as before too."""
+    _, oracle, got = _refined_net()
+    units = list(got.neurons)
+    base = refine_units(oracle, units)
+    u = units[3]
+    doubled = units[:3] + [Neuron(2.0 * u.w, 2.0 * u.b, u.sign)] + units[4:]
+    for a, b in zip(base, refine_units(oracle, doubled)):
+        assert np.array_equal(a.w, b.w) and a.b == b.b and a.sign == b.sign
+
+
+def test_refined_planes_of_a_wide_net_match_the_truth():
+    net = generate_two_layer(10, 32, np.random.default_rng(0))
+    got = extract_two_layer(as_oracle(net), 10, DELTA, 512)
+    assert _worst_plane_error(got.neurons, net.neurons) <= 1e-10
 
 
 def test_refinement_keeps_units_it_cannot_widen():

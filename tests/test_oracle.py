@@ -164,8 +164,8 @@ def _contract_nets():
         nets.append((net, -5.0, 5.0))
         top = TwoLayerNet(d1, net.top.neurons, _random_skip(rng, d1))
         nets.append((ThreeLayerNet(net.W, net.b, top), -5.0, 5.0))
-    # No units: a (0, d) weight matrix, as when `refine_units` refits the
-    # only unit of a one-unit net.
+    # No units: a (0, d) weight matrix, as in the final
+    # `subtracted_oracle(oracle, [])` of a depth-2 run that finds no unit.
     nets.append((TwoLayerNet(3, ()), 0.0, 10.0))
     nets.append((TwoLayerNet(3, (), _random_skip(rng, 3)), 0.0, 10.0))
     return nets
