@@ -237,7 +237,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         "residual_headroom": stage2.residual_headroom,
         "seconds": round(seconds, 4),
         "parameter_reads": audit.reads,
-        "network": net_to_document(result.network()),
+        "network": net_to_document(result.net),
     }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)

@@ -11,7 +11,7 @@ orientation ambiguity of each recovered unit (sigma(-z) = sigma(z) - z).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .config import (
     RESIDUAL_TOL,
     SEPARATION,
 )
-from .oracle.nets import AffineMap, Neuron, TwoLayerNet, batch_eval, evaluator
+from .oracle.nets import AffineMap, TwoLayerNet, evaluator
 from .oracle.query import DOMAIN_NONNEG, QueryOracle, axis_ray
 from .pwl import (
     GeneralPositionError,
@@ -46,31 +46,20 @@ _REFINE_CANDIDATES = 256
 
 @dataclass
 class ExtractedTwoLayer:
-    """Result of a depth-2 run: recovered units, affine remainder, query split.
+    """Result of a depth-2 run: the recovered network and its query split.
 
+    `net` carries the recovered units and the affine remainder as its skip.
     `residual_headroom` is the worst ratio of the final affine-residual
     check's deviation to its tolerance; the run fails above 1.
     """
 
-    d: int
-    neurons: tuple[Neuron, ...]
-    skip: AffineMap
-    phase_queries: dict[str, int] = field(default_factory=dict)
-    residual_headroom: float = 0.0
-
-    @property
-    def width(self) -> int:
-        return len(self.neurons)
+    net: TwoLayerNet
+    phase_queries: dict[str, int]
+    residual_headroom: float
 
     @property
     def total_queries(self) -> int:
         return sum(self.phase_queries.values())
-
-    def network(self) -> TwoLayerNet:
-        return TwoLayerNet(d=self.d, neurons=self.neurons, skip=self.skip)
-
-    def __call__(self, x) -> float:
-        return float(batch_eval(self.network(), np.atleast_2d(x))[0])
 
 
 def find_neuron_crossing(
@@ -135,8 +124,8 @@ def recover_sign_u(oracle, x1, x2, f1: float, f2: float) -> int:
     return 1 if second > 0 else -1
 
 
-def recover_neuron(oracle, x1, x2, delta: float) -> Neuron:
-    """The unit whose state changes between x1 and x2, up to orientation.
+def recover_neuron(oracle, x1, x2, delta: float) -> tuple[np.ndarray, float, int]:
+    """(w, b, sign) of the unit changing state between x1 and x2, up to orientation.
 
     Reconstructs the tangent affine maps at both endpoints; their difference
     (right minus left) is the unit's pre-activation map, up to a global sign
@@ -181,18 +170,18 @@ def recover_neuron(oracle, x1, x2, delta: float) -> Neuron:
     noise = PLANE_NOISE * scale * np.sqrt(x1.size) / step
     if float(np.linalg.norm(w)) <= max(noise, NORMAL_FLOOR):
         raise GeneralPositionError("endpoints in same linear region")
-    return Neuron(w, b, recover_sign_u(oracle, x1, x2, f1, f2))
+    return w, b, recover_sign_u(oracle, x1, x2, f1, f2)
 
 
-def subtracted_oracle(oracle: QueryOracle, recovered) -> QueryOracle:
-    """Oracle for oracle(x) - sum of the recovered units; one query per call.
+def subtracted_oracle(oracle: QueryOracle, recovered: TwoLayerNet) -> QueryOracle:
+    """Oracle for oracle(x) - recovered(x); one query per call.
 
-    The units are subtracted through the stacked evaluator of their sum.
+    The recovered units are subtracted through their net's evaluator.
     The returned oracle has `oracle` as its parent, with the same dim and
     domain: `oracle` checks each point before the units see it, so the
     returned oracle does not check it again.
     """
-    units = evaluator(TwoLayerNet(d=oracle.dim, neurons=tuple(recovered)))
+    units = evaluator(recovered)
     fn = lambda x: oracle.query(x) - units(x)
     return QueryOracle(fn, oracle.dim, oracle.domain, label=f"{oracle.label}-peel",
                        parent=oracle)
@@ -233,7 +222,7 @@ def _refine_point(normals: np.ndarray, offsets: np.ndarray, i: int, rng):
     return pts[best], float(clearance[best])
 
 
-def refine_units(oracle: QueryOracle, units) -> list[Neuron]:
+def refine_units(oracle: QueryOracle, net: TwoLayerNet) -> TwoLayerNet:
     """Refit every recovered unit where no other recovered plane is near.
 
     Unit i is fitted on `oracle` itself on each side of plane i, a distance r
@@ -247,22 +236,20 @@ def refine_units(oracle: QueryOracle, units) -> list[Neuron]:
     widen the stencil past the recovery's own step keeps its recovered
     parameters.
     """
-    units = list(units)
-    net = TwoLayerNet(d=oracle.dim, neurons=tuple(units))
-    W, b = net.weight_matrix(), net.biases()
-    scale = np.linalg.norm(W, axis=1)
-    normals, offsets = W / scale[:, None], b / scale
+    scale = np.linalg.norm(net.W, axis=1)
+    normals, offsets = net.W / scale[:, None], net.b / scale
+    W, b = net.W.copy(), net.b.copy()
     rng = np.random.default_rng(_REFINE_SEED)
-    for i, unit in enumerate(units):
+    for i, sign in enumerate(net.s):
         point, clearance = _refine_point(normals, offsets, i, rng)
         r = clearance / 2.0
         if r / 4.0 <= _STEP_CAP:
             continue
         left = reconstruct_affine(oracle, point - r * normals[i], r / 4.0)
         right = reconstruct_affine(oracle, point + r * normals[i], r / 4.0)
-        units[i] = Neuron(unit.sign * (right.w - left.w),
-                          unit.sign * (right.b - left.b), unit.sign)
-    return units
+        W[i] = sign * (right.w - left.w)
+        b[i] = sign * (right.b - left.b)
+    return TwoLayerNet(W, b, net.s, net.skip)
 
 
 def _check_affine_residual(work: QueryOracle, skip: AffineMap, rng) -> float:
@@ -292,39 +279,44 @@ def extract_two_layer(
     validates that the residual really is affine at a handful of random
     points.
 
-    Each ray is scanned up to t = 1/delta.  Raises
-    PieceBudgetError("too many neurons") past `d1_max`.
+    Each ray is scanned up to t = 1/delta.  A `GeneralPositionError` is
+    re-raised naming the phase whose queries were being counted (scan,
+    recover, refine or skip).  Raises PieceBudgetError("too many neurons")
+    past `d1_max`.
     """
     if oracle.domain != DOMAIN_NONNEG:
         raise ValueError("depth-2 extraction queries the nonnegative orthant")
     counts = {"scan": 0, "recover": 0, "refine": 0, "skip": 0}
-    neurons: list[Neuron] = []
+    rows, offs, signs = [], [], []
     work = oracle
     start_axis = 0
-    while True:
-        mark = oracle.count
-        hit = find_neuron_crossing(work, d, delta, start_axis=start_axis)
-        counts["scan"] += oracle.count - mark
-        if hit is None:
-            break
-        x1, x2, axis = hit
-        mark = oracle.count
-        neuron = recover_neuron(work, x1, x2, delta)
-        counts["recover"] += oracle.count - mark
-        neurons.append(neuron)
-        if len(neurons) > d1_max:
-            raise PieceBudgetError("too many neurons")
-        work = subtracted_oracle(oracle, neurons)
-        start_axis = axis
-    mark = oracle.count
-    neurons = refine_units(oracle, neurons)
-    work = subtracted_oracle(oracle, neurons)
-    counts["refine"] += oracle.count - mark
-    mark = oracle.count
-    rng = np.random.default_rng(_SKIP_SEED)
-    base = rng.uniform(0.7, 1.7, size=d)
-    skip = reconstruct_affine(work, base, 0.25)
-    headroom = _check_affine_residual(work, skip, rng)
-    counts["skip"] += oracle.count - mark
-    return ExtractedTwoLayer(d=d, neurons=tuple(neurons), skip=skip,
-                             phase_queries=counts, residual_headroom=headroom)
+    try:
+        while True:
+            phase, mark = "scan", oracle.count
+            hit = find_neuron_crossing(work, d, delta, start_axis=start_axis)
+            counts[phase] += oracle.count - mark
+            if hit is None:
+                break
+            x1, x2, start_axis = hit
+            phase, mark = "recover", oracle.count
+            w, b, sign = recover_neuron(work, x1, x2, delta)
+            counts[phase] += oracle.count - mark
+            rows.append(w)
+            offs.append(b)
+            signs.append(sign)
+            if len(rows) > d1_max:
+                raise PieceBudgetError("too many neurons")
+            work = subtracted_oracle(oracle, TwoLayerNet(rows, offs, signs))
+        phase, mark = "refine", oracle.count
+        net = refine_units(oracle, TwoLayerNet(np.reshape(rows, (-1, d)), offs, signs))
+        work = subtracted_oracle(oracle, net)
+        counts[phase] += oracle.count - mark
+        phase, mark = "skip", oracle.count
+        rng = np.random.default_rng(_SKIP_SEED)
+        base = rng.uniform(0.7, 1.7, size=d)
+        skip = reconstruct_affine(work, base, 0.25)
+        headroom = _check_affine_residual(work, skip, rng)
+        counts[phase] += oracle.count - mark
+    except GeneralPositionError as err:
+        raise GeneralPositionError(f"{phase} phase: {err}") from err
+    return ExtractedTwoLayer(TwoLayerNet(net.W, net.b, net.s, skip), counts, headroom)

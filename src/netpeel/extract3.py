@@ -76,29 +76,18 @@ class CandidateList:
 
 @dataclass
 class ExtractedThreeLayer:
-    """Recovered first layer plus the depth-2 result for the peeled top."""
+    """The recovered network, the depth-2 result for its peeled top, and the
+    run's candidate counts and query split."""
 
-    d: int
-    W: np.ndarray
-    b: np.ndarray
+    net: ThreeLayerNet
     top: ExtractedTwoLayer
     n_candidates: int
     n_survivors: int
-    phase_queries: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def d1(self) -> int:
-        return self.W.shape[0]
+    phase_queries: dict[str, int]
 
     @property
     def total_queries(self) -> int:
         return sum(self.phase_queries.values())
-
-    def network(self) -> ThreeLayerNet:
-        return ThreeLayerNet(W=self.W, b=self.b, top=self.top.network())
-
-    def __call__(self, x) -> float:
-        return float(batch_eval(self.network(), np.atleast_2d(x))[0])
 
 
 def collect_candidate_hyperplanes(
@@ -106,7 +95,7 @@ def collect_candidate_hyperplanes(
     delta: float,
     m_max: int,
     *,
-    rng=None,
+    rng,
 ) -> CandidateList:
     """Critical hyperplanes met by the probe line {t * e_1}, deduplicated.
 
@@ -116,7 +105,6 @@ def collect_candidate_hyperplanes(
     wider step, than the scan because breaks on the line are far apart
     compared to delta and the larger stencil cuts the slope noise of the fits.
     """
-    rng = np.random.default_rng(12345) if rng is None else rng
     lim = 1.0 / delta
     found = all_critical_points_1d(axis_ray(oracle, 0), delta, m_max, window=(-lim, lim))
     e1 = np.eye(oracle.dim)[0]
@@ -154,7 +142,7 @@ def is_first_layer_plane(
     delta: float,
     *,
     source: np.ndarray,
-    rng=None,
+    rng,
 ) -> bool:
     """Is the candidate critical on both sides of every transversal candidate?
 
@@ -168,7 +156,6 @@ def is_first_layer_plane(
     skipped), each perturbed uniformly inside the plane, and both must be
     bend points of the oracle.
     """
-    rng = np.random.default_rng(12345) if rng is None else rng
     p = np.asarray(source, dtype=float)
     n = plane.normal
     tangent = _tangent_basis(n)
@@ -206,7 +193,7 @@ def recover_row_signs(
     planes,
     delta: float,
     *,
-    rng=None,
+    rng,
 ):
     """Orient each surviving plane; returns the signed rows (W, b).
 
@@ -219,7 +206,6 @@ def recover_row_signs(
     or neither) retry with a fresh x and, halfway through the budget, a
     larger probe step.
     """
-    rng = np.random.default_rng(12345) if rng is None else rng
     d = oracle.dim
     m = len(planes)
     W = np.zeros((m, d))
@@ -369,12 +355,11 @@ def extract_three_layer(
 
         top_oracle = peel_first_layer(oracle, W, b)
         top = extract_two_layer(top_oracle, W.shape[0], delta, d2_max)
-        _check_output(oracle, ThreeLayerNet(W=W, b=b, top=top.network()))
+        net = ThreeLayerNet(W=W, b=b, top=top.net)
+        _check_output(oracle, net)
         marks.append(oracle.count)
     except GeneralPositionError as err:
         phase = _PHASES[len(marks) - 1]
         raise GeneralPositionError(f"{phase} phase (axis 0): {err}") from err
     counts = {phase: hi - lo for phase, lo, hi in zip(_PHASES, marks, marks[1:])}
-    return ExtractedThreeLayer(
-        d=d, W=W, b=b, top=top, n_candidates=len(cands),
-        n_survivors=len(survivors), phase_queries=counts)
+    return ExtractedThreeLayer(net, top, len(cands), len(survivors), counts)

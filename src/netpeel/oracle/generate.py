@@ -35,7 +35,7 @@ from ..orthant import (
     hits,
     linprog,  # noqa: F401 - bound for `TRACED_LOCAL` in perfbench/spans.py
 )
-from .nets import Neuron, ThreeLayerNet, TwoLayerNet, relu
+from .nets import ThreeLayerNet, TwoLayerNet, relu
 
 
 # Designated axis crossings of the depth-2 units are drawn from this range.
@@ -86,8 +86,7 @@ def generate_two_layer(d: int, d1: int, rng: np.random.Generator) -> TwoLayerNet
     `(w, b)` pair is symmetric about zero, so recovery sees both unit
     orientations.
     """
-    neurons: list[Neuron] = []
-    rows, offs = np.empty((d1, d)), np.empty(d1)
+    rows, offs, signs = np.empty((d1, d)), np.empty(d1), np.empty(d1)
     taken: list[tuple[int, float]] = []
     for j in range(d1):
         axis = j % d
@@ -106,8 +105,7 @@ def generate_two_layer(d: int, d1: int, rng: np.random.Generator) -> TwoLayerNet
                 continue
             if _crossing_conflict(cands, taken):
                 continue
-            neurons.append(Neuron(w, b, (-1, 1)[rng.integers(2)]))
-            rows[j], offs[j] = w, b
+            rows[j], offs[j], signs[j] = w, b, (-1, 1)[rng.integers(2)]
             taken.extend(cands)
             break
         else:
@@ -115,7 +113,7 @@ def generate_two_layer(d: int, d1: int, rng: np.random.Generator) -> TwoLayerNet
                 f"two-layer unit {j}: no draw met the margins in "
                 f"{REJECTION_LIMIT} tries"
             )
-    return TwoLayerNet(d=d, neurons=tuple(neurons), skip=None)
+    return TwoLayerNet(rows, offs, signs)
 
 
 # Scales of the random probe points of the pattern walk; one is drawn per
@@ -361,8 +359,7 @@ def generate_three_layer(
         if any(abs(right - left) < JUMP_MARGIN
                for left, right in zip(slopes[:-1], slopes[1:])):
             continue
-        top = tuple(Neuron(V[k], c[k], u[k]) for k in range(d2))
-        return ThreeLayerNet(W=W, b=b, top=TwoLayerNet(d=d1, neurons=top))
+        return ThreeLayerNet(W=W, b=b, top=TwoLayerNet(V, c, u))
     raise GenerationError(
         f"three-layer draw (d={d}, d1={d1}, d2={d2}) failed margins "
         f"{REJECTION_LIMIT} times"

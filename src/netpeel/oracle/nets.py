@@ -12,10 +12,11 @@ all of R^d as a first layer under a two-layer top,
 
 where `top` is a two-layer net on the d1-dimensional hidden orthant.  A
 generated top is s . relu(V h + c) with no skip; a recovered top may carry an
-affine term in h.  Containers are immutable.  Each class has one evaluator
-(`evaluator`), a closure over its stacked parameters with the layer
-arithmetic inline, which maps a batch of points to values with a few matrix
-products, and a single point to its one value.
+affine term in h.  Containers are immutable and hold their parameters as
+read-only float64 arrays.  Each class has one evaluator (`evaluator`), a
+closure over those arrays with the layer arithmetic inline, which maps a
+batch of points to values with a few matrix products, and a single point to
+its one value.
 """
 from __future__ import annotations
 
@@ -58,56 +59,38 @@ class AffineMap:
 
 
 @dataclass(frozen=True, eq=False)
-class Neuron:
-    """One hidden unit: sign * relu(w . x + b)."""
-
-    w: np.ndarray
-    b: float
-    sign: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", _frozen(np.atleast_1d(self.w)))
-        object.__setattr__(self, "b", float(self.b))
-        sign = int(self.sign)
-        if sign not in (-1, 1) or sign != self.sign:
-            raise ValueError(f"neuron sign must be +1 or -1, got {self.sign}")
-        object.__setattr__(self, "sign", sign)
-
-    @property
-    def dim(self) -> int:
-        return self.w.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class TwoLayerNet:
-    """Sum of signed ReLU units plus an optional affine term, on x >= 0."""
+    """Sum of signed ReLU units plus an optional affine term, on x >= 0.
 
-    d: int
-    neurons: tuple[Neuron, ...]
+    Unit j is s[j] * relu(W[j] . x + b[j]); `W` is (width, d), and a net
+    with no units has a (0, d) `W`.
+    """
+
+    W: np.ndarray
+    b: np.ndarray
+    s: np.ndarray
     skip: AffineMap | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "neurons", tuple(self.neurons))
-        for n in self.neurons:
-            if n.dim != self.d:
-                raise ValueError(f"neuron dim {n.dim} != net dim {self.d}")
+        for name in ("W", "b", "s"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        if self.W.ndim != 2:
+            raise ValueError(f"W must be 2-D, got shape {self.W.shape}")
+        for name in ("b", "s"):
+            if getattr(self, name).shape != (self.width,):
+                raise ValueError(f"{name} must have one entry per row of W")
+        if not np.all(np.abs(self.s) == 1.0):
+            raise ValueError(f"unit signs must be +1 or -1, got {self.s}")
         if self.skip is not None and self.skip.dim != self.d:
             raise ValueError("skip dim does not match net dim")
 
     @property
+    def d(self) -> int:
+        return self.W.shape[1]
+
+    @property
     def width(self) -> int:
-        return len(self.neurons)
-
-    def weight_matrix(self) -> np.ndarray:
-        w = np.array([n.w for n in self.neurons], dtype=float)
-        return w.reshape(self.width, self.d)
-
-    def biases(self) -> np.ndarray:
-        return np.array([n.b for n in self.neurons], dtype=float)
-
-    def signs(self) -> np.ndarray:
-        return np.array([n.sign for n in self.neurons], dtype=float)
+        return self.W.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,22 +123,21 @@ class ThreeLayerNet:
 
 
 def evaluator(net) -> Callable[[np.ndarray], np.ndarray]:
-    """The stacked evaluator of `net`: an (n, d) array of points to n values.
+    """The evaluator of `net`: an (n, d) array of points to n values.
 
-    The parameters are stacked into arrays once, here, and each class gets
-    one closure with its layer arithmetic inline; a depth-3 closure runs its
-    first layer and calls the top's closure.  A (d,) point gives one value,
-    bitwise equal to that point's value as a batch of one row; the oracles
-    rely on this to query without building a batch.  Each product is
-    `xs.dot(WT)` with `WT` the transposed view `W.T`: a contiguous copy
-    takes another BLAS path and changes single-point values in the last
-    bit.  Bias and ReLU are applied in place on the product, so a query
-    allocates no temporaries beyond it.  `xs` must be an array; `batch_eval`
-    converts other input.
+    Each class gets one closure over its parameter arrays with its layer
+    arithmetic inline; a depth-3 closure runs its first layer and calls the
+    top's closure.  A (d,) point gives one value, bitwise equal to that
+    point's value as a batch of one row; the oracles rely on this to query
+    without building a batch.  Each product is `xs.dot(WT)` with `WT` the
+    transposed view `W.T`: a contiguous copy takes another BLAS path and
+    changes single-point values in the last bit.  Bias and ReLU are applied
+    in place on the product, so a query allocates no temporaries beyond it.
+    `xs` must be an array; `batch_eval` converts other input.  Anything but
+    a network is a TypeError naming its class.
     """
     if isinstance(net, TwoLayerNet):
-        W, b, s = net.weight_matrix(), net.biases(), net.signs()
-        WT, skip, maximum = W.T, net.skip, np.maximum
+        WT, b, s, skip, maximum = net.W.T, net.b, net.s, net.skip, np.maximum
 
         def two_layer(xs):
             z = xs.dot(WT)

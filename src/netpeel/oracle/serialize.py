@@ -28,7 +28,7 @@ import json
 
 import numpy as np
 
-from .nets import AffineMap, Neuron, ThreeLayerNet, TwoLayerNet
+from .nets import AffineMap, ThreeLayerNet, TwoLayerNet
 
 FORMAT_NAME = "netpeel-net"
 
@@ -95,9 +95,9 @@ def _write_units(doc: dict, net: TwoLayerNet, names: tuple[str, str]) -> None:
     """Write the units of `net` as fields `names` (weights, biases) and "u",
     and its affine term, if any, as "skip_w" and "skip_b"."""
     w_name, b_name = names
-    doc[w_name] = [float(v) for n in net.neurons for v in n.w]
-    doc[b_name] = [float(n.b) for n in net.neurons]
-    doc["u"] = [n.sign for n in net.neurons]
+    doc[w_name] = net.W.ravel().tolist()
+    doc[b_name] = net.b.tolist()
+    doc["u"] = net.s.astype(int).tolist()
     if net.skip is not None:
         doc["skip_w"] = [float(v) for v in net.skip.w]
         doc["skip_b"] = float(net.skip.b)
@@ -110,8 +110,8 @@ def net_to_document(net, seed=None) -> dict:
         _write_units(doc, net, ("W", "b"))
     elif isinstance(net, ThreeLayerNet):
         doc.update(depth=3, d=net.d, d1=net.d1, d2=net.top.width)
-        doc["W"] = [float(v) for row in net.W for v in row]
-        doc["b"] = [float(v) for v in net.b]
+        doc["W"] = net.W.ravel().tolist()
+        doc["b"] = net.b.tolist()
         _write_units(doc, net.top, ("V", "c"))
     else:
         raise TypeError(f"not a network container: {type(net).__name__}")
@@ -142,8 +142,7 @@ def _read_units(doc: dict, names: tuple[str, str], dim: int, width: int) -> TwoL
         skip_w = _numbers(doc, "skip_w", dim) if "skip_w" in doc else np.zeros(dim)
         skip_b = _numbers(doc, "skip_b", 1)[0] if "skip_b" in doc else 0.0
         skip = AffineMap(skip_w, skip_b)
-    neurons = tuple(Neuron(W[j], b[j], u[j]) for j in range(width))
-    return TwoLayerNet(d=dim, neurons=neurons, skip=skip)
+    return TwoLayerNet(W, b, u, skip)
 
 
 def _integer(doc: dict, name: str) -> int:

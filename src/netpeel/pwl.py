@@ -308,7 +308,7 @@ def _inward(e: np.ndarray, x: np.ndarray, reach: float, nonneg: bool) -> np.ndar
     return e / n
 
 
-def is_critical_point(oracle, x, delta: float, rng=None) -> bool:
+def is_critical_point(oracle, x, delta: float, rng) -> bool:
     """Does the function bend within `delta` of `x`?
 
     Probes x +/- delta*e for random unit directions e and checks the second
@@ -316,7 +316,6 @@ def is_critical_point(oracle, x, delta: float, rng=None) -> bool:
     scale.  Near the boundary of a nonnegative domain, directions are
     projected to stay inside.
     """
-    rng = np.random.default_rng(12345) if rng is None else rng
     x = np.asarray(x, dtype=float)
     nonneg = oracle.domain == DOMAIN_NONNEG
     f0 = float(oracle(x))
@@ -337,9 +336,9 @@ def reconstruct_critical_hyperplane(
     oracle,
     x,
     delta: float,
-    rng=None,
+    rng,
     *,
-    radius: float | None = None,
+    radius: float,
 ) -> Hyperplane:
     """Hyperplane through the slope break at `x`, canonicalized.
 
@@ -349,17 +348,15 @@ def reconstruct_critical_hyperplane(
     a failed check means the probes straddled a second break, and a fresh
     direction is drawn.  O(d) queries per attempt.
 
-    `radius` defaults to delta, and the finite-difference step of the
-    affine fits is a quarter of the attempt's radius.  Callers working
-    against well-separated breaks can pass a larger radius: the slope error
-    of a fit shrinks linearly in the step, and the cross-check still catches
-    a straddle.  After two failed attempts the radius halves on each retry
-    (never below min(radius, 2 delta)), trading precision for isolation when
-    the generous radius keeps hitting a second break.
+    The finite-difference step of the affine fits is a quarter of the
+    attempt's radius.  Callers working against well-separated breaks can
+    pass a radius well above delta: the slope error of a fit shrinks
+    linearly in the step, and the cross-check still catches a straddle.
+    After two failed attempts the radius halves on each retry (never below
+    min(radius, 2 delta)), trading precision for isolation when the
+    generous radius keeps hitting a second break.
     """
-    rng = np.random.default_rng(12345) if rng is None else rng
     x = np.asarray(x, dtype=float)
-    radius = delta if radius is None else radius
     nonneg = oracle.domain == DOMAIN_NONNEG
     d = x.size
     for attempt in range(HYPERPLANE_ATTEMPTS):

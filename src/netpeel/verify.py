@@ -20,7 +20,7 @@ import numpy as np
 from .extract2 import extract_two_layer
 from .extract3 import extract_three_layer
 from .oracle.generate import generate_three_layer, generate_two_layer
-from .oracle.nets import ThreeLayerNet, TwoLayerNet, batch_eval
+from .oracle.nets import evaluator
 from .oracle.query import as_oracle
 from . import orthant
 from .orthant import (
@@ -75,14 +75,6 @@ class BoundExperiment:
         return self.hits / self.trials
 
 
-def _network(net):
-    """The network container of `net`, which may be an extraction result."""
-    net = net.network() if hasattr(net, "network") else net
-    if not isinstance(net, (TwoLayerNet, ThreeLayerNet)):
-        raise TypeError(f"cannot evaluate {type(net).__name__}")
-    return net
-
-
 def functional_equivalence(
     net_a,
     net_b,
@@ -96,11 +88,12 @@ def functional_equivalence(
     """Compare two networks on uniform samples from the box [lo, hi]^d.
 
     The relative error at a point is |a - b| / (1 + max(|a|, |b|)), which
-    makes the report symmetric in its two arguments.  Either argument may be
-    a network or an extraction result.  Deterministic per seed.  A network
-    that evaluates to inf or NaN at a sample is invalid input (ValueError).
+    makes the report symmetric in its two arguments.  Both must be
+    networks: anything else, an extraction result included, is a TypeError
+    naming its class.  Deterministic per seed.  A network that evaluates to
+    inf or NaN at a sample is invalid input (ValueError).
     """
-    net_a, net_b = _network(net_a), _network(net_b)
+    eval_a, eval_b = evaluator(net_a), evaluator(net_b)
     da = net_a.d
     if da != net_b.d:
         raise ValueError(f"input dimensions differ: {da} vs {net_b.d}")
@@ -109,8 +102,8 @@ def functional_equivalence(
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(n_samples, da))
     with np.errstate(over="ignore", invalid="ignore"):
-        fa = batch_eval(net_a, pts)
-        fb = batch_eval(net_b, pts)
+        fa = eval_a(pts)
+        fb = eval_b(pts)
     for name, values in (("first", fa), ("second", fb)):
         if not np.all(np.isfinite(values)):
             raise ValueError(

@@ -3,16 +3,14 @@
 import numpy as np
 
 from netpeel.oracle.generate import generate_three_layer, generate_two_layer
-from netpeel.oracle.nets import Neuron, ThreeLayerNet, TwoLayerNet
+from netpeel.oracle.nets import ThreeLayerNet, TwoLayerNet
 from netpeel.oracle.query import QueryOracle, axis_ray
 
 
 def three_layer(W, b, V, c, signs):
     """The net s . relu(V relu(W x + b) + c): first layer W, b under a top
     of units V[k], c[k], signs[k] with no affine term."""
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    units = tuple(Neuron(v, ck, s) for v, ck, s in zip(V, c, signs))
-    return ThreeLayerNet(W=W, b=b, top=TwoLayerNet(d=V.shape[1], neurons=units))
+    return ThreeLayerNet(W=W, b=b, top=TwoLayerNet(np.atleast_2d(V), c, signs))
 
 
 def flat_probe_line_net():
@@ -36,12 +34,12 @@ def near_coincident_net(seed, gap):
     """
     rng = np.random.default_rng(seed)
     net = generate_two_layer(4, 8, rng)
-    first = net.neurons[0]
-    t0 = -first.b / first.w[0]
-    w = first.w + rng.normal(0.0, 0.3, 4)
+    t0 = -net.b[0] / net.W[0, 0]
+    w = net.W[0] + rng.normal(0.0, 0.3, 4)
     b = -(t0 + gap) * w[0]
     sign = int(rng.choice((-1, 1)))
-    return TwoLayerNet(d=4, neurons=net.neurons + (Neuron(w, b, sign),), skip=net.skip)
+    return TwoLayerNet(np.vstack([net.W, w]), np.append(net.b, b), np.append(net.s, sign),
+                       net.skip)
 
 
 def near_coincident_rows(seed, gap):

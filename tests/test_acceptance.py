@@ -108,7 +108,7 @@ def depth3_runs():
 
 def test_criterion_1_depth2_round_trip(depth2_runs):
     reports = [
-        functional_equivalence(r["net"], r["result"], 0.0, 10.0,
+        functional_equivalence(r["net"], r["result"].net, 0.0, 10.0,
                                n_samples=10_000, tau=TAU)
         for r in depth2_runs
     ]
@@ -126,16 +126,16 @@ def test_criterion_2_depth2_parameter_recovery(depth2_runs):
     checked = 0
     mismatches = 0
     for run in depth2_runs:
-        recovered = [
-            (_canonical(n.w, n.b), n.sign) for n in run["result"].neurons]
-        for unit in run["net"].neurons:
-            on_axis = any(w != 0.0 and -unit.b / w > 0.0 for w in unit.w)
+        got, net = run["result"].net, run["net"]
+        recovered = [(_canonical(w, b), s) for w, b, s in zip(got.W, got.b, got.s)]
+        for row, offset, sign in zip(net.W, net.b, net.s):
+            on_axis = any(w != 0.0 and -offset / w > 0.0 for w in row)
             if not on_axis:
                 continue
             checked += 1
-            truth = _canonical(unit.w, unit.b)
+            truth = _canonical(row, offset)
             hits = [s for plane, s in recovered if _same_plane(plane, truth)]
-            if not hits or any(s != unit.sign for s in hits):
+            if not hits or any(s != sign for s in hits):
                 mismatches += 1
     ok = mismatches == 0 and checked > 0
     _tally(2, ok, f"{checked} axis-visible units, {mismatches} mismatches")
@@ -143,7 +143,7 @@ def test_criterion_2_depth2_parameter_recovery(depth2_runs):
 
 def test_criterion_3_depth3_round_trip(depth3_runs):
     reports = [
-        functional_equivalence(r["net"], r["result"], -5.0, 5.0,
+        functional_equivalence(r["net"], r["result"].net, -5.0, 5.0,
                                n_samples=10_000, tau=TAU)
         for r in depth3_runs
     ]
@@ -237,7 +237,7 @@ def test_criterion_4_first_layer_filter_is_exact(depth3_runs):
     for run in depth3_runs:
         net, res = run["net"], run["result"]
         truth = [_canonical(net.W[i], net.b[i]) for i in range(net.d1)]
-        found = [_canonical(res.W[j], res.b[j]) for j in range(res.d1)]
+        found = [_canonical(w, b) for w, b in zip(res.net.W, res.net.b)]
         exact = res.n_survivors == net.d1 and len(found) == len(truth)
         used = set()
         for plane in truth:
@@ -256,7 +256,7 @@ def test_criterion_5_signed_rows_match(depth3_runs):
     total = 0
     bad = 0
     for run in depth3_runs:
-        net, res = run["net"], run["result"]
+        net, res = run["net"], run["result"].net
         used = set()
         for i in range(net.d1):
             total += 1

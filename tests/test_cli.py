@@ -17,7 +17,7 @@ from netpeel.cli import main
 from netpeel.extract2 import extract_two_layer
 from netpeel.extract3 import extract_three_layer
 from netpeel.oracle.generate import generate_three_layer, generate_two_layer
-from netpeel.oracle.nets import AffineMap, Neuron, TwoLayerNet, batch_eval
+from netpeel.oracle.nets import AffineMap, TwoLayerNet, batch_eval
 from netpeel.oracle.query import as_oracle
 from netpeel.oracle.serialize import load_net, save_net
 
@@ -193,11 +193,7 @@ def test_extract_reports_are_pinned_byte_for_byte(tmp_path, shape, digest):
 
 def test_extract_fails_gracefully_on_an_unresolvable_kink(tmp_path):
     """A unit bending less than the probe resolution reads as degenerate."""
-    net = TwoLayerNet(
-        d=1,
-        neurons=(Neuron(np.array([6e-5]), -6e-5, 1),),
-        skip=AffineMap(np.array([1.0]), 0.0),
-    )
+    net = TwoLayerNet([[6e-5]], [-6e-5], [1], AffineMap(np.array([1.0]), 0.0))
     path = tmp_path / "flat.json"
     save_net(path, net)
     code = main(["extract", "--input", str(path), "--delta", "0.01",
@@ -236,6 +232,7 @@ _BAD_INPUTS = {
     "fractional-d1.json": json.dumps({**_NET2, "d1": 2.5}),
     "fractional-d2.json": json.dumps({**_NET3, "d2": 2.5}),
     "fractional-u.json": json.dumps({**_NET2, "u": [1.7, -1]}),
+    "zero-u.json": json.dumps({**_NET2, "u": [0, 1]}),
     "infinite-d.json": json.dumps({**_NET2, "d": math.inf}),
 }
 
@@ -278,7 +275,7 @@ def test_extract_audit_violation_has_its_own_exit_code(tmp_path, monkeypatch, ca
         return real_as_oracle(audit)
 
     def peeking_extract(oracle, *args):
-        audits[0].neurons  # a ground-truth read while the audit is armed
+        audits[0].W  # a ground-truth read while the audit is armed
         return real_extract(oracle, *args)
 
     monkeypatch.setattr(cli, "as_oracle", spy)
@@ -399,12 +396,9 @@ def test_verify_file_against_itself(tmp_path, capsys):
 def test_verify_flags_a_perturbed_copy(tmp_path):
     path = _generate(tmp_path, "net.json", "--d", "2", "--d1", "3", "--seed", "5")
     net = load_net(path)
-    bumped = net.neurons[0]
-    perturbed = TwoLayerNet(
-        d=net.d,
-        neurons=(Neuron(bumped.w, bumped.b + 1e-3, bumped.sign), *net.neurons[1:]),
-        skip=net.skip,
-    )
+    b = net.b.copy()
+    b[0] += 1e-3
+    perturbed = TwoLayerNet(net.W, b, net.s, net.skip)
     other = tmp_path / "perturbed.json"
     save_net(other, perturbed)
     code = main(["verify", "--truth", str(path), "--candidate", str(other),

@@ -16,7 +16,7 @@ from netpeel.extract2 import (
     subtracted_oracle,
 )
 from netpeel.oracle.generate import generate_two_layer
-from netpeel.oracle.nets import AffineMap, Neuron, TwoLayerNet, batch_eval, evaluator, relu
+from netpeel.oracle.nets import AffineMap, TwoLayerNet, batch_eval, evaluator, relu
 from netpeel.oracle.query import QueryOracle, as_oracle, axis_ray
 from netpeel.pwl import (
     GeneralPositionError,
@@ -40,8 +40,8 @@ def _bracketed_truth(net, x1, x2):
     """Index of the unique ground-truth unit changing state on [x1, x2]."""
     flips = [
         j
-        for j, n in enumerate(net.neurons)
-        if (float(n.w @ x1) + n.b > 0.0) != (float(n.w @ x2) + n.b > 0.0)
+        for j, (w, b) in enumerate(zip(net.W, net.b))
+        if (float(w @ x1) + b > 0.0) != (float(w @ x2) + b > 0.0)
     ]
     assert len(flips) == 1
     return flips[0]
@@ -71,8 +71,7 @@ def test_crossing_brackets_exactly_one_unit():
 
 def _two_crossings(t0, t1):
     """A 1-d net with units crossing axis 0 at t0 and t1, and the t of every query."""
-    net = TwoLayerNet(d=1, neurons=(Neuron(np.array([1.0]), -t0, 1),
-                                    Neuron(np.array([0.5]), -0.5 * t1, -1)))
+    net = TwoLayerNet([[1.0], [0.5]], [-t0, -0.5 * t1], [1, -1])
     ev = evaluator(net)
     seen = []
 
@@ -140,7 +139,7 @@ def test_sign_matches_truth_across_seeds():
         oracle = as_oracle(net)
         x1, x2, _ = find_neuron_crossing(oracle, 2, DELTA)
         j = _bracketed_truth(net, x1, x2)
-        assert _sign(oracle, x1, x2) == net.neurons[j].sign
+        assert _sign(oracle, x1, x2) == net.s[j]
 
 
 # ----------------------------------------------------------- weight recovery
@@ -149,23 +148,21 @@ def test_sign_matches_truth_across_seeds():
 def test_recover_single_unit_exactly():
     oracle = _relu_oracle([1.0], -2.0)
     x1, x2, _ = find_neuron_crossing(oracle, 1, DELTA)
-    got = recover_neuron(oracle, x1, x2, DELTA)
-    assert abs(got.w[0] - 1.0) < 1e-9
-    assert abs(got.b - (-2.0)) < 1e-9
-    assert got.sign == 1
+    w, b, sign = recover_neuron(oracle, x1, x2, DELTA)
+    assert abs(w[0] - 1.0) < 1e-9
+    assert abs(b - (-2.0)) < 1e-9
+    assert sign == 1
 
 
 def test_recover_flipped_unit_is_affinely_equivalent():
     """sigma(-z) = sigma(z) - z, so either orientation is fine up to affine."""
     oracle = _relu_oracle([-1.0], 2.0)
     x1, x2, _ = find_neuron_crossing(oracle, 1, DELTA)
-    got = recover_neuron(oracle, x1, x2, DELTA)
-    errs = [
-        max(abs(s * got.w[0] - (-1.0)), abs(s * got.b - 2.0)) for s in (1.0, -1.0)
-    ]
+    w, b, sign = recover_neuron(oracle, x1, x2, DELTA)
+    errs = [max(abs(s * w[0] - (-1.0)), abs(s * b - 2.0)) for s in (1.0, -1.0)]
     assert min(errs) < 1e-7
     ts = np.linspace(0.0, 4.0, 9)
-    diff = relu(2.0 - ts) - got.sign * relu(got.w[0] * ts + got.b)
+    diff = relu(2.0 - ts) - sign * relu(w[0] * ts + b)
     line = diff[0] + (diff[1] - diff[0]) / (ts[1] - ts[0]) * (ts - ts[0])
     assert np.max(np.abs(diff - line)) < 1e-9
 
@@ -175,14 +172,13 @@ def test_recover_matches_truth_up_to_orientation():
     oracle = as_oracle(net)
     x1, x2, _ = find_neuron_crossing(oracle, 3, DELTA)
     j = _bracketed_truth(net, x1, x2)
-    truth = net.neurons[j]
-    got = recover_neuron(oracle, x1, x2, DELTA)
+    w, b, sign = recover_neuron(oracle, x1, x2, DELTA)
     errs = [
-        max(float(np.max(np.abs(s * got.w - truth.w))), abs(s * got.b - truth.b))
+        max(float(np.max(np.abs(s * w - net.W[j]))), abs(s * b - net.b[j]))
         for s in (1.0, -1.0)
     ]
     assert min(errs) < 1e-7
-    assert got.sign == truth.sign
+    assert sign == net.s[j]
 
 
 def test_recover_fails_in_a_single_region():
@@ -196,14 +192,14 @@ def test_recover_fails_in_a_single_region():
 
 def test_subtracting_the_only_unit_leaves_zero():
     oracle = _relu_oracle([1.0], 0.0)
-    peeled = subtracted_oracle(oracle, [Neuron(np.array([1.0]), 0.0, 1)])
+    peeled = subtracted_oracle(oracle, TwoLayerNet([[1.0]], [0.0], [1]))
     for t in (0.0, 0.3, 1.7, 9.0):
         assert abs(peeled([t])) < 1e-12
 
 
 def test_subtracting_flipped_copy_leaves_its_affine_part():
     oracle = _relu_oracle([1.0], 0.0)
-    peeled = subtracted_oracle(oracle, [Neuron(np.array([-1.0]), 0.0, 1)])
+    peeled = subtracted_oracle(oracle, TwoLayerNet([[-1.0]], [0.0], [1]))
     for t in (0.1, 0.5, 2.0, 7.0):
         assert abs(peeled([t]) - t) < 1e-12
 
@@ -212,7 +208,7 @@ def test_residual_after_full_peel_is_affine():
     net = generate_two_layer(3, 6, np.random.default_rng(4))
     oracle = as_oracle(net)
     got = extract_two_layer(oracle, 3, DELTA, 12)
-    residual = subtracted_oracle(as_oracle(net), got.neurons)
+    residual = subtracted_oracle(as_oracle(net), got.net)
     rng = np.random.default_rng(5)
     base = residual([1.0, 1.0, 1.0])
     gx = np.array([residual([2.0, 1.0, 1.0]), residual([1.0, 2.0, 1.0]),
@@ -225,25 +221,25 @@ def test_residual_after_full_peel_is_affine():
 # ----------------------------------------------------------------- full loop
 
 
-def test_extract_single_unit_network():
+def test_extract_single_unit_net():
     oracle = _relu_oracle([1.0], -1.0)
     got = extract_two_layer(oracle, 1, DELTA, 4)
-    assert got.width == 1
-    n = got.neurons[0]
-    s = 1.0 if n.w[0] > 0 else -1.0
-    assert abs(s * n.w[0] - 1.0) < 1e-7 and abs(s * n.b - (-1.0)) < 1e-7
-    assert n.sign == 1
-    for t in (0.0, 0.5, 1.0, 3.0):
-        assert abs(got([t]) - relu(t - 1.0)) < 1e-8
+    assert got.net.width == 1
+    w, b = got.net.W[0, 0], got.net.b[0]
+    s = 1.0 if w > 0 else -1.0
+    assert abs(s * w - 1.0) < 1e-7 and abs(s * b - (-1.0)) < 1e-7
+    assert got.net.s[0] == 1
+    ts = np.array([0.0, 0.5, 1.0, 3.0])
+    assert np.max(np.abs(batch_eval(got.net, ts[:, None]) - relu(ts - 1.0))) < 1e-8
 
 
-def test_extract_affine_network():
+def test_extract_affine_net():
     w0, b0 = np.array([0.7, -1.2]), 2.5
     oracle = QueryOracle(lambda x: float(w0 @ x) + b0, 2, "nonneg")
     got = extract_two_layer(oracle, 2, DELTA, 4)
-    assert got.width == 0
-    assert np.max(np.abs(got.skip.w - w0)) < 1e-9
-    assert abs(got.skip.b - b0) < 1e-9
+    assert got.net.W.shape == (0, 2)
+    assert np.max(np.abs(got.net.skip.w - w0)) < 1e-9
+    assert abs(got.net.skip.b - b0) < 1e-9
 
 
 def test_extract_round_trip_on_wide_net():
@@ -251,14 +247,14 @@ def test_extract_round_trip_on_wide_net():
     got = extract_two_layer(as_oracle(net), 5, DELTA, 24)
     pts = np.random.default_rng(22).uniform(0.0, 10.0, size=(10_000, 5))
     want = batch_eval(net, pts)
-    have = batch_eval(got.network(), pts)
+    have = batch_eval(got.net, pts)
     assert np.max(np.abs(want - have) / (1.0 + np.abs(want))) <= 1e-6
     assert got.total_queries <= 5 * 5 * 12 * math.log2(1.0 / DELTA)
 
 
 def test_extract_budget_is_enforced():
     net = generate_two_layer(2, 3, np.random.default_rng(1))
-    with pytest.raises(PieceBudgetError, match="too many neurons"):
+    with pytest.raises(PieceBudgetError, match="^too many neurons$"):
         extract_two_layer(as_oracle(net), 2, DELTA, 1)
 
 
@@ -267,23 +263,23 @@ def test_every_visible_unit_is_recovered_with_its_sign():
     net = generate_two_layer(3, 6, np.random.default_rng(9))
     got = extract_two_layer(as_oracle(net), 3, DELTA, 12)
     recovered = [
-        (Hyperplane.from_coefficients(n.w, n.b).canonical(), n.sign)
-        for n in got.neurons
+        (Hyperplane.from_coefficients(w, b).canonical(), s)
+        for w, b, s in zip(got.net.W, got.net.b, got.net.s)
     ]
-    for truth in net.neurons:
-        if not any(truth.w[i] != 0.0 and -truth.b / truth.w[i] > 0.0 for i in range(3)):
+    for w, b, sign in zip(net.W, net.b, net.s):
+        if not any(w[i] != 0.0 and -b / w[i] > 0.0 for i in range(3)):
             continue
-        plane = Hyperplane.from_coefficients(truth.w, truth.b)
+        plane = Hyperplane.from_coefficients(w, b)
         matches = [s for p, s in recovered if p.close_to(plane, 1e-7)]
         assert len(matches) == 1
-        assert matches[0] == truth.sign
+        assert matches[0] == sign
 
 
 def test_recovered_planes_touch_the_positive_orthant():
     net = generate_two_layer(3, 5, np.random.default_rng(12))
     got = extract_two_layer(as_oracle(net), 3, DELTA, 10)
-    for n in got.neurons:
-        crossings = [-n.b / w for w in n.w if w != 0.0]
+    for row, b in zip(got.net.W, got.net.b):
+        crossings = [-b / w for w in row if w != 0.0]
         assert any(t > 0.0 for t in crossings)
 
 
@@ -306,7 +302,7 @@ def test_each_round_removes_axis_break_points():
             break
         x1, x2, _ = hit
         recovered.append(recover_neuron(work, x1, x2, DELTA))
-        work = subtracted_oracle(oracle, recovered)
+        work = subtracted_oracle(oracle, TwoLayerNet(*zip(*recovered)))
         counts.append(axis_breaks(work))
     assert counts[-1] == 0
     assert all(a > b for a, b in zip(counts, counts[1:]))
@@ -316,11 +312,13 @@ def test_each_round_removes_axis_break_points():
 
 
 def _worst_plane_error(units, truth):
-    """Largest distance from a recovered plane to its nearest true plane."""
-    planes = [Hyperplane.from_coefficients(n.w, n.b).canonical() for n in truth]
+    """Largest distance from a plane of net `units` to its nearest plane of
+    net `truth`."""
+    planes = [Hyperplane.from_coefficients(w, b).canonical()
+              for w, b in zip(truth.W, truth.b)]
     worst = 0.0
-    for n in units:
-        p = Hyperplane.from_coefficients(n.w, n.b).canonical()
+    for w, b in zip(units.W, units.b):
+        p = Hyperplane.from_coefficients(w, b).canonical()
         worst = max(worst, min(
             max(float(np.max(np.abs(p.normal - q.normal))), abs(p.offset - q.offset))
             for q in planes))
@@ -335,22 +333,22 @@ def _refined_net():
 
 def test_refinement_tightens_recovered_planes(monkeypatch):
     net, oracle, got = _refined_net()
-    assert got.phase_queries["refine"] == got.width * 2 * (5 + 1)
-    assert _worst_plane_error(got.neurons, net.neurons) <= 1e-11
+    assert got.phase_queries["refine"] == got.net.width * 2 * (5 + 1)
+    assert _worst_plane_error(got.net, net) <= 1e-11
     # Refining the refined units again fits the oracle itself, 2(d+1) queries
-    # per widened unit, and moves no plane by more than that.
+    # per unit, since every unit is widened, and moves no plane by more than
+    # that.
 
     def no_residual(*args):
         raise AssertionError("refine_units built a subtracted oracle")
 
     monkeypatch.setattr(extract2, "subtracted_oracle", no_residual)
     before = oracle.count
-    again = refine_units(oracle, got.neurons)
-    widened = sum(new is not old for new, old in zip(again, got.neurons))
-    assert widened == got.width
-    assert oracle.count - before == widened * 2 * (5 + 1)
-    assert _worst_plane_error(again, net.neurons) <= 1e-11
-    assert [n.sign for n in again] == [n.sign for n in got.neurons]
+    again = refine_units(oracle, got.net)
+    assert oracle.count - before == got.net.width * 2 * (5 + 1)
+    assert _worst_plane_error(again, net) <= 1e-11
+    assert np.array_equal(again.s, got.net.s)
+    assert again.skip is got.net.skip
 
 
 def test_each_refit_reads_no_other_unit():
@@ -359,25 +357,27 @@ def test_each_refit_reads_no_other_unit():
     exactly); no refit may then move by a bit.  The doubled unit's own refit
     reads only its plane, so it comes back as before too."""
     _, oracle, got = _refined_net()
-    units = list(got.neurons)
-    base = refine_units(oracle, units)
-    u = units[3]
-    doubled = units[:3] + [Neuron(2.0 * u.w, 2.0 * u.b, u.sign)] + units[4:]
-    for a, b in zip(base, refine_units(oracle, doubled)):
-        assert np.array_equal(a.w, b.w) and a.b == b.b and a.sign == b.sign
+    base = refine_units(oracle, got.net)
+    W, b = got.net.W.copy(), got.net.b.copy()
+    W[3] *= 2.0
+    b[3] *= 2.0
+    again = refine_units(oracle, TwoLayerNet(W, b, got.net.s))
+    for name in ("W", "b", "s"):
+        assert np.array_equal(getattr(base, name), getattr(again, name))
 
 
 def test_refined_planes_of_a_wide_net_match_the_truth():
     net = generate_two_layer(10, 32, np.random.default_rng(0))
     got = extract_two_layer(as_oracle(net), 10, DELTA, 512)
-    assert _worst_plane_error(got.neurons, net.neurons) <= 1e-10
+    assert _worst_plane_error(got.net, net) <= 1e-10
 
 
 def test_refinement_keeps_units_it_cannot_widen():
     """A plane hugging the orthant boundary leaves no room for a wider stencil."""
     oracle = _relu_oracle([0.0, 1.0], -2e-4)
-    unit = Neuron(np.array([0.0, 1.0]), -2e-4, 1)
-    assert refine_units(oracle, [unit]) == [unit]
+    unit = TwoLayerNet([[0.0, 1.0]], [-2e-4], [1])
+    kept = refine_units(oracle, unit)
+    assert np.array_equal(kept.W, unit.W) and np.array_equal(kept.b, unit.b)
     assert oracle.count == 0
 
 
@@ -387,7 +387,7 @@ def test_wide_nets_that_once_failed_the_residual_check(seed):
     net = generate_two_layer(10, 24, np.random.default_rng(seed))
     got = extract_two_layer(as_oracle(net), 10, DELTA, 512)
     assert got.residual_headroom <= 0.05
-    assert functional_equivalence(net, got, 0.0, 10.0, tau=1e-6).passed
+    assert functional_equivalence(net, got.net, 0.0, 10.0, tau=1e-6).passed
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -395,4 +395,18 @@ def test_near_coincident_crossings_a_bracket_apart(seed):
     """A ninth unit crossing axis 0 1e-3 past unit 0: inside the bracket's reach."""
     net = near_coincident_net(seed, 1e-3)
     got = extract_two_layer(as_oracle(net), 4, DELTA, 13)
-    assert functional_equivalence(net, got, 0.0, 10.0, tau=1e-6).passed
+    assert functional_equivalence(net, got.net, 0.0, 10.0, tau=1e-6).passed
+
+
+@pytest.mark.parametrize("seed, message", [
+    (2, "scan phase: pieces share affine function"),
+    (15, "recover phase: endpoints in same linear region"),
+    (1, "skip phase: residual is not affine"),
+])
+def test_a_general_position_error_names_its_phase(seed, message):
+    """A ninth unit crossing axis 0 1e-4 past unit 0 breaks general position;
+    the error names the phase whose queries were being counted."""
+    net = near_coincident_net(seed, 1e-4)
+    with pytest.raises(GeneralPositionError, match=f"^{message}") as info:
+        extract_two_layer(as_oracle(net), 4, DELTA, 13)
+    assert isinstance(info.value.__cause__, GeneralPositionError)

@@ -25,6 +25,11 @@ from netpeel.pwl import GeneralPositionError, Hyperplane
 DELTA = 1e-4
 
 
+def _rng():
+    """A fresh copy of the generator `extract_three_layer` seeds its phases with."""
+    return np.random.default_rng(12345)
+
+
 def _scalar_net(w, b, v=1.0, c=0.0, sign=1):
     return three_layer(
         W=np.array([[float(w)]]),
@@ -50,7 +55,7 @@ def wide_net():
 @pytest.fixture(scope="module")
 def wide_candidates(wide_net):
     oracle = as_oracle(wide_net)
-    return oracle, collect_candidate_hyperplanes(oracle, DELTA, 64)
+    return oracle, collect_candidate_hyperplanes(oracle, DELTA, 64, rng=_rng())
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +68,7 @@ def wide_extraction(wide_net):
 
 def test_collect_single_unit_chain():
     net = _scalar_net(1.0, -1.0)
-    cands = collect_candidate_hyperplanes(as_oracle(net), DELTA, 8)
+    cands = collect_candidate_hyperplanes(as_oracle(net), DELTA, 8, rng=_rng())
     assert len(cands) == 1
     assert cands.planes[0].close_to(Hyperplane(np.array([1.0]), -1.0), 1e-7)
 
@@ -76,7 +81,7 @@ def test_collect_on_a_flat_probe_line_is_empty():
         c=np.array([0.0]),
         signs=np.array([1]),
     )
-    cands = collect_candidate_hyperplanes(as_oracle(net), DELTA, 8)
+    cands = collect_candidate_hyperplanes(as_oracle(net), DELTA, 8, rng=_rng())
     assert len(cands) == 0
 
 
@@ -121,7 +126,7 @@ def test_filter_separates_first_layer_from_fold_shadows(wide_net, wide_candidate
     for i, plane in enumerate(cands.planes):
         rest = cands.planes[:i] + cands.planes[i + 1:]
         keep = is_first_layer_plane(oracle, plane, rest, DELTA,
-                                    source=cands.sources[i])
+                                    source=cands.sources[i], rng=_rng())
         genuine = any(plane.close_to(t, 1e-6) for t in truth)
         assert keep == genuine
         if keep:
@@ -135,14 +140,14 @@ def test_filter_is_exact_across_seeds():
     for seed in range(100):
         net = generate_three_layer(3, 2, 6, np.random.default_rng(seed))
         oracle = as_oracle(net)
-        cands = collect_candidate_hyperplanes(oracle, DELTA, 64)
+        cands = collect_candidate_hyperplanes(oracle, DELTA, 64, rng=_rng())
         truth = _truth_planes(net)
         survivors = [
             plane
             for i, plane in enumerate(cands.planes)
             if is_first_layer_plane(oracle, plane,
                                     cands.planes[:i] + cands.planes[i + 1:],
-                                    DELTA, source=cands.sources[i])
+                                    DELTA, source=cands.sources[i], rng=_rng())
         ]
         assert len(survivors) == 2, f"seed {seed}"
         for t in truth:
@@ -155,14 +160,14 @@ def test_filter_is_exact_across_seeds():
 def test_sign_kept_when_candidate_matches_truth():
     oracle = as_oracle(_scalar_net(1.0, -1.0))
     planes = [Hyperplane(np.array([1.0]), -1.0)]
-    W, b = recover_row_signs(oracle, planes, DELTA)
+    W, b = recover_row_signs(oracle, planes, DELTA, rng=_rng())
     assert W[0, 0] == 1.0 and b[0] == -1.0
 
 
 def test_sign_flipped_on_the_mirror_instance():
     oracle = as_oracle(_scalar_net(-1.0, 1.0))
     planes = [Hyperplane(np.array([1.0]), -1.0)]
-    W, b = recover_row_signs(oracle, planes, DELTA)
+    W, b = recover_row_signs(oracle, planes, DELTA, rng=_rng())
     assert W[0, 0] == -1.0 and b[0] == 1.0
 
 
@@ -170,7 +175,7 @@ def test_signed_rows_match_truth_across_seeds():
     for seed in range(100):
         net = generate_three_layer(4, 3, 9, np.random.default_rng(seed))
         oracle = as_oracle(net)
-        W, b = recover_row_signs(oracle, _truth_planes(net), DELTA)
+        W, b = recover_row_signs(oracle, _truth_planes(net), DELTA, rng=_rng())
         assert np.max(np.abs(W - net.W)) < 1e-7, f"seed {seed}"
         assert np.max(np.abs(b - net.b)) < 1e-7, f"seed {seed}"
 
@@ -228,7 +233,7 @@ def test_peel_shifts_out_the_bias():
 def test_peeled_oracle_equals_the_top_layers():
     net = generate_three_layer(3, 2, 5, np.random.default_rng(7))
     peeled = peel_first_layer(as_oracle(net), net.W, net.b)
-    V, c, signs = net.top.weight_matrix(), net.top.biases(), net.top.signs()
+    V, c, signs = net.top.W, net.top.b, net.top.s
     rng = np.random.default_rng(8)
     for y in rng.uniform(0.0, 5.0, size=(1000, 2)):
         top = float(signs @ relu(V @ y + c))
@@ -241,33 +246,34 @@ def test_peeled_oracle_equals_the_top_layers():
 def test_extract_scalar_chain_end_to_end():
     net = _scalar_net(1.0, -1.0, v=1.2, c=0.3)
     got = extract_three_layer(as_oracle(net), 1, DELTA)
-    V, c, signs = net.top.weight_matrix(), net.top.biases(), net.top.signs()
+    V, c, signs = net.top.W, net.top.b, net.top.s
     ts = np.linspace(-10.0, 10.0, 201)
-    for t in ts:
+    have = batch_eval(got.net, ts[:, None])
+    for t, value in zip(ts, have):
         want = float(signs @ relu(V @ relu(net.W @ [t] + net.b) + c))
-        assert abs(got([t]) - want) <= 1e-7 * (1.0 + abs(want))
+        assert abs(value - want) <= 1e-7 * (1.0 + abs(want))
 
 
 def test_extract_wide_net_round_trip(wide_net, wide_extraction):
     got = wide_extraction
     pts = np.random.default_rng(1).uniform(-5.0, 5.0, size=(10_000, 4))
     want = batch_eval(wide_net, pts)
-    have = batch_eval(got.network(), pts)
+    have = batch_eval(got.net, pts)
     assert np.max(np.abs(want - have) / (1.0 + np.abs(want))) <= 1e-6
 
 
 def test_extract_recovers_first_layer_rows(wide_net, wide_extraction):
     got = wide_extraction
-    cos = got.W @ wide_net.W.T
+    cos = got.net.W @ wide_net.W.T
     order = np.argmax(np.abs(cos), axis=1)
     assert sorted(order.tolist()) == [0, 1, 2]
-    assert np.max(np.abs(got.W - wide_net.W[order])) < 1e-7
-    assert np.max(np.abs(got.b - wide_net.b[order])) < 1e-7
+    assert np.max(np.abs(got.net.W - wide_net.W[order])) < 1e-7
+    assert np.max(np.abs(got.net.b - wide_net.b[order])) < 1e-7
 
 
 def test_extract_row_norms_and_counters(wide_extraction):
     got = wide_extraction
-    assert np.max(np.abs(np.linalg.norm(got.W, axis=1) - 1.0)) < 1e-9
+    assert np.max(np.abs(np.linalg.norm(got.net.W, axis=1) - 1.0)) < 1e-9
     assert got.n_survivors == 3
     assert got.n_candidates >= 3
     assert set(got.phase_queries) == {"collect", "filter", "signs", "peel"}

@@ -24,7 +24,6 @@ from netpeel.oracle.generate import (
 )
 from netpeel.oracle.nets import (
     AffineMap,
-    Neuron,
     ThreeLayerNet,
     TwoLayerNet,
     batch_eval,
@@ -48,14 +47,39 @@ from netpeel.oracle.serialize import (
 )
 
 
-def _net(neurons, skip=None, d=None):
-    d = d if d is not None else len(neurons[0][0])
-    skip = skip if skip is not None else (np.zeros(d), 0.0)
-    return TwoLayerNet(
-        d=d,
-        neurons=tuple(Neuron(np.asarray(w, float), float(b), s) for w, b, s in neurons),
-        skip=AffineMap(np.asarray(skip[0], float), float(skip[1])),
-    )
+def _net(units, skip=None):
+    """The net of (w, b, sign) units, with the affine term (w, b) of `skip`."""
+    W, b, s = zip(*units)
+    skip = skip if skip is not None else (np.zeros(len(W[0])), 0.0)
+    return TwoLayerNet(W, b, s, AffineMap(*skip))
+
+
+@pytest.mark.parametrize("sign", [0, 0.5, 2, -2, np.nan])
+def test_two_layer_net_refuses_a_sign_other_than_plus_or_minus_one(sign):
+    with pytest.raises(ValueError, match="signs must be"):
+        TwoLayerNet([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [1, sign])
+
+
+@pytest.mark.parametrize("W, b, s, skip", [
+    ([1.0, 0.0], [0.0, 0.0], [1, 1], None),
+    ([[1.0, 0.0], [0.0, 1.0]], [0.0], [1, 1], None),
+    ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [1, 1, -1], None),
+    ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [1, -1], AffineMap([1.0, 1.0, 1.0], 0.0)),
+], ids=["1-D W", "short b", "long s", "skip dim"])
+def test_two_layer_net_refuses_mismatched_shapes(W, b, s, skip):
+    with pytest.raises(ValueError):
+        TwoLayerNet(W, b, s, skip)
+
+
+def test_two_layer_net_holds_read_only_float_arrays():
+    net = TwoLayerNet([[1, 0], [0, 1], [1, 1]], [0, 1, 2], [1, -1, 1])
+    assert (net.d, net.width) == (2, 3)
+    for a in (net.W, net.b, net.s):
+        assert a.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 5.0
+    empty = TwoLayerNet(np.zeros((0, 4)), [], [])
+    assert (empty.d, empty.width) == (4, 0)
 
 
 def _value(net, x):
@@ -90,7 +114,7 @@ def test_three_layer_identity_chain():
 def test_three_layer_matches_hand_rolled_loops():
     """Vectorized evaluation against an index-by-index reimplementation."""
     net = generate_three_layer(3, 2, 4, np.random.default_rng(5))
-    V, c, signs = net.top.weight_matrix(), net.top.biases(), net.top.signs()
+    V, c, signs = net.top.W, net.top.b, net.top.s
     rng = np.random.default_rng(6)
     for x in rng.uniform(-4, 4, size=(20, 3)):
         hidden = []
@@ -111,7 +135,7 @@ def test_batch_eval_matches_oracle_queries():
     xs = np.random.default_rng(3).uniform(0, 8, size=(50, 4))
     got = batch_eval(net, xs)
     for x, y in zip(xs, got):
-        ref = sum(n.sign * max(float(n.w @ x) + n.b, 0.0) for n in net.neurons)
+        ref = sum(s * max(float(w @ x) + b, 0.0) for w, b, s in zip(net.W, net.b, net.s))
         assert y == pytest.approx(ref, rel=1e-12, abs=1e-12)
         assert oracle(x) == pytest.approx(y, rel=1e-12, abs=1e-12)
 
@@ -158,16 +182,16 @@ def _contract_nets():
     for d, d1 in ((1, 1), (3, 5), (4, 8), (10, 32)):
         net = generate_two_layer(d, d1, rng)
         nets.append((net, 0.0, 10.0))
-        nets.append((TwoLayerNet(d, net.neurons, _random_skip(rng, d)), 0.0, 10.0))
+        nets.append((TwoLayerNet(net.W, net.b, net.s, _random_skip(rng, d)), 0.0, 10.0))
     for d, d1, d2 in ((2, 2, 6), (6, 3, 9)):
         net = generate_three_layer(d, d1, d2, rng)
         nets.append((net, -5.0, 5.0))
-        top = TwoLayerNet(d1, net.top.neurons, _random_skip(rng, d1))
+        top = TwoLayerNet(net.top.W, net.top.b, net.top.s, _random_skip(rng, d1))
         nets.append((ThreeLayerNet(net.W, net.b, top), -5.0, 5.0))
-    # No units: a (0, d) weight matrix, as in the final
-    # `subtracted_oracle(oracle, [])` of a depth-2 run that finds no unit.
-    nets.append((TwoLayerNet(3, ()), 0.0, 10.0))
-    nets.append((TwoLayerNet(3, (), _random_skip(rng, 3)), 0.0, 10.0))
+    # No units: a (0, d) weight matrix, as in the final subtracted oracle
+    # of a depth-2 run that finds no unit.
+    nets.append((TwoLayerNet(np.zeros((0, 3)), [], []), 0.0, 10.0))
+    nets.append((TwoLayerNet(np.zeros((0, 3)), [], [], _random_skip(rng, 3)), 0.0, 10.0))
     return nets
 
 
@@ -206,7 +230,7 @@ def test_oracle_checks_the_domain_and_the_shape():
     net = generate_two_layer(2, 3, np.random.default_rng(1))
     base = as_oracle(net)
     _check_oracle_rejects(base)
-    sub = subtracted_oracle(base, net.neurons[:1])
+    sub = subtracted_oracle(base, TwoLayerNet(net.W[:1], net.b[:1], net.s[:1]))
     _check_oracle_rejects(sub, base)
     # A depth-3 base takes any point of R^d, so the peel's own check is the
     # one guard against y < 0, for it and for the oracles built over it.
@@ -214,7 +238,8 @@ def test_oracle_checks_the_domain_and_the_shape():
     base3 = as_oracle(net3)
     top = peel_first_layer(base3, net3.W, net3.b)
     _check_oracle_rejects(top, base3)
-    _check_oracle_rejects(subtracted_oracle(top, net3.top.neurons[:4]), top, base3)
+    units = TwoLayerNet(net3.top.W[:4], net3.top.b[:4], net3.top.s[:4])
+    _check_oracle_rejects(subtracted_oracle(top, units), top, base3)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -222,13 +247,13 @@ def test_non_finite_values_are_refused_at_every_layer(bad):
     base = QueryOracle(lambda x: bad, 2, "nonneg")
     with pytest.raises(NonFiniteValueError):
         base.query(np.ones(2))
-    sub = subtracted_oracle(base, [Neuron([1.0, 0.0], -1.0, 1)])
+    sub = subtracted_oracle(base, TwoLayerNet([[1.0, 0.0]], [-1.0], [1]))
     with pytest.raises(NonFiniteValueError):
         sub.query(np.ones(2))
     assert (sub.count, base.count) == (0, 0)
     # The units subtracted by a derived oracle can overflow on their own.
     finite = QueryOracle(lambda x: 1.0, 2, "nonneg")
-    huge = subtracted_oracle(finite, [Neuron([1e308, 1e308], 0.0, 1)])
+    huge = subtracted_oracle(finite, TwoLayerNet([[1e308, 1e308]], [0.0], [1]))
     with pytest.raises(NonFiniteValueError), np.errstate(over="ignore"):
         huge.query(np.full(2, 10.0))
     assert (huge.count, finite.count) == (0, 1)
@@ -238,7 +263,7 @@ def test_each_derived_query_costs_one_base_query():
     net = generate_three_layer(4, 3, 9, np.random.default_rng(3))
     base = as_oracle(net)
     top = peel_first_layer(base, net.W, net.b)
-    peel = subtracted_oracle(top, net.top.neurons[:4])
+    peel = subtracted_oracle(top, TwoLayerNet(net.top.W[:4], net.top.b[:4], net.top.s[:4]))
     ys = np.random.default_rng(4).uniform(0.0, 3.0, size=(25, 3))
     for k, y in enumerate(ys, start=1):
         peel.query(y)
@@ -251,8 +276,7 @@ def test_each_derived_query_costs_one_base_query():
 
 def test_generated_scalar_unit_crosses_in_window():
     net = generate_two_layer(1, 1, np.random.default_rng(3))
-    unit = net.neurons[0]
-    crossing = -unit.b / unit.w[0]
+    crossing = -net.b[0] / net.W[0, 0]
     assert 0.0 < crossing < 1e4
 
 
@@ -261,9 +285,9 @@ def test_generated_axis_crossings_are_separated():
     net = generate_two_layer(5, 10, np.random.default_rng(7))
     for axis in range(5):
         crossings = []
-        for unit in net.neurons:
-            if abs(unit.w[axis]) > 1e-12:
-                t = -unit.b / unit.w[axis]
+        for w, b in zip(net.W, net.b):
+            if abs(w[axis]) > 1e-12:
+                t = -b / w[axis]
                 if t > 0:
                     crossings.append(t)
         crossings.sort()
@@ -274,24 +298,24 @@ def test_generated_axis_crossings_are_separated():
 def test_generation_is_deterministic_per_seed():
     net_a = generate_two_layer(3, 5, np.random.default_rng(11))
     net_b = generate_two_layer(3, 5, np.random.default_rng(11))
-    for u, v in zip(net_a.neurons, net_b.neurons):
-        assert np.array_equal(u.w, v.w) and u.b == v.b and u.sign == v.sign
+    for name in ("W", "b", "s"):
+        assert np.array_equal(getattr(net_a, name), getattr(net_b, name))
     three_a = generate_three_layer(4, 2, 6, np.random.default_rng(11))
     three_b = generate_three_layer(4, 2, 6, np.random.default_rng(11))
     assert np.array_equal(three_a.W, three_b.W)
-    assert np.array_equal(three_a.top.biases(), three_b.top.biases())
+    assert np.array_equal(three_a.top.b, three_b.top.b)
 
 
 def test_three_layer_rows_unit_norm_and_v_nonzero():
     net = generate_three_layer(2, 1, 3, np.random.default_rng(4))
     assert np.linalg.norm(net.W[0]) == pytest.approx(1.0, abs=1e-12)
-    assert np.all(np.abs(net.top.weight_matrix()) > 0)
+    assert np.all(np.abs(net.top.W) > 0)
 
 
 def test_generated_instance_passes_own_assumptions():
     net = generate_three_layer(4, 3, 9, np.random.default_rng(11))
     top = net.top
-    assert check_nonzero_partials(top.weight_matrix(), top.biases(), top.signs(),
+    assert check_nonzero_partials(top.W, top.b, top.s,
                                   np.random.default_rng(0))
     assert np.linalg.svd(net.W, compute_uv=False).min() > 0.0
 
@@ -542,7 +566,7 @@ def test_three_layer_save_load_round_trip(tmp_path):
     """Generated (no skip) and extracted (with a skip over the hidden
     activations) depth-3 nets reload and re-serialize to byte-identical text."""
     net = generate_three_layer(3, 2, 5, np.random.default_rng(13))
-    found = extract_three_layer(as_oracle(net), 3, 1e-4).network()
+    found = extract_three_layer(as_oracle(net), 3, 1e-4).net
     assert net.top.skip is None and found.top.skip is not None
     xs = np.random.default_rng(2).uniform(-4, 4, size=(100, 3))
     for name, orig in (("net3.json", net), ("found3.json", found)):
@@ -586,19 +610,18 @@ def test_serialization_round_trip_is_exact(d, d1, seed):
     net = generate_two_layer(d, d1, np.random.default_rng(seed))
     text = dumps_document(net_to_document(net))
     again = document_to_net(loads_document(text))
-    for u, v in zip(net.neurons, again.neurons):
-        assert np.array_equal(u.w, v.w)
-        assert u.b == v.b and u.sign == v.sign
+    for name in ("W", "b", "s"):
+        assert np.array_equal(getattr(net, name), getattr(again, name))
     assert dumps_document(net_to_document(again)) == text
 
 
 def test_access_audit_counts_reads_only_while_armed():
     net = generate_two_layer(2, 2, np.random.default_rng(0))
     audit = AccessAudit(net)
-    audit.neurons
+    audit.W
     assert audit.reads == 0
     audit.arm()
-    audit.neurons
+    audit.W
     audit.skip
     assert audit.reads == 2
     audit.disarm()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import netpeel
 from helpers import dense_grid_kinks, scalar_line, synth_pwl
 from netpeel.oracle.generate import generate_three_layer, generate_two_layer
-from netpeel.oracle.nets import Neuron, TwoLayerNet
+from netpeel.oracle.nets import TwoLayerNet
 from netpeel.oracle.query import QueryOracle, axis_ray, as_oracle
 from netpeel.pwl import (
     GeneralPositionError,
@@ -28,6 +28,11 @@ from netpeel.pwl import (
 
 def relu(z):
     return np.maximum(z, 0.0)
+
+
+def _rng():
+    """A fresh copy of the generator `extract_three_layer` seeds its phases with."""
+    return np.random.default_rng(12345)
 
 
 # ---------------------------------------------------------------- affine fits
@@ -166,11 +171,12 @@ def test_far_blocks_confirm_emptiness_with_a_wider_step():
     """Cancelling unit pairs keep |f| small while the evaluation noise grows
     with |w t|: a delta step far out reads that noise as a break, the sweep's
     magnitude-scaled step does not."""
-    units = []
+    rows, offs = [], []
     for k in range(5):
         w, b = np.array([1e3 * (1 + 0.1 * k), 0.3]), 0.7 * k + 0.1
-        units += [Neuron(w, b, 1), Neuron(w * (1 + 1e-9), b + 1, -1)]
-    line = axis_ray(as_oracle(TwoLayerNet(d=2, neurons=tuple(units))), 0)
+        rows += [w, w * (1 + 1e-9)]
+        offs += [b, b + 1]
+    line = axis_ray(as_oracle(TwoLayerNet(rows, offs, [1, -1] * 5)), 0)
     assert all_critical_points_1d(line, 1e-4, 64, (16, 1e4)) == []
 
 
@@ -197,8 +203,8 @@ def test_axis_restriction_yields_exactly_the_axis_crossings():
     net = generate_two_layer(3, 5, np.random.default_rng(3))
     oracle = as_oracle(net)
     for axis in range(3):
-        truth = sorted(-n.b / n.w[axis] for n in net.neurons if n.w[axis] != 0.0
-                       and -n.b / n.w[axis] > 0.0)
+        truth = sorted(-b / w[axis] for w, b in zip(net.W, net.b) if w[axis] != 0.0
+                       and -b / w[axis] > 0.0)
         found = all_critical_points_1d(axis_ray(oracle, axis), 1e-4, 32, (0.0, 52.0))
         assert len(found) == len(truth)
         assert np.max(np.abs(np.array(found) - np.array(truth))) < 1e-7
@@ -220,7 +226,7 @@ def test_sweep_matches_dense_grid_scan():
 
 def test_hyperplane_from_single_kink():
     oracle = QueryOracle(lambda x: relu(x[0] + x[1] - 1.0), 2)
-    plane = reconstruct_critical_hyperplane(oracle, [0.5, 0.5], 1e-4)
+    plane = reconstruct_critical_hyperplane(oracle, [0.5, 0.5], 1e-4, _rng(), radius=1e-4)
     r = 1.0 / math.sqrt(2.0)
     assert np.max(np.abs(plane.normal - [r, r])) < 1e-8
     assert abs(plane.offset - (-r)) < 1e-8
@@ -229,12 +235,12 @@ def test_hyperplane_from_single_kink():
 def test_hyperplane_matches_ground_truth_at_axis_point():
     net = generate_two_layer(4, 4, np.random.default_rng(17))
     oracle = as_oracle(net)
-    for j, neuron in enumerate(net.neurons):
+    for j, (w, b) in enumerate(zip(net.W, net.b)):
         axis = j % 4
         x = np.zeros(4)
-        x[axis] = -neuron.b / neuron.w[axis]
-        plane = reconstruct_critical_hyperplane(oracle, x, 1e-4)
-        truth = Hyperplane.from_coefficients(neuron.w, neuron.b)
+        x[axis] = -b / w[axis]
+        plane = reconstruct_critical_hyperplane(oracle, x, 1e-4, _rng(), radius=1e-4)
+        truth = Hyperplane.from_coefficients(w, b)
         assert plane.close_to(truth, 1e-8)
 
 
@@ -242,8 +248,9 @@ def test_hyperplane_translation_equivariance():
     shift = np.array([0.3, -0.7])
     base = QueryOracle(lambda x: relu(x[0] + x[1] - 1.0), 2)
     moved = QueryOracle(lambda x: relu((x[0] - 0.3) + (x[1] + 0.7) - 1.0), 2)
-    p0 = reconstruct_critical_hyperplane(base, [0.5, 0.5], 1e-4)
-    p1 = reconstruct_critical_hyperplane(moved, shift + [0.5, 0.5], 1e-4)
+    p0 = reconstruct_critical_hyperplane(base, [0.5, 0.5], 1e-4, _rng(), radius=1e-4)
+    p1 = reconstruct_critical_hyperplane(moved, shift + [0.5, 0.5], 1e-4, _rng(),
+                                         radius=1e-4)
     assert np.max(np.abs(p1.normal - p0.normal)) < 1e-8
     assert abs(p1.offset - (p0.offset - float(p0.normal @ shift))) < 1e-8
 
@@ -252,9 +259,10 @@ def test_hyperplane_is_seed_invariant():
     net = generate_two_layer(3, 3, np.random.default_rng(8))
     oracle = as_oracle(net)
     x = np.zeros(3)
-    x[0] = -net.neurons[0].b / net.neurons[0].w[0]
+    x[0] = -net.b[0] / net.W[0, 0]
     planes = [
-        reconstruct_critical_hyperplane(oracle, x, 1e-4, rng=np.random.default_rng(s))
+        reconstruct_critical_hyperplane(oracle, x, 1e-4, rng=np.random.default_rng(s),
+                                        radius=1e-4)
         for s in (1, 2, 3)
     ]
     for p in planes[1:]:
@@ -265,7 +273,7 @@ def test_hyperplane_is_seed_invariant():
 def test_hyperplane_fails_off_any_break():
     oracle = QueryOracle(lambda x: x[0] + 2.0, 2)
     with pytest.raises(GeneralPositionError, match="no hyperplane detected"):
-        reconstruct_critical_hyperplane(oracle, [1.0, 1.0], 1e-4)
+        reconstruct_critical_hyperplane(oracle, [1.0, 1.0], 1e-4, _rng(), radius=1e-4)
 
 
 # --------------------------------------------------------------- criticality
@@ -273,12 +281,12 @@ def test_hyperplane_fails_off_any_break():
 
 def test_affine_point_is_not_critical():
     oracle = QueryOracle(lambda x: 3.0 * x[0] - x[1], 2)
-    assert not is_critical_point(oracle, [1.0, 2.0], 1e-4)
+    assert not is_critical_point(oracle, [1.0, 2.0], 1e-4, _rng())
 
 
 def test_relu_origin_is_critical():
     oracle = QueryOracle(lambda x: relu(x[0]), 1)
-    assert is_critical_point(oracle, [0.0], 1e-4)
+    assert is_critical_point(oracle, [0.0], 1e-4, _rng())
 
 
 def test_criticality_on_and_off_a_known_plane():
@@ -292,13 +300,13 @@ def test_criticality_on_and_off_a_known_plane():
     for s in np.linspace(-3.0, 3.0, 121):
         x = -b0 * w0 + s * tangent
         others = [abs(float(net.W[j] @ x + net.b[j])) for j in (1,)]
-        z = net.top.weight_matrix() @ relu(net.W @ x + net.b) + net.top.biases()
+        z = net.top.W @ relu(net.W @ x + net.b) + net.top.b
         if min(others) > 0.05 and float(np.min(np.abs(z))) > 0.1:
             break
     else:
         pytest.fail("no well-isolated point found on the plane")
-    assert is_critical_point(oracle, x, delta)
-    assert not is_critical_point(oracle, x + 10.0 * delta * w0, delta)
+    assert is_critical_point(oracle, x, delta, _rng())
+    assert not is_critical_point(oracle, x + 10.0 * delta * w0, delta, _rng())
 
 
 # ---------------------------------------------------------------- invariants

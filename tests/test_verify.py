@@ -41,7 +41,7 @@ def test_net_equals_itself():
 
 def test_constant_offset_shows_up_as_absolute_error():
     net = generate_two_layer(3, 4, np.random.default_rng(0))
-    shifted = TwoLayerNet(d=3, neurons=net.neurons, skip=AffineMap(np.zeros(3), 1.0))
+    shifted = TwoLayerNet(net.W, net.b, net.s, AffineMap(np.zeros(3), 1.0))
     rep = functional_equivalence(net, shifted, 0.0, 10.0)
     assert abs(rep.max_abs_err - 1.0) < 1e-12
     assert not rep.passed
@@ -50,8 +50,17 @@ def test_constant_offset_shows_up_as_absolute_error():
 def test_extraction_passes_equivalence():
     net = generate_two_layer(3, 4, np.random.default_rng(11))
     got = extract_two_layer(as_oracle(net), 3, 1e-4, 8)
-    rep = functional_equivalence(net, got, 0.0, 10.0, tau=1e-6)
+    rep = functional_equivalence(net, got.net, 0.0, 10.0, tau=1e-6)
     assert rep.passed
+
+
+def test_equivalence_takes_networks_only():
+    """An extraction result is not a network: pass its `net`."""
+    net = generate_two_layer(2, 2, np.random.default_rng(0))
+    got = extract_two_layer(as_oracle(net), 2, 1e-4, 4)
+    for a, b in ((net, got), (got, net)):
+        with pytest.raises(TypeError, match="ExtractedTwoLayer"):
+            functional_equivalence(a, b, 0.0, 10.0)
 
 
 def test_equivalence_is_symmetric():
