@@ -214,7 +214,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
             else:
                 result = extract_three_layer(
                     oracle,
-                    oracle.dim,
                     args.delta,
                     m_max=args.m_max,
                     d1_max=args.d1_max,

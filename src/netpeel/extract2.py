@@ -64,15 +64,14 @@ class ExtractedTwoLayer:
 
 def find_neuron_crossing(
     oracle: QueryOracle,
-    d: int,
     delta: float,
     *,
     start_axis: int = 0,
 ):
     """Bracket the first remaining slope break on a coordinate ray.
 
-    Scans rays t -> t*e_i, t <= 1/delta, for i = start_axis..d-1 and, on the
-    first ray with a break at t0, returns (x1, x2, axis) with
+    Scans rays t -> t*e_i, t <= 1/delta, for i = start_axis..oracle.dim-1
+    and, on the first ray with a break at t0, returns (x1, x2, axis) with
     x1 = (t0-eps)*e_i and x2 = (t0+eps)*e_i.  The half-width eps is half the
     gap to the next break t1 on that ray, capped at min(0.01, t0/2) and
     floored at delta/4, so exactly one unit changes state between x1 and x2.
@@ -90,7 +89,7 @@ def find_neuron_crossing(
     """
     hi = 1.0 / delta
     lo = min(_SCAN_START, hi / 16.0)
-    for axis in range(start_axis, d):
+    for axis in range(start_axis, oracle.dim):
         ray = axis_ray(oracle, axis)
         t0 = next(iter_critical_points_1d(ray, delta, (lo, hi)), None)
         if t0 is None:
@@ -100,8 +99,7 @@ def find_neuron_crossing(
         t1 = next(iter_critical_points_1d(ray, delta, (t0 + delta / 2.0, end)), None)
         gap = (t1 - t0) if t1 is not None else np.inf
         eps = max(delta / 4.0, min(gap / 2.0, _BRACKET_CAP, t0 / 2.0))
-        e = np.zeros(d)
-        e[axis] = 1.0
+        e = np.eye(oracle.dim)[axis]
         return (t0 - eps) * e, (t0 + eps) * e, axis
     return None
 
@@ -293,7 +291,7 @@ def extract_two_layer(
     try:
         while True:
             phase, mark = "scan", oracle.count
-            hit = find_neuron_crossing(work, d, delta, start_axis=start_axis)
+            hit = find_neuron_crossing(work, delta, start_axis=start_axis)
             counts[phase] += oracle.count - mark
             if hit is None:
                 break

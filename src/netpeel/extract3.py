@@ -2,23 +2,25 @@
 
 The pipeline makes one pass over four phases.  Collect: walk the probe
 line t * e_1 through the origin, reconstruct the critical hyperplane at
-every slope break, dedup.  Filter: keep the candidates that stay critical
-across every transversal candidate, which separates genuine first-layer
-planes (critical everywhere) from flat extensions of bent second-layer
-surfaces.  Signs: orient each surviving plane by testing on which side of
-it the network actually bends, probing along a direction orthogonal to all
-other survivors so only one hidden unit changes state.  Peel: compose the
-oracle with a right inverse of the recovered first layer, which exposes the
-top two layers as a depth-2 network on the nonnegative orthant and hands
-off to the depth-2 extractor, then compares the composed network with the
-oracle at 16 seeded points.  No other probe line is tried: the generator
-keeps t * e_1 in general position, and a `GeneralPositionError` names the
-phase and the axis it came from.
+every slope break, dedup.  Each plane is a unit normal and an offset, and
+the candidates travel as stacked arrays: `normals` (m, d), `offsets` (m,).
+Filter: keep the candidates that stay critical across every transversal
+candidate, which separates genuine first-layer planes (critical
+everywhere) from flat extensions of bent second-layer surfaces.  Signs:
+orient each surviving plane by testing on which side of it the network
+actually bends, probing along a direction orthogonal to all other
+survivors so only one hidden unit changes state.  Peel: compose the
+oracle with a right inverse of the recovered first layer, which exposes
+the top two layers as a depth-2 network on the nonnegative orthant and
+hands off to the depth-2 extractor, then compares the composed network
+with the oracle at 16 seeded points.  No other probe line is tried: the
+generator keeps t * e_1 in general position, and a `GeneralPositionError`
+names the phase and the axis it came from.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from .oracle.nets import ThreeLayerNet, batch_eval
 from .oracle.query import DOMAIN_FULL, DOMAIN_NONNEG, QueryOracle, axis_ray
 from .pwl import (
     GeneralPositionError,
-    Hyperplane,
     PieceBudgetError,
     all_critical_points_1d,
     is_critical_point,
@@ -51,27 +52,6 @@ _FILTER_STEP = 4.0
 _SIGN_STEP_CAP = 0.01
 _OUTPUT_SEED = 20240819
 _PHASES = ("collect", "filter", "signs", "peel")
-
-
-@dataclass
-class CandidateList:
-    """Deduplicated critical hyperplanes with the points they were seen at."""
-
-    planes: list[Hyperplane] = field(default_factory=list)
-    sources: list[np.ndarray] = field(default_factory=list)
-
-    def add(self, plane: Hyperplane, source: np.ndarray) -> bool:
-        """Record a plane unless an equivalent one is already present."""
-        normals = np.array([known.normal for known in self.planes])
-        offsets = np.array([known.offset for known in self.planes])
-        if plane_gap(plane.normal, plane.offset, normals, offsets) <= DEDUP_TOL:
-            return False
-        self.planes.append(plane)
-        self.sources.append(np.asarray(source, dtype=float))
-        return True
-
-    def __len__(self) -> int:
-        return len(self.planes)
 
 
 @dataclass
@@ -96,7 +76,7 @@ def collect_candidate_hyperplanes(
     m_max: int,
     *,
     rng,
-) -> CandidateList:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Critical hyperplanes met by the probe line {t * e_1}, deduplicated.
 
     Every slope break of the restriction with |t| <= 1/delta is localized,
@@ -104,11 +84,16 @@ def collect_candidate_hyperplanes(
     break point.  The reconstruction uses a wider radius, and with it a
     wider step, than the scan because breaks on the line are far apart
     compared to delta and the larger stencil cuts the slope noise of the fits.
+    A plane within `DEDUP_TOL` of a kept one, by `plane_gap`, is dropped.
+
+    Returns `(normals, offsets, sources)`: the kept planes' unit normals
+    (m, d), canonically oriented, their offsets (m,), and the break points
+    (m, d) they were reconstructed at.
     """
     lim = 1.0 / delta
     found = all_critical_points_1d(axis_ray(oracle, 0), delta, m_max, window=(-lim, lim))
     e1 = np.eye(oracle.dim)[0]
-    cands = CandidateList()
+    normals, offsets, sources = [], [], []
     for i, t in enumerate(found):
         x = t * e1
         gap = math.inf
@@ -121,9 +106,13 @@ def collect_candidate_hyperplanes(
         # fold test downstream needs the plane to be good to well under
         # delta even when delta is tiny.
         radius = max(min(gap / 8.0, max(8.0 * delta, 2e-4)), 2.0 * delta)
-        plane = reconstruct_critical_hyperplane(oracle, x, delta, rng, radius=radius)
-        cands.add(plane, x)
-    return cands
+        normal, offset = reconstruct_critical_hyperplane(oracle, x, delta, rng, radius=radius)
+        if plane_gap(normal, offset, normals, offsets) > DEDUP_TOL:
+            normals.append(normal)
+            offsets.append(offset)
+            sources.append(x)
+    shape = (len(offsets), oracle.dim)
+    return np.reshape(normals, shape), np.array(offsets), np.reshape(sources, shape)
 
 
 def _tangent_basis(normal: np.ndarray) -> np.ndarray:
@@ -137,14 +126,15 @@ def _tangent_basis(normal: np.ndarray) -> np.ndarray:
 
 def is_first_layer_plane(
     oracle: QueryOracle,
-    plane: Hyperplane,
-    others,
+    normals: np.ndarray,
+    offsets: np.ndarray,
+    i: int,
     delta: float,
     *,
     source: np.ndarray,
     rng,
 ) -> bool:
-    """Is the candidate critical on both sides of every transversal candidate?
+    """Is candidate i critical on both sides of every transversal candidate?
 
     A first-layer plane is critical along its entirety, so it stays critical
     across any other candidate crossing it.  A candidate that is really the
@@ -157,15 +147,17 @@ def is_first_layer_plane(
     bend points of the oracle.
     """
     p = np.asarray(source, dtype=float)
-    n = plane.normal
+    n = normals[i]
     tangent = _tangent_basis(n)
-    for other in others:
-        g = other.normal - float(other.normal @ n) * n
+    for j, other in enumerate(normals):
+        if j == i:
+            continue
+        g = other - float(other @ n) * n
         s = float(np.linalg.norm(g))
         if s < _PARALLEL_SIN:
             continue
         g /= s
-        h = float(other.normal @ p + other.offset)
+        h = float(other @ p + offsets[j])
         move = -h / s
         if abs(move) > _FOLD_TRUST:
             continue
@@ -190,7 +182,8 @@ def _ball_sample(rng, dim: int, radius: float) -> np.ndarray:
 
 def recover_row_signs(
     oracle: QueryOracle,
-    planes,
+    normals: np.ndarray,
+    offsets: np.ndarray,
     delta: float,
     *,
     rng,
@@ -206,13 +199,11 @@ def recover_row_signs(
     or neither) retry with a fresh x and, halfway through the budget, a
     larger probe step.
     """
-    d = oracle.dim
-    m = len(planes)
-    W = np.zeros((m, d))
+    m = len(offsets)
+    W = np.zeros((m, oracle.dim))
     b = np.zeros(m)
-    resid = leave_one_out([plane.normal for plane in planes])
-    for i, plane in enumerate(planes):
-        n_i = plane.normal
+    resid = leave_one_out(normals)
+    for i, n_i in enumerate(normals):
         norm = float(np.linalg.norm(resid[i]))
         if norm < 1e-6:
             raise GeneralPositionError(
@@ -221,7 +212,7 @@ def recover_row_signs(
         if float(z @ n_i) < 0:
             z = -z
         tangent = _tangent_basis(n_i)
-        base = -plane.offset * n_i
+        base = -offsets[i] * n_i
         # Moving along z leaves every other first-layer pre-activation
         # unchanged, so the probe step owes nothing to delta; a floor keeps
         # the active-side signal above value noise when delta is tiny.
@@ -231,8 +222,8 @@ def recover_row_signs(
             if attempt == SIGN_ATTEMPTS // 2:
                 step = min(8.0 * step, _SIGN_STEP_CAP)
             x = base + tangent @ _ball_sample(rng, tangent.shape[1], 2.0)
-            if any(abs(float(p.normal @ x + p.offset)) < 2.0 * delta
-                   for j, p in enumerate(planes) if j != i):
+            if any(abs(float(normals[j] @ x + offsets[j])) < 2.0 * delta
+                   for j in range(m) if j != i):
                 continue
             f0 = float(oracle(x))
             dp = abs(float(oracle(x + step * z)) - f0)
@@ -244,10 +235,10 @@ def recover_row_signs(
                 continue
             if moved_p:
                 W[i] = n_i
-                b[i] = plane.offset
+                b[i] = offsets[i]
             else:
                 W[i] = -n_i
-                b[i] = -plane.offset
+                b[i] = -offsets[i]
             decided = True
             break
         if not decided:
@@ -309,7 +300,6 @@ def _check_output(oracle: QueryOracle, net: ThreeLayerNet) -> None:
 
 def extract_three_layer(
     oracle: QueryOracle,
-    d: int,
     delta: float,
     *,
     m_max: int = 256,
@@ -333,24 +323,21 @@ def extract_three_layer(
     # oracle.count as each phase starts; marks[-1] belongs to the running phase.
     marks = [oracle.count]
     try:
-        cands = collect_candidate_hyperplanes(oracle, delta, m_max, rng=rng)
-        if len(cands) == 0:
+        normals, offsets, sources = collect_candidate_hyperplanes(oracle, delta, m_max, rng=rng)
+        if len(offsets) == 0:
             raise GeneralPositionError("probe line met no critical points")
         marks.append(oracle.count)
 
-        survivors: list[Hyperplane] = []
-        for i, plane in enumerate(cands.planes):
-            rest = cands.planes[:i] + cands.planes[i + 1:]
-            if is_first_layer_plane(oracle, plane, rest, delta,
-                                    source=cands.sources[i], rng=rng):
-                survivors.append(plane)
-        if not survivors:
+        keep = [is_first_layer_plane(oracle, normals, offsets, i, delta,
+                                     source=sources[i], rng=rng)
+                for i in range(len(offsets))]
+        if not any(keep):
             raise GeneralPositionError("no candidate survived the fold test")
-        if d1_max is not None and len(survivors) > d1_max:
+        if d1_max is not None and sum(keep) > d1_max:
             raise PieceBudgetError("too many first-layer planes")
         marks.append(oracle.count)
 
-        W, b = recover_row_signs(oracle, survivors, delta, rng=rng)
+        W, b = recover_row_signs(oracle, normals[keep], offsets[keep], delta, rng=rng)
         marks.append(oracle.count)
 
         top_oracle = peel_first_layer(oracle, W, b)
@@ -362,4 +349,4 @@ def extract_three_layer(
         phase = _PHASES[len(marks) - 1]
         raise GeneralPositionError(f"{phase} phase (axis 0): {err}") from err
     counts = {phase: hi - lo for phase, lo, hi in zip(_PHASES, marks, marks[1:])}
-    return ExtractedThreeLayer(net, top, len(cands), len(survivors), counts)
+    return ExtractedThreeLayer(net, top, len(offsets), sum(keep), counts)

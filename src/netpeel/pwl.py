@@ -21,7 +21,6 @@ floors are the numeric policy of `config`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +37,6 @@ from .config import (
     SLOPE_FLOOR,
     VALUE_FLOOR,
 )
-from .margins import plane_gap
 from .oracle.nets import AffineMap
 from .oracle.query import DOMAIN_NONNEG
 
@@ -49,44 +47,6 @@ class GeneralPositionError(RuntimeError):
 
 class PieceBudgetError(RuntimeError):
     """More pieces were found than the caller's budget allows."""
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """Oriented affine hyperplane {x : normal.x + offset = 0}, unit normal."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
-        n.setflags(write=False)
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset))
-
-    @staticmethod
-    def from_coefficients(w, b: float) -> "Hyperplane":
-        w = np.asarray(w, dtype=float)
-        scale = float(np.linalg.norm(w))
-        if scale < CANON_FLOOR:
-            raise ValueError("zero normal vector")
-        return Hyperplane(w / scale, float(b) / scale)
-
-    def canonical(self) -> "Hyperplane":
-        """Fix the orientation: first non-negligible coordinate positive."""
-        for v in self.normal:
-            if abs(v) > CANON_FLOOR:
-                if v < 0:
-                    return Hyperplane(-self.normal, -self.offset)
-                return self
-        return self
-
-    def distance(self, x) -> float:
-        return abs(float(self.normal @ np.asarray(x, dtype=float) + self.offset))
-
-    def close_to(self, other: "Hyperplane", tol: float) -> bool:
-        """Same hyperplane as a set, up to orientation, within `tol`."""
-        return plane_gap(self.normal, self.offset, [other.normal], [other.offset]) <= tol
 
 
 def reconstruct_affine(oracle, x, delta: float) -> AffineMap:
@@ -332,6 +292,16 @@ def is_critical_point(oracle, x, delta: float, rng) -> bool:
     return False
 
 
+def _canonical(normal: np.ndarray, offset: float) -> tuple[np.ndarray, float]:
+    """Orient a plane so its first entry above `CANON_FLOOR` is positive."""
+    for v in normal:
+        if abs(v) > CANON_FLOOR:
+            if v < 0:
+                return -normal, -offset
+            break
+    return normal, offset
+
+
 def reconstruct_critical_hyperplane(
     oracle,
     x,
@@ -339,8 +309,11 @@ def reconstruct_critical_hyperplane(
     rng,
     *,
     radius: float,
-) -> Hyperplane:
-    """Hyperplane through the slope break at `x`, canonicalized.
+) -> tuple[np.ndarray, float]:
+    """Unit normal and offset of the hyperplane through the slope break at `x`.
+
+    The plane is {y : normal . y + offset = 0}, oriented so the normal's
+    first entry above `CANON_FLOOR` is positive.
 
     Reconstructs the affine maps on both sides (bases x +/- radius*e for a
     random direction e) and takes the null set of their difference.  Each
@@ -387,8 +360,8 @@ def reconstruct_critical_hyperplane(
         noise = PLANE_NOISE * (1.0 + abs(maps[0].b) + abs(maps[1].b)) * math.sqrt(d) / s_a
         if norm <= max(noise, NORMAL_FLOOR):
             continue
-        plane = Hyperplane(dw / norm, db / norm)
-        if plane.distance(x) > r_a:
+        normal, offset = dw / norm, float(db / norm)
+        if abs(float(normal @ x + offset)) > r_a:
             continue
-        return plane.canonical()
+        return _canonical(normal, offset)
     raise GeneralPositionError("no hyperplane detected")

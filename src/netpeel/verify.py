@@ -233,7 +233,7 @@ def _bench_cell(depth: int, d: int, d1: int, d2: int, delta: float, seed: int) -
         else:
             net = generate_three_layer(d, d1, d2, rng)
             oracle = as_oracle(net)
-            result = extract_three_layer(oracle, d, delta)
+            result = extract_three_layer(oracle, delta)
         total, phases = oracle.count, dict(result.phase_queries)
     except SolverError:
         raise

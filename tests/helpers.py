@@ -2,9 +2,20 @@
 
 import numpy as np
 
+from netpeel.config import CANON_FLOOR
 from netpeel.oracle.generate import generate_three_layer, generate_two_layer
 from netpeel.oracle.nets import ThreeLayerNet, TwoLayerNet
 from netpeel.oracle.query import QueryOracle, axis_ray
+
+
+def unit_plane(w, b):
+    """The plane {x : w . x + b = 0} as (normal, offset) with a unit normal
+    whose first entry above `CANON_FLOOR` is positive."""
+    scale = float(np.linalg.norm(w))
+    normal, offset = np.asarray(w, dtype=float) / scale, float(b) / scale
+    if normal[np.abs(normal) > CANON_FLOOR][0] < 0:
+        return -normal, -offset
+    return normal, offset
 
 
 def three_layer(W, b, V, c, signs):

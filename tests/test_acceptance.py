@@ -11,9 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from helpers import dense_grid_kinks, scalar_line, synth_pwl
+from helpers import dense_grid_kinks, scalar_line, synth_pwl, unit_plane
 from netpeel.extract2 import extract_two_layer
 from netpeel.extract3 import extract_three_layer
+from netpeel.margins import plane_gap
 from netpeel.oracle.generate import (
     GenerationError,
     generate_three_layer,
@@ -21,7 +22,7 @@ from netpeel.oracle.generate import (
 )
 from netpeel.oracle.query import AccessAudit, as_oracle
 from netpeel.oracle.serialize import dumps_document, net_to_document
-from netpeel.pwl import Hyperplane, all_critical_points_1d
+from netpeel.pwl import all_critical_points_1d
 from netpeel.verify import (
     empirical_orthant_bound,
     fit_query_bound,
@@ -50,13 +51,9 @@ def _tally(n, ok, detail):
     assert ok, f"criterion {n} failed: {detail}"
 
 
-def _canonical(w, b):
-    return Hyperplane.from_coefficients(w, float(b)).canonical()
-
-
 def _same_plane(a, b, tol=1e-7):
-    return (np.max(np.abs(a.normal - b.normal)) <= tol
-            and abs(a.offset - b.offset) <= tol)
+    """Do the (normal, offset) planes `a` and `b` match within `tol`?"""
+    return plane_gap(*a, [b[0]], [b[1]]) <= tol
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +95,7 @@ def depth3_runs():
         oracle = as_oracle(audit)
         audit.arm()
         t0 = time.perf_counter()
-        result = extract_three_layer(oracle, d, DELTA)
+        result = extract_three_layer(oracle, DELTA)
         seconds = time.perf_counter() - t0
         audit.disarm()
         runs.append(
@@ -127,13 +124,13 @@ def test_criterion_2_depth2_parameter_recovery(depth2_runs):
     mismatches = 0
     for run in depth2_runs:
         got, net = run["result"].net, run["net"]
-        recovered = [(_canonical(w, b), s) for w, b, s in zip(got.W, got.b, got.s)]
+        recovered = [(unit_plane(w, b), s) for w, b, s in zip(got.W, got.b, got.s)]
         for row, offset, sign in zip(net.W, net.b, net.s):
             on_axis = any(w != 0.0 and -offset / w > 0.0 for w in row)
             if not on_axis:
                 continue
             checked += 1
-            truth = _canonical(row, offset)
+            truth = unit_plane(row, offset)
             hits = [s for plane, s in recovered if _same_plane(plane, truth)]
             if not hits or any(s != sign for s in hits):
                 mismatches += 1
@@ -236,8 +233,8 @@ def test_criterion_4_first_layer_filter_is_exact(depth3_runs):
     bad = 0
     for run in depth3_runs:
         net, res = run["net"], run["result"]
-        truth = [_canonical(net.W[i], net.b[i]) for i in range(net.d1)]
-        found = [_canonical(w, b) for w, b in zip(res.net.W, res.net.b)]
+        truth = [unit_plane(w, b) for w, b in zip(net.W, net.b)]
+        found = [unit_plane(w, b) for w, b in zip(res.net.W, res.net.b)]
         exact = res.n_survivors == net.d1 and len(found) == len(truth)
         used = set()
         for plane in truth:

@@ -565,7 +565,7 @@ def test_the_benchmark_tracer_wraps_every_traced_name_and_restores_it(monkeypatc
             (generate_two_layer(4, 8, np.random.default_rng(0)),
              lambda o: extract_two_layer(o, 4, 1e-4, 512), 431),
             (generate_three_layer(4, 3, 9, np.random.default_rng(1)),
-             lambda o: extract_three_layer(o, 4, 1e-4), 1234),
+             lambda o: extract_three_layer(o, 1e-4), 1234),
         ):
             oracle, q0 = as_oracle(net), tracer.base_queries
             got = extract(oracle)

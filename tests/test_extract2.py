@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import near_coincident_net
+from helpers import near_coincident_net, unit_plane
 from netpeel import extract2
 from netpeel.extract2 import (
     extract_two_layer,
@@ -15,12 +15,12 @@ from netpeel.extract2 import (
     refine_units,
     subtracted_oracle,
 )
+from netpeel.margins import plane_gap
 from netpeel.oracle.generate import generate_two_layer
 from netpeel.oracle.nets import AffineMap, TwoLayerNet, batch_eval, evaluator, relu
 from netpeel.oracle.query import QueryOracle, as_oracle, axis_ray
 from netpeel.pwl import (
     GeneralPositionError,
-    Hyperplane,
     PieceBudgetError,
     all_critical_points_1d,
     iter_critical_points_1d,
@@ -52,20 +52,30 @@ def _bracketed_truth(net, x1, x2):
 
 def test_crossing_of_single_unit():
     oracle = _relu_oracle([1.0], -2.0)
-    x1, x2, axis = find_neuron_crossing(oracle, 1, DELTA)
+    x1, x2, axis = find_neuron_crossing(oracle, DELTA)
     assert axis == 0
     assert x1[0] < 2.0 < x2[0]
     assert abs((x1[0] + x2[0]) / 2.0 - 2.0) < 1e-6
 
 
+def test_crossing_scans_every_axis_of_the_oracle():
+    """The rays scanned are the oracle's own: a unit that bends only along
+    the last axis is found there, also when the scan starts at that axis."""
+    oracle = _relu_oracle([0.0, 0.0, 1.0], -2.0)
+    x1, x2, axis = find_neuron_crossing(oracle, DELTA)
+    assert axis == 2 and x1.shape == x2.shape == (3,)
+    assert x1[:2].tolist() == x2[:2].tolist() == [0.0, 0.0] and x1[2] < 2.0 < x2[2]
+    assert find_neuron_crossing(oracle, DELTA, start_axis=2)[2] == 2
+
+
 def test_crossing_of_affine_is_none():
     oracle = QueryOracle(lambda x: 3.0 * x[0] - x[1] + 1.0, 2, "nonneg")
-    assert find_neuron_crossing(oracle, 2, DELTA) is None
+    assert find_neuron_crossing(oracle, DELTA) is None
 
 
 def test_crossing_brackets_exactly_one_unit():
     net = generate_two_layer(3, 6, np.random.default_rng(0))
-    x1, x2, _ = find_neuron_crossing(as_oracle(net), 3, DELTA)
+    x1, x2, _ = find_neuron_crossing(as_oracle(net), DELTA)
     _bracketed_truth(net, x1, x2)
 
 
@@ -90,7 +100,7 @@ def _two_crossings(t0, t1):
 ])
 def test_crossing_search_looks_for_the_next_break_only_within_reach(t0, t1, eps):
     net, oracle, seen = _two_crossings(t0, t1)
-    x1, x2, axis = find_neuron_crossing(oracle, 1, DELTA)
+    x1, x2, axis = find_neuron_crossing(oracle, DELTA)
     assert axis == 0
     assert abs((x2[0] - x1[0]) / 2.0 - eps) < 1e-9
     assert _bracketed_truth(net, x1, x2) == 0
@@ -137,7 +147,7 @@ def test_sign_matches_truth_across_seeds():
     for seed in range(100):
         net = generate_two_layer(2, 3, np.random.default_rng(seed))
         oracle = as_oracle(net)
-        x1, x2, _ = find_neuron_crossing(oracle, 2, DELTA)
+        x1, x2, _ = find_neuron_crossing(oracle, DELTA)
         j = _bracketed_truth(net, x1, x2)
         assert _sign(oracle, x1, x2) == net.s[j]
 
@@ -147,7 +157,7 @@ def test_sign_matches_truth_across_seeds():
 
 def test_recover_single_unit_exactly():
     oracle = _relu_oracle([1.0], -2.0)
-    x1, x2, _ = find_neuron_crossing(oracle, 1, DELTA)
+    x1, x2, _ = find_neuron_crossing(oracle, DELTA)
     w, b, sign = recover_neuron(oracle, x1, x2, DELTA)
     assert abs(w[0] - 1.0) < 1e-9
     assert abs(b - (-2.0)) < 1e-9
@@ -157,7 +167,7 @@ def test_recover_single_unit_exactly():
 def test_recover_flipped_unit_is_affinely_equivalent():
     """sigma(-z) = sigma(z) - z, so either orientation is fine up to affine."""
     oracle = _relu_oracle([-1.0], 2.0)
-    x1, x2, _ = find_neuron_crossing(oracle, 1, DELTA)
+    x1, x2, _ = find_neuron_crossing(oracle, DELTA)
     w, b, sign = recover_neuron(oracle, x1, x2, DELTA)
     errs = [max(abs(s * w[0] - (-1.0)), abs(s * b - 2.0)) for s in (1.0, -1.0)]
     assert min(errs) < 1e-7
@@ -170,7 +180,7 @@ def test_recover_flipped_unit_is_affinely_equivalent():
 def test_recover_matches_truth_up_to_orientation():
     net = generate_two_layer(3, 6, np.random.default_rng(0))
     oracle = as_oracle(net)
-    x1, x2, _ = find_neuron_crossing(oracle, 3, DELTA)
+    x1, x2, _ = find_neuron_crossing(oracle, DELTA)
     j = _bracketed_truth(net, x1, x2)
     w, b, sign = recover_neuron(oracle, x1, x2, DELTA)
     errs = [
@@ -262,15 +272,12 @@ def test_every_visible_unit_is_recovered_with_its_sign():
     """Units crossing a positive axis come back with the exact hyperplane."""
     net = generate_two_layer(3, 6, np.random.default_rng(9))
     got = extract_two_layer(as_oracle(net), 3, DELTA, 12)
-    recovered = [
-        (Hyperplane.from_coefficients(w, b).canonical(), s)
-        for w, b, s in zip(got.net.W, got.net.b, got.net.s)
-    ]
+    recovered = [(*unit_plane(w, b), s) for w, b, s in zip(got.net.W, got.net.b, got.net.s)]
     for w, b, sign in zip(net.W, net.b, net.s):
         if not any(w[i] != 0.0 and -b / w[i] > 0.0 for i in range(3)):
             continue
-        plane = Hyperplane.from_coefficients(w, b)
-        matches = [s for p, s in recovered if p.close_to(plane, 1e-7)]
+        normal, offset = unit_plane(w, b)
+        matches = [s for n, o, s in recovered if plane_gap(normal, offset, [n], [o]) <= 1e-7]
         assert len(matches) == 1
         assert matches[0] == sign
 
@@ -297,7 +304,7 @@ def test_each_round_removes_axis_break_points():
     recovered = []
     counts = [axis_breaks(work)]
     while True:
-        hit = find_neuron_crossing(work, 2, DELTA)
+        hit = find_neuron_crossing(work, DELTA)
         if hit is None:
             break
         x1, x2, _ = hit
@@ -314,15 +321,9 @@ def test_each_round_removes_axis_break_points():
 def _worst_plane_error(units, truth):
     """Largest distance from a plane of net `units` to its nearest plane of
     net `truth`."""
-    planes = [Hyperplane.from_coefficients(w, b).canonical()
-              for w, b in zip(truth.W, truth.b)]
-    worst = 0.0
-    for w, b in zip(units.W, units.b):
-        p = Hyperplane.from_coefficients(w, b).canonical()
-        worst = max(worst, min(
-            max(float(np.max(np.abs(p.normal - q.normal))), abs(p.offset - q.offset))
-            for q in planes))
-    return worst
+    normals, offsets = zip(*(unit_plane(w, b) for w, b in zip(truth.W, truth.b)))
+    return max((plane_gap(*unit_plane(w, b), np.array(normals), np.array(offsets))
+                for w, b in zip(units.W, units.b)), default=0.0)
 
 
 def _refined_net():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import flat_probe_line_net, near_coincident_rows, three_layer
+from helpers import flat_probe_line_net, near_coincident_rows, three_layer, unit_plane
 from netpeel.cli import main
 from netpeel.config import DEDUP_TOL
 from netpeel.extract3 import (
@@ -16,11 +16,12 @@ from netpeel.extract3 import (
     recover_row_signs,
     right_inverse,
 )
+from netpeel.margins import plane_gap
 from netpeel.oracle.generate import generate_three_layer
 from netpeel.oracle.nets import batch_eval, relu
 from netpeel.oracle.query import QueryOracle, as_oracle
 from netpeel.oracle.serialize import save_net
-from netpeel.pwl import GeneralPositionError, Hyperplane
+from netpeel.pwl import GeneralPositionError
 
 DELTA = 1e-4
 
@@ -41,10 +42,16 @@ def _scalar_net(w, b, v=1.0, c=0.0, sign=1):
 
 
 def _truth_planes(net):
-    return [
-        Hyperplane.from_coefficients(net.W[i], float(net.b[i])).canonical()
-        for i in range(net.W.shape[0])
-    ]
+    """The first-layer planes of `net` as stacked (normals, offsets)."""
+    normals, offsets = zip(*(unit_plane(w, b) for w, b in zip(net.W, net.b)))
+    return np.array(normals), np.array(offsets)
+
+
+def _match_counts(normals, offsets, truth, tol=1e-7):
+    """For each plane of `truth`, how many planes (normals, offsets) lie
+    within `tol` of it."""
+    return [sum(plane_gap(n, o, [t_n], [t_o]) <= tol for n, o in zip(normals, offsets))
+            for t_n, t_o in zip(*truth)]
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +67,7 @@ def wide_candidates(wide_net):
 
 @pytest.fixture(scope="module")
 def wide_extraction(wide_net):
-    return extract_three_layer(as_oracle(wide_net), 4, DELTA)
+    return extract_three_layer(as_oracle(wide_net), DELTA)
 
 
 # ------------------------------------------------------ candidate collection
@@ -68,9 +75,10 @@ def wide_extraction(wide_net):
 
 def test_collect_single_unit_chain():
     net = _scalar_net(1.0, -1.0)
-    cands = collect_candidate_hyperplanes(as_oracle(net), DELTA, 8, rng=_rng())
-    assert len(cands) == 1
-    assert cands.planes[0].close_to(Hyperplane(np.array([1.0]), -1.0), 1e-7)
+    normals, offsets, sources = collect_candidate_hyperplanes(as_oracle(net), DELTA, 8,
+                                                              rng=_rng())
+    assert normals.shape == sources.shape == (1, 1) and offsets.shape == (1,)
+    assert plane_gap(np.array([1.0]), -1.0, normals, offsets) <= 1e-7
 
 
 def test_collect_on_a_flat_probe_line_is_empty():
@@ -81,21 +89,22 @@ def test_collect_on_a_flat_probe_line_is_empty():
         c=np.array([0.0]),
         signs=np.array([1]),
     )
-    cands = collect_candidate_hyperplanes(as_oracle(net), DELTA, 8, rng=_rng())
-    assert len(cands) == 0
+    normals, offsets, sources = collect_candidate_hyperplanes(as_oracle(net), DELTA, 8,
+                                                              rng=_rng())
+    assert normals.shape == sources.shape == (0, 2) and offsets.shape == (0,)
 
 
 def test_extraction_fails_when_the_probe_line_is_flat():
     oracle = QueryOracle(lambda x: 5.0, 2, "full")
     with pytest.raises(GeneralPositionError, match="no critical points"):
-        extract_three_layer(oracle, 2, DELTA)
+        extract_three_layer(oracle, DELTA)
 
 
 def test_no_other_line_is_tried_when_the_probe_line_is_flat(tmp_path):
     """A net that bends along e_2 and e_3 but not e_1 fails loudly in collect."""
     net = flat_probe_line_net()
     with pytest.raises(GeneralPositionError) as err:
-        extract_three_layer(as_oracle(net), 3, DELTA)
+        extract_three_layer(as_oracle(net), DELTA)
     assert "collect" in str(err.value) and "axis 0" in str(err.value)
     path, report = tmp_path / "flat.json", tmp_path / "report.json"
     save_net(path, net)
@@ -104,54 +113,43 @@ def test_no_other_line_is_tried_when_the_probe_line_is_flat(tmp_path):
 
 
 def test_collect_contains_all_first_layer_planes(wide_net, wide_candidates):
-    _, cands = wide_candidates
-    for plane in _truth_planes(wide_net):
-        assert any(c.close_to(plane, 1e-7) for c in cands.planes)
+    _, (normals, offsets, _) = wide_candidates
+    for normal, offset in zip(*_truth_planes(wide_net)):
+        assert plane_gap(normal, offset, normals, offsets) <= 1e-7
 
 
 def test_collected_candidates_are_distinct(wide_candidates):
-    _, cands = wide_candidates
-    for i, a in enumerate(cands.planes):
-        for b in cands.planes[i + 1:]:
-            assert not a.close_to(b, DEDUP_TOL)
+    _, (normals, offsets, _) = wide_candidates
+    for i in range(len(offsets)):
+        assert plane_gap(normals[i], offsets[i], normals[i + 1:], offsets[i + 1:]) > DEDUP_TOL
 
 
 # ----------------------------------------------------------------- filtering
 
 
 def test_filter_separates_first_layer_from_fold_shadows(wide_net, wide_candidates):
-    oracle, cands = wide_candidates
+    oracle, (normals, offsets, sources) = wide_candidates
     truth = _truth_planes(wide_net)
-    survivors = []
-    for i, plane in enumerate(cands.planes):
-        rest = cands.planes[:i] + cands.planes[i + 1:]
-        keep = is_first_layer_plane(oracle, plane, rest, DELTA,
-                                    source=cands.sources[i], rng=_rng())
-        genuine = any(plane.close_to(t, 1e-6) for t in truth)
-        assert keep == genuine
-        if keep:
-            survivors.append(plane)
-    assert len(survivors) == 3
-    for t in truth:
-        assert sum(s.close_to(t, 1e-7) for s in survivors) == 1
+    keep = []
+    for i in range(len(offsets)):
+        kept = is_first_layer_plane(oracle, normals, offsets, i, DELTA,
+                                    source=sources[i], rng=_rng())
+        assert kept == (plane_gap(normals[i], offsets[i], *truth) <= 1e-6)
+        keep.append(kept)
+    assert _match_counts(normals[keep], offsets[keep], truth) == [1, 1, 1]
 
 
 def test_filter_is_exact_across_seeds():
     for seed in range(100):
         net = generate_three_layer(3, 2, 6, np.random.default_rng(seed))
         oracle = as_oracle(net)
-        cands = collect_candidate_hyperplanes(oracle, DELTA, 64, rng=_rng())
-        truth = _truth_planes(net)
-        survivors = [
-            plane
-            for i, plane in enumerate(cands.planes)
-            if is_first_layer_plane(oracle, plane,
-                                    cands.planes[:i] + cands.planes[i + 1:],
-                                    DELTA, source=cands.sources[i], rng=_rng())
-        ]
-        assert len(survivors) == 2, f"seed {seed}"
-        for t in truth:
-            assert sum(s.close_to(t, 1e-7) for s in survivors) == 1, f"seed {seed}"
+        normals, offsets, sources = collect_candidate_hyperplanes(oracle, DELTA, 64, rng=_rng())
+        keep = [is_first_layer_plane(oracle, normals, offsets, i, DELTA,
+                                     source=sources[i], rng=_rng())
+                for i in range(len(offsets))]
+        assert sum(keep) == 2, f"seed {seed}"
+        assert _match_counts(normals[keep], offsets[keep], _truth_planes(net)) == [1, 1], \
+            f"seed {seed}"
 
 
 # ----------------------------------------------------------------- row signs
@@ -159,15 +157,13 @@ def test_filter_is_exact_across_seeds():
 
 def test_sign_kept_when_candidate_matches_truth():
     oracle = as_oracle(_scalar_net(1.0, -1.0))
-    planes = [Hyperplane(np.array([1.0]), -1.0)]
-    W, b = recover_row_signs(oracle, planes, DELTA, rng=_rng())
+    W, b = recover_row_signs(oracle, np.array([[1.0]]), np.array([-1.0]), DELTA, rng=_rng())
     assert W[0, 0] == 1.0 and b[0] == -1.0
 
 
 def test_sign_flipped_on_the_mirror_instance():
     oracle = as_oracle(_scalar_net(-1.0, 1.0))
-    planes = [Hyperplane(np.array([1.0]), -1.0)]
-    W, b = recover_row_signs(oracle, planes, DELTA, rng=_rng())
+    W, b = recover_row_signs(oracle, np.array([[1.0]]), np.array([-1.0]), DELTA, rng=_rng())
     assert W[0, 0] == -1.0 and b[0] == 1.0
 
 
@@ -175,7 +171,7 @@ def test_signed_rows_match_truth_across_seeds():
     for seed in range(100):
         net = generate_three_layer(4, 3, 9, np.random.default_rng(seed))
         oracle = as_oracle(net)
-        W, b = recover_row_signs(oracle, _truth_planes(net), DELTA, rng=_rng())
+        W, b = recover_row_signs(oracle, *_truth_planes(net), DELTA, rng=_rng())
         assert np.max(np.abs(W - net.W)) < 1e-7, f"seed {seed}"
         assert np.max(np.abs(b - net.b)) < 1e-7, f"seed {seed}"
 
@@ -245,7 +241,7 @@ def test_peeled_oracle_equals_the_top_layers():
 
 def test_extract_scalar_chain_end_to_end():
     net = _scalar_net(1.0, -1.0, v=1.2, c=0.3)
-    got = extract_three_layer(as_oracle(net), 1, DELTA)
+    got = extract_three_layer(as_oracle(net), DELTA)
     V, c, signs = net.top.W, net.top.b, net.top.s
     ts = np.linspace(-10.0, 10.0, 201)
     have = batch_eval(got.net, ts[:, None])
@@ -296,4 +292,4 @@ def test_a_missed_first_layer_plane_fails_the_output_check(seed):
     net = near_coincident_rows(seed, 1e-4)
     with pytest.raises(GeneralPositionError,
                        match=r"peel phase \(axis 0\): composed network deviates"):
-        extract_three_layer(as_oracle(net), 4, DELTA)
+        extract_three_layer(as_oracle(net), DELTA)

@@ -566,7 +566,7 @@ def test_three_layer_save_load_round_trip(tmp_path):
     """Generated (no skip) and extracted (with a skip over the hidden
     activations) depth-3 nets reload and re-serialize to byte-identical text."""
     net = generate_three_layer(3, 2, 5, np.random.default_rng(13))
-    found = extract_three_layer(as_oracle(net), 3, 1e-4).net
+    found = extract_three_layer(as_oracle(net), 1e-4).net
     assert net.top.skip is None and found.top.skip is not None
     xs = np.random.default_rng(2).uniform(-4, 4, size=(100, 3))
     for name, orig in (("net3.json", net), ("found3.json", found)):

@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netpeel
-from helpers import dense_grid_kinks, scalar_line, synth_pwl
+from helpers import dense_grid_kinks, scalar_line, synth_pwl, unit_plane
+from netpeel.config import CANON_FLOOR
+from netpeel.margins import plane_gap
 from netpeel.oracle.generate import generate_three_layer, generate_two_layer
 from netpeel.oracle.nets import TwoLayerNet
 from netpeel.oracle.query import QueryOracle, axis_ray, as_oracle
 from netpeel.pwl import (
     GeneralPositionError,
-    Hyperplane,
     PieceBudgetError,
     all_critical_points_1d,
     is_critical_point,
@@ -226,10 +227,11 @@ def test_sweep_matches_dense_grid_scan():
 
 def test_hyperplane_from_single_kink():
     oracle = QueryOracle(lambda x: relu(x[0] + x[1] - 1.0), 2)
-    plane = reconstruct_critical_hyperplane(oracle, [0.5, 0.5], 1e-4, _rng(), radius=1e-4)
+    normal, offset = reconstruct_critical_hyperplane(oracle, [0.5, 0.5], 1e-4, _rng(),
+                                                     radius=1e-4)
     r = 1.0 / math.sqrt(2.0)
-    assert np.max(np.abs(plane.normal - [r, r])) < 1e-8
-    assert abs(plane.offset - (-r)) < 1e-8
+    assert np.max(np.abs(normal - [r, r])) < 1e-8
+    assert abs(offset - (-r)) < 1e-8
 
 
 def test_hyperplane_matches_ground_truth_at_axis_point():
@@ -239,20 +241,20 @@ def test_hyperplane_matches_ground_truth_at_axis_point():
         axis = j % 4
         x = np.zeros(4)
         x[axis] = -b / w[axis]
-        plane = reconstruct_critical_hyperplane(oracle, x, 1e-4, _rng(), radius=1e-4)
-        truth = Hyperplane.from_coefficients(w, b)
-        assert plane.close_to(truth, 1e-8)
+        normal, offset = reconstruct_critical_hyperplane(oracle, x, 1e-4, _rng(), radius=1e-4)
+        truth_normal, truth_offset = unit_plane(w, b)
+        assert plane_gap(normal, offset, [truth_normal], [truth_offset]) <= 1e-8
 
 
 def test_hyperplane_translation_equivariance():
     shift = np.array([0.3, -0.7])
     base = QueryOracle(lambda x: relu(x[0] + x[1] - 1.0), 2)
     moved = QueryOracle(lambda x: relu((x[0] - 0.3) + (x[1] + 0.7) - 1.0), 2)
-    p0 = reconstruct_critical_hyperplane(base, [0.5, 0.5], 1e-4, _rng(), radius=1e-4)
-    p1 = reconstruct_critical_hyperplane(moved, shift + [0.5, 0.5], 1e-4, _rng(),
-                                         radius=1e-4)
-    assert np.max(np.abs(p1.normal - p0.normal)) < 1e-8
-    assert abs(p1.offset - (p0.offset - float(p0.normal @ shift))) < 1e-8
+    n0, o0 = reconstruct_critical_hyperplane(base, [0.5, 0.5], 1e-4, _rng(), radius=1e-4)
+    n1, o1 = reconstruct_critical_hyperplane(moved, shift + [0.5, 0.5], 1e-4, _rng(),
+                                             radius=1e-4)
+    assert np.max(np.abs(n1 - n0)) < 1e-8
+    assert abs(o1 - (o0 - float(n0 @ shift))) < 1e-8
 
 
 def test_hyperplane_is_seed_invariant():
@@ -265,9 +267,10 @@ def test_hyperplane_is_seed_invariant():
                                         radius=1e-4)
         for s in (1, 2, 3)
     ]
-    for p in planes[1:]:
-        assert np.max(np.abs(p.normal - planes[0].normal)) < 1e-8
-        assert abs(p.offset - planes[0].offset) < 1e-8
+    (n0, o0), *rest = planes
+    for normal, offset in rest:
+        assert np.max(np.abs(normal - n0)) < 1e-8
+        assert abs(offset - o0) < 1e-8
 
 
 def test_hyperplane_fails_off_any_break():
@@ -312,26 +315,29 @@ def test_criticality_on_and_off_a_known_plane():
 # ---------------------------------------------------------------- invariants
 
 
-@given(d=st.integers(1, 6), seed=st.integers(0, 10_000))
+@given(d=st.integers(1, 6), zeros=st.integers(0, 5), seed=st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
-def test_canonicalization_is_idempotent_and_sign_invariant(d, seed):
+def test_hyperplane_is_unit_canonical_and_blind_to_the_active_side(d, zeros, seed):
+    """relu(w.x + b) and relu(-w.x - b) bend on one plane: both give a unit
+    normal whose first entry above CANON_FLOOR is positive, and the same
+    (normal, offset).  Up to d - 1 leading entries of w are zero, so the
+    orientation may be read past them."""
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(d)
-    if np.linalg.norm(w) < 1e-6:
-        w = np.ones(d)
-    b = float(rng.standard_normal())
-    plane = Hyperplane.from_coefficients(w, b).canonical()
-    again = plane.canonical()
-    assert np.array_equal(again.normal, plane.normal) and again.offset == plane.offset
-    flipped = Hyperplane.from_coefficients(-w, -b).canonical()
-    assert np.array_equal(flipped.normal, plane.normal)
-    assert flipped.offset == plane.offset
-
-
-def test_close_to_matches_planes_whose_first_coordinate_straddles_the_floor():
-    # One set, 2e-10 apart, but canonical() flips only the first normal,
-    # whose leading coordinate is above CANON_FLOOR.
-    a = Hyperplane(np.array([-1.1e-9, 1.0, 0.0]), 0.3)
-    b = Hyperplane(np.array([0.9e-9, -1.0, 0.0]), -0.3)
-    assert a.close_to(b, 1e-7) and b.close_to(a, 1e-7)
-    assert not a.close_to(b, 1e-10)
+    w[:min(zeros, d - 1)] = 0.0
+    w *= rng.uniform(0.5, 2.0) / np.linalg.norm(w)
+    b = float(rng.uniform(-1.0, 1.0))
+    u = rng.standard_normal(d)
+    x = u - float(w @ u + b) / float(w @ w) * w
+    found = [
+        reconstruct_critical_hyperplane(QueryOracle(lambda y, s=s: relu(s * (w @ y + b)), d),
+                                        x, 1e-4, _rng(), radius=1e-4)
+        for s in (1.0, -1.0)
+    ]
+    for normal, _ in found:
+        assert abs(float(np.linalg.norm(normal)) - 1.0) < 1e-12
+        assert normal[np.abs(normal) > CANON_FLOOR][0] > 0.0
+    (n0, o0), (n1, o1) = found
+    assert np.max(np.abs(n1 - n0)) < 1e-8 and abs(o1 - o0) < 1e-8
+    truth_normal, truth_offset = unit_plane(w, b)
+    assert np.max(np.abs(n0 - truth_normal)) < 1e-8 and abs(o0 - truth_offset) < 1e-8
