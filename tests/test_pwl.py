@@ -341,3 +341,12 @@ def test_hyperplane_is_unit_canonical_and_blind_to_the_active_side(d, zeros, see
     assert np.max(np.abs(n1 - n0)) < 1e-8 and abs(o1 - o0) < 1e-8
     truth_normal, truth_offset = unit_plane(w, b)
     assert np.max(np.abs(n0 - truth_normal)) < 1e-8 and abs(o0 - truth_offset) < 1e-8
+
+
+def test_close_to_matches_planes_whose_first_coordinate_straddles_the_floor():
+    # One set, 2e-10 apart, whose first coordinates straddle CANON_FLOOR: a
+    # canonical orientation would flip only the first normal. Candidate planes
+    # are matched by plane_gap, which compares both orientations.
+    a, b = np.array([-1.1e-9, 1.0, 0.0]), np.array([0.9e-9, -1.0, 0.0])
+    assert plane_gap(a, 0.3, [b], [-0.3]) <= 1e-7 and plane_gap(b, -0.3, [a], [0.3]) <= 1e-7
+    assert plane_gap(a, 0.3, [b], [-0.3]) > 1e-10
