@@ -114,7 +114,7 @@ def recover_sign_u(oracle, x1, x2, f1: float, f2: float) -> int:
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    fm = float(oracle((x1 + x2) / 2.0))
+    fm = oracle.query((x1 + x2) / 2.0)
     second = f1 + f2 - 2.0 * fm
     tau = KINK_NOISE * (1.0 + max(abs(f1), abs(f2), abs(fm)))
     if abs(second) <= tau:
@@ -149,10 +149,10 @@ def recover_neuron(oracle, x1, x2, delta: float) -> tuple[np.ndarray, float, int
     eps = float(np.linalg.norm(span)) / 2.0
     e = span / (2.0 * eps)
     h = max(delta / 8.0, min(eps / 8.0, 1e-3))
-    f1 = float(oracle(x1))
-    f2 = float(oracle(x2))
-    m1 = (float(oracle(x1 + h * e)) - f1) / h
-    m2 = (float(oracle(x2 + h * e)) - f2) / h
+    f1 = oracle.query(x1)
+    f2 = oracle.query(x2)
+    m1 = (oracle.query(x1 + h * e) - f1) / h
+    m2 = (oracle.query(x2 + h * e) - f2) / h
     jump = abs(m2 - m1)
     scale = 1.0 + max(abs(f1), abs(f2))
     if jump <= max(KINK_NOISE * scale / h, JUMP_FLOOR):
@@ -185,46 +185,56 @@ def subtracted_oracle(oracle: QueryOracle, recovered: TwoLayerNet) -> QueryOracl
                        parent=oracle)
 
 
-def _refine_point(normals: np.ndarray, offsets: np.ndarray, i: int, rng):
-    """A point on plane i inside the orthant, far from every other plane.
+def _refine_points(normals: np.ndarray, offsets: np.ndarray, rng) -> list:
+    """For each plane, a point on it inside the orthant, far from every other plane.
 
-    The plane meets the orthant in the convex hull of its positive axis
+    A plane meets the orthant in the convex hull of its positive axis
     crossings plus the cone of in-plane directions that stay nonnegative, so
     random combinations of those generators are points of that set.  The
-    candidate whose clearance (distance to the nearest other plane or to the
-    orthant boundary) is largest wins.  Uses no queries.  Returns
-    (point, clearance); the clearance is not positive when no candidate lies
-    inside.
+    planes draw their candidates from `rng` in order, one product scores
+    them all, and each plane's candidate whose clearance (distance to the
+    nearest other plane or to the orthant boundary) is largest wins.  Uses
+    no queries.  Returns one (point, clearance) pair per plane: (None, 0.0)
+    for a plane that misses the orthant, and a clearance that is not
+    positive when no candidate lies inside.
     """
-    n, o = normals[i], offsets[i]
-    d = n.size
+    m, d = normals.shape
     with np.errstate(divide="ignore"):
-        t = np.where(n != 0.0, -o / n, -np.inf)
-    hit = t > 0.0
-    if not hit.any():
-        return None, 0.0
-    pivot = int(np.argmax(np.where(hit, np.abs(n), -1.0)))
-    corners = np.diag(np.where(hit, t, 0.0))[hit]
-    rays = np.eye(d)[~hit]
-    rays[:, pivot] -= n[~hit] / n[pivot]
-    lam = rng.dirichlet(np.ones(corners.shape[0]), size=_REFINE_CANDIDATES)
-    reach = float(np.mean(t[hit]))
-    mu = rng.uniform(0.0, reach, size=(_REFINE_CANDIDATES, rays.shape[0]))
-    pts = lam @ corners + mu @ rays
+        T = np.where(normals != 0.0, -offsets[:, None] / normals, -np.inf)
+    hit = T > 0.0
+    pivots = np.argmax(np.where(hit, np.abs(normals), -1.0), axis=1)
+    owners = np.flatnonzero(hit.any(axis=1))
+    blocks = []
+    for i in owners:
+        t, h, n = T[i], hit[i], normals[i]
+        corners = np.diag(np.where(h, t, 0.0))[h]
+        rays = np.eye(d)[~h]
+        rays[:, pivots[i]] -= n[~h] / n[pivots[i]]
+        lam = rng.dirichlet(np.ones(corners.shape[0]), size=_REFINE_CANDIDATES)
+        reach = float(np.mean(t[h]))
+        mu = rng.uniform(0.0, reach, size=(_REFINE_CANDIDATES, rays.shape[0]))
+        blocks.append(lam @ corners + mu @ rays)
+    out = [(None, 0.0)] * m
+    if not blocks:
+        return out
+    pts = np.concatenate(blocks)
     dist = normals @ pts.T
     dist += offsets[:, None]
     np.abs(dist, out=dist)
-    dist[i] = np.inf
-    clearance = np.minimum(pts.min(axis=1), dist.min(axis=0))
-    best = int(np.argmax(clearance))
-    return pts[best], float(clearance[best])
+    dist = dist.reshape(m, owners.size, _REFINE_CANDIDATES)
+    dist[owners, np.arange(owners.size)] = np.inf
+    clearance = np.minimum(pts.min(axis=1).reshape(owners.size, -1), dist.min(axis=0))
+    for k, i in enumerate(owners):
+        best = int(np.argmax(clearance[k]))
+        out[i] = pts[k * _REFINE_CANDIDATES + best], float(clearance[k, best])
+    return out
 
 
 def refine_units(oracle: QueryOracle, net: TwoLayerNet) -> TwoLayerNet:
     """Refit every recovered unit where no other recovered plane is near.
 
     Unit i is fitted on `oracle` itself on each side of plane i, a distance r
-    (half the clearance of the point from `_refine_point`) off the plane with
+    (half the clearance of the point from `_refine_points`) off the plane with
     step r/4.  Both stencils stay at least 3r/4 from every other recovered
     plane, so each other unit is one affine map over both and cancels in
     right - left, which leaves the unit's jump, sign * (right - left).  The
@@ -237,9 +247,8 @@ def refine_units(oracle: QueryOracle, net: TwoLayerNet) -> TwoLayerNet:
     scale = np.linalg.norm(net.W, axis=1)
     normals, offsets = net.W / scale[:, None], net.b / scale
     W, b = net.W.copy(), net.b.copy()
-    rng = np.random.default_rng(_REFINE_SEED)
-    for i, sign in enumerate(net.s):
-        point, clearance = _refine_point(normals, offsets, i, rng)
+    spots = _refine_points(normals, offsets, np.random.default_rng(_REFINE_SEED))
+    for i, ((point, clearance), sign) in enumerate(zip(spots, net.s)):
         r = clearance / 2.0
         if r / 4.0 <= _STEP_CAP:
             continue
@@ -255,7 +264,7 @@ def _check_affine_residual(work: QueryOracle, skip: AffineMap, rng) -> float:
     worst = 0.0
     for _ in range(16):
         x = rng.uniform(0.0, 4.0, size=work.dim)
-        got = work(x)
+        got = work.query(x)
         worst = max(worst, abs(got - skip(x)) / (RESIDUAL_TOL * (1.0 + abs(got))))
     if worst > 1.0:
         raise GeneralPositionError(

@@ -153,7 +153,7 @@ def is_first_layer_plane(
         if j == i:
             continue
         g = other - float(other @ n) * n
-        s = float(np.linalg.norm(g))
+        s = math.sqrt(g.dot(g))
         if s < _PARALLEL_SIN:
             continue
         g /= s
@@ -173,7 +173,7 @@ def is_first_layer_plane(
 
 def _ball_sample(rng, dim: int, radius: float) -> np.ndarray:
     v = rng.standard_normal(dim)
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(v.dot(v))
     if norm < 1e-12:
         return np.zeros(dim)
     r = radius * rng.random() ** (1.0 / dim)
@@ -225,9 +225,9 @@ def recover_row_signs(
             if any(abs(float(normals[j] @ x + offsets[j])) < 2.0 * delta
                    for j in range(m) if j != i):
                 continue
-            f0 = float(oracle(x))
-            dp = abs(float(oracle(x + step * z)) - f0)
-            dm = abs(float(oracle(x - step * z)) - f0)
+            f0 = oracle.query(x)
+            dp = abs(oracle.query(x + step * z) - f0)
+            dm = abs(oracle.query(x - step * z) - f0)
             tau = max(PROBE_FLOOR * step, KINK_NOISE * (1.0 + abs(f0)))
             moved_p = dp > tau
             moved_m = dm > tau
@@ -289,7 +289,7 @@ def _check_output(oracle: QueryOracle, net: ThreeLayerNet) -> None:
     space of W while the composed net does not.  16 queries.
     """
     xs = np.random.default_rng(_OUTPUT_SEED).uniform(-5.0, 5.0, size=(16, oracle.dim))
-    want = np.array([oracle(x) for x in xs])
+    want = np.array([oracle.query(x) for x in xs])
     dev = np.abs(batch_eval(net, xs) - want) / (1.0 + np.abs(want))
     k = int(np.argmax(dev))
     if dev[k] > OUTPUT_TOL:

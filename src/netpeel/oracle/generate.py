@@ -9,6 +9,8 @@ All randomness flows through a caller-supplied `numpy.random.Generator`.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..config import (
@@ -41,6 +43,9 @@ from .nets import ThreeLayerNet, TwoLayerNet, relu
 # Designated axis crossings of the depth-2 units are drawn from this range.
 _CROSSING_LO = 0.5
 _CROSSING_HI = 9.5
+# Random signs are drawn by index into this array, which consumes the same
+# stream as `rng.choice((-1.0, 1.0), size=n)` and gives the same values.
+_SIGNS = np.array([-1.0, 1.0])
 
 
 class GenerationError(RuntimeError):
@@ -50,7 +55,7 @@ class GenerationError(RuntimeError):
 def _unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
     while True:
         v = rng.standard_normal(d)
-        n = float(np.linalg.norm(v))
+        n = math.sqrt(v.dot(v))
         if n > 1e-6:
             return v / n
 
@@ -204,9 +209,10 @@ def check_nonzero_partials(V: np.ndarray, c: np.ndarray, u, rng: np.random.Gener
     checked against `PARTIAL_MARGIN`, the generator's pass mark.  Points are
     drawn from `rng` only when the LP passes.  They are the caller's own
     probes, not a replay of the generator's walk, so this check can reject a
-    net the generator accepted.  `generate_three_layer` calls the halves
-    directly, deciding the LP once per `(V, c)` and walking once per sign
-    vector `u`.
+    net the generator accepted.  It is the public check, which the tests
+    call and `perfbench/spans.py` traces; `generate_three_layer` calls the
+    halves directly, deciding the LP once per `(V, c)` and walking once per
+    sign vector `u`.
     """
     V, c, u = (np.asarray(a, dtype=float) for a in (V, c, u))
     return not _orthant_reachable(V, c) and _partials_walk(V, c, u, rng, PARTIAL_MARGIN)
@@ -247,7 +253,7 @@ def _second_layer_block(d1, d2, rng):
     for k in range(d2):
         axis = k % d1
         for _ in range(REJECTION_LIMIT):
-            row = rng.uniform(V_LOW, V_HIGH, size=d1) * rng.choice((-1.0, 1.0), size=d1)
+            row = rng.uniform(V_LOW, V_HIGH, size=d1) * _SIGNS[rng.integers(2, size=d1)]
             t = rng.uniform(0.5, 4.5)
             off = -t * row[axis]
             if plane_gap(row, off, V[:k], c[:k]) < PLANE_GAP:
@@ -339,7 +345,7 @@ def generate_three_layer(
         # fails, but the 96 u draws still run so the stream stays fixed.
         reachable = _orthant_reachable(V, c)
         for _ in range(96):
-            u = rng.choice((-1, 1), size=d2).astype(int)
+            u = _SIGNS[rng.integers(2, size=d2)]
             if not reachable and _partials_walk(V, c, u, rng, PARTIAL_MARGIN):
                 break
         else:

@@ -132,29 +132,32 @@ def evaluator(net) -> Callable[[np.ndarray], np.ndarray]:
     without building a batch.  Each product is `xs.dot(WT)` with `WT` the
     transposed view `W.T`: a contiguous copy takes another BLAS path and
     changes single-point values in the last bit.  Bias and ReLU are applied
-    in place on the product, so a query allocates no temporaries beyond it.
+    in place on the product, the ReLU against a zero row the closure holds,
+    so a query allocates no temporaries beyond it.
     `xs` must be an array; `batch_eval` converts other input.  Anything but
     a network is a TypeError naming its class.
     """
     if isinstance(net, TwoLayerNet):
         WT, b, s, skip, maximum = net.W.T, net.b, net.s, net.skip, np.maximum
+        zero = np.zeros(net.width)
 
         def two_layer(xs):
             z = xs.dot(WT)
             z += b
-            return maximum(z, 0.0, out=z).dot(s)
+            return maximum(z, zero, out=z).dot(s)
 
         if skip is None:
             return two_layer
         return lambda xs: two_layer(xs) + skip.batch(xs)
     if isinstance(net, ThreeLayerNet):
         WT, b, maximum = net.W.T, net.b, np.maximum
+        zero = np.zeros(net.d1)
         top = evaluator(net.top)
 
         def three_layer(xs):
             h = xs.dot(WT)
             h += b
-            return top(maximum(h, 0.0, out=h))
+            return top(maximum(h, zero, out=h))
 
         return three_layer
     raise TypeError(f"cannot evaluate {type(net).__name__}")

@@ -64,6 +64,8 @@ class QueryOracle:
         self.label = label
         self._checks_points = (parent is None or parent.dim != self.dim
                                or parent.domain != domain)
+        self._shape = (self.dim,)
+        self._nonneg = domain == DOMAIN_NONNEG
         self._count = 0
 
     @property
@@ -73,9 +75,9 @@ class QueryOracle:
     def query(self, x) -> float:
         x = np.asarray(x, dtype=float)
         if self._checks_points:
-            if x.shape != (self.dim,):
+            if x.shape != self._shape:
                 raise ValueError(f"expected point of dim {self.dim}, got shape {x.shape}")
-            if self.domain == DOMAIN_NONNEG:
+            if self._nonneg:
                 lo = min(x.tolist())  # ndarray.min costs twice as much at d ~ 10
                 if lo < -_ORTHANT_SLACK:
                     raise DomainError(

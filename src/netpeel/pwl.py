@@ -54,15 +54,18 @@ def reconstruct_affine(oracle, x, delta: float) -> AffineMap:
 
     The caller guarantees the oracle is affine on the probed points
     (x and x + delta*e_i); there is no way to detect a violation locally.
+    One probe buffer is bumped along each coordinate in turn and restored,
+    so the oracle must not keep the array it is handed.
     """
     x = np.asarray(x, dtype=float)
-    d = x.size
-    f0 = float(oracle(x))
-    w = np.empty(d)
-    for i in range(d):
-        step = x.copy()
-        step[i] += delta
-        w[i] = (float(oracle(step)) - f0) / delta
+    f0 = oracle.query(x)
+    probe = x.copy()
+    w = np.empty(x.size)
+    for i in range(x.size):
+        xi = probe[i]
+        probe[i] = xi + delta
+        w[i] = (oracle.query(probe) - f0) / delta
+        probe[i] = xi
     return AffineMap(w, f0 - float(w @ x))
 
 
@@ -262,7 +265,7 @@ def _inward(e: np.ndarray, x: np.ndarray, reach: float, nonneg: bool) -> np.ndar
         return e
     e = e.copy()
     e[x < reach] = 0.0
-    n = float(np.linalg.norm(e))
+    n = math.sqrt(e.dot(e))
     if n < 1e-12:
         return None
     return e / n
@@ -278,15 +281,15 @@ def is_critical_point(oracle, x, delta: float, rng) -> bool:
     """
     x = np.asarray(x, dtype=float)
     nonneg = oracle.domain == DOMAIN_NONNEG
-    f0 = float(oracle(x))
+    f0 = oracle.query(x)
     tau = max(PLANE_NOISE * (1.0 + abs(f0)), PROBE_FLOOR * delta)
     for _ in range(BEND_DIRECTIONS):
         e = rng.standard_normal(x.size)
-        e /= np.linalg.norm(e)
+        e /= math.sqrt(e.dot(e))
         e = _inward(e, x, 1.5 * delta, nonneg)
         if e is None:
             continue
-        bend = abs(float(oracle(x + delta * e)) + float(oracle(x - delta * e)) - 2.0 * f0)
+        bend = abs(oracle.query(x + delta * e) + oracle.query(x - delta * e) - 2.0 * f0)
         if bend > tau:
             return True
     return False
@@ -337,7 +340,7 @@ def reconstruct_critical_hyperplane(
         r_a = max(radius * shrink, min(radius, 2.0 * delta))
         s_a = r_a / 4.0
         e = rng.standard_normal(d)
-        e /= np.linalg.norm(e)
+        e /= math.sqrt(e.dot(e))
         e = _inward(e, x, 2.0 * r_a + 2.0 * s_a, nonneg)
         if e is None:
             raise GeneralPositionError("no hyperplane detected")
@@ -348,7 +351,7 @@ def reconstruct_critical_hyperplane(
             lam = reconstruct_affine(oracle, base, s_a)
             probe = x + side * 2.0 * r_a * e
             scale = 1.0 + abs(lam.b) + float(np.abs(lam.w) @ np.abs(probe))
-            if abs(lam(probe) - float(oracle(probe))) > PREDICT_NOISE * scale:
+            if abs(lam(probe) - oracle.query(probe)) > PREDICT_NOISE * scale:
                 ok = False
                 break
             maps.append(lam)
@@ -356,7 +359,7 @@ def reconstruct_critical_hyperplane(
             continue
         dw = maps[0].w - maps[1].w
         db = maps[0].b - maps[1].b
-        norm = float(np.linalg.norm(dw))
+        norm = math.sqrt(dw.dot(dw))
         noise = PLANE_NOISE * (1.0 + abs(maps[0].b) + abs(maps[1].b)) * math.sqrt(d) / s_a
         if norm <= max(noise, NORMAL_FLOOR):
             continue

@@ -373,6 +373,65 @@ def test_refined_planes_of_a_wide_net_match_the_truth():
     assert _worst_plane_error(got.net, net) <= 1e-10
 
 
+def _refine_point_loop(normals, offsets, rng):
+    """The per-plane loop `_refine_points` must match bit for bit: each plane
+    finds its crossings, draws its candidates and scores them in its own
+    product, in plane order, from one shared rng."""
+    out = []
+    for i, (n, o) in enumerate(zip(normals, offsets)):
+        with np.errstate(divide="ignore"):
+            t = np.where(n != 0.0, -o / n, -np.inf)
+        hit = t > 0.0
+        if not hit.any():
+            out.append((None, 0.0))
+            continue
+        pivot = int(np.argmax(np.where(hit, np.abs(n), -1.0)))
+        corners = np.diag(np.where(hit, t, 0.0))[hit]
+        rays = np.eye(n.size)[~hit]
+        rays[:, pivot] -= n[~hit] / n[pivot]
+        lam = rng.dirichlet(np.ones(corners.shape[0]), size=extract2._REFINE_CANDIDATES)
+        reach = float(np.mean(t[hit]))
+        mu = rng.uniform(0.0, reach, size=(extract2._REFINE_CANDIDATES, rays.shape[0]))
+        pts = lam @ corners + mu @ rays
+        dist = normals @ pts.T
+        dist += offsets[:, None]
+        np.abs(dist, out=dist)
+        dist[i] = np.inf
+        clearance = np.minimum(pts.min(axis=1), dist.min(axis=0))
+        best = int(np.argmax(clearance))
+        out.append((pts[best], float(clearance[best])))
+    return out
+
+
+def _unit_planes(net):
+    scale = np.linalg.norm(net.W, axis=1)
+    return net.W / scale[:, None], net.b / scale
+
+
+def test_refine_points_match_the_per_plane_loop():
+    """Bit for bit, with the rng left in the same state: on the planes of a
+    recovered (10, 32) net, on planes with one that misses the orthant, and
+    on no planes at all."""
+    wide = extract_two_layer(as_oracle(generate_two_layer(10, 32, np.random.default_rng(0))),
+                             10, DELTA, 512).net
+    normals, offsets = _unit_planes(generate_two_layer(3, 4, np.random.default_rng(1)))
+    # x + y + z + 1 = 0 has no point with x, y, z >= 0.
+    missing = (np.insert(normals, 1, np.ones(3) / math.sqrt(3.0), axis=0),
+               np.insert(offsets, 1, 1.0))
+    for planes in (_unit_planes(wide), missing, (np.zeros((0, 4)), np.zeros(0))):
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got = extract2._refine_points(*planes, rng)
+        want = _refine_point_loop(*planes, ref_rng)
+        assert len(got) == len(want) == len(planes[1])
+        for (point, clearance), (ref_point, ref_clearance) in zip(got, want):
+            assert clearance == ref_clearance
+            assert (point is None and ref_point is None) or np.array_equal(point, ref_point)
+        assert rng.random() == ref_rng.random()
+    assert extract2._refine_points(*missing, np.random.default_rng(7))[1] == (None, 0.0)
+    assert all(c > 0.0 for _, c in extract2._refine_points(*_unit_planes(wide),
+                                                            np.random.default_rng(7)))
+
+
 def test_refinement_keeps_units_it_cannot_widen():
     """A plane hugging the orthant boundary leaves no room for a wider stencil."""
     oracle = _relu_oracle([0.0, 1.0], -2e-4)

@@ -175,8 +175,8 @@ def _random_skip(rng, d):
 
 
 def _contract_nets():
-    """Depth-2 nets with and without skip, depth-3 nets and unitless nets, with
-    their boxes."""
+    """Depth-2 nets with and without skip, depth-3 nets, unitless nets and a
+    net with exact zero pre-activations, with their boxes."""
     rng = np.random.default_rng(808)
     nets = []
     for d, d1 in ((1, 1), (3, 5), (4, 8), (10, 32)):
@@ -192,16 +192,23 @@ def _contract_nets():
     # of a depth-2 run that finds no unit.
     nets.append((TwoLayerNet(np.zeros((0, 3)), [], []), 0.0, 10.0))
     nets.append((TwoLayerNet(np.zeros((0, 3)), [], [], _random_skip(rng, 3)), 0.0, 10.0))
+    # At the origin, first-layer unit 0 and top unit 0 (1 * 0 - 0.5 * 2 + 1)
+    # have pre-activation exactly 0.0, so both ReLUs meet their zero bound.
+    top = TwoLayerNet([[1.0, -0.5], [0.25, 1.0]], [1.0, -0.5], [1, -1])
+    nets.append((ThreeLayerNet([[1.0, 0.0, -1.0], [0.5, 1.0, 0.0]], [0.0, 2.0], top),
+                 -5.0, 5.0))
     return nets
 
 
-@pytest.mark.parametrize("case", range(14))
+@pytest.mark.parametrize("case", range(15))
 def test_evaluator_gives_a_point_the_value_of_its_one_row_batch(case):
     """The oracles query with a bare (d,) point; it must be bitwise equal to
-    the same point evaluated as a batch of one row."""
+    the same point evaluated as a batch of one row.  The points are the
+    origin and 300 random points of the net's box."""
     net, lo, hi = _contract_nets()[case]
     ev, oracle = evaluator(net), as_oracle(net)
-    xs = np.random.default_rng(case).uniform(lo, hi, size=(300, net.d))
+    xs = np.vstack([np.zeros(net.d),
+                    np.random.default_rng(case).uniform(lo, hi, size=(300, net.d))])
     for x in xs:
         row = batch_eval(net, x[None, :])[0]
         assert np.ndim(ev(x)) == 0

@@ -72,6 +72,25 @@ def test_affine_uses_exactly_d_plus_one_queries(d, seed):
     assert np.max(np.abs(lam.w - w)) < 1e-6
 
 
+def test_affine_queries_the_point_then_one_step_along_each_axis():
+    """The probes share one buffer, so each is recorded as a copy when it is
+    queried; the oracle sees x, then x + delta*e_i in axis order, and the
+    caller's x comes back unchanged."""
+    seen = []
+
+    def fn(y):
+        seen.append(y.copy())
+        return float(y.sum())
+
+    x = np.random.default_rng(3).uniform(-2.0, 2.0, size=5)
+    before = x.copy()
+    reconstruct_affine(QueryOracle(fn, 5), x, 1e-3)
+    want = [before] + [before + 1e-3 * e for e in np.eye(5)]
+    assert len(seen) == len(want)
+    assert all(np.array_equal(got, w) for got, w in zip(seen, want))
+    assert np.array_equal(x, before)
+
+
 # ------------------------------------------------------------ leftmost break
 
 
