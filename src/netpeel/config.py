@@ -67,7 +67,6 @@ V_LOW = 0.8                   # least magnitude of a second-layer weight
 V_HIGH = 1.4                  # largest magnitude of a second-layer weight
 PARTIAL_MARGIN = 0.02         # least |one-sided partial| of the second-layer map
                               # over the nonnegative orthant
-JUMP_MARGIN = 1e-3            # least gradient jump at a depth-3 probe-line break
 LINE_WINDOW = 50.0            # every depth-3 probe-line crossing, and every
                               # hidden axis-ray crossing, lies within |t|
 # Every positive axis-ray crossing of a depth-2 unit lies within this t, and

@@ -18,7 +18,6 @@ from ..config import (
     AXIS_COSINE,
     AXIS_WINDOW,
     CLEARANCE,
-    JUMP_MARGIN,
     LEAVE_ONE_OUT,
     LINE_WINDOW,
     MIN_AXIS_COSINE,
@@ -37,7 +36,7 @@ from ..orthant import (
     hits,
     linprog,  # noqa: F401 - bound for `TRACED_LOCAL` in perfbench/spans.py
 )
-from .nets import ThreeLayerNet, TwoLayerNet, relu
+from .nets import ThreeLayerNet, TwoLayerNet
 
 
 # Designated axis crossings of the depth-2 units are drawn from this range.
@@ -303,14 +302,6 @@ def _probe_line_events(W, b, V, c):
     return sorted(events)
 
 
-def _slope_at(W, b, V, c, u, t: float) -> float:
-    z1 = t * W[:, 0] + b
-    h = relu(z1)
-    dh = np.where(z1 > 0, W[:, 0], 0.0)
-    z2 = V @ h + c
-    return float(np.sum(np.where(z2 > 0, u, 0.0) * (V @ dh)))
-
-
 def generate_three_layer(
     d: int, d1: int, d2: int, rng: np.random.Generator
 ) -> ThreeLayerNet:
@@ -320,8 +311,8 @@ def generate_three_layer(
     line `t e_1` at an isolated |t| <= 4.  Second layer: entry magnitudes in
     `[V_LOW, V_HIGH]`, each unit crossing an axis ray of the hidden orthant,
     one-sided partials of the top map bounded away from zero.  Probe-line
-    geometry (crossing isolation, gradient jumps, window) is checked exactly
-    on the assembled network.
+    geometry (crossing isolation, window) is checked exactly on the
+    assembled network.
 
     A net with `d1 = 1` can be drawn but not extracted: with one hidden
     unit every second-layer crease is parallel to the first-layer plane, so
@@ -356,14 +347,6 @@ def generate_three_layer(
         if any(e2 - e1 < SEPARATION for e1, e2 in zip(events[:-1], events[1:])):
             continue
         if min(abs(e) for e in events) < CLEARANCE:
-            continue
-        # One slope per gap between consecutive breaks; each break's jump is
-        # the difference of the slopes on its two sides.
-        probes = [events[0] - 1.0, *events, events[-1] + 1.0]
-        slopes = [_slope_at(W, b, V, c, u, (lo + hi) / 2.0)
-                  for lo, hi in zip(probes[:-1], probes[1:])]
-        if any(abs(right - left) < JUMP_MARGIN
-               for left, right in zip(slopes[:-1], slopes[1:])):
             continue
         return ThreeLayerNet(W=W, b=b, top=TwoLayerNet(V, c, u))
     raise GenerationError(
