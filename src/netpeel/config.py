@@ -67,8 +67,8 @@ V_LOW = 0.8                   # least magnitude of a second-layer weight
 V_HIGH = 1.4                  # largest magnitude of a second-layer weight
 PARTIAL_MARGIN = 0.02         # least |one-sided partial| of the second-layer map
                               # over the nonnegative orthant
-LINE_WINDOW = 50.0            # every depth-3 probe-line crossing, and every
-                              # hidden axis-ray crossing, lies within |t|
+LINE_WINDOW = 50.0            # every positive crossing of a depth-3 second-layer
+                              # unit with a hidden axis ray lies within this t
 # Every positive axis-ray crossing of a depth-2 unit lies within this t, and
 # SEPARATION holds among all of them.  Crossings near the origin keep function
 # values at the recovery probes small, which keeps the phantom kinks left by

@@ -2,8 +2,8 @@
 
 Extraction is exact only for networks in general position: distinct
 hyperplanes, isolated crossings on the probe lines and, at depth 3, a
-well-conditioned first layer.  Each function here
-returns one measured margin; callers compare it with a `config` pass mark.
+well-conditioned first layer.  Each function here returns one measured
+margin; callers compare it with a `config` pass mark.
 """
 from __future__ import annotations
 

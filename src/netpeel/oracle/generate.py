@@ -270,7 +270,7 @@ def _second_layer_block(d1, d2, rng):
 
 
 def _probe_line_events(W, b, V, c):
-    """All slope breaks of t -> N(t e_1), or None if one lies past `LINE_WINDOW`.
+    """All slope breaks of t -> N(t e_1), sorted.
 
     Exact arithmetic on the piecewise structure: between consecutive first-layer
     crossings the hidden activations are affine in t, so each second-layer
@@ -281,24 +281,14 @@ def _probe_line_events(W, b, V, c):
     events = list(t_first)
     bounds = [-np.inf, *t_first, np.inf]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid = np.clip((lo + hi) / 2.0, -2 * LINE_WINDOW, 2 * LINE_WINDOW)
-        if not np.isfinite(mid):
-            mid = lo + 1.0 if np.isfinite(lo) else hi - 1.0
+        # Any point of (lo, hi) gives the piece's activation pattern.
+        mid = np.clip((lo + hi) / 2.0, t_first[0] - 1.0, t_first[-1] + 1.0)
         act = (mid * w0 + b) > 0
-        alpha = np.where(act, w0, 0.0)
-        beta = np.where(act, b, 0.0)
-        slopes = V @ alpha
-        vals = V @ beta + c
-        for k in range(V.shape[0]):
-            if abs(slopes[k]) < 1e-12:
-                continue
-            root = -vals[k] / slopes[k]
-            if lo < root < hi:
-                if abs(root) > LINE_WINDOW:
-                    return None
-                events.append(float(root))
-    if np.max(np.abs(t_first)) > LINE_WINDOW:
-        return None
+        slopes = V @ np.where(act, w0, 0.0)
+        vals = V @ np.where(act, b, 0.0) + c
+        live = np.abs(slopes) >= 1e-12
+        roots = -vals[live] / slopes[live]
+        events.extend(roots[(lo < roots) & (roots < hi)].tolist())
     return sorted(events)
 
 
@@ -310,9 +300,10 @@ def generate_three_layer(
     First layer: unit rows, well separated from singularity, each crossing the
     line `t e_1` at an isolated |t| <= 4.  Second layer: entry magnitudes in
     `[V_LOW, V_HIGH]`, each unit crossing an axis ray of the hidden orthant,
-    one-sided partials of the top map bounded away from zero.  Probe-line
-    geometry (crossing isolation, window) is checked exactly on the
-    assembled network.
+    one-sided partials of the top map bounded away from zero.  Every break of
+    the assembled network on `t e_1`, the one line `extract_three_layer`
+    probes, is computed exactly and must be isolated per `SEPARATION` and
+    `CLEARANCE`; breaks may lie anywhere on the line.
 
     A net with `d1 = 1` can be drawn but not extracted: with one hidden
     unit every second-layer crease is parallel to the first-layer plane, so
@@ -342,8 +333,6 @@ def generate_three_layer(
         else:
             continue
         events = _probe_line_events(W, b, V, c)
-        if events is None:
-            continue
         if any(e2 - e1 < SEPARATION for e1, e2 in zip(events[:-1], events[1:])):
             continue
         if min(abs(e) for e in events) < CLEARANCE:

@@ -158,7 +158,7 @@ def test_criterion_3_depth3_round_trip(depth3_runs):
 # every depth-3 cell and retry offset the fixture draws, so any change to the
 # depth-3 generator's random stream shows here.
 _DEPTH3_FIXTURE_DIGEST = (
-    "70f65e74514746ea0e7af7d221644f69b7abd568154916a102d588a08d96e82c")
+    "695f35f73bf1c2fecd91edb50d84d2245a443495047c7654fdf64d33f2640436")
 
 
 def test_depth3_fixture_draws_are_pinned(depth3_runs):
@@ -208,14 +208,14 @@ _DEPTH3_PHASES = ("collect", "filter", "signs", "peel")
 _DEPTH3_PHASE_COUNTS = [
     (302, 196, 6, 277), (279, 194, 6, 445), (553, 495, 9, 451),
     (767, 865, 9, 707), (432, 219, 6, 281), (624, 311, 6, 435),
-    (666, 431, 9, 483), (808, 752, 9, 699), (530, 559, 12, 629),
-    (1110, 1481, 12, 1039), (546, 579, 15, 843), (692, 860, 15, 1405),
-    (1078, 1306, 18, 1133), (1310, 1944, 18, 1821), (243, 169, 6, 273),
+    (666, 431, 9, 483), (1048, 1320, 9, 715), (530, 559, 12, 629),
+    (1110, 1481, 12, 1039), (546, 579, 15, 843), (974, 912, 15, 1345),
+    (1238, 1513, 18, 1095), (1804, 2487, 18, 1787), (243, 169, 6, 273),
     (170, 152, 6, 431), (486, 629, 9, 453), (750, 698, 9, 735),
     (408, 219, 6, 281), (618, 357, 6, 449), (344, 220, 9, 431),
-    (800, 631, 9, 691), (666, 628, 12, 631), (1386, 1732, 12, 1033),
-    (924, 990, 15, 871), (1432, 1481, 15, 1375), (1014, 1242, 18, 1105),
-    (1314, 1516, 18, 1737), (192, 134, 6, 279), (537, 548, 6, 455),
+    (800, 631, 9, 691), (666, 628, 12, 631), (884, 846, 12, 1027),
+    (1152, 1141, 15, 853), (1136, 1493, 15, 1365), (576, 688, 18, 1139),
+    (1346, 1807, 18, 1755), (192, 134, 6, 279), (537, 548, 6, 455),
 ]
 
 

@@ -81,7 +81,7 @@ _POOL_DIGESTS = [
     (("--d", "10", "--d1", "32"), 10,
      "1c85f21bef719264f7c96353a889d66e513510fcd390e4dad0729f33443ab98a"),
     (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"), 48,
-     "4baa8517fe63cbfdfbfaf25339683fccb45d1c5e7b484d7cb69b5daecbb76317"),
+     "d022823f1b56e7d850b426eba6763028166d03cb28bddb99f3e44ea6407c4365"),
 ]
 
 
@@ -147,7 +147,7 @@ _PINNED_COUNTS = [
     (("--d", "10", "--d1", "32"),
      {"scan": 812, "recover": 864, "refine": 704, "skip": 27}, 2407),
     (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"),
-     {"collect": 562, "filter": 469, "signs": 9, "peel": 449}, 1489),
+     {"collect": 522, "filter": 385, "signs": 9, "peel": 441}, 1357),
 ]
 
 
@@ -168,7 +168,7 @@ _REPORT_DIGESTS = [
     (("--d", "10", "--d1", "32"),
      "e6dd4a8bc2e8b5d5df09998855d8c319d7f33ff5124d08c7aa50ac3499601f41"),
     (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"),
-     "33d2a846d0376f029937cca16835af36187efd2a73a49bab05e3a8b39bc1a7db"),
+     "7e9b127b7d2af11417ede575f9b0d329531804d42e70910dc95b4e863a5a5162"),
 ]
 
 

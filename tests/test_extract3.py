@@ -7,7 +7,7 @@ import pytest
 
 from helpers import flat_probe_line_net, near_coincident_rows, three_layer, unit_plane
 from netpeel.cli import main
-from netpeel.config import DEDUP_TOL
+from netpeel.config import DEDUP_TOL, SEPARATION
 from netpeel.extract3 import (
     collect_candidate_hyperplanes,
     extract_three_layer,
@@ -17,11 +17,13 @@ from netpeel.extract3 import (
     right_inverse,
 )
 from netpeel.margins import plane_gap
+from netpeel.oracle import generate
 from netpeel.oracle.generate import generate_three_layer
 from netpeel.oracle.nets import batch_eval, relu
 from netpeel.oracle.query import QueryOracle, as_oracle
 from netpeel.oracle.serialize import save_net
 from netpeel.pwl import GeneralPositionError
+from netpeel.verify import functional_equivalence
 
 DELTA = 1e-4
 
@@ -293,3 +295,37 @@ def test_a_missed_first_layer_plane_fails_the_output_check(seed):
     with pytest.raises(GeneralPositionError,
                        match=r"peel phase \(axis 0\): composed network deviates"):
         extract_three_layer(as_oracle(net), DELTA)
+
+
+def _probe_line_breaks(net):
+    return np.array(generate._probe_line_events(net.W, net.b, net.top.W, net.top.b))
+
+
+def test_a_crease_next_to_a_first_layer_crossing_raises(monkeypatch):
+    """Why the generator keeps `SEPARATION` on the probe line.
+
+    The first (6, 3, 9) draw of seed 25 that passes the partials walk puts
+    second-layer creases of t -> N(t e_1) within 1e-4 of the first-layer
+    crossing at t ~ 1.0113.  Collect then loses that plane, and the run
+    must raise rather than return a network.  The draw is taken with the
+    generator's probe-line test stubbed to accept.
+    """
+    monkeypatch.setattr(generate, "_probe_line_events", lambda *net: [1.0])
+    net = generate_three_layer(6, 3, 9, np.random.default_rng(25))
+    monkeypatch.undo()
+    breaks = _probe_line_breaks(net)
+    crossings = -net.b / net.W[:, 0]
+    creases = breaks[~np.isin(breaks, crossings)]
+    assert np.abs(creases[:, None] - crossings).min() < 1e-4
+    assert np.diff(breaks).min() < SEPARATION
+    with pytest.raises(GeneralPositionError):
+        extract_three_layer(as_oracle(net), DELTA)
+
+
+def test_a_break_far_out_on_the_probe_line_round_trips():
+    """The generator bounds no break of t -> N(t e_1): (6, 3, 9) seed 11 has
+    a second-layer crease near t = 971, and the net still round-trips."""
+    net = generate_three_layer(6, 3, 9, np.random.default_rng(11))
+    assert np.abs(_probe_line_breaks(net)).max() > 900.0
+    got = extract_three_layer(as_oracle(net), DELTA)
+    assert functional_equivalence(net, got.net, -5.0, 5.0, tau=1e-6).passed

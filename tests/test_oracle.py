@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import three_layer
 from netpeel import margins, orthant
-from netpeel.config import ASSUMPTION_PROBES, PLANE_GAP
+from netpeel.config import ASSUMPTION_PROBES, CLEARANCE, PLANE_GAP, SEPARATION
 from netpeel.extract2 import subtracted_oracle
 from netpeel.extract3 import extract_three_layer, peel_first_layer
 from netpeel.oracle import generate
@@ -317,6 +317,20 @@ def test_three_layer_rows_unit_norm_and_v_nonzero():
     net = generate_three_layer(2, 1, 3, np.random.default_rng(4))
     assert np.linalg.norm(net.W[0]) == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.abs(net.top.W) > 0)
+
+
+def test_depth3_breaks_on_the_probe_line_are_isolated():
+    """Every break of t -> N(t e_1) of the depth-3 pools the suite draws is
+    `SEPARATION` from the next and `CLEARANCE` from 0, however far out it
+    lies, and every first-layer crossing is one of them."""
+    for shape, seeds in (((6, 3, 9), 48), ((4, 3, 9), 30), ((2, 2, 6), 20)):
+        for seed in range(seeds):
+            net = generate_three_layer(*shape, np.random.default_rng(seed))
+            breaks = np.array(
+                generate._probe_line_events(net.W, net.b, net.top.W, net.top.b))
+            assert np.all(np.diff(breaks) >= SEPARATION)
+            assert np.abs(breaks).min() >= CLEARANCE
+            assert np.isin(-net.b / net.W[:, 0], breaks).all()
 
 
 def test_generated_instance_passes_own_assumptions():
