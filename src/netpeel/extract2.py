@@ -1,10 +1,11 @@
 """Recovery of a sum of signed ReLU units from queries on the nonnegative orthant.
 
 The loop: scan the coordinate rays for the leftmost slope break, bracket it,
-read the unit's sign off the local convexity, read its weights off the change
-in the tangent affine map, subtract the recovered unit from the oracle, and
-repeat.  A refinement pass then refits every recovered unit far from all the
-other planes, where a wide stencil pins it down to near machine precision.
+read the unit's sign off the direction of its slope jump, read its weights
+off the change in the tangent affine map, subtract the recovered unit from
+the oracle, and repeat.  A refinement pass then refits every recovered unit
+far from all the other planes, where a wide stencil pins it down to near
+machine precision.
 Units that never bend on the probed orthant are linear there; they end up in
 the affine remainder reconstructed at the end, which also absorbs the
 orientation ambiguity of each recovered unit (sigma(-z) = sigma(z) - z).
@@ -104,30 +105,14 @@ def find_neuron_crossing(
     return None
 
 
-def recover_sign_u(oracle, x1, x2, f1: float, f2: float) -> int:
-    """Sign of the bracketed unit from the bend direction of the restriction.
-
-    A +1 unit contributes a convex kink, so the second difference
-    f(x1) + f(x2) - 2 f(midpoint) is positive; a -1 unit makes it negative.
-    The caller passes the endpoint values f1 = f(x1) and f2 = f(x2), so only
-    the midpoint is queried.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    fm = oracle.query((x1 + x2) / 2.0)
-    second = f1 + f2 - 2.0 * fm
-    tau = KINK_NOISE * (1.0 + max(abs(f1), abs(f2), abs(fm)))
-    if abs(second) <= tau:
-        raise GeneralPositionError("no kink in segment")
-    return 1 if second > 0 else -1
-
-
 def recover_neuron(oracle, x1, x2, delta: float) -> tuple[np.ndarray, float, int]:
     """(w, b, sign) of the unit changing state between x1 and x2, up to orientation.
 
     Reconstructs the tangent affine maps at both endpoints; their difference
     (right minus left) is the unit's pre-activation map, up to a global sign
     that cannot be observed and is later compensated by the affine remainder.
+    The sign is that of the slope jump along the bracket: a +1 unit is a
+    convex kink, so the slope grows across it, and a -1 unit a concave one.
 
     The probe step is chosen in two stages.  Four queries along the bracket
     direction measure the slope jump, which equals the component of the
@@ -168,7 +153,7 @@ def recover_neuron(oracle, x1, x2, delta: float) -> tuple[np.ndarray, float, int
     noise = PLANE_NOISE * scale * np.sqrt(x1.size) / step
     if float(np.linalg.norm(w)) <= max(noise, NORMAL_FLOOR):
         raise GeneralPositionError("endpoints in same linear region")
-    return w, b, recover_sign_u(oracle, x1, x2, f1, f2)
+    return w, b, 1 if m2 > m1 else -1
 
 
 def subtracted_oracle(oracle: QueryOracle, recovered: TwoLayerNet) -> QueryOracle:

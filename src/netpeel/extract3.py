@@ -7,9 +7,9 @@ the candidates travel as stacked arrays: `normals` (m, d), `offsets` (m,).
 Filter: keep the candidates that stay critical across every transversal
 candidate, which separates genuine first-layer planes (critical
 everywhere) from flat extensions of bent second-layer surfaces.  Signs:
-orient each surviving plane by testing on which side of it the network
-actually bends, probing along a direction orthogonal to all other
-survivors so only one hidden unit changes state.  Peel: compose the
+orient each surviving plane by reading, off the two side fits collect
+already took, on which side the network's slope along a direction
+orthogonal to all other survivors vanishes; no queries.  Peel: compose the
 oracle with a right inverse of the recovered first layer, which exposes
 the top two layers as a depth-2 network on the nonnegative orthant and
 hands off to the depth-2 extractor, then compares the composed network
@@ -27,11 +27,9 @@ import numpy as np
 from .config import (
     DEDUP_TOL,
     INVERSE_TOL,
-    KINK_NOISE,
     OUTPUT_TOL,
-    PROBE_FLOOR,
     RANK_TOL,
-    SIGN_ATTEMPTS,
+    SIDE_RATIO,
 )
 from .extract2 import ExtractedTwoLayer, extract_two_layer
 from .margins import leave_one_out, least_singular_value, plane_gap
@@ -49,7 +47,6 @@ _PARALLEL_SIN = 0.02
 _FOLD_CLEARANCE = 80.0
 _FOLD_TRUST = 1e3
 _FILTER_STEP = 4.0
-_SIGN_STEP_CAP = 0.01
 _OUTPUT_SEED = 20240819
 _PHASES = ("collect", "filter", "signs", "peel")
 
@@ -76,7 +73,7 @@ def collect_candidate_hyperplanes(
     m_max: int,
     *,
     rng,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Critical hyperplanes met by the probe line {t * e_1}, deduplicated.
 
     Every slope break of the restriction with |t| <= 1/delta is localized,
@@ -86,14 +83,15 @@ def collect_candidate_hyperplanes(
     compared to delta and the larger stencil cuts the slope noise of the fits.
     A plane within `DEDUP_TOL` of a kept one, by `plane_gap`, is dropped.
 
-    Returns `(normals, offsets, sources)`: the kept planes' unit normals
-    (m, d), canonically oriented, their offsets (m,), and the break points
-    (m, d) they were reconstructed at.
+    Returns `(normals, offsets, sources, grads)`: the kept planes' unit
+    normals (m, d), canonically oriented, their offsets (m,), the break
+    points (m, d) they were reconstructed at, and the gradients (m, 2, d) of
+    the fits on their + and - sides (see `reconstruct_critical_hyperplane`).
     """
     lim = 1.0 / delta
     found = all_critical_points_1d(axis_ray(oracle, 0), delta, m_max, window=(-lim, lim))
     e1 = np.eye(oracle.dim)[0]
-    normals, offsets, sources = [], [], []
+    normals, offsets, sources, grads = [], [], [], []
     for i, t in enumerate(found):
         x = t * e1
         gap = math.inf
@@ -106,13 +104,16 @@ def collect_candidate_hyperplanes(
         # fold test downstream needs the plane to be good to well under
         # delta even when delta is tiny.
         radius = max(min(gap / 8.0, max(8.0 * delta, 2e-4)), 2.0 * delta)
-        normal, offset = reconstruct_critical_hyperplane(oracle, x, delta, rng, radius=radius)
+        normal, offset, sides = reconstruct_critical_hyperplane(oracle, x, delta, rng,
+                                                                radius=radius)
         if plane_gap(normal, offset, normals, offsets) > DEDUP_TOL:
             normals.append(normal)
             offsets.append(offset)
             sources.append(x)
+            grads.append(sides)
     shape = (len(offsets), oracle.dim)
-    return np.reshape(normals, shape), np.array(offsets), np.reshape(sources, shape)
+    return (np.reshape(normals, shape), np.array(offsets), np.reshape(sources, shape),
+            np.reshape(grads, (len(offsets), 2, oracle.dim)))
 
 
 def _tangent_basis(normal: np.ndarray) -> np.ndarray:
@@ -180,71 +181,35 @@ def _ball_sample(rng, dim: int, radius: float) -> np.ndarray:
     return (r / norm) * v
 
 
-def recover_row_signs(
-    oracle: QueryOracle,
-    normals: np.ndarray,
-    offsets: np.ndarray,
-    delta: float,
-    *,
-    rng,
-):
-    """Orient each surviving plane; returns the signed rows (W, b).
+def recover_row_signs(normals: np.ndarray, offsets: np.ndarray, grads: np.ndarray):
+    """Orient each surviving plane; returns the signed rows (W, b).  No queries.
 
-    For plane i, pick x on it but at least 2*delta off every other plane,
-    and a unit direction z orthogonal to all the other normals with
-    n_i . z > 0.  Moving along z changes only unit i's pre-activation, and
-    only on the side where the unit is active does the network value move.
-    If the value changes toward +z the candidate orientation is the true
-    row; if toward -z it is flipped.  Ambiguous reads (both sides moving,
-    or neither) retry with a fresh x and, halfway through the budget, a
-    larger probe step.
+    With z the leave-one-out residual of plane i, every other first-layer
+    normal is orthogonal to z, so along z only unit i changes state and the
+    network's slope g . z vanishes on the side of plane i where unit i is
+    inactive.  `grads[i]` holds the fitted gradients on the + side
+    (normals[i] . y + offsets[i] > 0) and the - side; the side whose slope
+    along z does not vanish is where the unit is active, and the candidate
+    orientation is kept when that is the + side and flipped otherwise.
+    Raises when the smaller |g . z| is not below `SIDE_RATIO` times the
+    larger.
     """
-    m = len(offsets)
-    W = np.zeros((m, oracle.dim))
-    b = np.zeros(m)
+    W = np.array(normals, dtype=float)
+    b = np.array(offsets, dtype=float)
     resid = leave_one_out(normals)
-    for i, n_i in enumerate(normals):
-        norm = float(np.linalg.norm(resid[i]))
+    for i, r in enumerate(resid):
+        norm = float(np.linalg.norm(r))
         if norm < 1e-6:
             raise GeneralPositionError(
                 f"sign recovery: plane {i} lies in the span of the others")
-        z = resid[i] / norm
-        if float(z @ n_i) < 0:
-            z = -z
-        tangent = _tangent_basis(n_i)
-        base = -offsets[i] * n_i
-        # Moving along z leaves every other first-layer pre-activation
-        # unchanged, so the probe step owes nothing to delta; a floor keeps
-        # the active-side signal above value noise when delta is tiny.
-        step = max(delta / 2.0, 1e-4)
-        decided = False
-        for attempt in range(SIGN_ATTEMPTS):
-            if attempt == SIGN_ATTEMPTS // 2:
-                step = min(8.0 * step, _SIGN_STEP_CAP)
-            x = base + tangent @ _ball_sample(rng, tangent.shape[1], 2.0)
-            if any(abs(float(normals[j] @ x + offsets[j])) < 2.0 * delta
-                   for j in range(m) if j != i):
-                continue
-            f0 = oracle.query(x)
-            dp = abs(oracle.query(x + step * z) - f0)
-            dm = abs(oracle.query(x - step * z) - f0)
-            tau = max(PROBE_FLOOR * step, KINK_NOISE * (1.0 + abs(f0)))
-            moved_p = dp > tau
-            moved_m = dm > tau
-            if moved_p == moved_m:
-                continue
-            if moved_p:
-                W[i] = n_i
-                b[i] = offsets[i]
-            else:
-                W[i] = -n_i
-                b[i] = -offsets[i]
-            decided = True
-            break
-        if not decided:
+        moves = np.abs(grads[i] @ r) / norm
+        if moves.min() >= SIDE_RATIO * moves.max():
             raise GeneralPositionError(
-                f"sign recovery: plane {i} stayed ambiguous after "
-                f"{SIGN_ATTEMPTS} probes")
+                f"sign recovery: plane {i} stayed ambiguous (moves {moves[0]:.3g} and "
+                f"{moves[1]:.3g} along z on its + and - sides; the smaller is not "
+                f"below {SIDE_RATIO:g} x the larger)")
+        if moves[0] < moves[1]:
+            W[i], b[i] = -W[i], -b[i]
     return W, b
 
 
@@ -323,7 +288,8 @@ def extract_three_layer(
     # oracle.count as each phase starts; marks[-1] belongs to the running phase.
     marks = [oracle.count]
     try:
-        normals, offsets, sources = collect_candidate_hyperplanes(oracle, delta, m_max, rng=rng)
+        normals, offsets, sources, grads = collect_candidate_hyperplanes(
+            oracle, delta, m_max, rng=rng)
         if len(offsets) == 0:
             raise GeneralPositionError("probe line met no critical points")
         marks.append(oracle.count)
@@ -337,7 +303,7 @@ def extract_three_layer(
             raise PieceBudgetError("too many first-layer planes")
         marks.append(oracle.count)
 
-        W, b = recover_row_signs(oracle, normals[keep], offsets[keep], delta, rng=rng)
+        W, b = recover_row_signs(normals[keep], offsets[keep], grads[keep])
         marks.append(oracle.count)
 
         top_oracle = peel_first_layer(oracle, W, b)

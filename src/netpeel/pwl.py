@@ -312,11 +312,14 @@ def reconstruct_critical_hyperplane(
     rng,
     *,
     radius: float,
-) -> tuple[np.ndarray, float]:
-    """Unit normal and offset of the hyperplane through the slope break at `x`.
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Unit normal, offset and side gradients of the hyperplane through the
+    slope break at `x`.
 
     The plane is {y : normal . y + offset = 0}, oriented so the normal's
-    first entry above `CANON_FLOOR` is positive.
+    first entry above `CANON_FLOOR` is positive.  The gradients are those of
+    the two accepted fits as a (2, d) array, the first row being the fit
+    whose base lies where normal . y + offset > 0.
 
     Reconstructs the affine maps on both sides (bases x +/- radius*e for a
     random direction e) and takes the null set of their difference.  Each
@@ -366,5 +369,9 @@ def reconstruct_critical_hyperplane(
         normal, offset = dw / norm, float(db / norm)
         if abs(float(normal @ x + offset)) > r_a:
             continue
-        return _canonical(normal, offset)
+        normal, offset = _canonical(normal, offset)
+        grads = np.array([maps[0].w, maps[1].w])
+        if float(normal @ (x + r_a * e) + offset) < 0.0:
+            grads = grads[::-1]
+        return normal, offset, grads
     raise GeneralPositionError("no hyperplane detected")

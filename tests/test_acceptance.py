@@ -186,36 +186,36 @@ def test_depth2_fixture_draws_are_pinned(depth2_runs):
 # not pinned, so a harmless change of summation order still passes.
 _DEPTH2_PHASES = ("scan", "recover", "refine", "skip")
 _DEPTH2_PHASE_COUNTS = [
-    (46, 11, 6, 19), (198, 88, 48, 19), (746, 352, 192, 19),
-    (94, 17, 12, 22), (220, 136, 96, 22), (756, 544, 384, 22),
-    (174, 27, 22, 27), (304, 216, 176, 27), (844, 864, 704, 27),
-    (46, 11, 6, 19), (174, 88, 48, 19), (834, 352, 192, 19),
-    (94, 17, 12, 22), (212, 136, 96, 22), (786, 544, 384, 22),
-    (174, 27, 22, 27), (310, 216, 176, 27), (822, 864, 704, 27),
-    (46, 11, 6, 19), (186, 88, 48, 19), (764, 352, 192, 19),
-    (94, 17, 12, 22), (222, 136, 96, 22), (760, 544, 384, 22),
-    (174, 27, 22, 27), (316, 216, 176, 27), (864, 864, 704, 27),
-    (46, 11, 6, 19), (172, 88, 48, 19), (774, 352, 192, 19),
-    (94, 17, 12, 22), (214, 136, 96, 22), (768, 544, 384, 22),
-    (174, 27, 22, 27), (304, 216, 176, 27), (838, 864, 704, 27),
-    (46, 11, 6, 19), (190, 88, 48, 19), (766, 352, 192, 19),
-    (94, 17, 12, 22), (238, 136, 96, 22), (784, 544, 384, 22),
-    (174, 27, 22, 27), (302, 216, 176, 27), (830, 864, 704, 27),
-    (46, 11, 6, 19), (176, 88, 48, 19), (828, 352, 192, 19),
-    (94, 17, 12, 22), (216, 136, 96, 22),
+    (46, 10, 6, 19), (198, 80, 48, 19), (746, 320, 192, 19),
+    (94, 16, 12, 22), (220, 128, 96, 22), (756, 512, 384, 22),
+    (174, 26, 22, 27), (304, 208, 176, 27), (844, 832, 704, 27),
+    (46, 10, 6, 19), (174, 80, 48, 19), (834, 320, 192, 19),
+    (94, 16, 12, 22), (212, 128, 96, 22), (786, 512, 384, 22),
+    (174, 26, 22, 27), (310, 208, 176, 27), (822, 832, 704, 27),
+    (46, 10, 6, 19), (186, 80, 48, 19), (764, 320, 192, 19),
+    (94, 16, 12, 22), (222, 128, 96, 22), (760, 512, 384, 22),
+    (174, 26, 22, 27), (316, 208, 176, 27), (864, 832, 704, 27),
+    (46, 10, 6, 19), (172, 80, 48, 19), (774, 320, 192, 19),
+    (94, 16, 12, 22), (214, 128, 96, 22), (768, 512, 384, 22),
+    (174, 26, 22, 27), (304, 208, 176, 27), (838, 832, 704, 27),
+    (46, 10, 6, 19), (190, 80, 48, 19), (766, 320, 192, 19),
+    (94, 16, 12, 22), (238, 128, 96, 22), (784, 512, 384, 22),
+    (174, 26, 22, 27), (302, 208, 176, 27), (830, 832, 704, 27),
+    (46, 10, 6, 19), (176, 80, 48, 19), (828, 320, 192, 19),
+    (94, 16, 12, 22), (216, 128, 96, 22),
 ]
 _DEPTH3_PHASES = ("collect", "filter", "signs", "peel")
 _DEPTH3_PHASE_COUNTS = [
-    (302, 196, 6, 277), (279, 194, 6, 445), (553, 495, 9, 451),
-    (767, 865, 9, 707), (432, 219, 6, 281), (624, 311, 6, 435),
-    (666, 431, 9, 483), (1048, 1320, 9, 715), (530, 559, 12, 629),
-    (1110, 1481, 12, 1039), (546, 579, 15, 843), (974, 912, 15, 1345),
-    (1238, 1513, 18, 1095), (1804, 2487, 18, 1787), (243, 169, 6, 273),
-    (170, 152, 6, 431), (486, 629, 9, 453), (750, 698, 9, 735),
-    (408, 219, 6, 281), (618, 357, 6, 449), (344, 220, 9, 431),
-    (800, 631, 9, 691), (666, 628, 12, 631), (884, 846, 12, 1027),
-    (1152, 1141, 15, 853), (1136, 1493, 15, 1365), (576, 688, 18, 1139),
-    (1346, 1807, 18, 1755), (192, 134, 6, 279), (537, 548, 6, 455),
+    (302, 196, 0, 271), (279, 194, 0, 435), (553, 495, 0, 442),
+    (767, 865, 0, 692), (432, 219, 0, 275), (624, 311, 0, 425),
+    (666, 431, 0, 474), (1048, 1320, 0, 700), (530, 559, 0, 617),
+    (1110, 1481, 0, 1019), (546, 579, 0, 828), (974, 912, 0, 1320),
+    (1238, 1513, 0, 1077), (1804, 2487, 0, 1757), (243, 169, 0, 267),
+    (170, 152, 0, 421), (486, 629, 0, 444), (750, 698, 0, 720),
+    (408, 219, 0, 275), (618, 357, 0, 439), (344, 220, 0, 422),
+    (800, 631, 0, 676), (666, 628, 0, 619), (884, 846, 0, 1007),
+    (1152, 1141, 0, 838), (1136, 1493, 0, 1340), (576, 688, 0, 1121),
+    (1346, 1807, 0, 1725), (192, 134, 0, 273), (537, 548, 0, 445),
 ]
 
 

@@ -11,13 +11,12 @@ from netpeel.extract2 import (
     extract_two_layer,
     find_neuron_crossing,
     recover_neuron,
-    recover_sign_u,
     refine_units,
     subtracted_oracle,
 )
 from netpeel.margins import plane_gap
 from netpeel.oracle.generate import generate_two_layer
-from netpeel.oracle.nets import AffineMap, TwoLayerNet, batch_eval, evaluator, relu
+from netpeel.oracle.nets import TwoLayerNet, batch_eval, evaluator, relu
 from netpeel.oracle.query import QueryOracle, as_oracle, axis_ray
 from netpeel.pwl import (
     GeneralPositionError,
@@ -118,13 +117,13 @@ def test_crossing_search_looks_for_the_next_break_only_within_reach(t0, t1, eps)
 
 
 def _sign(oracle, x1, x2):
-    """`recover_sign_u` given the endpoint values; it queries the midpoint only."""
-    f1, f2 = oracle(x1), oracle(x2)
+    """The sign `recover_neuron` reads off its slope jump; it costs no query
+    beyond the jump probe and the two fits."""
     before = oracle.count
     try:
-        return recover_sign_u(oracle, x1, x2, f1, f2)
+        return recover_neuron(oracle, x1, x2, DELTA)[2]
     finally:
-        assert oracle.count == before + 1
+        assert oracle.count == before + 4 + 2 * (oracle.dim + 1)
 
 
 def test_sign_of_positive_unit():
@@ -138,9 +137,10 @@ def test_sign_of_negative_unit():
 
 
 def test_sign_without_a_kink_fails():
-    oracle = _relu_oracle([1.0], -2.0)
-    with pytest.raises(GeneralPositionError, match="no kink in segment"):
-        _sign(oracle, [0.1], [0.3])
+    """A segment inside the active region of a -1 unit has no kink to read."""
+    oracle = _relu_oracle([1.0], -2.0, sign=-1)
+    with pytest.raises(GeneralPositionError, match="endpoints in same linear region"):
+        recover_neuron(oracle, [2.5], [2.9], DELTA)
 
 
 def test_sign_matches_truth_across_seeds():

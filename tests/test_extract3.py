@@ -77,9 +77,10 @@ def wide_extraction(wide_net):
 
 def test_collect_single_unit_chain():
     net = _scalar_net(1.0, -1.0)
-    normals, offsets, sources = collect_candidate_hyperplanes(as_oracle(net), DELTA, 8,
-                                                              rng=_rng())
+    normals, offsets, sources, grads = collect_candidate_hyperplanes(as_oracle(net), DELTA,
+                                                                     8, rng=_rng())
     assert normals.shape == sources.shape == (1, 1) and offsets.shape == (1,)
+    assert grads.shape == (1, 2, 1)
     assert plane_gap(np.array([1.0]), -1.0, normals, offsets) <= 1e-7
 
 
@@ -91,9 +92,10 @@ def test_collect_on_a_flat_probe_line_is_empty():
         c=np.array([0.0]),
         signs=np.array([1]),
     )
-    normals, offsets, sources = collect_candidate_hyperplanes(as_oracle(net), DELTA, 8,
-                                                              rng=_rng())
+    normals, offsets, sources, grads = collect_candidate_hyperplanes(as_oracle(net), DELTA,
+                                                                     8, rng=_rng())
     assert normals.shape == sources.shape == (0, 2) and offsets.shape == (0,)
+    assert grads.shape == (0, 2, 2)
 
 
 def test_extraction_fails_when_the_probe_line_is_flat():
@@ -115,13 +117,13 @@ def test_no_other_line_is_tried_when_the_probe_line_is_flat(tmp_path):
 
 
 def test_collect_contains_all_first_layer_planes(wide_net, wide_candidates):
-    _, (normals, offsets, _) = wide_candidates
+    _, (normals, offsets, _, _) = wide_candidates
     for normal, offset in zip(*_truth_planes(wide_net)):
         assert plane_gap(normal, offset, normals, offsets) <= 1e-7
 
 
 def test_collected_candidates_are_distinct(wide_candidates):
-    _, (normals, offsets, _) = wide_candidates
+    _, (normals, offsets, _, _) = wide_candidates
     for i in range(len(offsets)):
         assert plane_gap(normals[i], offsets[i], normals[i + 1:], offsets[i + 1:]) > DEDUP_TOL
 
@@ -130,7 +132,7 @@ def test_collected_candidates_are_distinct(wide_candidates):
 
 
 def test_filter_separates_first_layer_from_fold_shadows(wide_net, wide_candidates):
-    oracle, (normals, offsets, sources) = wide_candidates
+    oracle, (normals, offsets, sources, _) = wide_candidates
     truth = _truth_planes(wide_net)
     keep = []
     for i in range(len(offsets)):
@@ -145,7 +147,8 @@ def test_filter_is_exact_across_seeds():
     for seed in range(100):
         net = generate_three_layer(3, 2, 6, np.random.default_rng(seed))
         oracle = as_oracle(net)
-        normals, offsets, sources = collect_candidate_hyperplanes(oracle, DELTA, 64, rng=_rng())
+        normals, offsets, sources, _ = collect_candidate_hyperplanes(oracle, DELTA, 64,
+                                                                     rng=_rng())
         keep = [is_first_layer_plane(oracle, normals, offsets, i, DELTA,
                                      source=sources[i], rng=_rng())
                 for i in range(len(offsets))]
@@ -157,25 +160,38 @@ def test_filter_is_exact_across_seeds():
 # ----------------------------------------------------------------- row signs
 
 
+def _side_grads(net):
+    """The side gradients collect reads off the scalar net's one plane."""
+    return collect_candidate_hyperplanes(as_oracle(net), DELTA, 8, rng=_rng())[3]
+
+
 def test_sign_kept_when_candidate_matches_truth():
-    oracle = as_oracle(_scalar_net(1.0, -1.0))
-    W, b = recover_row_signs(oracle, np.array([[1.0]]), np.array([-1.0]), DELTA, rng=_rng())
+    grads = _side_grads(_scalar_net(1.0, -1.0))
+    W, b = recover_row_signs(np.array([[1.0]]), np.array([-1.0]), grads)
     assert W[0, 0] == 1.0 and b[0] == -1.0
 
 
 def test_sign_flipped_on_the_mirror_instance():
-    oracle = as_oracle(_scalar_net(-1.0, 1.0))
-    W, b = recover_row_signs(oracle, np.array([[1.0]]), np.array([-1.0]), DELTA, rng=_rng())
+    grads = _side_grads(_scalar_net(-1.0, 1.0))
+    W, b = recover_row_signs(np.array([[1.0]]), np.array([-1.0]), grads)
     assert W[0, 0] == -1.0 and b[0] == 1.0
 
 
 def test_signed_rows_match_truth_across_seeds():
+    """Collect, filter and signs recover every true row with its orientation."""
     for seed in range(100):
         net = generate_three_layer(4, 3, 9, np.random.default_rng(seed))
         oracle = as_oracle(net)
-        W, b = recover_row_signs(oracle, *_truth_planes(net), DELTA, rng=_rng())
-        assert np.max(np.abs(W - net.W)) < 1e-7, f"seed {seed}"
-        assert np.max(np.abs(b - net.b)) < 1e-7, f"seed {seed}"
+        normals, offsets, sources, grads = collect_candidate_hyperplanes(oracle, DELTA, 64,
+                                                                         rng=_rng())
+        keep = [is_first_layer_plane(oracle, normals, offsets, i, DELTA,
+                                     source=sources[i], rng=_rng())
+                for i in range(len(offsets))]
+        W, b = recover_row_signs(normals[keep], offsets[keep], grads[keep])
+        order = np.argmax(np.abs(W @ net.W.T), axis=1)
+        assert sorted(order.tolist()) == [0, 1, 2], f"seed {seed}"
+        assert np.max(np.abs(W - net.W[order])) < 1e-7, f"seed {seed}"
+        assert np.max(np.abs(b - net.b[order])) < 1e-7, f"seed {seed}"
 
 
 # ------------------------------------------------------------- right inverse
@@ -286,14 +302,28 @@ def test_phase_query_bounds(wide_extraction):
     assert got.phase_queries["filter"] <= m * m * (4 + 1) * 8
 
 
-@pytest.mark.parametrize("seed", [0, 10, 20])
-def test_a_missed_first_layer_plane_fails_the_output_check(seed):
+@pytest.mark.parametrize("seed, moves", [
+    (0, "plane 0 stayed ambiguous (moves 0.0148 and 1.28 "),
+    (10, "plane 0 stayed ambiguous (moves 1.56 and 0.943 "),
+    (20, "plane 0 stayed ambiguous (moves 0.0435 and 1.84 "),
+], ids=["0", "10", "20"])
+def test_a_missed_first_layer_plane_raises_in_signs(seed, moves):
     """Two first-layer planes 1e-4 apart on the probe line read as one, and
-    the peeled top then fits f without the missing row; only the composed
-    network's comparison with the oracle shows it."""
+    the merged plane's leave-one-out direction moves the network on both of
+    its sides, so its orientation cannot be read."""
     net = near_coincident_rows(seed, 1e-4)
+    with pytest.raises(GeneralPositionError) as err:
+        extract_three_layer(as_oracle(net), DELTA)
+    assert str(err.value).startswith("signs phase (axis 0): sign recovery: " + moves)
+
+
+def test_a_missed_first_layer_plane_fails_the_output_check():
+    """At a 1e-3 gap only rows 1 and 2 survive, and both orient cleanly.  The
+    peeled top then fits f without row 0; only the composed network's
+    comparison with the oracle shows it."""
+    net = near_coincident_rows(9, 1e-3)
     with pytest.raises(GeneralPositionError,
-                       match=r"peel phase \(axis 0\): composed network deviates"):
+                       match=r"peel phase \(axis 0\): composed network deviates 0\.153 "):
         extract_three_layer(as_oracle(net), DELTA)
 
 

@@ -246,8 +246,8 @@ def test_sweep_matches_dense_grid_scan():
 
 def test_hyperplane_from_single_kink():
     oracle = QueryOracle(lambda x: relu(x[0] + x[1] - 1.0), 2)
-    normal, offset = reconstruct_critical_hyperplane(oracle, [0.5, 0.5], 1e-4, _rng(),
-                                                     radius=1e-4)
+    normal, offset, _ = reconstruct_critical_hyperplane(oracle, [0.5, 0.5], 1e-4, _rng(),
+                                                        radius=1e-4)
     r = 1.0 / math.sqrt(2.0)
     assert np.max(np.abs(normal - [r, r])) < 1e-8
     assert abs(offset - (-r)) < 1e-8
@@ -260,7 +260,8 @@ def test_hyperplane_matches_ground_truth_at_axis_point():
         axis = j % 4
         x = np.zeros(4)
         x[axis] = -b / w[axis]
-        normal, offset = reconstruct_critical_hyperplane(oracle, x, 1e-4, _rng(), radius=1e-4)
+        normal, offset, _ = reconstruct_critical_hyperplane(oracle, x, 1e-4, _rng(),
+                                                            radius=1e-4)
         truth_normal, truth_offset = unit_plane(w, b)
         assert plane_gap(normal, offset, [truth_normal], [truth_offset]) <= 1e-8
 
@@ -269,9 +270,9 @@ def test_hyperplane_translation_equivariance():
     shift = np.array([0.3, -0.7])
     base = QueryOracle(lambda x: relu(x[0] + x[1] - 1.0), 2)
     moved = QueryOracle(lambda x: relu((x[0] - 0.3) + (x[1] + 0.7) - 1.0), 2)
-    n0, o0 = reconstruct_critical_hyperplane(base, [0.5, 0.5], 1e-4, _rng(), radius=1e-4)
-    n1, o1 = reconstruct_critical_hyperplane(moved, shift + [0.5, 0.5], 1e-4, _rng(),
-                                             radius=1e-4)
+    n0, o0, _ = reconstruct_critical_hyperplane(base, [0.5, 0.5], 1e-4, _rng(), radius=1e-4)
+    n1, o1, _ = reconstruct_critical_hyperplane(moved, shift + [0.5, 0.5], 1e-4, _rng(),
+                                                radius=1e-4)
     assert np.max(np.abs(n1 - n0)) < 1e-8
     assert abs(o1 - (o0 - float(n0 @ shift))) < 1e-8
 
@@ -286,8 +287,8 @@ def test_hyperplane_is_seed_invariant():
                                         radius=1e-4)
         for s in (1, 2, 3)
     ]
-    (n0, o0), *rest = planes
-    for normal, offset in rest:
+    (n0, o0, _), *rest = planes
+    for normal, offset, _ in rest:
         assert np.max(np.abs(normal - n0)) < 1e-8
         assert abs(offset - o0) < 1e-8
 
@@ -340,7 +341,9 @@ def test_hyperplane_is_unit_canonical_and_blind_to_the_active_side(d, zeros, see
     """relu(w.x + b) and relu(-w.x - b) bend on one plane: both give a unit
     normal whose first entry above CANON_FLOOR is positive, and the same
     (normal, offset).  Up to d - 1 leading entries of w are zero, so the
-    orientation may be read past them."""
+    orientation may be read past them.  The side gradients tell the two
+    apart: with z = normal . y + offset, relu(z) moves only on the + side
+    (the first row) and relu(-z) only on the - side."""
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(d)
     w[:min(zeros, d - 1)] = 0.0
@@ -353,13 +356,19 @@ def test_hyperplane_is_unit_canonical_and_blind_to_the_active_side(d, zeros, see
                                         x, 1e-4, _rng(), radius=1e-4)
         for s in (1.0, -1.0)
     ]
-    for normal, _ in found:
+    for normal, _, _ in found:
         assert abs(float(np.linalg.norm(normal)) - 1.0) < 1e-12
         assert normal[np.abs(normal) > CANON_FLOOR][0] > 0.0
-    (n0, o0), (n1, o1) = found
+    (n0, o0, _), (n1, o1, _) = found
     assert np.max(np.abs(n1 - n0)) < 1e-8 and abs(o1 - o0) < 1e-8
     truth_normal, truth_offset = unit_plane(w, b)
     assert np.max(np.abs(n0 - truth_normal)) < 1e-8 and abs(o0 - truth_offset) < 1e-8
+    # relu(s (w.y + b)) = relu(k z) with k = s (n0 . w): the gradient is k n0
+    # on the side where k z > 0 and zero on the other.
+    for s, (_, _, grads) in zip((1.0, -1.0), found):
+        k = s * float(n0 @ w)
+        move = np.array([k * n0, np.zeros(d)])
+        assert np.max(np.abs(grads - (move if k > 0 else move[::-1]))) < 1e-6
 
 
 def test_close_to_matches_planes_whose_first_coordinate_straddles_the_floor():
