@@ -32,13 +32,7 @@ from .oracle.nets import TwoLayerNet
 from .oracle.query import AccessAudit, NonFiniteValueError, as_oracle
 from .orthant import SolverError
 from .pwl import GeneralPositionError, PieceBudgetError
-from .oracle.serialize import (
-    check_document,
-    document_to_net,
-    load_net,
-    net_to_document,
-    save_net,
-)
+from .oracle.serialize import document_to_net, load_net, net_to_document, save_net
 from .verify import (
     bench_to_csv,
     bound_to_csv,
@@ -67,13 +61,16 @@ class AuditError(Exception):
     """The extraction read ground-truth parameters other than through queries."""
 
 
-def _positive(args: argparse.Namespace, names: list[str]) -> None:
-    """Every named flag, and every entry of a list flag, is positive and finite."""
+def _positive(args: argparse.Namespace, names: list[str],
+              below: float = math.inf) -> None:
+    """Every named flag, and every entry of a list flag, lies in (0, below):
+    by default, is positive and finite."""
     for name in names:
         value = getattr(args, name)
         entries = value if isinstance(value, tuple) else (value,)
-        if any(v is not None and not (v > 0 and math.isfinite(v)) for v in entries):
-            raise UsageError(f"--{name.replace('_', '-')} must be positive and finite")
+        if any(v is not None and not 0 < v < below for v in entries):
+            bound = "positive and finite" if below == math.inf else f"in (0, {below:g})"
+            raise UsageError(f"--{name.replace('_', '-')} must be {bound}")
 
 
 def _check_seeds(args: argparse.Namespace) -> None:
@@ -171,9 +168,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 # What loading raises for a file that is not a valid network document:
-# json.JSONDecodeError and UnicodeDecodeError are ValueErrors, a missing key
-# is a KeyError and a field of the wrong JSON type is a TypeError.
-_BAD_DOCUMENT = (ValueError, KeyError, TypeError)
+# json.JSONDecodeError, UnicodeDecodeError and every refused field are
+# ValueErrors, and a missing key is a KeyError.
+_BAD_DOCUMENT = (ValueError, KeyError)
 
 
 def _load(loader, path: str):
@@ -194,11 +191,12 @@ def _load_file(path: str):
         doc = json.load(fh)
     if isinstance(doc, dict) and doc.get("format") == REPORT_FORMAT:
         doc = doc["network"]
-    return document_to_net(check_document(doc))
+    return document_to_net(doc)
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    _positive(args, ["delta", "d1_max", "m_max", "d2_max"])
+    _positive(args, ["delta"], below=1.0)
+    _positive(args, ["d1_max", "m_max", "d2_max"])
     truth = _load(load_net, args.input)
     audit = AccessAudit(truth)
     oracle = as_oracle(audit)
@@ -226,14 +224,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
     audit.disarm()
     if audit.reads:
         raise AuditError(f"extraction read {audit.reads} ground-truth attributes")
-    stage2 = result if depth == 2 else result.top
     report = {
         "format": REPORT_FORMAT,
         "depth": depth,
         "delta": args.delta,
         "total_queries": oracle.count,
         "phase_queries": dict(result.phase_queries),
-        "residual_headroom": stage2.residual_headroom,
+        "residual_headroom": result.residual_headroom,
         "seconds": round(seconds, 4),
         "parameter_reads": audit.reads,
         "network": net_to_document(result.net),
@@ -272,7 +269,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    _positive(args, ["depth", "d_list", "d1_list", "d2_list", "deltas"])
+    _positive(args, ["deltas"], below=1.0)
+    _positive(args, ["depth", "d_list", "d1_list", "d2_list"])
     if not args.d_list or not args.d1_list or not args.deltas or not args.seeds:
         raise UsageError("bench needs non-empty --d-list, --d1-list, --deltas, --seeds")
     shapes = []

@@ -31,7 +31,7 @@ from .config import (
     RANK_TOL,
     SIDE_RATIO,
 )
-from .extract2 import ExtractedTwoLayer, extract_two_layer
+from .extract2 import extract_two_layer
 from .margins import leave_one_out, least_singular_value, plane_gap
 from .oracle.nets import ThreeLayerNet, batch_eval
 from .oracle.query import DOMAIN_FULL, DOMAIN_NONNEG, QueryOracle, axis_ray
@@ -53,14 +53,14 @@ _PHASES = ("collect", "filter", "signs", "peel")
 
 @dataclass
 class ExtractedThreeLayer:
-    """The recovered network, the depth-2 result for its peeled top, and the
-    run's candidate counts and query split."""
+    """The recovered network, the run's candidate counts and query split, and
+    the `residual_headroom` of the depth-2 run on its peeled top."""
 
     net: ThreeLayerNet
-    top: ExtractedTwoLayer
     n_candidates: int
     n_survivors: int
     phase_queries: dict[str, int]
+    residual_headroom: float
 
     @property
     def total_queries(self) -> int:
@@ -315,4 +315,5 @@ def extract_three_layer(
         phase = _PHASES[len(marks) - 1]
         raise GeneralPositionError(f"{phase} phase (axis 0): {err}") from err
     counts = {phase: hi - lo for phase, lo, hi in zip(_PHASES, marks, marks[1:])}
-    return ExtractedThreeLayer(net, top, len(offsets), sum(keep), counts)
+    return ExtractedThreeLayer(net, len(offsets), sum(keep), counts,
+                               top.residual_headroom)

@@ -19,12 +19,16 @@ A depth-2 network and the two-layer top of a depth-3 network are written and
 read by the same unit-field code: the units of a depth-2 net are W, b, u over
 d inputs, those of a depth-3 top are V, c, u over d1.
 
-Floats are written with 17 significant digits, so parsing reproduces the
-exact float64 bit pattern and serialization is deterministic.
+Every value is written by `json.dumps`, which gives a float the shortest
+text that parses back to the same float64, so the text is exact and
+deterministic.  Reading refuses what no writer produces: a number field
+must hold a JSON number (never a boolean or a string), a list field a flat
+list of them, all finite.
 """
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -39,41 +43,13 @@ _KEY_ORDER = [
 ]
 
 
-def format_float(x: float) -> str:
-    s = format(float(x), ".17g")
-    # Keep the token a JSON number even for integral values.
-    if "e" not in s and "E" not in s and "." not in s and "n" not in s:
-        s += ".0"
-    return s
-
-
-def _emit_value(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, str):
-        return json.dumps(v)
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format_float(v)
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_emit_value(e) for e in v) + "]"
-    raise TypeError(f"cannot serialize {type(v).__name__}")
-
-
 def dumps_document(doc: dict) -> str:
     unknown = set(doc) - set(_KEY_ORDER)
     if unknown:
         raise ValueError(f"unknown document keys: {sorted(unknown)}")
-    lines = ["{"]
-    keys = [k for k in _KEY_ORDER if k in doc]
-    for i, k in enumerate(keys):
-        comma = "," if i + 1 < len(keys) else ""
-        lines.append(f'  "{k}": {_emit_value(doc[k])}{comma}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines = (f'  "{k}": {json.dumps(doc[k], allow_nan=False)}'
+             for k in _KEY_ORDER if k in doc)
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def loads_document(text: str) -> dict:
@@ -99,7 +75,7 @@ def _write_units(doc: dict, net: TwoLayerNet, names: tuple[str, str]) -> None:
     doc[b_name] = net.b.tolist()
     doc["u"] = net.s.astype(int).tolist()
     if net.skip is not None:
-        doc["skip_w"] = [float(v) for v in net.skip.w]
+        doc["skip_w"] = net.skip.w.tolist()
         doc["skip_b"] = float(net.skip.b)
 
 
@@ -120,14 +96,20 @@ def net_to_document(net, seed=None) -> dict:
     return doc
 
 
+def _finite(value) -> bool:
+    """Is `value` a JSON number, not a boolean, that reads as a finite float64?"""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _numbers(doc: dict, name: str, size: int) -> np.ndarray:
-    """The finite numbers of field `name`, which must have `size` of them."""
-    arr = np.asarray(doc[name], dtype=float)
-    if arr.size != size:
-        raise ValueError(f"{name} has {arr.size} entries, expected {size}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has a non-finite entry")
-    return arr.reshape(-1)
+    """Field `name`, which must be a flat list of `size` finite numbers."""
+    values = doc[name]
+    if not (isinstance(values, list) and all(map(_finite, values))):
+        raise ValueError(f"{name} must be a flat list of finite numbers")
+    if len(values) != size:
+        raise ValueError(f"{name} has {len(values)} entries, expected {size}")
+    return np.array(values, dtype=float)
 
 
 def _read_units(doc: dict, names: tuple[str, str], dim: int, width: int) -> TwoLayerNet:
@@ -140,7 +122,9 @@ def _read_units(doc: dict, names: tuple[str, str], dim: int, width: int) -> TwoL
     skip = None
     if "skip_w" in doc or "skip_b" in doc:
         skip_w = _numbers(doc, "skip_w", dim) if "skip_w" in doc else np.zeros(dim)
-        skip_b = _numbers(doc, "skip_b", 1)[0] if "skip_b" in doc else 0.0
+        skip_b = doc.get("skip_b", 0.0)
+        if not _finite(skip_b):
+            raise ValueError(f"skip_b = {skip_b!r} is not a finite number")
         skip = AffineMap(skip_w, skip_b)
     return TwoLayerNet(W, b, u, skip)
 
@@ -148,14 +132,16 @@ def _read_units(doc: dict, names: tuple[str, str], dim: int, width: int) -> TwoL
 def _integer(doc: dict, name: str) -> int:
     """Field `name`, which must hold an integral number (2.0 reads as 2)."""
     value = doc[name]
-    if not float(value).is_integer():
+    if not (_finite(value) and float(value).is_integer()):
         raise ValueError(f"{name} = {value!r} is not an integer")
     return int(value)
 
 
-def document_to_net(doc: dict):
-    """Rebuild the container a document describes: a `TwoLayerNet` for depth
-    2, a `ThreeLayerNet` for depth 3."""
+def document_to_net(doc) -> TwoLayerNet | ThreeLayerNet:
+    """Rebuild the container a network document describes: a `TwoLayerNet`
+    for depth 2, a `ThreeLayerNet` for depth 3.  Raises `ValueError` when
+    `doc` is not a valid document, `KeyError` when a field is missing."""
+    check_document(doc)
     d = _integer(doc, "d")
     d1 = _integer(doc, "d1")
     if d < 1:
@@ -176,4 +162,4 @@ def save_net(path, net, seed=None):
 
 def load_net(path):
     with open(path) as fh:
-        return document_to_net(check_document(json.load(fh)))
+        return document_to_net(json.load(fh))

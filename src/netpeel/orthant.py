@@ -269,10 +269,13 @@ def intersects_negative_orthant(W: np.ndarray, b: np.ndarray) -> bool:
     positive; a small threshold keeps boundary cases (measure zero for
     continuous draws) from flipping on rounding.  `hits` decides it as a
     block of one trial: small inputs in general position by vertex
-    enumeration, the rest by HiGHS.
+    enumeration, the rest by HiGHS.  W and b must be finite: a NaN or an
+    infinity raises `ValueError`.
     """
     W = np.asarray(W, dtype=float)
     b = np.asarray(b, dtype=float)
     if W.ndim != 2 or b.shape != (W.shape[0],):
         raise ValueError("W must be (d1, d) and b must be (d1,)")
+    if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
+        raise ValueError("W and b must be finite")
     return bool(hits(W[None], b[None])[0])

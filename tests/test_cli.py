@@ -79,9 +79,9 @@ def test_generated_file_reloads_to_the_same_function(tmp_path):
 # format or to the generators' random stream shows here.
 _POOL_DIGESTS = [
     (("--d", "10", "--d1", "32"), 10,
-     "1c85f21bef719264f7c96353a889d66e513510fcd390e4dad0729f33443ab98a"),
+     "28bc0d38f045949a246678bba8d78fba175ded6f6486b5a5f0ff90e0d5fa3411"),
     (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"), 48,
-     "d022823f1b56e7d850b426eba6763028166d03cb28bddb99f3e44ea6407c4365"),
+     "60d98c98baa90ee498f74340450f8e333d34497d75d1f841d70b2871ef0815a4"),
 ]
 
 
@@ -234,6 +234,13 @@ _BAD_INPUTS = {
     "fractional-u.json": json.dumps({**_NET2, "u": [1.7, -1]}),
     "zero-u.json": json.dumps({**_NET2, "u": [0, 1]}),
     "infinite-d.json": json.dumps({**_NET2, "d": math.inf}),
+    "string-weights.json": json.dumps({**_NET2, "W": ["1.0", "0.0", "0.0", "1.0"]}),
+    "boolean-u.json": json.dumps({**_NET2, "u": [True, True]}),
+    "string-d.json": json.dumps({**_NET2, "d": "2"}),
+    "boolean-d1.json": json.dumps({**_NET2, "d": 1, "d1": True, "W": [1.0], "b": [0.5],
+                                   "u": [1]}),
+    "nested-W.json": json.dumps({**_NET2, "W": [[1.0, 0.0], [0.0, 1.0]]}),
+    "huge-int-weight.json": json.dumps({**_NET2, "W": [10**400, 0, 0, 1]}),
 }
 
 
@@ -256,7 +263,7 @@ def test_extract_bad_input_file_is_a_usage_error(tmp_path, capsys):
 
 def test_extract_non_finite_delta_is_a_usage_error(tmp_path, capsys):
     net = _generate(tmp_path, "net.json", "--d", "2", "--d1", "2", "--seed", "0")
-    for delta in ("nan", "inf", "-1"):
+    for delta in ("nan", "inf", "-1", "1", "2"):
         capsys.readouterr()
         code = main(["extract", "--input", str(net), "--delta", delta,
                      "--out", str(tmp_path / "report.json")])
@@ -479,7 +486,7 @@ def test_bound_experiment_reports_and_saves(tmp_path, capsys):
 _BENCH_GRID = ["bench", "--d-list", "2", "--d1-list", "2", "--seeds", "0"]
 
 
-@pytest.mark.parametrize("value", ["-1", "nan", "inf", "0"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "0", "1", "2"])
 def test_bench_deltas_must_be_positive_and_finite(tmp_path, capsys, value):
     out = tmp_path / "bench.csv"
     assert main([*_BENCH_GRID, f"--deltas={value}", "--out", str(out)]) == 2

@@ -624,16 +624,63 @@ def test_document_is_plain_json():
     assert doc["depth"] == 3
 
 
+def _parameters(net) -> list[np.ndarray]:
+    """Every parameter array of a net, its skip term's included."""
+    if isinstance(net, ThreeLayerNet):
+        return [net.W, net.b, *_parameters(net.top)]
+    skip = [] if net.skip is None else [net.skip.w, np.array(net.skip.b)]
+    return [net.W, net.b, net.s, *skip]
+
+
+def _drawn(rng, shape) -> np.ndarray:
+    """Normal draws scaled by powers of ten from 1e-8 to 1e8."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+
+
 @settings(max_examples=25, deadline=None)
 @given(d=st.integers(1, 4), d1=st.integers(1, 5), seed=st.integers(0, 2**31))
 def test_serialization_round_trip_is_exact(d, d1, seed):
-    """Weights survive the text format bit for bit, any shape, any seed."""
-    net = generate_two_layer(d, d1, np.random.default_rng(seed))
-    text = dumps_document(net_to_document(net))
-    again = document_to_net(loads_document(text))
-    for name in ("W", "b", "s"):
-        assert np.array_equal(getattr(net, name), getattr(again, name))
-    assert dumps_document(net_to_document(again)) == text
+    """Weights survive the text format bit for bit, any shape, any seed: a
+    generated depth-2 net, and a drawn depth-3 net whose top has a skip term."""
+    rng = np.random.default_rng(seed)
+    d2 = d1 + 1
+    top = TwoLayerNet(_drawn(rng, (d2, d1)), _drawn(rng, d2), rng.choice([-1, 1], d2),
+                      AffineMap(_drawn(rng, d1), _drawn(rng, ())))
+    three = ThreeLayerNet(_drawn(rng, (d1, d)), _drawn(rng, d1), top)
+    for net in (generate_two_layer(d, d1, np.random.default_rng(seed)), three):
+        text = dumps_document(net_to_document(net))
+        again = document_to_net(loads_document(text))
+        for want, got in zip(_parameters(net), _parameters(again), strict=True):
+            assert want.tobytes() == got.tobytes()
+        assert dumps_document(net_to_document(again)) == text
+
+
+# `generate --d 2 --d1 2 --seed 0` as written when every float was given
+# 17 significant digits.
+_SEVENTEEN_DIGIT_DOCUMENT = """{
+  "format": "netpeel-net",
+  "depth": 2,
+  "d": 2,
+  "d1": 2,
+  "W": [0.68941379762428523, -0.72436773509403429, -0.82883559512208194, 0.55949223074018151],
+  "b": [-0.5989363134622564, -3.3344181462471107],
+  "u": [-1, -1],
+  "seed": 0
+}
+"""
+
+
+def test_seventeen_digit_documents_load_to_the_same_bits():
+    """A file in the longer text of earlier versions loads to the same
+    float64 bits as the shortest text `json.dumps` now writes for that net."""
+    net = generate_two_layer(2, 2, np.random.default_rng(0))
+    text = dumps_document(net_to_document(net, seed=0))
+    assert text != _SEVENTEEN_DIGIT_DOCUMENT
+    assert '"W": [0.6894137976242852, ' in text
+    old = document_to_net(loads_document(_SEVENTEEN_DIGIT_DOCUMENT))
+    new = document_to_net(loads_document(text))
+    for want, a, b in zip(_parameters(net), _parameters(old), _parameters(new), strict=True):
+        assert want.tobytes() == a.tobytes() == b.tobytes()
 
 
 def test_access_audit_counts_reads_only_while_armed():

@@ -85,6 +85,17 @@ def test_opposed_halfspaces_do_not():
     )
 
 
+@pytest.mark.parametrize("W, b", [
+    ([[1.0, 0.0]], [math.nan]),
+    ([[1.0, 0.0]], [-math.inf]),
+    ([[math.nan, 0.0]], [1.0]),
+    ([[math.inf, 0.0]], [1.0]),
+], ids=["nan-offset", "inf-offset", "nan-weight", "inf-weight"])
+def test_non_finite_input_is_refused(W, b):
+    with pytest.raises(ValueError, match="must be finite"):
+        intersects_negative_orthant(np.array(W), np.array(b))
+
+
 def _strict_feasible_1d(pairs):
     """Is there an x with a*x + c < 0 for every (a, c) pair?"""
     lo, hi = -math.inf, math.inf
