@@ -54,7 +54,6 @@ INVERSE_TOL = 1e-9            # largest entry of W M - I in right_inverse
 SIDE_RATIO = 1e-4
 
 # Retry and sampling budgets.
-BEND_DIRECTIONS = 8           # random directions per criticality test
 HYPERPLANE_ATTEMPTS = 8       # directions tried per critical hyperplane
 REJECTION_LIMIT = 100         # the generators' per-unit resampling cap
 ASSUMPTION_PROBES = 256       # sample points of the generator's derivative check

@@ -53,12 +53,11 @@ _PHASES = ("collect", "filter", "signs", "peel")
 
 @dataclass
 class ExtractedThreeLayer:
-    """The recovered network, the run's candidate counts and query split, and
-    the `residual_headroom` of the depth-2 run on its peeled top."""
+    """The recovered network, the number m of collected candidates, the query
+    split and the `residual_headroom` of the depth-2 run on its peeled top."""
 
     net: ThreeLayerNet
     n_candidates: int
-    n_survivors: int
     phase_queries: dict[str, int]
     residual_headroom: float
 
@@ -116,15 +115,6 @@ def collect_candidate_hyperplanes(
             np.reshape(grads, (len(offsets), 2, oracle.dim)))
 
 
-def _tangent_basis(normal: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to `normal`, d x (d-1)."""
-    d = normal.size
-    a = np.eye(d) - np.outer(normal, normal)
-    q, r = np.linalg.qr(a)
-    keep = np.abs(np.diag(r)) > 1e-10
-    return q[:, keep][:, : d - 1]
-
-
 def is_first_layer_plane(
     oracle: QueryOracle,
     normals: np.ndarray,
@@ -133,7 +123,6 @@ def is_first_layer_plane(
     delta: float,
     *,
     source: np.ndarray,
-    rng,
 ) -> bool:
     """Is candidate i critical on both sides of every transversal candidate?
 
@@ -144,12 +133,12 @@ def is_first_layer_plane(
     candidates.  For each transversal candidate, two test points are taken
     well clear on either side of the fold line (clearance scaled by the
     inverse sine of the crossing angle, so near-parallel candidates are
-    skipped), each perturbed uniformly inside the plane, and both must be
-    bend points of the oracle.
+    skipped), and at both the oracle must bend along the candidate's own
+    normal: across a first-layer plane the gradient jumps along its normal.
+    Two `is_critical_point` tests, 3 queries each, per transversal candidate.
     """
     p = np.asarray(source, dtype=float)
     n = normals[i]
-    tangent = _tangent_basis(n)
     for j, other in enumerate(normals):
         if j == i:
             continue
@@ -165,20 +154,10 @@ def is_first_layer_plane(
         fold_pt = p + move * g
         offset = _FOLD_CLEARANCE * delta / s
         for side in (1.0, -1.0):
-            jitter = tangent @ _ball_sample(rng, tangent.shape[1], delta)
-            z = fold_pt + side * offset * g + jitter
-            if not is_critical_point(oracle, z, _FILTER_STEP * delta, rng=rng):
+            if not is_critical_point(oracle, fold_pt + side * offset * g, n,
+                                     _FILTER_STEP * delta):
                 return False
     return True
-
-
-def _ball_sample(rng, dim: int, radius: float) -> np.ndarray:
-    v = rng.standard_normal(dim)
-    norm = math.sqrt(v.dot(v))
-    if norm < 1e-12:
-        return np.zeros(dim)
-    r = radius * rng.random() ** (1.0 / dim)
-    return (r / norm) * v
 
 
 def recover_row_signs(normals: np.ndarray, offsets: np.ndarray, grads: np.ndarray):
@@ -284,18 +263,16 @@ def extract_three_layer(
     """
     if oracle.domain != DOMAIN_FULL:
         raise ValueError("depth-3 extraction queries all of R^d")
-    rng = np.random.default_rng(12345)
     # oracle.count as each phase starts; marks[-1] belongs to the running phase.
     marks = [oracle.count]
     try:
         normals, offsets, sources, grads = collect_candidate_hyperplanes(
-            oracle, delta, m_max, rng=rng)
+            oracle, delta, m_max, rng=np.random.default_rng(12345))
         if len(offsets) == 0:
             raise GeneralPositionError("probe line met no critical points")
         marks.append(oracle.count)
 
-        keep = [is_first_layer_plane(oracle, normals, offsets, i, delta,
-                                     source=sources[i], rng=rng)
+        keep = [is_first_layer_plane(oracle, normals, offsets, i, delta, source=sources[i])
                 for i in range(len(offsets))]
         if not any(keep):
             raise GeneralPositionError("no candidate survived the fold test")
@@ -315,5 +292,4 @@ def extract_three_layer(
         phase = _PHASES[len(marks) - 1]
         raise GeneralPositionError(f"{phase} phase (axis 0): {err}") from err
     counts = {phase: hi - lo for phase, lo, hi in zip(_PHASES, marks, marks[1:])}
-    return ExtractedThreeLayer(net, len(offsets), sum(keep), counts,
-                               top.residual_headroom)
+    return ExtractedThreeLayer(net, len(offsets), counts, top.residual_headroom)

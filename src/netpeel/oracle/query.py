@@ -88,13 +88,9 @@ class QueryOracle:
         self._count += 1
         return val
 
-    def __call__(self, x) -> float:
-        # Looks up `self.query` per call, so a wrapper set on the class counts it.
-        return self.query(x)
-
 
 def axis_ray(oracle: QueryOracle, axis: int) -> Callable[[float], float]:
-    """The restriction t -> oracle(t * e_axis); one query of `oracle` per call."""
+    """The restriction t -> oracle.query(t * e_axis); one query of `oracle` per call."""
     e = np.zeros(oracle.dim)
     e[axis] = 1.0
     return lambda t: oracle.query(t * e)

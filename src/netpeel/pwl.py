@@ -26,7 +26,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import (
-    BEND_DIRECTIONS,
     CANON_FLOOR,
     FIT_NOISE,
     HYPERPLANE_ATTEMPTS,
@@ -271,28 +270,19 @@ def _inward(e: np.ndarray, x: np.ndarray, reach: float, nonneg: bool) -> np.ndar
     return e / n
 
 
-def is_critical_point(oracle, x, delta: float, rng) -> bool:
-    """Does the function bend within `delta` of `x`?
+def is_critical_point(oracle, x, direction, delta: float) -> bool:
+    """Does the function bend within `delta` of `x` along the unit `direction`?
 
-    Probes x +/- delta*e for random unit directions e and checks the second
-    difference against a threshold covering rounding noise at the local value
-    scale.  Near the boundary of a nonnegative domain, directions are
-    projected to stay inside.
+    Exactly 3 queries: the second difference of f at x +/- delta*direction
+    against a threshold covering rounding noise at the local value scale.
+    Across a ReLU boundary the gradient jumps along the boundary's normal,
+    so probing along that normal sees the whole jump.
     """
     x = np.asarray(x, dtype=float)
-    nonneg = oracle.domain == DOMAIN_NONNEG
     f0 = oracle.query(x)
     tau = max(PLANE_NOISE * (1.0 + abs(f0)), PROBE_FLOOR * delta)
-    for _ in range(BEND_DIRECTIONS):
-        e = rng.standard_normal(x.size)
-        e /= math.sqrt(e.dot(e))
-        e = _inward(e, x, 1.5 * delta, nonneg)
-        if e is None:
-            continue
-        bend = abs(oracle.query(x + delta * e) + oracle.query(x - delta * e) - 2.0 * f0)
-        if bend > tau:
-            return True
-    return False
+    step = delta * np.asarray(direction, dtype=float)
+    return abs(oracle.query(x + step) + oracle.query(x - step) - 2.0 * f0) > tau
 
 
 def _canonical(normal: np.ndarray, offset: float) -> tuple[np.ndarray, float]:

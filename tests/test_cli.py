@@ -147,7 +147,7 @@ _PINNED_COUNTS = [
     (("--d", "10", "--d1", "32"),
      {"scan": 812, "recover": 832, "refine": 704, "skip": 27}, 2375),
     (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"),
-     {"collect": 522, "filter": 385, "signs": 0, "peel": 432}, 1339),
+     {"collect": 522, "filter": 231, "signs": 0, "peel": 432}, 1185),
 ]
 
 
@@ -168,7 +168,7 @@ _REPORT_DIGESTS = [
     (("--d", "10", "--d1", "32"),
      "4a1632c3ae7ab896b40cebd71d6a3cb75f77dce3ba72d963266e15385b10783c"),
     (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"),
-     "a3b58ed5c2b6e658e13356fa782acc6b155495d5b57bf04ac35b1f82bda3f7b5"),
+     "870598442eed6ba9a836a5957730b5b2937adccf3efb4353dcacf1c122717eb7"),
 ]
 
 
@@ -572,7 +572,7 @@ def test_the_benchmark_tracer_wraps_every_traced_name_and_restores_it(monkeypatc
             (generate_two_layer(4, 8, np.random.default_rng(0)),
              lambda o: extract_two_layer(o, 4, 1e-4, 512), 423),
             (generate_three_layer(4, 3, 9, np.random.default_rng(1)),
-             lambda o: extract_three_layer(o, 1e-4), 1216),
+             lambda o: extract_three_layer(o, 1e-4), 1076),
         ):
             oracle, q0 = as_oracle(net), tracer.base_queries
             got = extract(oracle)

@@ -204,14 +204,14 @@ def test_subtracting_the_only_unit_leaves_zero():
     oracle = _relu_oracle([1.0], 0.0)
     peeled = subtracted_oracle(oracle, TwoLayerNet([[1.0]], [0.0], [1]))
     for t in (0.0, 0.3, 1.7, 9.0):
-        assert abs(peeled([t])) < 1e-12
+        assert abs(peeled.query([t])) < 1e-12
 
 
 def test_subtracting_flipped_copy_leaves_its_affine_part():
     oracle = _relu_oracle([1.0], 0.0)
     peeled = subtracted_oracle(oracle, TwoLayerNet([[-1.0]], [0.0], [1]))
     for t in (0.1, 0.5, 2.0, 7.0):
-        assert abs(peeled([t]) - t) < 1e-12
+        assert abs(peeled.query([t]) - t) < 1e-12
 
 
 def test_residual_after_full_peel_is_affine():
@@ -220,12 +220,12 @@ def test_residual_after_full_peel_is_affine():
     got = extract_two_layer(oracle, 3, DELTA, 12)
     residual = subtracted_oracle(as_oracle(net), got.net)
     rng = np.random.default_rng(5)
-    base = residual([1.0, 1.0, 1.0])
-    gx = np.array([residual([2.0, 1.0, 1.0]), residual([1.0, 2.0, 1.0]),
-                   residual([1.0, 1.0, 2.0])]) - base
+    base = residual.query([1.0, 1.0, 1.0])
+    gx = np.array([residual.query([2.0, 1.0, 1.0]), residual.query([1.0, 2.0, 1.0]),
+                   residual.query([1.0, 1.0, 2.0])]) - base
     for x in rng.uniform(0.0, 8.0, size=(100, 3)):
         pred = base + float(gx @ (x - 1.0))
-        assert abs(residual(x) - pred) < 1e-7 * (1.0 + abs(pred))
+        assert abs(residual.query(x) - pred) < 1e-7 * (1.0 + abs(pred))
 
 
 # ----------------------------------------------------------------- full loop

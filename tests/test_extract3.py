@@ -7,7 +7,8 @@ import pytest
 
 from helpers import flat_probe_line_net, near_coincident_rows, three_layer, unit_plane
 from netpeel.cli import main
-from netpeel.config import DEDUP_TOL, SEPARATION
+from netpeel import extract3
+from netpeel.config import DEDUP_TOL, PLANE_NOISE, PROBE_FLOOR, SEPARATION
 from netpeel.extract3 import (
     collect_candidate_hyperplanes,
     extract_three_layer,
@@ -29,7 +30,7 @@ DELTA = 1e-4
 
 
 def _rng():
-    """A fresh copy of the generator `extract_three_layer` seeds its phases with."""
+    """A fresh copy of the generator `extract_three_layer` seeds collect with."""
     return np.random.default_rng(12345)
 
 
@@ -136,8 +137,7 @@ def test_filter_separates_first_layer_from_fold_shadows(wide_net, wide_candidate
     truth = _truth_planes(wide_net)
     keep = []
     for i in range(len(offsets)):
-        kept = is_first_layer_plane(oracle, normals, offsets, i, DELTA,
-                                    source=sources[i], rng=_rng())
+        kept = is_first_layer_plane(oracle, normals, offsets, i, DELTA, source=sources[i])
         assert kept == (plane_gap(normals[i], offsets[i], *truth) <= 1e-6)
         keep.append(kept)
     assert _match_counts(normals[keep], offsets[keep], truth) == [1, 1, 1]
@@ -149,12 +149,42 @@ def test_filter_is_exact_across_seeds():
         oracle = as_oracle(net)
         normals, offsets, sources, _ = collect_candidate_hyperplanes(oracle, DELTA, 64,
                                                                      rng=_rng())
-        keep = [is_first_layer_plane(oracle, normals, offsets, i, DELTA,
-                                     source=sources[i], rng=_rng())
+        keep = [is_first_layer_plane(oracle, normals, offsets, i, DELTA, source=sources[i])
                 for i in range(len(offsets))]
         assert sum(keep) == 2, f"seed {seed}"
         assert _match_counts(normals[keep], offsets[keep], _truth_planes(net)) == [1, 1], \
             f"seed {seed}"
+
+
+def test_fold_tests_bend_far_from_the_threshold(monkeypatch):
+    """Every fold test over d3-small seeds 0-7 bends below 1e-3 tau or at
+    least 50 tau, and every test on a true first-layer plane bends at least
+    50 tau.  Measured over (6,3,9) 0-47, (4,3,9) 0-29 and (3,2,6) 0-99: a
+    test on a true plane bends at least 221 tau and a rejecting test at most
+    2.8e-6 tau."""
+    probes = []
+    real = extract3.is_critical_point
+
+    def record(oracle, x, direction, delta):
+        probes.append((np.array(x), np.array(direction), delta))
+        return real(oracle, x, direction, delta)
+
+    monkeypatch.setattr(extract3, "is_critical_point", record)
+    for seed in range(8):
+        net = generate_three_layer(6, 3, 9, np.random.default_rng(seed))
+        oracle = as_oracle(net)
+        probes.clear()
+        extract_three_layer(oracle, DELTA)
+        assert probes, f"seed {seed}"
+        for x, n, delta in probes:
+            step = delta * n
+            f0 = oracle.query(x)
+            bend = abs(oracle.query(x + step) + oracle.query(x - step) - 2.0 * f0)
+            ratio = bend / max(PLANE_NOISE * (1.0 + abs(f0)), PROBE_FLOOR * delta)
+            assert not 1e-3 <= ratio < 50.0, f"seed {seed}: bend {ratio:.3g} tau"
+            on_true = np.any((np.abs(net.W @ x + net.b) < 1e-6)
+                             & (np.abs(net.W @ n) > 1.0 - 1e-6))
+            assert ratio >= 50.0 or not on_true, f"seed {seed}: true plane {ratio:.3g} tau"
 
 
 # ----------------------------------------------------------------- row signs
@@ -184,8 +214,7 @@ def test_signed_rows_match_truth_across_seeds():
         oracle = as_oracle(net)
         normals, offsets, sources, grads = collect_candidate_hyperplanes(oracle, DELTA, 64,
                                                                          rng=_rng())
-        keep = [is_first_layer_plane(oracle, normals, offsets, i, DELTA,
-                                     source=sources[i], rng=_rng())
+        keep = [is_first_layer_plane(oracle, normals, offsets, i, DELTA, source=sources[i])
                 for i in range(len(offsets))]
         W, b = recover_row_signs(normals[keep], offsets[keep], grads[keep])
         order = np.argmax(np.abs(W @ net.W.T), axis=1)
@@ -233,7 +262,7 @@ def test_peel_with_identity_first_layer_is_the_restriction():
     oracle = as_oracle(net)
     peeled = peel_first_layer(oracle, np.eye(2), np.zeros(2))
     for x in np.random.default_rng(0).uniform(0.0, 3.0, size=(20, 2)):
-        assert abs(peeled(x) - oracle(x)) < 1e-12
+        assert abs(peeled.query(x) - oracle.query(x)) < 1e-12
 
 
 def test_peel_shifts_out_the_bias():
@@ -241,7 +270,7 @@ def test_peel_shifts_out_the_bias():
     oracle = as_oracle(net)
     peeled = peel_first_layer(oracle, net.W, net.b)
     for t in np.linspace(0.0, 5.0, 11):
-        assert abs(peeled([t]) - oracle([t + 1.0])) < 1e-12
+        assert abs(peeled.query([t]) - oracle.query([t + 1.0])) < 1e-12
 
 
 def test_peeled_oracle_equals_the_top_layers():
@@ -251,7 +280,7 @@ def test_peeled_oracle_equals_the_top_layers():
     rng = np.random.default_rng(8)
     for y in rng.uniform(0.0, 5.0, size=(1000, 2)):
         top = float(signs @ relu(V @ y + c))
-        assert abs(peeled(y) - top) <= 1e-9 * (1.0 + abs(top))
+        assert abs(peeled.query(y) - top) <= 1e-9 * (1.0 + abs(top))
 
 
 # ------------------------------------------------------------ full pipeline
@@ -288,7 +317,7 @@ def test_extract_recovers_first_layer_rows(wide_net, wide_extraction):
 def test_extract_row_norms_and_counters(wide_extraction):
     got = wide_extraction
     assert np.max(np.abs(np.linalg.norm(got.net.W, axis=1) - 1.0)) < 1e-9
-    assert got.n_survivors == 3
+    assert got.net.d1 == 3
     assert got.n_candidates >= 3
     assert set(got.phase_queries) == {"collect", "filter", "signs", "peel"}
     assert got.total_queries == sum(got.phase_queries.values())
@@ -299,7 +328,7 @@ def test_phase_query_bounds(wide_extraction):
     m = got.n_candidates
     log = math.log2(1.0 / DELTA)
     assert got.phase_queries["collect"] <= 12 * 4 * m * log
-    assert got.phase_queries["filter"] <= m * m * (4 + 1) * 8
+    assert got.phase_queries["filter"] <= 6 * m * (m - 1)
 
 
 @pytest.mark.parametrize("seed, moves", [

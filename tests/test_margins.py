@@ -142,8 +142,7 @@ def _linalg_uses(name: str) -> list[tuple[str, str | None]]:
 
 def test_margins_owns_every_svd_and_the_leave_one_out_qr():
     assert _linalg_uses("svd") == [("margins.py", "least_singular_value")]
-    assert _linalg_uses("qr") == [("extract3.py", "_tangent_basis"),
-                                  ("margins.py", "leave_one_out")]
+    assert _linalg_uses("qr") == [("margins.py", "leave_one_out")]
 
 
 def test_margins_imports_only_numpy():

@@ -137,14 +137,14 @@ def test_batch_eval_matches_oracle_queries():
     for x, y in zip(xs, got):
         ref = sum(s * max(float(w @ x) + b, 0.0) for w, b, s in zip(net.W, net.b, net.s))
         assert y == pytest.approx(ref, rel=1e-12, abs=1e-12)
-        assert oracle(x) == pytest.approx(y, rel=1e-12, abs=1e-12)
+        assert oracle.query(x) == pytest.approx(y, rel=1e-12, abs=1e-12)
 
 
 def test_query_counter_counts_evaluations():
     net = generate_two_layer(2, 3, np.random.default_rng(1))
     oracle = as_oracle(net)
     for t in range(5):
-        oracle(np.array([float(t), 1.0]))
+        oracle.query(np.array([float(t), 1.0]))
     assert oracle.count == 5
 
 
@@ -152,9 +152,9 @@ def test_query_counters_are_independent():
     net = generate_two_layer(2, 3, np.random.default_rng(1))
     a = as_oracle(net)
     b = as_oracle(net)
-    a(np.array([1.0, 1.0]))
-    a(np.array([2.0, 1.0]))
-    b(np.array([1.0, 1.0]))
+    a.query(np.array([1.0, 1.0]))
+    a.query(np.array([2.0, 1.0]))
+    b.query(np.array([1.0, 1.0]))
     assert (a.count, b.count) == (2, 1)
 
 
@@ -166,7 +166,7 @@ def test_axis_ray_is_one_query_of_its_oracle_per_call():
         e = np.eye(4)[axis]
         for t in (-2.5, -1e-3, 0.0, 0.75, 37.0):
             before = oracle.count
-            assert ray(t) == reference(t * e)
+            assert ray(t) == reference.query(t * e)
             assert oracle.count == before + 1
 
 
@@ -704,7 +704,7 @@ def test_oracle_construction_does_not_trip_the_audit():
     oracle = as_oracle(audit)
     audit.arm()
     for t in range(10):
-        oracle(np.array([float(t), 0.5, 1.0]))
+        oracle.query(np.array([float(t), 0.5, 1.0]))
     audit.disarm()
     assert audit.reads == 0
     assert oracle.count == 10

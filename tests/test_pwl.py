@@ -32,7 +32,7 @@ def relu(z):
 
 
 def _rng():
-    """A fresh copy of the generator `extract_three_layer` seeds its phases with."""
+    """A fresh copy of the generator `extract_three_layer` seeds collect with."""
     return np.random.default_rng(12345)
 
 
@@ -304,12 +304,20 @@ def test_hyperplane_fails_off_any_break():
 
 def test_affine_point_is_not_critical():
     oracle = QueryOracle(lambda x: 3.0 * x[0] - x[1], 2)
-    assert not is_critical_point(oracle, [1.0, 2.0], 1e-4, _rng())
+    assert not is_critical_point(oracle, [1.0, 2.0], [0.6, 0.8], 1e-4)
 
 
 def test_relu_origin_is_critical():
     oracle = QueryOracle(lambda x: relu(x[0]), 1)
-    assert is_critical_point(oracle, [0.0], 1e-4, _rng())
+    assert is_critical_point(oracle, [0.0], [1.0], 1e-4)
+
+
+def test_criticality_test_costs_three_queries():
+    oracle = QueryOracle(lambda x: relu(x[0]) + x[1], 2)
+    for x, bends in (([0.0, 1.0], True), ([1.0, 1.0], False)):
+        before = oracle.count
+        assert is_critical_point(oracle, x, [1.0, 0.0], 1e-4) == bends
+        assert oracle.count - before == 3
 
 
 def test_criticality_on_and_off_a_known_plane():
@@ -328,8 +336,9 @@ def test_criticality_on_and_off_a_known_plane():
             break
     else:
         pytest.fail("no well-isolated point found on the plane")
-    assert is_critical_point(oracle, x, delta, _rng())
-    assert not is_critical_point(oracle, x + 10.0 * delta * w0, delta, _rng())
+    assert is_critical_point(oracle, x, w0, delta)
+    assert not is_critical_point(oracle, x, tangent, delta)
+    assert not is_critical_point(oracle, x + 10.0 * delta * w0, w0, delta)
 
 
 # ---------------------------------------------------------------- invariants
