@@ -52,6 +52,14 @@ INVERSE_TOL = 1e-9            # largest entry of W M - I in right_inverse
 # `tests/helpers.near_coincident_rows`).  Any ratio between the two margins
 # decides every one of these nets alike.
 SIDE_RATIO = 1e-4
+# A fold test (`pwl.is_critical_point`) reads "bends" when its second difference
+# exceeds this fraction of the noise threshold tau.  Over (6,3,9) 0-47, (4,3,9)
+# 0-29 and (3,2,6) 0-99 a test on a true first-layer plane reads at least 173
+# tau and a rejecting test at most 5.7e-6 tau (221 and 2.8e-6 tau on the
+# generator's earlier per-point probe stream).  A true plane reads far lower
+# where the top barely depends on its unit: two (6,6,30) nets of that earlier
+# stream, seeds 19 and [7, 18], read about 0.5 tau and failed at tau itself.
+FOLD_BAND = 1e-3
 
 # Retry and sampling budgets.
 HYPERPLANE_ATTEMPTS = 8       # directions tried per critical hyperplane
@@ -73,7 +81,10 @@ LEAVE_ONE_OUT = 0.1           # least norm of a first-layer row after projecting
 V_LOW = 0.8                   # least magnitude of a second-layer weight
 V_HIGH = 1.4                  # largest magnitude of a second-layer weight
 PARTIAL_MARGIN = 0.02         # least |one-sided partial| of the second-layer map
-                              # over the nonnegative orthant
+                              # over the nonnegative orthant, as sampled at
+                              # ASSUMPTION_PROBES points: a wide top has more
+                              # activation cells than that, so the margin is
+                              # sampled, not enforced
 LINE_WINDOW = 50.0            # every positive crossing of a depth-3 second-layer
                               # unit with a hidden axis ray lies within this t
 # Every positive axis-ray crossing of a depth-2 unit lies within this t, and

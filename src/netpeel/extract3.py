@@ -4,7 +4,7 @@ The pipeline makes one pass over four phases.  Collect: walk the probe
 line t * e_1 through the origin, reconstruct the critical hyperplane at
 every slope break, dedup.  Each plane is a unit normal and an offset, and
 the candidates travel as stacked arrays: `normals` (m, d), `offsets` (m,).
-Filter: keep the candidates that stay critical across every transversal
+Filter: keep the candidates that stay critical across every live transversal
 candidate, which separates genuine first-layer planes (critical
 everywhere) from flat extensions of bent second-layer surfaces.  Signs:
 orient each surviving plane by reading, off the two side fits collect
@@ -115,49 +115,111 @@ def collect_candidate_hyperplanes(
             np.reshape(grads, (len(offsets), 2, oracle.dim)))
 
 
-def is_first_layer_plane(
-    oracle: QueryOracle,
-    normals: np.ndarray,
-    offsets: np.ndarray,
-    i: int,
-    delta: float,
-    *,
-    source: np.ndarray,
-) -> bool:
-    """Is candidate i critical on both sides of every transversal candidate?
+def _fold(normals: np.ndarray, offsets: np.ndarray, i: int, j: int, p: np.ndarray):
+    """Where candidate j's plane crosses candidate i's, nearest the point p of plane i.
+
+    Returns `(fold_pt, g, s)`: the fold point, the unit direction within plane
+    i that crosses plane j, and the sine of the crossing angle.  Returns None
+    when the planes are within `_PARALLEL_SIN` of parallel or the fold lies
+    more than `_FOLD_TRUST` from p.
+    """
+    n, other = normals[i], normals[j]
+    g = other - float(other @ n) * n
+    s = math.sqrt(g.dot(g))
+    if s < _PARALLEL_SIN:
+        return None
+    move = -float(other @ p + offsets[j]) / s
+    if abs(move) > _FOLD_TRUST:
+        return None
+    g /= s
+    return p + move * g, g, s
+
+
+def is_first_layer_plane(oracle: QueryOracle, normal: np.ndarray, fold, delta: float) -> bool:
+    """One fold test: does the candidate with unit `normal` bend across `fold`?
 
     A first-layer plane is critical along its entirety, so it stays critical
     across any other candidate crossing it.  A candidate that is really the
     flat extension of a second-layer critical surface stops being critical
     past the plane the surface folds at, and that plane is itself among the
-    candidates.  For each transversal candidate, two test points are taken
-    well clear on either side of the fold line (clearance scaled by the
-    inverse sine of the crossing angle, so near-parallel candidates are
-    skipped), and at both the oracle must bend along the candidate's own
-    normal: across a first-layer plane the gradient jumps along its normal.
-    Two `is_critical_point` tests, 3 queries each, per transversal candidate.
+    candidates.  Two test points are taken well clear on either side of the
+    fold line `fold` (from `_fold`), the clearance scaled by the inverse sine
+    of the crossing angle, and at both the oracle must bend along the
+    candidate's own normal: across a first-layer plane the gradient jumps
+    along its normal.  Two `is_critical_point` tests, 3 queries each; the
+    second is skipped when the first reads flat.
     """
-    p = np.asarray(source, dtype=float)
-    n = normals[i]
-    for j, other in enumerate(normals):
-        if j == i:
-            continue
-        g = other - float(other @ n) * n
-        s = math.sqrt(g.dot(g))
-        if s < _PARALLEL_SIN:
-            continue
-        g /= s
-        h = float(other @ p + offsets[j])
-        move = -h / s
-        if abs(move) > _FOLD_TRUST:
-            continue
-        fold_pt = p + move * g
-        offset = _FOLD_CLEARANCE * delta / s
-        for side in (1.0, -1.0):
-            if not is_critical_point(oracle, fold_pt + side * offset * g, n,
-                                     _FILTER_STEP * delta):
-                return False
-    return True
+    fold_pt, g, s = fold
+    offset = _FOLD_CLEARANCE * delta / s
+    return all(is_critical_point(oracle, fold_pt + side * offset * g, normal,
+                                 _FILTER_STEP * delta)
+               for side in (1.0, -1.0))
+
+
+def filter_candidates(
+    oracle: QueryOracle,
+    normals: np.ndarray,
+    offsets: np.ndarray,
+    sources: np.ndarray,
+    delta: float,
+) -> np.ndarray:
+    """Which candidates stay critical across every live transversal candidate?
+
+    The filter runs in rounds.  In each round every undecided candidate i
+    takes one fold test (`is_first_layer_plane`) across the next candidate
+    after it, cyclically, that is still alive and whose fold with i is
+    testable from i's base point (`_fold`).  A failed test rejects i, and i
+    leaves the fold set at once: no later test folds across it.  A candidate
+    that has met every other one is kept.  So each candidate takes at most
+    m - 1 tests, and the filter at most 6m(m - 1) queries.
+
+    A candidate's base point is its source.  One that gets no test from there,
+    every fold being near parallel or too far, is folded again from the
+    projection, onto its own plane, of the other source nearest that plane;
+    when that gives no test either, `GeneralPositionError` names it.  A lone
+    candidate has nothing to fold across and is kept.  Returns a bool mask.
+    """
+    m = len(offsets)
+    alive = [True] * m
+    base = list(sources)
+    met = [0] * m        # how many candidates after i its cursor has passed
+
+    def next_fold(i):
+        while met[i] < m - 1:
+            met[i] += 1
+            j = (i + met[i]) % m
+            if alive[j]:
+                fold = _fold(normals, offsets, i, j, base[i])
+                if fold is not None:
+                    return fold
+        return None
+
+    undecided = list(range(m)) if m > 1 else []
+    first_round = True
+    while undecided:
+        still = []
+        for i in undecided:
+            fold = next_fold(i)
+            if fold is None and first_round:
+                n, o = normals[i], offsets[i]
+                dist = np.abs(sources @ n + o)
+                dist[i] = math.inf
+                q = sources[int(np.argmin(dist))]
+                base[i], met[i] = q - float(n @ q + o) * n, 0
+                fold = next_fold(i)
+                if fold is None:
+                    raise GeneralPositionError(
+                        f"candidate {i} got no fold test: every fold from its source "
+                        f"and from the nearest other source is near parallel or "
+                        f"beyond {_FOLD_TRUST:g}")
+            if fold is None:
+                continue
+            if is_first_layer_plane(oracle, normals[i], fold, delta):
+                still.append(i)
+            else:
+                alive[i] = False
+        undecided, first_round = still, False
+    return np.array(alive, dtype=bool)
 
 
 def recover_row_signs(normals: np.ndarray, offsets: np.ndarray, grads: np.ndarray):
@@ -272,8 +334,7 @@ def extract_three_layer(
             raise GeneralPositionError("probe line met no critical points")
         marks.append(oracle.count)
 
-        keep = [is_first_layer_plane(oracle, normals, offsets, i, delta, source=sources[i])
-                for i in range(len(offsets))]
+        keep = filter_candidates(oracle, normals, offsets, sources, delta)
         if not any(keep):
             raise GeneralPositionError("no candidate survived the fold test")
         if d1_max is not None and sum(keep) > d1_max:

@@ -121,7 +121,7 @@ def generate_two_layer(d: int, d1: int, rng: np.random.Generator) -> TwoLayerNet
 
 
 # Scales of the random probe points of the pattern walk; one is drawn per
-# point by index, which consumes the same stream as `rng.choice(_SCALES)`.
+# point, by index.
 _SCALES = np.array([0.5, 2.0, 8.0])
 # Magnitudes of the fixed probe points placed on each hidden axis.
 _AXIS_STEPS = np.array([0.3, 1.0, 3.0, 8.0])
@@ -159,11 +159,12 @@ def _partials_walk(V, c, u, rng: np.random.Generator, margin: float) -> bool:
     """Sampled half of `check_nonzero_partials`: every probed pattern passes.
 
     Probes the origin, four points on each axis and random points of the
-    orthant up to `ASSUMPTION_PROBES`, drawn in a fixed order from `rng`.  At
-    each point and along each axis `e_i`, the active units are the interior
-    ones plus those on their boundary that a move along `+e_i` activates.  A
-    (point, axis) pattern fails when no unit is active or when the signed
-    column sum `sum_k u_k V[k, i]` over the active units is below `margin`.
+    orthant up to `ASSUMPTION_PROBES`, drawn from `rng` in three bulk calls:
+    the normals, the scale indices, then the masks.  At each point and along
+    each axis `e_i`, the active units are the interior ones plus those on
+    their boundary that a move along `+e_i` activates.  A (point, axis)
+    pattern fails when no unit is active or when the signed column sum
+    `sum_k u_k V[k, i]` over the active units is below `margin`.
     """
     d1 = V.shape[1]
     n_axis = 1 + 4 * d1
@@ -171,18 +172,9 @@ def _partials_walk(V, c, u, rng: np.random.Generator, margin: float) -> bool:
     P = np.zeros((n, d1))
     steps = np.arange(4 * d1)
     P[1 + steps, steps // 4] = np.tile(_AXIS_STEPS, d1)
-    # The random points keep their per-point draw order (normal, scale,
-    # mask) so the stream, and every generated network, stays fixed.
-    G = np.empty((n - n_axis, d1))
-    R = np.empty((n - n_axis, d1))
-    S = np.empty(n - n_axis, dtype=np.int64)
-    normal, pick, uniform = rng.standard_normal, rng.integers, rng.random
-    for j in range(n - n_axis):
-        normal(out=G[j])
-        S[j] = pick(3)
-        uniform(out=R[j])
-    G = np.abs(G) * _SCALES[S][:, None]
-    G[R < 0.35] = 0.0
+    k = n - n_axis
+    G = np.abs(rng.standard_normal((k, d1))) * _SCALES[rng.integers(3, size=k)][:, None]
+    G[rng.random((k, d1)) < 0.35] = 0.0
     P[n_axis:] = G
 
     Z = P @ V.T + c
@@ -300,9 +292,12 @@ def generate_three_layer(
     First layer: unit rows, well separated from singularity, each crossing the
     line `t e_1` at an isolated |t| <= 4.  Second layer: entry magnitudes in
     `[V_LOW, V_HIGH]`, each unit crossing an axis ray of the hidden orthant,
-    one-sided partials of the top map bounded away from zero.  Every break of
-    the assembled network on `t e_1`, the one line `extract_three_layer`
-    probes, is computed exactly and must be isolated per `SEPARATION` and
+    one-sided partials of the top map at least `PARTIAL_MARGIN` at the
+    `ASSUMPTION_PROBES` points of the pattern walk.  That margin is sampled,
+    not enforced: a wide top has more activation cells than the walk visits,
+    so a partial elsewhere in the orthant may be smaller.  Every break of the
+    assembled network on `t e_1`, the one line `extract_three_layer` probes,
+    is computed exactly and must be isolated per `SEPARATION` and
     `CLEARANCE`; breaks may lie anywhere on the line.
 
     A net with `d1 = 1` can be drawn but not extracted: with one hidden

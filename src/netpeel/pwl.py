@@ -28,6 +28,7 @@ import numpy as np
 from .config import (
     CANON_FLOOR,
     FIT_NOISE,
+    FOLD_BAND,
     HYPERPLANE_ATTEMPTS,
     NORMAL_FLOOR,
     PLANE_NOISE,
@@ -274,15 +275,16 @@ def is_critical_point(oracle, x, direction, delta: float) -> bool:
     """Does the function bend within `delta` of `x` along the unit `direction`?
 
     Exactly 3 queries: the second difference of f at x +/- delta*direction
-    against a threshold covering rounding noise at the local value scale.
-    Across a ReLU boundary the gradient jumps along the boundary's normal,
-    so probing along that normal sees the whole jump.
+    against `FOLD_BAND` times a threshold tau covering rounding noise at the
+    local value scale.  Across a ReLU boundary the gradient jumps along the
+    boundary's normal, so probing along that normal sees the whole jump; a
+    jump the next layer barely passes on still reads well above the band.
     """
     x = np.asarray(x, dtype=float)
     f0 = oracle.query(x)
     tau = max(PLANE_NOISE * (1.0 + abs(f0)), PROBE_FLOOR * delta)
     step = delta * np.asarray(direction, dtype=float)
-    return abs(oracle.query(x + step) + oracle.query(x - step) - 2.0 * f0) > tau
+    return abs(oracle.query(x + step) + oracle.query(x - step) - 2.0 * f0) > FOLD_BAND * tau
 
 
 def _canonical(normal: np.ndarray, offset: float) -> tuple[np.ndarray, float]:

@@ -158,7 +158,7 @@ def test_criterion_3_depth3_round_trip(depth3_runs):
 # every depth-3 cell and retry offset the fixture draws, so any change to the
 # depth-3 generator's random stream shows here.
 _DEPTH3_FIXTURE_DIGEST = (
-    "861ef827f823a19586fac5feab862211187d525337dc3c39a86912e880220821")
+    "39193286919b7f12bc58225b686479924d8a64d3bc1243f08ffb96933340ad29")
 
 
 def test_depth3_fixture_draws_are_pinned(depth3_runs):
@@ -206,16 +206,16 @@ _DEPTH2_PHASE_COUNTS = [
 ]
 _DEPTH3_PHASES = ("collect", "filter", "signs", "peel")
 _DEPTH3_PHASE_COUNTS = [
-    (302, 84, 0, 271), (279, 96, 0, 435), (553, 285, 0, 442),
-    (767, 543, 0, 692), (432, 93, 0, 275), (624, 129, 0, 425),
-    (666, 249, 0, 474), (1048, 984, 0, 700), (530, 405, 0, 617),
-    (1110, 1173, 0, 1019), (546, 453, 0, 828), (974, 660, 0, 1320),
-    (1238, 1191, 0, 1077), (1804, 1941, 0, 1757), (243, 99, 0, 267),
-    (170, 96, 0, 421), (486, 447, 0, 444), (750, 390, 0, 720),
-    (408, 93, 0, 275), (618, 147, 0, 439), (344, 150, 0, 422),
-    (800, 393, 0, 676), (666, 432, 0, 619), (884, 594, 0, 1007),
-    (1152, 819, 0, 838), (1136, 1143, 0, 1340), (576, 576, 0, 1121),
-    (1346, 1401, 0, 1725), (192, 78, 0, 273), (537, 324, 0, 445),
+    (304, 48, 0, 275), (279, 66, 0, 435), (553, 102, 0, 442),
+    (603, 147, 0, 692), (432, 57, 0, 275), (624, 72, 0, 425),
+    (674, 105, 0, 488), (1046, 360, 0, 708), (530, 159, 0, 617),
+    (1130, 222, 0, 1021), (932, 381, 0, 844), (876, 276, 0, 1364),
+    (908, 351, 0, 1071), (1696, 759, 0, 1793), (243, 81, 0, 267),
+    (170, 36, 0, 421), (440, 111, 0, 452), (770, 138, 0, 702),
+    (408, 54, 0, 275), (598, 87, 0, 421), (344, 87, 0, 422),
+    (802, 168, 0, 696), (544, 162, 0, 605), (1190, 234, 0, 989),
+    (754, 228, 0, 838), (1290, 360, 0, 1362), (1054, 345, 0, 1059),
+    (1680, 768, 0, 1821), (198, 42, 0, 281), (537, 144, 0, 445),
 ]
 
 

@@ -81,7 +81,7 @@ _POOL_DIGESTS = [
     (("--d", "10", "--d1", "32"), 10,
      "28bc0d38f045949a246678bba8d78fba175ded6f6486b5a5f0ff90e0d5fa3411"),
     (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"), 48,
-     "60d98c98baa90ee498f74340450f8e333d34497d75d1f841d70b2871ef0815a4"),
+     "4c00a9617b37b66b8713802ab4479543184d7074c280ad55200ec1abdb4404e4"),
 ]
 
 
@@ -147,7 +147,7 @@ _PINNED_COUNTS = [
     (("--d", "10", "--d1", "32"),
      {"scan": 812, "recover": 832, "refine": 704, "skip": 27}, 2375),
     (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"),
-     {"collect": 522, "filter": 231, "signs": 0, "peel": 432}, 1185),
+     {"collect": 530, "filter": 108, "signs": 0, "peel": 432}, 1070),
 ]
 
 
@@ -168,7 +168,7 @@ _REPORT_DIGESTS = [
     (("--d", "10", "--d1", "32"),
      "4a1632c3ae7ab896b40cebd71d6a3cb75f77dce3ba72d963266e15385b10783c"),
     (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"),
-     "870598442eed6ba9a836a5957730b5b2937adccf3efb4353dcacf1c122717eb7"),
+     "a5b288b4433c118213ee0c7234bb24767c92a9d2c0c9d49e11e685786643e175"),
 ]
 
 
@@ -572,7 +572,7 @@ def test_the_benchmark_tracer_wraps_every_traced_name_and_restores_it(monkeypatc
             (generate_two_layer(4, 8, np.random.default_rng(0)),
              lambda o: extract_two_layer(o, 4, 1e-4, 512), 423),
             (generate_three_layer(4, 3, 9, np.random.default_rng(1)),
-             lambda o: extract_three_layer(o, 1e-4), 1076),
+             lambda o: extract_three_layer(o, 1e-4), 1005),
         ):
             oracle, q0 = as_oracle(net), tracer.base_queries
             got = extract(oracle)

@@ -389,7 +389,9 @@ def test_dead_region_lp_failure_is_loud(monkeypatch):
 
 
 def _reference_walk(V, c, u, rng, margin):
-    """Per-point pattern walk with a seen-set, as the generator first ran it."""
+    """Per-point pattern walk with a seen-set, as the generator first ran it,
+    over random points drawn in the generator's order: all normals, then all
+    scale indices, then all masks."""
     d2, d1 = V.shape
     points = [np.zeros(d1)]
     for i in range(d1):
@@ -397,9 +399,12 @@ def _reference_walk(V, c, u, rng, margin):
             e = np.zeros(d1)
             e[i] = t
             points.append(e)
-    while len(points) < ASSUMPTION_PROBES:
-        y = np.abs(rng.standard_normal(d1)) * rng.choice((0.5, 2.0, 8.0))
-        mask = rng.random(d1) < 0.35
+    k = max(ASSUMPTION_PROBES - len(points), 0)
+    normals = rng.standard_normal((k, d1))
+    scales = np.array((0.5, 2.0, 8.0))[rng.integers(3, size=k)]
+    masks = rng.random((k, d1)) < 0.35
+    for g, scale, mask in zip(normals, scales, masks):
+        y = np.abs(g) * scale
         y[mask] = 0.0
         points.append(y)
     seen = set()

@@ -79,9 +79,9 @@ def test_generator_decisions_match_highs_without_a_solver(monkeypatch, solver_ca
     for shape, seeds in (((6, 3, 9), 48), ((4, 3, 9), 30), ((2, 2, 6), 20)):
         for seed in range(seeds):
             generate_three_layer(*shape, np.random.default_rng(seed))
-    assert len(decisions) == 141 and solver_calls == []
+    assert len(decisions) == 142 and solver_calls == []
     assert [r for _, _, r in decisions] == [_highs_reachable(V, c) for V, c, _ in decisions]
-    assert 0 < sum(r for _, _, r in decisions) < 141
+    assert 0 < sum(r for _, _, r in decisions) < 142
 
 
 def test_a_repeated_row_goes_to_highs_once(solver_calls):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import netpeel
 from helpers import dense_grid_kinks, scalar_line, synth_pwl, unit_plane
-from netpeel.config import CANON_FLOOR
+from netpeel.config import CANON_FLOOR, PROBE_FLOOR
 from netpeel.margins import plane_gap
 from netpeel.oracle.generate import generate_three_layer, generate_two_layer
 from netpeel.oracle.nets import TwoLayerNet
@@ -318,6 +318,18 @@ def test_criticality_test_costs_three_queries():
         before = oracle.count
         assert is_critical_point(oracle, x, [1.0, 0.0], 1e-4) == bends
         assert oracle.count - before == 3
+
+
+def test_a_faint_bend_reads_as_a_bend_and_a_fainter_one_as_flat():
+    """A bend reads as one above `FOLD_BAND` times tau.  A 0.5 tau bend, the
+    reading of a true plane where the next layer barely depends on its unit,
+    is a bend; a 1e-4 tau bend is flat."""
+    delta = 4e-4
+    tau = PROBE_FLOOR * delta  # f(0) = 0, so the floor sets tau
+    for ratio, bends in ((0.5, True), (1e-4, False)):
+        slope = ratio * tau / delta
+        oracle = QueryOracle(lambda x, slope=slope: slope * relu(x[0]), 1)
+        assert is_critical_point(oracle, [0.0], [1.0], delta) == bends, ratio
 
 
 def test_criticality_on_and_off_a_known_plane():

@@ -480,9 +480,10 @@ def test_squaring_delta_doubles_the_scan_share():
 def test_doubling_second_layer_width_scales_the_filter():
     """Filter work grows with the candidate count.
 
-    Candidate tests bail out at the first failed transversal, so the cost
-    is near-linear in the list length rather than the quadratic worst case;
-    doubling d2 roughly doubles the filter's query bill.
+    A candidate leaves at its first failed fold test, and the others fold
+    only across candidates still alive, so the cost is near-linear in the
+    list length rather than the quadratic worst case; doubling d2 roughly
+    doubles the filter's query bill (2.14 times on these seeds).
     """
     base = query_complexity_bench([(3, 6, 3, 9)], (1e-4,), (0, 1))
     doubled = query_complexity_bench([(3, 6, 3, 18)], (1e-4,), (0, 1))
