@@ -134,7 +134,7 @@ def test_collected_candidates_are_distinct(wide_candidates):
 
 
 def _all_folds_keep(oracle, normals, offsets, sources):
-    """The filter as it was before it folded across live candidates only.
+    """The all-folds filter, the reference for the rounds.
 
     Each candidate is folded across every other candidate, rejected or not,
     from its source, or from the projection of the nearest other source onto
