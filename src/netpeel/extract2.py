@@ -42,7 +42,7 @@ _STEP_CAP = SEPARATION * MIN_AXIS_COSINE / 2.0
 _SCAN_START = 1e-4
 _SKIP_SEED = 20240817
 _REFINE_SEED = 20240818
-_REFINE_CANDIDATES = 256
+_REFINE_CANDIDATES = 64
 
 
 @dataclass
