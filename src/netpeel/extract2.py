@@ -175,8 +175,10 @@ def _refine_points(normals: np.ndarray, offsets: np.ndarray, rng) -> list:
 
     A plane meets the orthant in the convex hull of its positive axis
     crossings plus the cone of in-plane directions that stay nonnegative, so
-    random combinations of those generators are points of that set.  The
-    planes draw their candidates from `rng` in order, one product scores
+    random combinations of those generators are points of that set.  Each
+    plane that meets the orthant, in order, draws `_REFINE_CANDIDATES`
+    candidates from `rng`: their Dirichlet(1, ..., 1) weights on the
+    crossings, then their uniform ray coefficients.  One product scores
     them all, and each plane's candidate whose clearance (distance to the
     nearest other plane or to the orthant boundary) is largest wins.  Uses
     no queries.  Returns one (point, clearance) pair per plane: (None, 0.0)
@@ -184,34 +186,41 @@ def _refine_points(normals: np.ndarray, offsets: np.ndarray, rng) -> list:
     positive when no candidate lies inside.
     """
     m, d = normals.shape
+    size = _REFINE_CANDIDATES
     with np.errstate(divide="ignore"):
         T = np.where(normals != 0.0, -offsets[:, None] / normals, -np.inf)
     hit = T > 0.0
     pivots = np.argmax(np.where(hit, np.abs(normals), -1.0), axis=1)
     owners = np.flatnonzero(hit.any(axis=1))
-    blocks = []
-    for i in owners:
-        t, h, n = T[i], hit[i], normals[i]
-        corners = np.diag(np.where(h, t, 0.0))[h]
-        rays = np.eye(d)[~h]
-        rays[:, pivots[i]] -= n[~h] / n[pivots[i]]
-        lam = rng.dirichlet(np.ones(corners.shape[0]), size=_REFINE_CANDIDATES)
-        reach = float(np.mean(t[h]))
-        mu = rng.uniform(0.0, reach, size=(_REFINE_CANDIDATES, rays.shape[0]))
-        blocks.append(lam @ corners + mu @ rays)
     out = [(None, 0.0)] * m
-    if not blocks:
+    if not owners.size:
         return out
-    pts = np.concatenate(blocks)
+    # A ray along axis j moves the pivot axis by -n_j / n_pivot to stay on the plane.
+    ratio = normals[owners] / normals[owners, pivots[owners], None]
+    eye = np.eye(d)
+    pts = np.empty((owners.size * size, d))
+    for k, i in enumerate(owners):
+        h = hit[i]
+        t = T[i, h]
+        # Dirichlet(1, ..., 1) as `rng.dirichlet` draws it: exponentials over
+        # their running total, bit for bit.
+        lam = rng.standard_exponential((size, t.size))
+        lam *= 1.0 / np.cumsum(lam, axis=1)[:, -1:]
+        mu = rng.uniform(0.0, t.sum() / t.size, size=(size, d - t.size))
+        rays = eye[~h]
+        rays[:, pivots[i]] -= ratio[k, ~h]
+        block = pts[k * size:(k + 1) * size]
+        np.matmul(lam, eye[h] * t[:, None], out=block)
+        block += mu @ rays
     dist = normals @ pts.T
     dist += offsets[:, None]
     np.abs(dist, out=dist)
-    dist = dist.reshape(m, owners.size, _REFINE_CANDIDATES)
+    dist = dist.reshape(m, owners.size, size)
     dist[owners, np.arange(owners.size)] = np.inf
     clearance = np.minimum(pts.min(axis=1).reshape(owners.size, -1), dist.min(axis=0))
+    best = np.argmax(clearance, axis=1)
     for k, i in enumerate(owners):
-        best = int(np.argmax(clearance[k]))
-        out[i] = pts[k * _REFINE_CANDIDATES + best], float(clearance[k, best])
+        out[i] = pts[k * size + best[k]], float(clearance[k, best[k]])
     return out
 
 
@@ -271,10 +280,10 @@ def extract_two_layer(
     validates that the residual really is affine at a handful of random
     points.
 
-    Each ray is scanned up to t = 1/delta.  A `GeneralPositionError` is
-    re-raised naming the phase whose queries were being counted (scan,
-    recover, refine or skip).  Raises PieceBudgetError("too many neurons")
-    past `d1_max`.
+    Each ray is scanned up to t = 1/delta.  A `GeneralPositionError` or
+    `PieceBudgetError` is re-raised naming the phase whose queries were
+    being counted (scan, recover, refine or skip).  Raises
+    PieceBudgetError("recover phase: too many neurons") past `d1_max`.
     """
     if oracle.domain != DOMAIN_NONNEG:
         raise ValueError("depth-2 extraction queries the nonnegative orthant")
@@ -309,6 +318,6 @@ def extract_two_layer(
         skip = reconstruct_affine(work, base, 0.25)
         headroom = _check_affine_residual(work, skip, rng)
         counts[phase] += oracle.count - mark
-    except GeneralPositionError as err:
-        raise GeneralPositionError(f"{phase} phase: {err}") from err
+    except (GeneralPositionError, PieceBudgetError) as err:
+        raise type(err)(f"{phase} phase: {err}") from err
     return ExtractedTwoLayer(TwoLayerNet(net.W, net.b, net.s, skip), counts, headroom)

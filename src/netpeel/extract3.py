@@ -15,7 +15,7 @@ the top two layers as a depth-2 network on the nonnegative orthant and
 hands off to the depth-2 extractor, then compares the composed network
 with the oracle at 16 seeded points.  No other probe line is tried: the
 generator keeps t * e_1 in general position, and a `GeneralPositionError`
-names the phase and the axis it came from.
+or `PieceBudgetError` names the phase and the axis it came from.
 """
 from __future__ import annotations
 
@@ -316,12 +316,12 @@ def extract_three_layer(
 
     One pass over the four phases on the probe line t * e_1, which the
     generator keeps in general position.  There is no fallback to another
-    line: a `GeneralPositionError` from any phase is re-raised naming the
-    phase and the axis, and `phase_queries` accounts for every oracle query
-    of a run that returns.  The peel ends by checking the composed network
-    against the oracle, so a run that misses a first-layer plane raises.
-    The probe line and the axis scans of the peeled depth-2 stage reach
-    |t| = 1/delta.
+    line: a `GeneralPositionError` or `PieceBudgetError` from any phase is
+    re-raised naming the phase and the axis, and `phase_queries` accounts
+    for every oracle query of a run that returns.  The peel ends by checking
+    the composed network against the oracle, so a run that misses a
+    first-layer plane raises.  The probe line and the axis scans of the
+    peeled depth-2 stage reach |t| = 1/delta.
     """
     if oracle.domain != DOMAIN_FULL:
         raise ValueError("depth-3 extraction queries all of R^d")
@@ -349,8 +349,8 @@ def extract_three_layer(
         net = ThreeLayerNet(W=W, b=b, top=top.net)
         _check_output(oracle, net)
         marks.append(oracle.count)
-    except GeneralPositionError as err:
+    except (GeneralPositionError, PieceBudgetError) as err:
         phase = _PHASES[len(marks) - 1]
-        raise GeneralPositionError(f"{phase} phase (axis 0): {err}") from err
+        raise type(err)(f"{phase} phase (axis 0): {err}") from err
     counts = {phase: hi - lo for phase, lo, hi in zip(_PHASES, marks, marks[1:])}
     return ExtractedThreeLayer(net, len(offsets), counts, top.residual_headroom)

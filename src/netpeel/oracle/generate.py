@@ -71,14 +71,21 @@ def _positive_axis_crossings(w, b, window: float) -> list[tuple[int, float]]:
     return out
 
 
-def _crossing_conflict(cands, accepted) -> bool:
+def _crossing_conflict(cands, taken: dict[int, list[float]]) -> bool:
+    """True when a candidate crossing lies within `CLEARANCE` of the origin
+    or within `SEPARATION` of an accepted crossing on its own axis."""
     for axis, t in cands:
         if t < CLEARANCE:
             return True
-        for axis2, t2 in accepted:
-            if axis == axis2 and abs(t - t2) < SEPARATION:
+        for t2 in taken.get(axis, ()):
+            if abs(t - t2) < SEPARATION:
                 return True
     return False
+
+
+def _take(cands, taken: dict[int, list[float]]) -> None:
+    for axis, t in cands:
+        taken.setdefault(axis, []).append(t)
 
 
 def generate_two_layer(d: int, d1: int, rng: np.random.Generator) -> TwoLayerNet:
@@ -91,7 +98,7 @@ def generate_two_layer(d: int, d1: int, rng: np.random.Generator) -> TwoLayerNet
     orientations.
     """
     rows, offs, signs = np.empty((d1, d)), np.empty(d1), np.empty(d1)
-    taken: list[tuple[int, float]] = []
+    taken: dict[int, list[float]] = {}
     for j in range(d1):
         axis = j % d
         for _ in range(REJECTION_LIMIT):
@@ -110,7 +117,7 @@ def generate_two_layer(d: int, d1: int, rng: np.random.Generator) -> TwoLayerNet
             if _crossing_conflict(cands, taken):
                 continue
             rows[j], offs[j], signs[j] = w, b, (-1, 1)[rng.integers(2)]
-            taken.extend(cands)
+            _take(cands, taken)
             break
         else:
             raise GenerationError(
@@ -240,7 +247,7 @@ def _first_layer_block(d, d1, rng):
 def _second_layer_block(d1, d2, rng):
     V = np.zeros((d2, d1))
     c = np.zeros(d2)
-    taken: list[tuple[int, float]] = []
+    taken: dict[int, list[float]] = {}
     for k in range(d2):
         axis = k % d1
         for _ in range(REJECTION_LIMIT):
@@ -254,7 +261,7 @@ def _second_layer_block(d1, d2, rng):
                 continue
             V[k] = row
             c[k] = off
-            taken.extend(cands)
+            _take(cands, taken)
             break
         else:
             return None

@@ -34,6 +34,12 @@ _MINOR_FLOOR = 1e-6
 # about 256 blocks and grows beyond.  The screen's kernel calls take as many
 # trials: chunk-wide calls had tables large enough to page-fault anew.
 _LP_BLOCK = 128
+# Entries, one (row subset, trial) each, per table of the kernel's last
+# level: a wider level runs in slices of subsets.  Larger tables went back
+# to the system after each call and page-faulted anew: an orthant-bound
+# pass over (2, 30) and (3, 12) trials took about 240 minor faults at
+# 16,384 entries and none at 8,192.
+_SLICE = 8192
 # HiGHS's cost per block program and per trial in it, in units of kernel
 # work: one (trial, row subset, column) of the minor table's largest level,
 # so m trials of d columns cost the kernel m * _table_size(d1, d) * (d + 1).
@@ -148,23 +154,28 @@ def _vertex_margins(W: np.ndarray, b: np.ndarray) -> np.ndarray:
     general = np.all(np.abs(minors) > _MINOR_FLOOR * hadamard, axis=0)
     margins = np.ones(m)
     if d1 > d:
-        rows, sub = plan[d + 1]
         offs = b.T
-        num = np.zeros((rows.shape[1], m))
-        den = np.zeros_like(num)
-        positive = np.ones(num.shape, dtype=bool)
-        negative = np.ones(num.shape, dtype=bool)
-        for j in range(d + 1):
-            y = minors[sub[j]]
-            if (j + d) % 2:
-                np.negative(y, out=y)
-            num += y * offs[rows[j]]
-            den += y
-            positive &= y > 0.0
-            negative &= y < 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bounds = np.where(positive | negative, -num / den, np.inf)
-        np.minimum(margins, bounds.min(axis=0), out=margins)
+        plan_rows, plan_sub = plan[d + 1]
+        # The last level runs in slices of subsets, so no table of it
+        # outgrows `_SLICE` entries; the minimum over slices is exact.
+        step = max(1, _SLICE // m)
+        for lo in range(0, plan_rows.shape[1], step):
+            rows, sub = plan_rows[:, lo:lo + step], plan_sub[:, lo:lo + step]
+            num = np.zeros((rows.shape[1], m))
+            den = np.zeros_like(num)
+            positive = np.ones(num.shape, dtype=bool)
+            negative = np.ones(num.shape, dtype=bool)
+            for j in range(d + 1):
+                y = minors[sub[j]]
+                if (j + d) % 2:
+                    np.negative(y, out=y)
+                num += y * offs[rows[j]]
+                den += y
+                positive &= y > 0.0
+                negative &= y < 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bounds = np.where(positive | negative, -num / den, np.inf)
+            np.minimum(margins, bounds.min(axis=0), out=margins)
     margins[~general] = np.nan
     return margins
 
@@ -247,17 +258,19 @@ def _screen_misses(W: np.ndarray, b: np.ndarray, rows: int) -> np.ndarray:
     Dropping rows can only raise the margin optimum, so the vertex kernel's
     exact optimum on the `rows` rows of largest offset, where the
     constraints bind hardest, bounds the trial's; at most -`_SCREEN_MARGIN`
-    it certifies a miss, and NaN certifies nothing.  The kernel runs on
-    `_LP_BLOCK` trials at a time, which keeps its tables small.  W has shape
-    (n, d1, d), b has shape (n, d1).  Returns a boolean mask of misses.
+    it certifies a miss, and NaN certifies nothing.  Each block of
+    `_LP_BLOCK` trials is sorted, gathered and screened on its own, which
+    keeps every table small.  W has shape (n, d1, d), b has shape (n, d1).
+    Returns a boolean mask of misses.
     """
-    top = np.argsort(-b, axis=1)[:, :rows]
-    W = np.take_along_axis(W, top[:, :, None], axis=1)
-    b = np.take_along_axis(b, top, axis=1)
     misses = np.empty(len(b), dtype=bool)
     for lo in range(0, len(b), _LP_BLOCK):
         part = slice(lo, lo + _LP_BLOCK)
-        misses[part] = _vertex_margins(W[part], b[part]) <= -_SCREEN_MARGIN
+        top = np.argsort(-b[part], axis=1)[:, :rows]
+        misses[part] = _vertex_margins(
+            np.take_along_axis(W[part], top[:, :, None], axis=1),
+            np.take_along_axis(b[part], top, axis=1),
+        ) <= -_SCREEN_MARGIN
     return misses
 
 

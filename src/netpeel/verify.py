@@ -162,7 +162,9 @@ def empirical_orthant_bound(
             # On at most d rows the kernel certifies no miss, and on d1 rows
             # the pass would be the full kernel.
             if d < rows < d1:
-                undecided = undecided[~_screen_misses(W[undecided], b[undecided], rows)]
+                # Only a pass after one that certified a miss screens a copy.
+                part = (W, b) if undecided.size == n else (W[undecided], b[undecided])
+                undecided = undecided[~_screen_misses(*part, rows)]
         for lo in range(0, len(undecided), _LP_BLOCK):
             block = undecided[lo : lo + _LP_BLOCK]
             try:

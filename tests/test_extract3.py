@@ -24,7 +24,7 @@ from netpeel.oracle.generate import generate_three_layer
 from netpeel.oracle.nets import batch_eval, relu
 from netpeel.oracle.query import QueryOracle, as_oracle
 from netpeel.oracle.serialize import save_net
-from netpeel.pwl import GeneralPositionError
+from netpeel.pwl import GeneralPositionError, PieceBudgetError
 from netpeel.verify import functional_equivalence
 
 DELTA = 1e-4
@@ -115,6 +115,20 @@ def test_no_other_line_is_tried_when_the_probe_line_is_flat(tmp_path):
     path, report = tmp_path / "flat.json", tmp_path / "report.json"
     save_net(path, net)
     assert main(["extract", "--input", str(path), "--out", str(report)]) == 3
+    assert not report.exists()
+
+
+def test_a_piece_budget_error_names_its_phase_and_axis(tmp_path, capsys):
+    """Rows 0 and 1 crossing the probe line 1e-4 apart make collect find more
+    breaks than its budget allows; the error says where, and the CLI exits 4."""
+    net = near_coincident_rows(21, 1e-4)
+    with pytest.raises(PieceBudgetError,
+                       match=r"^collect phase \(axis 0\): piece budget exceeded$"):
+        extract_three_layer(as_oracle(net), DELTA)
+    path, report = tmp_path / "net.json", tmp_path / "report.json"
+    save_net(path, net)
+    assert main(["extract", "--input", str(path), "--out", str(report)]) == 4
+    assert "budget exhausted: collect phase (axis 0): " in capsys.readouterr().err
     assert not report.exists()
 
 
