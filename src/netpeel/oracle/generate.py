@@ -149,7 +149,8 @@ def _orthant_reachable(V, c) -> bool:
        and a feasible y with s > 0 moves to x = y + eps*1.  So the two
        problems decide alike.  `hits` sends the problem to the exact vertex
        kernel or to HiGHS by its cost, and HiGHS settles what the kernel
-       cannot (dependent rows, a margin at the threshold).
+       cannot (dependent rows with no certified miss, a margin at the
+       threshold).
 
     Raises `SolverError` when HiGHS fails, so a solver failure never passes
     for an answer.

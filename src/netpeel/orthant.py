@@ -111,6 +111,15 @@ def _table_size(d1: int, d: int) -> int:
     return max(math.comb(d1, k) for k in range(min(d + 1, d1) + 1))
 
 
+def _kernel_pays(m: int, d1: int, d: int) -> bool:
+    """Whether the kernel's work on m trials of d1 rows costs at most one HiGHS call.
+
+    The kernel's work is m * _table_size(d1, d) * (d + 1), and one HiGHS
+    call on the m trials costs `_HIGHS_CALL` + `_HIGHS_TRIAL` * m.
+    """
+    return m * _table_size(d1, d) * (d + 1) <= _HIGHS_CALL + _HIGHS_TRIAL * m
+
+
 def _vertex_margins(W: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The margin optima of m negative-orthant problems, by enumerating dual vertices.
 
@@ -125,14 +134,23 @@ def _vertex_margins(W: np.ndarray, b: np.ndarray) -> np.ndarray:
     Every minor comes from one table built column by column: the k-row
     minors on the first k columns are the Laplace expansions of the
     (k-1)-row minors along column k - 1.  Its level min(d, d1) is the
-    general-position test.  For d1 > d it holds every minor y is made of;
-    for d1 <= d it is one minor, and when that is nonzero W has full row
-    rank, no y but 0 exists and t* = 1.  A trial with a minor at that
-    level below `_MINOR_FLOOR` times Hadamard's bound gets NaN.
+    general-position test: a minor is clear when it exceeds `_MINOR_FLOOR`
+    times Hadamard's bound on it, and a trial is in general position when
+    every minor is.  For d1 > d that level holds every minor y is made of;
+    for d1 <= d it is one minor, and when that is clear W has full row
+    rank, no y but 0 exists and t* = 1.
+
+    Outside general position the enumeration may miss vertices, but each
+    one-signed subset whose d + 1 minors are all clear still gives a dual
+    point, so the least of their bounds lies above t* by weak duality.  At
+    most -`_SCREEN_MARGIN` that bound certifies a miss and is returned;
+    otherwise the trial gets NaN.  The clear minors are gathered into the
+    subset masks only when some trial of the call is outside general
+    position, so an all-general call runs the plain enumeration.
 
     Arrays run trials last, so each gather copies whole rows of m values.
-    W has shape (m, d1, d), b has shape (m, d1).  Returns the m optima, NaN
-    where the enumeration is not known to be complete.
+    W has shape (m, d1, d), b has shape (m, d1).  Returns the m optima, or
+    certified bounds at most -`_SCREEN_MARGIN`, and NaN where neither is known.
     """
     m, d1, d = W.shape
     plan = _minor_plan(d1, d)
@@ -151,7 +169,9 @@ def _vertex_margins(W: np.ndarray, b: np.ndarray) -> np.ndarray:
         minors = expansion
     norms = np.linalg.norm(cols[:level], axis=0)
     hadamard = np.prod(norms[plan[level][0]], axis=0)
-    general = np.all(np.abs(minors) > _MINOR_FLOOR * hadamard, axis=0)
+    clear = np.abs(minors) > _MINOR_FLOOR * hadamard
+    general = clear.all(axis=0)
+    degenerate = not general.all()
     margins = np.ones(m)
     if d1 > d:
         offs = b.T
@@ -173,10 +193,13 @@ def _vertex_margins(W: np.ndarray, b: np.ndarray) -> np.ndarray:
                 den += y
                 positive &= y > 0.0
                 negative &= y < 0.0
+            signed = positive | negative
+            if degenerate:
+                signed &= clear[sub].all(axis=0)
             with np.errstate(divide="ignore", invalid="ignore"):
-                bounds = np.where(positive | negative, -num / den, np.inf)
+                bounds = np.where(signed, -num / den, np.inf)
             np.minimum(margins, bounds.min(axis=0), out=margins)
-    margins[~general] = np.nan
+    margins[~general & (margins > -_SCREEN_MARGIN)] = np.nan
     return margins
 
 
@@ -233,18 +256,19 @@ def _orthant_margins(W: np.ndarray, b: np.ndarray) -> np.ndarray:
 def hits(W: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Decide m negative-orthant trials, by the vertex kernel where it is sure.
 
-    The block goes to `_vertex_margins` when the kernel's work,
-    m * _table_size(d1, d) * (d + 1), is at most the cost of one HiGHS call,
-    `_HIGHS_CALL` + `_HIGHS_TRIAL` * m: small and narrow blocks run on the
-    kernel, wide ones and large blocks of middling width go to HiGHS.  The
-    kernel settles a trial when its enumeration is complete and its optimum
-    lies more than `_SCREEN_MARGIN` from `_LP_MARGIN`.  One block LP solves
-    the rest, and every trial of a block routed to HiGHS.  W has shape
-    (m, d1, d), b has shape (m, d1).  Returns the boolean mask of hits.
+    The block goes to `_vertex_margins` when `_kernel_pays`: small and
+    narrow blocks run on the kernel, wide ones and large blocks of middling
+    width go to HiGHS.  The kernel settles a trial when its optimum lies
+    more than `_SCREEN_MARGIN` from `_LP_MARGIN`, or when, outside general
+    position, its one-signed subsets with clear minors certify a miss.  One
+    block LP solves the rest (margins near the threshold, and trials outside
+    general position with no certified miss), and every trial of a block
+    routed to HiGHS.  W has shape (m, d1, d), b has shape (m, d1).  Returns
+    the boolean mask of hits.
     """
     m, d1, d = W.shape
     margins = np.full(m, np.nan)
-    if m * _table_size(d1, d) * (d + 1) <= _HIGHS_CALL + _HIGHS_TRIAL * m:
+    if _kernel_pays(m, d1, d):
         margins = _vertex_margins(W, b)
     todo = np.flatnonzero(_unsure(margins))
     if todo.size:
@@ -256,21 +280,20 @@ def _screen_misses(W: np.ndarray, b: np.ndarray, rows: int) -> np.ndarray:
     """Mark trials certified to have no negative-orthant point.
 
     Dropping rows can only raise the margin optimum, so the vertex kernel's
-    exact optimum on the `rows` rows of largest offset, where the
-    constraints bind hardest, bounds the trial's; at most -`_SCREEN_MARGIN`
-    it certifies a miss, and NaN certifies nothing.  Each block of
-    `_LP_BLOCK` trials is sorted, gathered and screened on its own, which
-    keeps every table small.  W has shape (n, d1, d), b has shape (n, d1).
-    Returns a boolean mask of misses.
+    margin on the `rows` rows of largest offset, where the constraints bind
+    hardest, bounds the trial's: the exact optimum in general position, a
+    bound from the subsets with clear minors outside it.  At most
+    -`_SCREEN_MARGIN` it certifies a miss, and NaN certifies nothing.  Each
+    block of `_LP_BLOCK` trials is sorted, gathered and screened on its own,
+    which keeps every table small.  W has shape (n, d1, d), b has shape
+    (n, d1).  Returns a boolean mask of misses.
     """
     misses = np.empty(len(b), dtype=bool)
     for lo in range(0, len(b), _LP_BLOCK):
         part = slice(lo, lo + _LP_BLOCK)
         top = np.argsort(-b[part], axis=1)[:, :rows]
-        misses[part] = _vertex_margins(
-            np.take_along_axis(W[part], top[:, :, None], axis=1),
-            np.take_along_axis(b[part], top, axis=1),
-        ) <= -_SCREEN_MARGIN
+        i = np.arange(len(top))[:, None]
+        misses[part] = _vertex_margins(W[part][i, top], b[part][i, top]) <= -_SCREEN_MARGIN
     return misses
 
 
@@ -281,9 +304,10 @@ def intersects_negative_orthant(W: np.ndarray, b: np.ndarray) -> bool:
     t <= 1.  The strict system is feasible exactly when the optimum is
     positive; a small threshold keeps boundary cases (measure zero for
     continuous draws) from flipping on rounding.  `hits` decides it as a
-    block of one trial: small inputs in general position by vertex
-    enumeration, the rest by HiGHS.  W and b must be finite: a NaN or an
-    infinity raises `ValueError`.
+    block of one trial: small inputs by vertex enumeration, exact in
+    general position and a certified miss outside it where one exists, the
+    rest by HiGHS.  W and b must be finite: a NaN or an infinity raises
+    `ValueError`.
     """
     W = np.asarray(W, dtype=float)
     b = np.asarray(b, dtype=float)

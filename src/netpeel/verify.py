@@ -26,14 +26,17 @@ from . import orthant
 from .orthant import (
     _LP_BLOCK,
     SolverError,
+    _kernel_pays,
     _screen_misses,
     intersects_negative_orthant,  # noqa: F401 - imported from here by perfbench/warmup.py
     linprog,  # noqa: F401 - bound for `TRACED_LOCAL` in perfbench/spans.py
 )
 
 # Row counts of the duality screen's passes: the whole chunk on the kernel
-# at its 8 largest offsets, then the trials still open at their 12 largest.
-_SCREEN_ROWS = (8, 12)
+# at its 8 largest offsets, then the trials still open at their 12 largest,
+# then those still open at their 20 largest.  Each pass runs only where it
+# can certify a miss and costs the kernel at most one HiGHS call.
+_SCREEN_ROWS = (8, 12, 20)
 _CHUNK = 4096
 
 
@@ -137,11 +140,13 @@ def empirical_orthant_bound(
     Trials run in chunks of 4096, each drawn from its own child of `seed`,
     so the count is reproducible per seed.  A duality screen settles most
     misses in bulk: the vertex kernel on each trial's 8 largest offsets,
-    then on the 12 largest for the trials still open, each pass only when
-    d < rows < d1 (see `orthant._screen_misses`).  The trials it leaves
-    open go in blocks of up to 128 to `orthant.hits`, which gives a block
-    to the kernel on all rows when that costs less than one HiGHS call and
-    solves the rest as one block-diagonal LP.  A solver failure raises
+    then on the 12 and then the 20 largest for the trials still open (see
+    `orthant._screen_misses`).  A pass runs only when d < rows < d1 and the
+    kernel's work on the open trials at that row count is at most one
+    HiGHS call on them (`orthant._kernel_pays`).  The trials it leaves open
+    go in blocks of up to 128 to `orthant.hits`, which gives a block to the
+    kernel on all rows by the same rule and solves the rest as one
+    block-diagonal LP.  A solver failure raises
     `SolverError` naming the chunk, the number of trials in the failed
     block and the range they span.
     """
@@ -159,9 +164,10 @@ def empirical_orthant_bound(
         b = rng.standard_normal((n, d1))
         undecided = np.arange(n)
         for rows in _SCREEN_ROWS:
-            # On at most d rows the kernel certifies no miss, and on d1 rows
-            # the pass would be the full kernel.
-            if d < rows < d1:
+            # On at most d rows the kernel certifies no miss, on d1 rows the
+            # pass would be the full kernel, and past one HiGHS call of work
+            # the pass would cost more than solving the open trials.
+            if d < rows < d1 and _kernel_pays(undecided.size, rows, d):
                 # Only a pass after one that certified a miss screens a copy.
                 part = (W, b) if undecided.size == n else (W[undecided], b[undecided])
                 undecided = undecided[~_screen_misses(*part, rows)]

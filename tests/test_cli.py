@@ -352,6 +352,19 @@ def test_depth2_commands_never_import_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_the_default_bound_experiment_never_imports_scipy():
+    """The screen certifies every miss of the README's default run, 100,000
+    trials at (2, 30), near-dependent rows included, so it makes no LP solve."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = ("import sys, netpeel.cli\n"
+              "assert netpeel.cli.main(['bound-experiment', '--d', '2', '--d1', '30']) == 0\n"
+              "assert 'scipy' not in sys.modules\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 _DEPTH3_ROUND_TRIP = """
 import sys
 import netpeel.cli

@@ -358,10 +358,14 @@ def test_nonzero_partials_applies_the_generators_margin():
 
 
 def test_dead_region_lp_reads_infeasible_as_unreachable(monkeypatch):
-    # Every unit is active at y = 0 and grows along the orthant, so no y >= 0
-    # with a positive slack exists.  The repeated row leaves the kernel a zero
-    # minor, so the decision is HiGHS's; the orthant program is always
-    # feasible, and HiGHS reads this case as an optimum t* <= 0.
+    # Every unit is active or on its boundary at y = 0 and grows along the
+    # orthant, so no y >= 0 with a positive slack exists.  Unit 0 grows along
+    # axis 0 alone, so its row of W = [V; -I] is parallel to -e_0; the one
+    # dual vertex that proves the miss (t* = -0.5) rests on that pair, every
+    # subset holding it has a zero minor, and the other subsets bound t* by 0
+    # only.  So the kernel certifies nothing and the decision is HiGHS's; the
+    # orthant program is always feasible, and HiGHS reads this case as an
+    # optimum t* <= 0.
     calls = []
     solve = orthant.linprog
 
@@ -371,7 +375,7 @@ def test_dead_region_lp_reads_infeasible_as_unreachable(monkeypatch):
 
     monkeypatch.setattr(orthant, "linprog", counting_linprog)
     assert not generate._orthant_reachable(
-        np.array([[1.0, 1.0], [1.0, 1.0], [0.5, 2.0]]), np.array([1.0, 1.0, 0.5]))
+        np.array([[1.0, 0.0], [1.0, 1.0], [0.5, 2.0]]), np.array([1.0, 0.0, 0.0]))
     assert calls == [1]
 
 
@@ -381,10 +385,11 @@ def test_dead_region_lp_failure_is_loud(monkeypatch):
                                fun=0.0)
 
     monkeypatch.setattr(orthant, "linprog", failing_linprog)
-    # A repeated row of V: the kernel's minor table has a zero, so the
-    # decision goes to the solver.
+    # A repeated row of V, and y = (1, 0) reaches the orthant: outside general
+    # position the kernel certifies only misses, so the decision goes to the
+    # solver.
     with pytest.raises(RuntimeError, match="status 4"):
-        check_nonzero_partials(np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([0.5, -0.3]),
+        check_nonzero_partials(np.array([[-1.0, 2.0], [-1.0, 2.0]]), np.array([0.5, -0.3]),
                                np.array([1, 1]), np.random.default_rng(0))
 
 

@@ -85,11 +85,22 @@ def test_generator_decisions_match_highs_without_a_solver(monkeypatch, solver_ca
 
 
 def test_a_repeated_row_goes_to_highs_once(solver_calls):
-    V, c = np.array([[1.0, 2.0], [1.0, 2.0], [0.5, -1.0]]), np.array([0.5, -0.3, 0.2])
+    # y = (0, 0.25) reaches the orthant, so the kernel, which certifies only
+    # misses outside general position, leaves this problem to HiGHS.
+    V, c = np.array([[1.0, 2.0], [1.0, 2.0], [0.5, -1.0]]), np.array([-0.8, -0.6, 0.2])
     W = np.vstack([V, -np.eye(2)])
     assert np.isnan(orthant._vertex_margins(W[None], np.concatenate([c, [0.0, 0.0]])[None]))
-    assert generate._orthant_reachable(V, c) == _highs_reachable(V, c)
+    assert generate._orthant_reachable(V, c) and _highs_reachable(V, c)
     assert solver_calls == [1]
+
+
+def test_a_repeated_row_with_a_certified_miss_needs_no_solver(solver_calls):
+    V, c = np.array([[1.0, 2.0], [1.0, 2.0], [0.5, -1.0]]), np.array([0.5, -0.3, 0.2])
+    W = np.vstack([V, -np.eye(2)])
+    margin = orthant._vertex_margins(W[None], np.concatenate([c, [0.0, 0.0]])[None])[0]
+    assert margin <= -orthant._SCREEN_MARGIN
+    assert not generate._orthant_reachable(V, c) and not _highs_reachable(V, c)
+    assert solver_calls == []
 
 
 def test_a_margin_in_the_band_goes_to_highs(solver_calls):

@@ -229,13 +229,16 @@ def solver_calls(monkeypatch):
     return calls
 
 
+# Degenerate hits: outside general position the kernel certifies only
+# misses, so these reach HiGHS.  Each d = 2 case meets the orthant at
+# x = (0.2, -0.3).
 _DEGENERATE = {
     "repeated-row": ([[1.0, 2.0], [1.0, 2.0], [-1.0, 0.5], [0.3, -1.0]],
-                     [0.2, -0.1, 0.4, -0.3]),
+                     [0.2, -0.3, 0.3, -0.4]),
     "zero-row": ([[1.0, 2.0], [0.0, 0.0], [-1.0, 0.5], [0.3, -1.0]],
-                 [0.2, -0.1, 0.4, -0.3]),
+                 [0.2, -0.3, 0.3, -0.4]),
     "antiparallel-pair": ([[1.0, 2.0], [-0.5, -1.0], [-1.0, 0.5], [0.3, -1.0]],
-                          [0.2, -0.1, 0.4, -0.3]),
+                          [0.2, -0.3, 0.3, -0.4]),
     "rank-deficient-wide": ([[1.0, 2.0, 3.0], [-2.0, -4.0, -6.0]], [0.5, 0.5]),
 }
 
@@ -245,8 +248,21 @@ def test_degenerate_inputs_go_to_highs(case, solver_calls):
     W, b = (np.array(a) for a in _DEGENERATE[case])
     assert np.isnan(orthant._vertex_margins(W[None], b[None])).all()
     expected = _single_margin(W, b) > orthant._LP_MARGIN
+    assert expected or case == "rank-deficient-wide"
     assert intersects_negative_orthant(W, b) == expected
     assert solver_calls == [1]
+
+
+@pytest.mark.parametrize("case", ["antiparallel-pair", "repeated-row", "zero-row"])
+def test_degenerate_misses_are_certified_without_highs(case, solver_calls):
+    """The d = 2 cases with offsets that leave them 0.012 short of the orthant:
+    a one-signed subset with clear minors certifies each miss."""
+    W, b = np.array(_DEGENERATE[case][0]), np.array([0.2, -0.1, 0.4, -0.3])
+    margin = orthant._vertex_margins(W[None], b[None])[0]
+    assert margin <= -orthant._SCREEN_MARGIN
+    assert _single_margin(W, b) <= margin + 1e-12
+    assert not intersects_negative_orthant(W, b)
+    assert solver_calls == []
 
 
 def test_a_margin_at_the_threshold_goes_to_highs(solver_calls):
@@ -265,10 +281,44 @@ def test_the_kernel_settles_general_trials_and_passes_on_the_rest(solver_calls):
     assert solver_calls == []
     W[7, 3] = W[7, 5]  # a repeated row
     W[21, 0] = 0.0  # a zero row
+    b[[7, 21]] = -np.abs(b[[7, 21]])  # x = 0 meets the orthant
+    W[30, 4] = -2.0 * W[30, 9]  # an antiparallel pair
     expected = orthant._orthant_margins(W, b) > orthant._LP_MARGIN
+    assert expected[[7, 21]].all() and not expected[30]
     solver_calls.clear()
     assert np.array_equal(orthant.hits(W, b), expected)
+    # The kernel certifies the degenerate miss and leaves the degenerate hits.
     assert solver_calls == [2]
+
+
+_DEGENERACIES = ("repeated", "zero", "antiparallel", "near-parallel")
+
+
+@pytest.mark.parametrize("d1, d", [(4, 2), (8, 2), (12, 3), (9, 4), (6, 3), (30, 2)])
+def test_the_kernel_certifies_degenerate_misses_as_highs_decides(d1, d):
+    """Blocks of trials with a repeated, zero, antiparallel or near-parallel
+    (1e-13) row: the kernel returns a margin only as a certified miss, a
+    bound on the block LP's optimum, and leaves the rest as NaN."""
+    rng = np.random.default_rng(d1 * d)
+    settled = 0
+    for case in _DEGENERACIES:
+        W, b = rng.standard_normal((50, d1, d)), rng.standard_normal((50, d1))
+        if case == "repeated":
+            W[:, 1] = W[:, 0]
+        elif case == "zero":
+            W[:, 1] = 0.0
+        elif case == "antiparallel":
+            W[:, 1] = -rng.uniform(0.5, 2.0, (50, 1)) * W[:, 0]
+        else:
+            W[:, 1] = -W[:, 0] + 1e-13 * rng.standard_normal((50, d))
+        kernel = orthant._vertex_margins(W, b)
+        lp = orthant._orthant_margins(W, b)
+        sure = ~np.isnan(kernel)
+        assert np.all(kernel[sure] <= -orthant._SCREEN_MARGIN), case
+        assert np.all(lp[sure] <= kernel[sure] + 1e-9), case
+        assert not np.any(lp[sure] > orthant._LP_MARGIN), case
+        settled += np.count_nonzero(sure)
+    assert settled > 0
 
 
 _ROUTES = {
@@ -327,23 +377,26 @@ def test_verify_names_linprog_once_inside_the_block_kernel():
 
 def test_screen_leaves_the_pinned_trials_open_on_the_benchmark_pool():
     """The (2, 30, 1024) draws of bound-experiment seeds 0-31."""
-    assert verify._SCREEN_ROWS == (8, 12)
-    left_open = {8: 0, 12: 0}
-    rescreened = 0
+    assert verify._SCREEN_ROWS == (8, 12, 20)
+    left_open = dict.fromkeys(verify._SCREEN_ROWS, 0)
+    rescreened = dict.fromkeys(verify._SCREEN_ROWS, 0)
     for seed in range(32):
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         W, b = rng.standard_normal((1024, 30, 2)), rng.standard_normal((1024, 30))
-        masks = {rows: orthant._screen_misses(W, b, rows) for rows in verify._SCREEN_ROWS}
-        for rows, certified in masks.items():
+        undecided = np.arange(1024)
+        for rows in verify._SCREEN_ROWS:
+            certified = orthant._screen_misses(W, b, rows)
             assert certified.dtype == bool and certified.shape == (1024,)
             left_open[rows] += np.count_nonzero(~certified)
-        open8 = np.flatnonzero(~masks[8])
-        rescreened += np.count_nonzero(~orthant._screen_misses(W[open8], b[open8], 12))
-    assert left_open == {8: 2104, 12: 203}
-    # One trial of seed 10 is certified at 8 rows but NaN at 12, where a
-    # near-dependent pair joins the top rows, so the re-screen leaves one
-    # trial fewer open than the 12-row pass on the whole chunk.
-    assert rescreened == 202
+            undecided = undecided[~orthant._screen_misses(W[undecided], b[undecided], rows)]
+            rescreened[rows] += undecided.size
+    assert left_open == {8: 2104, 12: 202, 20: 3}
+    # Each pass certifies every trial the pass before it did, so the cascade
+    # leaves what each pass leaves on the whole chunk.  Trial 364 of seed 10
+    # has two rows among its 12 largest offsets antiparallel to within a sine
+    # of 9.6e-7; its subsets with clear minors certify it at 12 rows at
+    # -1.635, its optimum.
+    assert rescreened == left_open
 
 
 @pytest.mark.parametrize("d1", [3, 4, 5, 8, 9, 30])
@@ -374,7 +427,7 @@ def test_screen_certifies_only_misses(d1):
                 assert mask.dtype == bool and mask.shape == (n,), (d, case, rows)
                 certified += np.count_nonzero(mask)
                 misses |= mask
-            total += 2 * n
+            total += len(verify._SCREEN_ROWS) * n
             if misses.any():
                 margins = orthant._orthant_margins(W[misses], b[misses])
                 assert np.all(margins <= orthant._LP_MARGIN), (d, case)
@@ -382,26 +435,56 @@ def test_screen_certifies_only_misses(d1):
 
 
 def test_screen_passes_run_only_between_d_and_d1(monkeypatch):
-    """On at most d rows the kernel certifies nothing, and on d1 rows a pass
-    would be the full kernel, so each pass runs only when d < rows < d1."""
+    """On at most d rows the kernel certifies nothing, on d1 rows a pass would
+    be the full kernel, and a pass whose kernel work on the open trials costs
+    more than one HiGHS call on them would be dearer than solving them: a
+    pass runs only when d < rows < d1 and `_kernel_pays`."""
     passes = []
     screen = verify._screen_misses
 
     def recording_screen(W, b, rows):
-        passes.append(rows)
+        passes.append((rows, len(W)))
         return screen(W, b, rows)
 
     monkeypatch.setattr(verify, "_screen_misses", recording_screen)
-    expected = {(1, 1): [], (2, 8): [], (2, 9): [8], (2, 30): [8, 12], (8, 12): [],
+    expected = {(1, 1): [], (2, 8): [], (2, 9): [8], (2, 30): [8, 12, 20], (8, 12): [],
                 (7, 13): [8, 12], (11, 30): [12], (12, 30): []}
     for (d, d1), rows in expected.items():
         passes.clear()
         empirical_orthant_bound(d, d1, 5, seed=0)
-        assert passes == rows, (d, d1)
+        assert [r for r, _ in passes] == rows, (d, d1)
+    # At (4, 24) a 20-row pass costs the kernel C(20, 5) = 15,504 subsets a
+    # trial: under one HiGHS call for the one trial of 12 that the 12-row
+    # pass leaves open, over it for the 9 of 20.
+    for trials, screened in ((12, [(8, 12), (12, 8), (20, 1)]), (20, [(8, 20), (12, 9)])):
+        passes.clear()
+        empirical_orthant_bound(4, 24, trials, seed=0)
+        assert passes == screened, trials
+    assert orthant._kernel_pays(1, 20, 4) and not orthant._kernel_pays(9, 20, 4)
+
+
+def test_a_near_antiparallel_pair_is_certified_without_a_solver(solver_calls):
+    """Trial 230 of chunk 19 of the default (2, 30, 100000) run, seed 0: two
+    of its 8 largest-offset rows are antiparallel to within a sine of 6e-7,
+    which leaves it outside general position on its top rows and on all 30."""
+    rng = np.random.default_rng(np.random.SeedSequence(0).spawn(25)[19])
+    W, b = rng.standard_normal((4096, 30, 2)), rng.standard_normal((4096, 30))
+    W, b = W[230:231], b[230:231]
+    top = np.argsort(-b[0])[:8]
+    unit = W[0, top] / np.linalg.norm(W[0, top], axis=1)[:, None]
+    sines = np.abs(np.outer(unit[:, 0], unit[:, 1]) - np.outer(unit[:, 1], unit[:, 0]))
+    assert np.min(sines[np.triu_indices(8, 1)]) < 1e-6
+    margin = orthant._vertex_margins(W[:, top], b[:, top])[0]
+    assert margin <= -orthant._SCREEN_MARGIN
+    assert orthant._screen_misses(W, b, 8).all()
+    assert math.isclose(orthant._orthant_margins(W, b)[0], -2.469, abs_tol=1e-3)
+    solver_calls.clear()
+    assert not orthant.hits(W, b).any()
+    assert solver_calls == []
 
 
 def test_the_benchmark_pool_makes_no_solver_call(solver_calls):
-    """The two screen passes and the kernel settle every (2, 30, 1024) trial."""
+    """The three screen passes and the kernel settle every (2, 30, 1024) trial."""
     for seed in range(32):
         assert empirical_orthant_bound(2, 30, 1024, seed=seed).hits == 0
     assert solver_calls == []
