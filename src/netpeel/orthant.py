@@ -144,9 +144,8 @@ def _vertex_margins(W: np.ndarray, b: np.ndarray) -> np.ndarray:
     one-signed subset whose d + 1 minors are all clear still gives a dual
     point, so the least of their bounds lies above t* by weak duality.  At
     most -`_SCREEN_MARGIN` that bound certifies a miss and is returned;
-    otherwise the trial gets NaN.  The clear minors are gathered into the
-    subset masks only when some trial of the call is outside general
-    position, so an all-general call runs the plain enumeration.
+    otherwise the trial gets NaN.  In general position every minor is
+    clear, so the mask changes nothing and the optimum is exact.
 
     Arrays run trials last, so each gather copies whole rows of m values.
     W has shape (m, d1, d), b has shape (m, d1).  Returns the m optima, or
@@ -171,7 +170,6 @@ def _vertex_margins(W: np.ndarray, b: np.ndarray) -> np.ndarray:
     hadamard = np.prod(norms[plan[level][0]], axis=0)
     clear = np.abs(minors) > _MINOR_FLOOR * hadamard
     general = clear.all(axis=0)
-    degenerate = not general.all()
     margins = np.ones(m)
     if d1 > d:
         offs = b.T
@@ -193,9 +191,7 @@ def _vertex_margins(W: np.ndarray, b: np.ndarray) -> np.ndarray:
                 den += y
                 positive &= y > 0.0
                 negative &= y < 0.0
-            signed = positive | negative
-            if degenerate:
-                signed &= clear[sub].all(axis=0)
+            signed = (positive | negative) & clear[sub].all(axis=0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 bounds = np.where(signed, -num / den, np.inf)
             np.minimum(margins, bounds.min(axis=0), out=margins)

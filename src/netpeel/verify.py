@@ -35,7 +35,7 @@ from .orthant import (
 # Row counts of the duality screen's passes: the whole chunk on the kernel
 # at its 8 largest offsets, then the trials still open at their 12 largest,
 # then those still open at their 20 largest.  Each pass runs only where it
-# can certify a miss and costs the kernel at most one HiGHS call.
+# can certify a miss and costs the kernel at most one HiGHS call a block.
 _SCREEN_ROWS = (8, 12, 20)
 _CHUNK = 4096
 
@@ -142,8 +142,9 @@ def empirical_orthant_bound(
     misses in bulk: the vertex kernel on each trial's 8 largest offsets,
     then on the 12 and then the 20 largest for the trials still open (see
     `orthant._screen_misses`).  A pass runs only when d < rows < d1 and the
-    kernel's work on the open trials at that row count is at most one
-    HiGHS call on them (`orthant._kernel_pays`).  The trials it leaves open
+    kernel's work at that row count on a block of the open trials, up to
+    `_LP_BLOCK` of them as the screen runs, is at most one HiGHS call on
+    that block (`orthant._kernel_pays`).  The trials it leaves open
     go in blocks of up to 128 to `orthant.hits`, which gives a block to the
     kernel on all rows by the same rule and solves the rest as one
     block-diagonal LP.  A solver failure raises
@@ -166,8 +167,8 @@ def empirical_orthant_bound(
         for rows in _SCREEN_ROWS:
             # On at most d rows the kernel certifies no miss, on d1 rows the
             # pass would be the full kernel, and past one HiGHS call of work
-            # the pass would cost more than solving the open trials.
-            if d < rows < d1 and _kernel_pays(undecided.size, rows, d):
+            # a block the pass would cost more than solving the open trials.
+            if d < rows < d1 and _kernel_pays(min(undecided.size, _LP_BLOCK), rows, d):
                 # Only a pass after one that certified a miss screens a copy.
                 part = (W, b) if undecided.size == n else (W[undecided], b[undecided])
                 undecided = undecided[~_screen_misses(*part, rows)]

@@ -463,6 +463,25 @@ def test_screen_passes_run_only_between_d_and_d1(monkeypatch):
     assert orthant._kernel_pays(1, 20, 4) and not orthant._kernel_pays(9, 20, 4)
 
 
+def test_a_full_chunk_prices_each_pass_per_screen_block(monkeypatch):
+    """The screen and `hits` take the open trials 128 at a time, so a pass is
+    priced on one such block: a full chunk at (11, 30) still runs its 12-row
+    pass, 924 * 12 units a trial, though on all 4096 trials at once that
+    would cost more than one HiGHS call on them."""
+    passes = []
+
+    def recording_screen(W, b, rows):
+        passes.append((rows, len(W)))
+        return np.zeros(len(W), dtype=bool)
+
+    monkeypatch.setattr(verify, "_screen_misses", recording_screen)
+    monkeypatch.setattr(orthant, "hits", lambda W, b: np.zeros(len(W), dtype=bool))
+    empirical_orthant_bound(11, 30, 4096, seed=0)
+    assert passes == [(12, 4096)]
+    assert orthant._kernel_pays(orthant._LP_BLOCK, 12, 11)
+    assert not orthant._kernel_pays(4096, 12, 11)
+
+
 def test_a_near_antiparallel_pair_is_certified_without_a_solver(solver_calls):
     """Trial 230 of chunk 19 of the default (2, 30, 100000) run, seed 0: two
     of its 8 largest-offset rows are antiparallel to within a sine of 6e-7,
