@@ -230,6 +230,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         "delta": args.delta,
         "total_queries": oracle.count,
         "phase_queries": dict(result.phase_queries),
+        "phase_seconds": {k: round(v, 6) for k, v in result.phase_seconds.items()},
         "residual_headroom": result.residual_headroom,
         "seconds": round(seconds, 4),
         "parameter_reads": audit.reads,

@@ -13,6 +13,7 @@ orientation ambiguity of each recovered unit (sigma(-z) = sigma(z) - z).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -47,7 +48,8 @@ _REFINE_CANDIDATES = 64
 
 @dataclass
 class ExtractedTwoLayer:
-    """Result of a depth-2 run: the recovered network and its query split.
+    """Result of a depth-2 run: the recovered network, its query split and
+    the wall seconds of each phase.
 
     `net` carries the recovered units and the affine remainder as its skip.
     `residual_headroom` is the worst ratio of the final affine-residual
@@ -56,6 +58,7 @@ class ExtractedTwoLayer:
 
     net: TwoLayerNet
     phase_queries: dict[str, int]
+    phase_seconds: dict[str, float]
     residual_headroom: float
 
     @property
@@ -288,36 +291,42 @@ def extract_two_layer(
     if oracle.domain != DOMAIN_NONNEG:
         raise ValueError("depth-2 extraction queries the nonnegative orthant")
     counts = {"scan": 0, "recover": 0, "refine": 0, "skip": 0}
+    seconds = dict.fromkeys(counts, 0.0)
     rows, offs, signs = [], [], []
     work = oracle
     start_axis = 0
     try:
         while True:
-            phase, mark = "scan", oracle.count
+            phase, mark, t0 = "scan", oracle.count, perf_counter()
             hit = find_neuron_crossing(work, delta, start_axis=start_axis)
             counts[phase] += oracle.count - mark
+            seconds[phase] += perf_counter() - t0
             if hit is None:
                 break
             x1, x2, start_axis = hit
-            phase, mark = "recover", oracle.count
+            phase, mark, t0 = "recover", oracle.count, perf_counter()
             w, b, sign = recover_neuron(work, x1, x2, delta)
             counts[phase] += oracle.count - mark
+            seconds[phase] += perf_counter() - t0
             rows.append(w)
             offs.append(b)
             signs.append(sign)
             if len(rows) > d1_max:
                 raise PieceBudgetError("too many neurons")
             work = subtracted_oracle(oracle, TwoLayerNet(rows, offs, signs))
-        phase, mark = "refine", oracle.count
+        phase, mark, t0 = "refine", oracle.count, perf_counter()
         net = refine_units(oracle, TwoLayerNet(np.reshape(rows, (-1, d)), offs, signs))
         work = subtracted_oracle(oracle, net)
         counts[phase] += oracle.count - mark
-        phase, mark = "skip", oracle.count
+        seconds[phase] += perf_counter() - t0
+        phase, mark, t0 = "skip", oracle.count, perf_counter()
         rng = np.random.default_rng(_SKIP_SEED)
         base = rng.uniform(0.7, 1.7, size=d)
         skip = reconstruct_affine(work, base, 0.25)
         headroom = _check_affine_residual(work, skip, rng)
         counts[phase] += oracle.count - mark
+        seconds[phase] += perf_counter() - t0
     except (GeneralPositionError, PieceBudgetError) as err:
         raise type(err)(f"{phase} phase: {err}") from err
-    return ExtractedTwoLayer(TwoLayerNet(net.W, net.b, net.s, skip), counts, headroom)
+    return ExtractedTwoLayer(TwoLayerNet(net.W, net.b, net.s, skip), counts, seconds,
+                             headroom)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -54,11 +55,13 @@ _PHASES = ("collect", "filter", "signs", "peel")
 @dataclass
 class ExtractedThreeLayer:
     """The recovered network, the number m of collected candidates, the query
-    split and the `residual_headroom` of the depth-2 run on its peeled top."""
+    split, the wall seconds of each phase and the `residual_headroom` of the
+    depth-2 run on its peeled top."""
 
     net: ThreeLayerNet
     n_candidates: int
     phase_queries: dict[str, int]
+    phase_seconds: dict[str, float]
     residual_headroom: float
 
     @property
@@ -273,13 +276,15 @@ def peel_first_layer(oracle: QueryOracle, W: np.ndarray, b: np.ndarray) -> Query
     passes y through and the returned oracle evaluates the top function
     directly.  One underlying query per call.  The returned oracle lives in
     another dimension and domain than `oracle`, so it checks its own points:
-    its orthant check is what keeps y >= 0.
+    its orthant check is what keeps y >= 0.  The right inverse is applied
+    with `M.dot`, the same matrix-vector product as `M @` with less
+    dispatch per call.
     """
     M = right_inverse(W)
     b = np.asarray(b, dtype=float)
 
     def fn(y):
-        return oracle.query(M @ (y - b))
+        return oracle.query(M.dot(y - b))
 
     return QueryOracle(fn, W.shape[0], DOMAIN_NONNEG, label=f"{oracle.label}-top",
                        parent=oracle)
@@ -325,32 +330,35 @@ def extract_three_layer(
     """
     if oracle.domain != DOMAIN_FULL:
         raise ValueError("depth-3 extraction queries all of R^d")
-    # oracle.count as each phase starts; marks[-1] belongs to the running phase.
-    marks = [oracle.count]
+    # (oracle.count, clock) as each phase starts; marks[-1] belongs to the
+    # running phase.
+    marks = [(oracle.count, perf_counter())]
     try:
         normals, offsets, sources, grads = collect_candidate_hyperplanes(
             oracle, delta, m_max, rng=np.random.default_rng(12345))
         if len(offsets) == 0:
             raise GeneralPositionError("probe line met no critical points")
-        marks.append(oracle.count)
+        marks.append((oracle.count, perf_counter()))
 
         keep = filter_candidates(oracle, normals, offsets, sources, delta)
         if not any(keep):
             raise GeneralPositionError("no candidate survived the fold test")
         if d1_max is not None and sum(keep) > d1_max:
             raise PieceBudgetError("too many first-layer planes")
-        marks.append(oracle.count)
+        marks.append((oracle.count, perf_counter()))
 
         W, b = recover_row_signs(normals[keep], offsets[keep], grads[keep])
-        marks.append(oracle.count)
+        marks.append((oracle.count, perf_counter()))
 
         top_oracle = peel_first_layer(oracle, W, b)
         top = extract_two_layer(top_oracle, W.shape[0], delta, d2_max)
         net = ThreeLayerNet(W=W, b=b, top=top.net)
         _check_output(oracle, net)
-        marks.append(oracle.count)
+        marks.append((oracle.count, perf_counter()))
     except (GeneralPositionError, PieceBudgetError) as err:
         phase = _PHASES[len(marks) - 1]
         raise type(err)(f"{phase} phase (axis 0): {err}") from err
-    counts = {phase: hi - lo for phase, lo, hi in zip(_PHASES, marks, marks[1:])}
-    return ExtractedThreeLayer(net, len(offsets), counts, top.residual_headroom)
+    counts, seconds = {}, {}
+    for phase, (q0, t0), (q1, t1) in zip(_PHASES, marks, marks[1:]):
+        counts[phase], seconds[phase] = q1 - q0, t1 - t0
+    return ExtractedThreeLayer(net, len(offsets), counts, seconds, top.residual_headroom)

@@ -109,12 +109,15 @@ def generate_two_layer(d: int, d1: int, rng: np.random.Generator) -> TwoLayerNet
                 continue
             t = rng.uniform(_CROSSING_LO, _CROSSING_HI)
             b = -t * w[axis]
-            if plane_gap(w, b, rows[:j], offs[:j]) < PLANE_GAP:
-                continue
+            # The crossing checks cost less than the plane gap and reject
+            # more draws.  A draw is kept only when every check passes, in
+            # any order, so the order changes no stream.
             cands = _positive_axis_crossings(w, b, np.inf)
             if any(t > AXIS_WINDOW for _, t in cands):
                 continue
             if _crossing_conflict(cands, taken):
+                continue
+            if plane_gap(w, b, rows[:j], offs[:j]) < PLANE_GAP:
                 continue
             rows[j], offs[j], signs[j] = w, b, (-1, 1)[rng.integers(2)]
             _take(cands, taken)
@@ -173,6 +176,16 @@ def _partials_walk(V, c, u, rng: np.random.Generator, margin: float) -> bool:
     their boundary that a move along `+e_i` activates.  A (point, axis)
     pattern fails when no unit is active or when the signed column sum
     `sum_k u_k V[k, i]` over the active units is below `margin`.
+
+    The patterns are two (point, unit) 0/1 matrices: `inside` (Z > tol) and
+    `edge` (|Z| <= tol), which never share an entry.  The active set of
+    (point, axis i) is `inside` plus `edge` masked by V[:, i] > 0, so the
+    column sums are `inside @ uV + edge @ (uV * [V > 0])` and the live-unit
+    counts `inside @ 1 + edge @ [V > 0]`.  Each sum adds the same terms
+    u_k V[k, i] (exact, as u is +-1) as a loop over the active units, in
+    another order, so it can differ from the loop's only by round-off, and a
+    decision only where |sum| lies within a few ulps of `margin`.  The
+    counts are small integers and exact.
     """
     d1 = V.shape[1]
     n_axis = 1 + 4 * d1
@@ -187,12 +200,13 @@ def _partials_walk(V, c, u, rng: np.random.Generator, margin: float) -> bool:
 
     Z = P @ V.T + c
     tol = 1e-12 * (1.0 + np.abs(c))
-    # A unit resting exactly on its boundary contributes to the one-sided
-    # partial along +e_i only if that move activates it.
-    active = (Z > tol)[:, None, :] | (
-        (np.abs(Z) <= tol)[:, None, :] & (V.T > 0.0))
-    sums = np.einsum("nik,ik->ni", active, (u[:, None] * V).T)
-    return bool(np.all(active.any(axis=2) & (np.abs(sums) >= margin)))
+    inside = (Z > tol).astype(float)
+    edge = (np.abs(Z) <= tol).astype(float)
+    rising = (V > 0.0).astype(float)
+    uV = u[:, None] * V
+    sums = inside @ uV + edge @ (uV * rising)
+    live = inside @ np.ones_like(V) + edge @ rising
+    return bool(np.all((live > 0.0) & (np.abs(sums) >= margin)))
 
 
 def check_nonzero_partials(V: np.ndarray, c: np.ndarray, u, rng: np.random.Generator) -> bool:
@@ -255,10 +269,10 @@ def _second_layer_block(d1, d2, rng):
             row = rng.uniform(V_LOW, V_HIGH, size=d1) * _SIGNS[rng.integers(2, size=d1)]
             t = rng.uniform(0.5, 4.5)
             off = -t * row[axis]
-            if plane_gap(row, off, V[:k], c[:k]) < PLANE_GAP:
-                continue
             cands = _positive_axis_crossings(row, off, LINE_WINDOW)
             if _crossing_conflict(cands, taken):
+                continue
+            if plane_gap(row, off, V[:k], c[:k]) < PLANE_GAP:
                 continue
             V[k] = row
             c[k] = off

@@ -90,10 +90,21 @@ class QueryOracle:
 
 
 def axis_ray(oracle: QueryOracle, axis: int) -> Callable[[float], float]:
-    """The restriction t -> oracle.query(t * e_axis); one query of `oracle` per call."""
-    e = np.zeros(oracle.dim)
-    e[axis] = 1.0
-    return lambda t: oracle.query(t * e)
+    """The restriction t -> oracle.query(t * e_axis); one query of `oracle` per call.
+
+    Each call writes t into a fresh zero vector, which costs less than the
+    product `t * e`.  For t < 0 the other coordinates hold +0.0 where the
+    product held -0.0; a weighted sum of the point adds them as zeros either
+    way, so no query value sees the difference.
+    """
+    dim = oracle.dim
+
+    def ray(t):
+        x = np.zeros(dim)
+        x[axis] = t
+        return oracle.query(x)
+
+    return ray
 
 
 class AccessAudit:

@@ -103,13 +103,24 @@ def _finite(value) -> bool:
 
 
 def _numbers(doc: dict, name: str, size: int) -> np.ndarray:
-    """Field `name`, which must be a flat list of `size` finite numbers."""
+    """Field `name`, which must be a flat list of `size` finite numbers.
+
+    One pass over the entries' types (exactly int or float, so no boolean),
+    one conversion, one finiteness check.  An int past float64's range
+    overflows in the conversion and is refused like an infinity.
+    """
     values = doc[name]
-    if not (isinstance(values, list) and all(map(_finite, values))):
+    array = None
+    if isinstance(values, list) and set(map(type, values)) <= {int, float}:
+        try:
+            array = np.array(values, dtype=float)
+        except OverflowError:
+            pass
+    if array is None or not np.isfinite(array).all():
         raise ValueError(f"{name} must be a flat list of finite numbers")
     if len(values) != size:
         raise ValueError(f"{name} has {len(values)} entries, expected {size}")
-    return np.array(values, dtype=float)
+    return array
 
 
 def _read_units(doc: dict, names: tuple[str, str], dim: int, width: int) -> TwoLayerNet:

@@ -55,14 +55,15 @@ def reconstruct_affine(oracle, x, delta: float) -> AffineMap:
     The caller guarantees the oracle is affine on the probed points
     (x and x + delta*e_i); there is no way to detect a violation locally.
     One probe buffer is bumped along each coordinate in turn and restored,
-    so the oracle must not keep the array it is handed.
+    so the oracle must not keep the array it is handed.  The coordinates of
+    `x` are read once as Python floats, so the loop reads no numpy scalar
+    out of the probe; Python and numpy round the steps alike.
     """
     x = np.asarray(x, dtype=float)
     f0 = oracle.query(x)
     probe = x.copy()
     w = np.empty(x.size)
-    for i in range(x.size):
-        xi = probe[i]
+    for i, xi in enumerate(x.tolist()):
         probe[i] = xi + delta
         w[i] = (oracle.query(probe) - f0) / delta
         probe[i] = xi

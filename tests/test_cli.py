@@ -129,6 +129,23 @@ def test_extract_accounts_every_query(tmp_path, shape):
     assert 0.0 <= doc["residual_headroom"] <= 1.0
 
 
+@pytest.mark.parametrize("shape", [
+    ("--d", "2", "--d1", "3", "--seed", "5"),
+    ("--depth", "3", "--d", "3", "--d1", "2", "--d2", "6", "--seed", "2"),
+], ids=["depth2", "depth3"])
+def test_extract_report_times_every_phase(tmp_path, shape):
+    net = _generate(tmp_path, "net.json", *shape)
+    report = tmp_path / "report.json"
+    assert main(["extract", "--input", str(net), "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    phases = doc["phase_seconds"]
+    assert list(phases) == list(doc["phase_queries"])
+    assert all(t >= 0.0 for t in phases.values())
+    # The phases run back to back inside the timed run; each is rounded to
+    # 1e-6 s and the run to 1e-4 s.
+    assert sum(phases.values()) <= doc["seconds"] + 1e-4 + 1e-6 * len(phases)
+
+
 def test_extract_is_deterministic_apart_from_timing(tmp_path):
     net = _generate(tmp_path, "net.json", "--d", "2", "--d1", "3", "--seed", "5")
     docs = []
@@ -137,6 +154,7 @@ def test_extract_is_deterministic_apart_from_timing(tmp_path):
         assert main(["extract", "--input", str(net), "--out", str(report)]) == 0
         doc = json.loads(report.read_text())
         doc.pop("seconds")
+        doc.pop("phase_seconds")
         docs.append(doc)
     assert docs[0] == docs[1]
 
@@ -163,8 +181,8 @@ def test_extract_query_counts_are_pinned(tmp_path, shape, phases, total):
 
 
 # sha256 of the seed-0 `extract` report of each cell above, with `seconds`
-# dropped and the keys sorted.  Last re-pinned when refine went from 256 to
-# 64 candidates per plane.
+# and `phase_seconds` dropped and the keys sorted.  Last re-pinned when
+# refine went from 256 to 64 candidates per plane.
 _REPORT_DIGESTS = [
     (("--d", "10", "--d1", "32"),
      "d3d56635d0c9feb4db9965ba0a24c08fcebc36d03d9e96509b50f5e4020d6214"),
@@ -188,8 +206,38 @@ def test_extract_reports_are_pinned_byte_for_byte(tmp_path, shape, digest):
     assert main(["extract", "--input", str(net), "--out", str(report)]) == 0
     doc = json.loads(report.read_text())
     doc.pop("seconds")
+    doc.pop("phase_seconds")
     text = json.dumps(doc, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 over a whole benchmark pool, seed by seed, of the generated file,
+# the recovered network's document and `phase_queries`.  The seed-0 pins
+# above see one net per cell; these see every net the benchmark runs.
+_ROUND_TRIP_DIGESTS = [
+    (("--d", "10", "--d1", "32"), 10,
+     "f7036eca965afd922fcf8468ba823abb7e17ae71ea627e1e5d3d335710977e3a"),
+    (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"), 48,
+     "4e16d4a2ee23fc84843c6ce7e4ff417545c0caca0a3525e30af90c80a6d5642e"),
+]
+
+
+@pytest.mark.parametrize("shape, n_seeds, digest", _ROUND_TRIP_DIGESTS,
+                         ids=["d2-wide", "d3-small"])
+def test_round_trips_are_pinned_over_each_pool(tmp_path, shape, n_seeds, digest):
+    """Every generated net, recovered network and per-phase count of the pool,
+    to the bit.  The digests carry the BLAS caveat of the test above."""
+    net = tmp_path / "net.json"
+    report = tmp_path / "report.json"
+    sha = hashlib.sha256()
+    for seed in range(n_seeds):
+        assert main(["generate", *shape, "--seed", str(seed), "--out", str(net)]) == 0
+        assert main(["extract", "--input", str(net), "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        sha.update(net.read_bytes())
+        sha.update(json.dumps([doc["network"], doc["phase_queries"]],
+                              sort_keys=True).encode())
+    assert sha.hexdigest() == digest
 
 
 def test_extract_fails_gracefully_on_an_unresolvable_kink(tmp_path):
@@ -242,6 +290,7 @@ _BAD_INPUTS = {
                                    "u": [1]}),
     "nested-W.json": json.dumps({**_NET2, "W": [[1.0, 0.0], [0.0, 1.0]]}),
     "huge-int-weight.json": json.dumps({**_NET2, "W": [10**400, 0, 0, 1]}),
+    "mixed-boolean-W.json": json.dumps({**_NET2, "W": [1.0, True, 0, 1]}),
 }
 
 
