@@ -12,6 +12,7 @@ orientation ambiguity of each recovered unit (sigma(-z) = sigma(z) - z).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -76,7 +77,8 @@ def find_neuron_crossing(
 
     Scans rays t -> t*e_i, t <= 1/delta, for i = start_axis..oracle.dim-1
     and, on the first ray with a break at t0, returns (x1, x2, axis) with
-    x1 = (t0-eps)*e_i and x2 = (t0+eps)*e_i.  The half-width eps is half the
+    x1 = (t0-eps)*e_i and x2 = (t0+eps)*e_i, each written into a zero
+    vector as `axis_ray` writes its points.  The half-width eps is half the
     gap to the next break t1 on that ray, capped at min(0.01, t0/2) and
     floored at delta/4, so exactly one unit changes state between x1 and x2.
     Returns None when every scanned ray is break-free.
@@ -103,8 +105,9 @@ def find_neuron_crossing(
         t1 = next(iter_critical_points_1d(ray, delta, (t0 + delta / 2.0, end)), None)
         gap = (t1 - t0) if t1 is not None else np.inf
         eps = max(delta / 4.0, min(gap / 2.0, _BRACKET_CAP, t0 / 2.0))
-        e = np.eye(oracle.dim)[axis]
-        return (t0 - eps) * e, (t0 + eps) * e, axis
+        x1, x2 = np.zeros(oracle.dim), np.zeros(oracle.dim)
+        x1[axis], x2[axis] = t0 - eps, t0 + eps
+        return x1, x2, axis
     return None
 
 
@@ -134,7 +137,7 @@ def recover_neuron(oracle, x1, x2, delta: float) -> tuple[np.ndarray, float, int
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     span = x2 - x1
-    eps = float(np.linalg.norm(span)) / 2.0
+    eps = math.sqrt(span.dot(span)) / 2.0
     e = span / (2.0 * eps)
     h = max(delta / 8.0, min(eps / 8.0, 1e-3))
     f1 = oracle.query(x1)
@@ -147,14 +150,14 @@ def recover_neuron(oracle, x1, x2, delta: float) -> tuple[np.ndarray, float, int
         raise GeneralPositionError("endpoints in same linear region")
     plane_dist = eps * jump
     step = max(min(eps / 8.0, plane_dist / 4.0, _STEP_CAP), delta / 64.0)
-    nudge = min(step / 8.0, plane_dist / (4.0 * np.sqrt(x1.size)))
-    shift = nudge * np.ones_like(x1)
-    lam1 = reconstruct_affine(oracle, x1 + shift, step)
-    lam2 = reconstruct_affine(oracle, x2 + shift, step)
+    root_d = math.sqrt(x1.size)
+    nudge = min(step / 8.0, plane_dist / (4.0 * root_d))
+    lam1 = reconstruct_affine(oracle, x1 + nudge, step)
+    lam2 = reconstruct_affine(oracle, x2 + nudge, step)
     w = lam2.w - lam1.w
     b = lam2.b - lam1.b
-    noise = PLANE_NOISE * scale * np.sqrt(x1.size) / step
-    if float(np.linalg.norm(w)) <= max(noise, NORMAL_FLOOR):
+    noise = PLANE_NOISE * scale * root_d / step
+    if math.sqrt(w.dot(w)) <= max(noise, NORMAL_FLOOR):
         raise GeneralPositionError("endpoints in same linear region")
     return w, b, 1 if m2 > m1 else -1
 
@@ -212,9 +215,11 @@ def _refine_points(normals: np.ndarray, offsets: np.ndarray, rng) -> list:
         mu = rng.uniform(0.0, t.sum() / t.size, size=(size, d - t.size))
         rays = eye[~h]
         rays[:, pivots[i]] -= ratio[k, ~h]
+        # Each point is its ray part plus lam * t on the hit axes; the gemm
+        # stays a gemm, as a gemv would round the pivot column otherwise.
         block = pts[k * size:(k + 1) * size]
-        np.matmul(lam, eye[h] * t[:, None], out=block)
-        block += mu @ rays
+        np.matmul(mu, rays, out=block)
+        block[:, h] += lam * t
     dist = normals @ pts.T
     dist += offsets[:, None]
     np.abs(dist, out=dist)
@@ -259,8 +264,7 @@ def refine_units(oracle: QueryOracle, net: TwoLayerNet) -> TwoLayerNet:
 def _check_affine_residual(work: QueryOracle, skip: AffineMap, rng) -> float:
     """Worst |residual - skip| over its tolerance at 16 random points."""
     worst = 0.0
-    for _ in range(16):
-        x = rng.uniform(0.0, 4.0, size=work.dim)
+    for x in rng.uniform(0.0, 4.0, size=(16, work.dim)):
         got = work.query(x)
         worst = max(worst, abs(got - skip(x)) / (RESIDUAL_TOL * (1.0 + abs(got))))
     if worst > 1.0:
@@ -292,7 +296,7 @@ def extract_two_layer(
         raise ValueError("depth-2 extraction queries the nonnegative orthant")
     counts = {"scan": 0, "recover": 0, "refine": 0, "skip": 0}
     seconds = dict.fromkeys(counts, 0.0)
-    rows, offs, signs = [], [], []
+    found = TwoLayerNet(np.empty((0, d)), [], [])
     work = oracle
     start_axis = 0
     try:
@@ -308,14 +312,13 @@ def extract_two_layer(
             w, b, sign = recover_neuron(work, x1, x2, delta)
             counts[phase] += oracle.count - mark
             seconds[phase] += perf_counter() - t0
-            rows.append(w)
-            offs.append(b)
-            signs.append(sign)
-            if len(rows) > d1_max:
+            found = TwoLayerNet(np.vstack((found.W, w)), np.append(found.b, b),
+                                np.append(found.s, sign))
+            if found.width > d1_max:
                 raise PieceBudgetError("too many neurons")
-            work = subtracted_oracle(oracle, TwoLayerNet(rows, offs, signs))
+            work = subtracted_oracle(oracle, found)
         phase, mark, t0 = "refine", oracle.count, perf_counter()
-        net = refine_units(oracle, TwoLayerNet(np.reshape(rows, (-1, d)), offs, signs))
+        net = refine_units(oracle, found)
         work = subtracted_oracle(oracle, net)
         counts[phase] += oracle.count - mark
         seconds[phase] += perf_counter() - t0

@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 
-def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def _frozen(a, ndmin: int = 0) -> np.ndarray:
+    out = np.array(a, dtype=float, ndmin=ndmin)
     out.flags.writeable = False
     return out
 
@@ -44,7 +44,7 @@ class AffineMap:
     b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "w", _frozen(np.atleast_1d(self.w)))
+        object.__setattr__(self, "w", _frozen(self.w, ndmin=1))
         object.__setattr__(self, "b", float(self.b))
 
     @property
@@ -52,7 +52,7 @@ class AffineMap:
         return self.w.shape[0]
 
     def __call__(self, x) -> float:
-        return float(self.w @ np.asarray(x, dtype=float) + self.b)
+        return float(self.w.dot(np.asarray(x, dtype=float)) + self.b)
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
         return np.asarray(xs, dtype=float) @ self.w + self.b
@@ -106,8 +106,8 @@ class ThreeLayerNet:
     top: TwoLayerNet
 
     def __post_init__(self):
-        object.__setattr__(self, "W", _frozen(np.atleast_2d(self.W)))
-        object.__setattr__(self, "b", _frozen(np.atleast_1d(self.b)))
+        object.__setattr__(self, "W", _frozen(self.W, ndmin=2))
+        object.__setattr__(self, "b", _frozen(self.b, ndmin=1))
         if self.top.d != self.W.shape[0]:
             raise ValueError("top dim does not match rows of W")
         if self.b.shape != (self.W.shape[0],):

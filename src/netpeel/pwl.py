@@ -67,7 +67,7 @@ def reconstruct_affine(oracle, x, delta: float) -> AffineMap:
         probe[i] = xi + delta
         w[i] = (oracle.query(probe) - f0) / delta
         probe[i] = xi
-    return AffineMap(w, f0 - float(w @ x))
+    return AffineMap(w, f0 - float(w.dot(x)))
 
 
 class _LocalLine(NamedTuple):
