@@ -221,7 +221,18 @@ def iter_critical_points_1d(line, delta: float, window):
     at moderate |t| and keep the requested resolution, while the far blocks
     only confirm emptiness.  After each break the search resumes delta/2
     past it, so a caller that stops early pays for no search it did not use.
+
+    The sweep reads each t once: its values are kept, keyed by t, for as
+    long as the sweep runs.  A resumed search reuses the far fit it ended
+    on, and neighbouring blocks share their edge point.
     """
+    values: dict[float, float] = {}
+
+    def read(t: float) -> float:
+        if t not in values:
+            values[t] = line(t)
+        return values[t]
+
     lo, hi = float(window[0]), float(window[1])
     edges = set()
     s = 16.0
@@ -240,7 +251,7 @@ def iter_critical_points_1d(line, delta: float, window):
             step = sweep_step(delta, near)
             if seg_hi - start <= 4 * step:
                 break
-            t = leftmost_critical_point_1d(line, step, (start, seg_hi))
+            t = leftmost_critical_point_1d(read, step, (start, seg_hi))
             if t is None:
                 break
             yield t

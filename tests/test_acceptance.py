@@ -186,36 +186,36 @@ def test_depth2_fixture_draws_are_pinned(depth2_runs):
 # not pinned, so a harmless change of summation order still passes.
 _DEPTH2_PHASES = ("scan", "recover", "refine", "skip")
 _DEPTH2_PHASE_COUNTS = [
-    (46, 10, 6, 19), (198, 80, 48, 19), (746, 320, 192, 19),
-    (94, 16, 12, 22), (220, 128, 96, 22), (756, 512, 384, 22),
-    (174, 26, 22, 27), (304, 208, 176, 27), (844, 832, 704, 27),
-    (46, 10, 6, 19), (174, 80, 48, 19), (834, 320, 192, 19),
-    (94, 16, 12, 22), (212, 128, 96, 22), (786, 512, 384, 22),
-    (174, 26, 22, 27), (310, 208, 176, 27), (822, 832, 704, 27),
-    (46, 10, 6, 19), (186, 80, 48, 19), (764, 320, 192, 19),
-    (94, 16, 12, 22), (222, 128, 96, 22), (760, 512, 384, 22),
-    (174, 26, 22, 27), (316, 208, 176, 27), (864, 832, 704, 27),
-    (46, 10, 6, 19), (172, 80, 48, 19), (774, 320, 192, 19),
-    (94, 16, 12, 22), (214, 128, 96, 22), (768, 512, 384, 22),
-    (174, 26, 22, 27), (304, 208, 176, 27), (838, 832, 704, 27),
-    (46, 10, 6, 19), (190, 80, 48, 19), (766, 320, 192, 19),
-    (94, 16, 12, 22), (238, 128, 96, 22), (784, 512, 384, 22),
-    (174, 26, 22, 27), (302, 208, 176, 27), (830, 832, 704, 27),
-    (46, 10, 6, 19), (176, 80, 48, 19), (828, 320, 192, 19),
-    (94, 16, 12, 22), (216, 128, 96, 22),
+    (40, 10, 6, 19), (192, 80, 48, 19), (739, 320, 192, 19),
+    (79, 16, 12, 22), (203, 128, 96, 22), (739, 512, 384, 22),
+    (144, 26, 22, 27), (273, 208, 176, 27), (810, 832, 704, 27),
+    (40, 10, 6, 19), (168, 80, 48, 19), (828, 320, 192, 19),
+    (79, 16, 12, 22), (197, 128, 96, 22), (768, 512, 384, 22),
+    (144, 26, 22, 27), (278, 208, 176, 27), (789, 832, 704, 27),
+    (40, 10, 6, 19), (180, 80, 48, 19), (758, 320, 192, 19),
+    (79, 16, 12, 22), (207, 128, 96, 22), (741, 512, 384, 22),
+    (144, 26, 22, 27), (286, 208, 176, 27), (830, 832, 704, 27),
+    (40, 10, 6, 19), (165, 80, 48, 19), (767, 320, 192, 19),
+    (79, 16, 12, 22), (198, 128, 96, 22), (748, 512, 384, 22),
+    (144, 26, 22, 27), (273, 208, 176, 27), (804, 832, 704, 27),
+    (40, 10, 6, 19), (183, 80, 48, 19), (757, 320, 192, 19),
+    (79, 16, 12, 22), (223, 128, 96, 22), (766, 512, 384, 22),
+    (144, 26, 22, 27), (272, 208, 176, 27), (796, 832, 704, 27),
+    (40, 10, 6, 19), (170, 80, 48, 19), (822, 320, 192, 19),
+    (79, 16, 12, 22), (201, 128, 96, 22),
 ]
 _DEPTH3_PHASES = ("collect", "filter", "signs", "peel")
 _DEPTH3_PHASE_COUNTS = [
-    (304, 48, 0, 275), (279, 66, 0, 435), (553, 102, 0, 442),
-    (603, 147, 0, 692), (432, 57, 0, 275), (624, 72, 0, 425),
-    (674, 105, 0, 488), (1046, 360, 0, 708), (530, 159, 0, 617),
-    (1130, 222, 0, 1021), (932, 381, 0, 844), (876, 276, 0, 1364),
-    (908, 351, 0, 1071), (1696, 759, 0, 1793), (243, 81, 0, 267),
-    (170, 36, 0, 421), (440, 111, 0, 452), (770, 138, 0, 702),
-    (408, 54, 0, 275), (598, 87, 0, 421), (344, 87, 0, 422),
-    (802, 168, 0, 696), (544, 162, 0, 605), (1190, 234, 0, 989),
-    (754, 228, 0, 838), (1290, 360, 0, 1362), (1054, 345, 0, 1059),
-    (1680, 768, 0, 1821), (198, 42, 0, 281), (537, 144, 0, 445),
+    (280, 48, 0, 269), (257, 66, 0, 429), (513, 102, 0, 433),
+    (561, 147, 0, 683), (406, 57, 0, 269), (590, 72, 0, 419),
+    (638, 105, 0, 479), (988, 360, 0, 699), (496, 159, 0, 605),
+    (1071, 222, 0, 1009), (878, 381, 0, 829), (826, 276, 0, 1349),
+    (854, 351, 0, 1053), (1606, 759, 0, 1775), (225, 81, 0, 261),
+    (154, 36, 0, 415), (408, 111, 0, 443), (716, 138, 0, 693),
+    (382, 54, 0, 269), (560, 87, 0, 415), (324, 87, 0, 413),
+    (758, 168, 0, 687), (512, 162, 0, 593), (1126, 234, 0, 977),
+    (710, 228, 0, 823), (1220, 360, 0, 1347), (996, 345, 0, 1041),
+    (1596, 768, 0, 1803), (182, 42, 0, 275), (497, 144, 0, 439),
 ]
 
 

@@ -163,9 +163,9 @@ def test_extract_is_deterministic_apart_from_timing(tmp_path):
 # counts is a change of the algorithm and has to be reported as one.
 _PINNED_COUNTS = [
     (("--d", "10", "--d1", "32"),
-     {"scan": 812, "recover": 832, "refine": 704, "skip": 27}, 2375),
+     {"scan": 779, "recover": 832, "refine": 704, "skip": 27}, 2342),
     (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"),
-     {"collect": 530, "filter": 108, "signs": 0, "peel": 432}, 1070),
+     {"collect": 498, "filter": 108, "signs": 0, "peel": 423}, 1029),
 ]
 
 
@@ -182,12 +182,12 @@ def test_extract_query_counts_are_pinned(tmp_path, shape, phases, total):
 
 # sha256 of the seed-0 `extract` report of each cell above, with `seconds`
 # and `phase_seconds` dropped and the keys sorted.  Last re-pinned when
-# refine went from 256 to 64 candidates per plane.
+# each sweep began to read a point once, which lowered the counts it holds.
 _REPORT_DIGESTS = [
     (("--d", "10", "--d1", "32"),
-     "d3d56635d0c9feb4db9965ba0a24c08fcebc36d03d9e96509b50f5e4020d6214"),
+     "92d6592c4bf8938bf573ed410c2c09ba6662951e6252266d7f311145bf866552"),
     (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"),
-     "2649a4efed027d0f78ec9441a9e6364dd2ade8fa2c58ced3c31498f51e5715fe"),
+     "61cd5653ae09648119550ba27e6672edb27dc4cde17346dc4363530f46812670"),
 ]
 
 
@@ -219,10 +219,10 @@ def test_extract_reports_are_pinned_byte_for_byte(tmp_path, shape, digest):
 _ROUND_TRIP_PINS = [
     (("--d", "10", "--d1", "32"), 10,
      "f53d219e95e5937583a2254345c3139bfb888e27a98aa8c363e725b3452619db",
-     {"scan": 8358, "recover": 8320, "refine": 7040, "skip": 270}),
+     {"scan": 8018, "recover": 8320, "refine": 7040, "skip": 270}),
     (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"), 48,
      "aebdd6bac0c6334659492cb5151cf8d1e6e3a443f25affcc50fd251b0e51d0e2",
-     {"collect": 24640, "filter": 5601, "signs": 0, "peel": 21054}),
+     {"collect": 23212, "filter": 5601, "signs": 0, "peel": 20622}),
 ]
 
 
@@ -629,9 +629,9 @@ def test_the_benchmark_tracer_wraps_every_traced_name_and_restores_it(monkeypatc
         # `check_trace` while untraced ones pass.
         for net, extract, queries in (
             (generate_two_layer(4, 8, np.random.default_rng(0)),
-             lambda o: extract_two_layer(o, 4, 1e-4, 512), 423),
+             lambda o: extract_two_layer(o, 4, 1e-4, 512), 411),
             (generate_three_layer(4, 3, 9, np.random.default_rng(1)),
-             lambda o: extract_three_layer(o, 1e-4), 1005),
+             lambda o: extract_three_layer(o, 1e-4), 966),
         ):
             oracle, q0 = as_oracle(net), tracer.base_queries
             got = extract(oracle)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netpeel
+import netpeel.pwl as pwl
 from helpers import dense_grid_kinks, scalar_line, synth_pwl, unit_plane
 from netpeel.config import CANON_FLOOR, PROBE_FLOOR
 from netpeel.margins import plane_gap
@@ -21,6 +22,7 @@ from netpeel.pwl import (
     PieceBudgetError,
     all_critical_points_1d,
     is_critical_point,
+    iter_critical_points_1d,
     leftmost_critical_point_1d,
     reconstruct_affine,
     reconstruct_critical_hyperplane,
@@ -198,6 +200,30 @@ def test_far_blocks_confirm_emptiness_with_a_wider_step():
         offs += [b, b + 1]
     line = axis_ray(as_oracle(TwoLayerNet(rows, offs, [1, -1] * 5)), 0)
     assert all_critical_points_1d(line, 1e-4, 64, (16, 1e4)) == []
+
+
+def test_a_sweep_reads_each_point_once(monkeypatch):
+    """Breaks in the first and third blocks of (-1, 300), none in (16, 256):
+    the sweep resumes after each break and crosses two block edges, yet reads
+    no t twice, and finds what the same searches find on the bare line."""
+    kinks = (2.0, 5.0, 9.0, 270.0, 285.0)
+    slopes = (1.0, -2.0, 3.0, -1.5, 0.5)
+    reads = []
+
+    def line(t):
+        reads.append(t)
+        return sum(a * max(t - k, 0.0) for a, k in zip(slopes, kinks))
+
+    window = (-1.0, 300.0)
+    found = list(iter_critical_points_1d(line, 1e-4, window))
+    assert np.max(np.abs(np.array(found) - kinks)) < 1e-8
+    assert len(reads) == len(set(reads))
+    reads.clear()
+    leftmost = pwl.leftmost_critical_point_1d
+    monkeypatch.setattr(pwl, "leftmost_critical_point_1d",
+                        lambda _read, step, block: leftmost(line, step, block))
+    assert list(iter_critical_points_1d(line, 1e-4, window)) == found
+    assert len(reads) > len(set(reads))
 
 
 def _calls(node, name):
