@@ -201,6 +201,7 @@ class BenchRow:
     ok: bool
     total_queries: int
     phase_queries: dict = field(default_factory=dict)
+    phase_seconds: dict = field(default_factory=dict)
     error: str = ""
     seconds: float = 0.0
 
@@ -233,7 +234,7 @@ class BenchFit:
 def _bench_cell(depth: int, d: int, d1: int, d2: int, delta: float, seed: int) -> BenchRow:
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    ok, total, phases, error = True, 0, {}, ""
+    ok, total, phases, phase_seconds, error = True, 0, {}, {}, ""
     try:
         if depth == 2:
             net = generate_two_layer(d, d1, rng)
@@ -244,6 +245,7 @@ def _bench_cell(depth: int, d: int, d1: int, d2: int, delta: float, seed: int) -
             oracle = as_oracle(net)
             result = extract_three_layer(oracle, delta)
         total, phases = oracle.count, dict(result.phase_queries)
+        phase_seconds = dict(result.phase_seconds)
     except SolverError:
         raise
     except Exception as err:  # noqa: BLE001 - recorded per cell, table survives
@@ -258,6 +260,7 @@ def _bench_cell(depth: int, d: int, d1: int, d2: int, delta: float, seed: int) -
         ok=ok,
         total_queries=total,
         phase_queries=phases,
+        phase_seconds=phase_seconds,
         error=error,
         seconds=time.perf_counter() - t0,
     )
@@ -311,6 +314,7 @@ _BENCH_FIELDS = [
     "predictor",
     "seconds",
     "phases",
+    "phase_seconds",
     "error",
 ]
 
@@ -325,6 +329,7 @@ def bench_to_csv(rows: Sequence[BenchRow], path: str) -> None:
                 "predictor": f"{r.predictor:.6g}",
                 "seconds": f"{r.seconds:.4f}",
                 "phases": ";".join(f"{k}={v}" for k, v in r.phase_queries.items()),
+                "phase_seconds": ";".join(f"{k}={v:.6f}" for k, v in r.phase_seconds.items()),
             })
 
 

@@ -628,13 +628,17 @@ def test_bench_and_bound_csv_round_trip(tmp_path):
     bench_path = tmp_path / "bench.csv"
     bench_to_csv(rows, str(bench_path))
     assert bench_path.read_text().splitlines()[0] == (
-        "depth,d,d1,d2,delta,seed,ok,total_queries,predictor,seconds,phases,error")
+        "depth,d,d1,d2,delta,seed,ok,total_queries,predictor,seconds,phases,"
+        "phase_seconds,error")
     with open(bench_path, newline="") as fh:
         parsed = list(csv.DictReader(fh))
     assert len(parsed) == 1
     assert parsed[0]["ok"] == "True"
     assert int(parsed[0]["total_queries"]) > 0
     assert "scan=" in parsed[0]["phases"]
+    timed = dict(item.split("=") for item in parsed[0]["phase_seconds"].split(";"))
+    assert list(timed) == ["scan", "recover", "refine", "skip"]
+    assert all(float(t) >= 0.0 for t in timed.values())
 
     exp = empirical_orthant_bound(2, 4, 50, seed=0)
     bound_path = tmp_path / "bound.csv"
