@@ -103,7 +103,7 @@ def find_neuron_crossing(
         reach = min(2.0 * _BRACKET_CAP, t0)
         end = min(hi, t0 + reach + 4.0 * sweep_step(delta, t0 + reach))
         t1 = next(iter_critical_points_1d(ray, delta, (t0 + delta / 2.0, end)), None)
-        gap = (t1 - t0) if t1 is not None else np.inf
+        gap = (t1 - t0) if t1 is not None else math.inf
         eps = max(delta / 4.0, min(gap / 2.0, _BRACKET_CAP, t0 / 2.0))
         x1, x2 = np.zeros(oracle.dim), np.zeros(oracle.dim)
         x1[axis], x2[axis] = t0 - eps, t0 + eps
@@ -207,16 +207,18 @@ def _refine_points(normals: np.ndarray, offsets: np.ndarray, rng) -> list:
     pts = np.empty((owners.size * size, d))
     for k, i in enumerate(owners):
         h = hit[i]
+        free = ~h
         t = T[i, h]
         # Dirichlet(1, ..., 1) as `rng.dirichlet` draws it: exponentials over
         # their running total, bit for bit.
         lam = rng.standard_exponential((size, t.size))
-        lam *= 1.0 / np.cumsum(lam, axis=1)[:, -1:]
+        lam *= 1.0 / lam.cumsum(axis=1)[:, -1:]
         mu = rng.uniform(0.0, t.sum() / t.size, size=(size, d - t.size))
-        rays = eye[~h]
-        rays[:, pivots[i]] -= ratio[k, ~h]
-        # Each point is its ray part plus lam * t on the hit axes; the gemm
-        # stays a gemm, as a gemv would round the pivot column otherwise.
+        rays = eye[free]
+        rays[:, pivots[i]] -= ratio[k, free]
+        # A point is its ray part plus lam * t on the hit axes, and each hit
+        # entry of lam * t is one product, so the sum is exact in any order.
+        # `mu @ rays` stays one gemm: a gemv rounds the pivot column otherwise.
         block = pts[k * size:(k + 1) * size]
         np.matmul(mu, rays, out=block)
         block[:, h] += lam * t

@@ -28,7 +28,7 @@ import numpy as np
 
 def _frozen(a, ndmin: int = 0) -> np.ndarray:
     out = np.array(a, dtype=float, ndmin=ndmin)
-    out.flags.writeable = False
+    out.setflags(write=False)
     return out
 
 
@@ -79,7 +79,7 @@ class TwoLayerNet:
         for name in ("b", "s"):
             if getattr(self, name).shape != (self.width,):
                 raise ValueError(f"{name} must have one entry per row of W")
-        if not np.all(np.abs(self.s) == 1.0):
+        if not set(self.s.tolist()) <= {1.0, -1.0}:
             raise ValueError(f"unit signs must be +1 or -1, got {self.s}")
         if self.skip is not None and self.skip.dim != self.d:
             raise ValueError("skip dim does not match net dim")

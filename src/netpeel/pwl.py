@@ -229,9 +229,10 @@ def iter_critical_points_1d(line, delta: float, window):
     values: dict[float, float] = {}
 
     def read(t: float) -> float:
-        if t not in values:
-            values[t] = line(t)
-        return values[t]
+        value = values.get(t)
+        if value is None:
+            value = values[t] = line(t)
+        return value
 
     lo, hi = float(window[0]), float(window[1])
     edges = set()
