@@ -219,14 +219,17 @@ def test_evaluator_gives_a_point_the_value_of_its_one_row_batch(case):
 
 def _check_oracle_rejects(oracle, *below):
     """A nonneg oracle refuses off-orthant points and wrong shapes, and
-    neither it nor any oracle below it counts them."""
+    neither it nor any oracle below it counts them.  A point holding NaN is
+    off the orthant whatever its other coordinates and wherever the NaN
+    sits, before or after a negative one."""
     layers = (oracle, *below)
     counts = [layer.count for layer in layers]
-    off = np.ones(oracle.dim)
-    off[-1] = -0.5
-    with pytest.raises(DomainError):
-        oracle.query(off)
     n = oracle.dim
+    for first, last in ((1.0, -0.5), (np.nan, -0.5), (-0.5, np.nan), (np.nan, 1.0)):
+        off = np.ones(n)
+        off[0], off[-1] = first, last
+        with pytest.raises(DomainError, match="outside the positive orthant"):
+            oracle.query(off)
     for bad in (np.ones(n + 1), np.ones((1, n)), np.ones(n - 1)):
         with pytest.raises(ValueError):
             oracle.query(bad)
