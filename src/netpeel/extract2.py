@@ -1,11 +1,14 @@
 """Recovery of a sum of signed ReLU units from queries on the nonnegative orthant.
 
-The loop: scan the coordinate rays for the leftmost slope break, bracket it,
-read the unit's sign off the direction of its slope jump, read its weights
-off the change in the tangent affine map, subtract the recovered unit from
-the oracle, and repeat.  A refinement pass then refits every recovered unit
-far from all the other planes, where a wide stencil pins it down to near
-machine precision.
+The loop: scan the coordinate rays of the oracle minus every recovered unit
+for the leftmost slope break, bracket it, read the unit's sign off the
+direction of its slope jump, read its weights off the change in the tangent
+affine map, and repeat.  A recovered unit whose plane misses every probe of
+the bracket is one affine map there and cancels out of that change, so the
+weights are read off the oracle minus only the units whose plane meets the
+probes; on a network in general position that is the oracle itself.  A
+refinement pass then refits every recovered unit far from all the other
+planes, where a wide stencil pins it down to near machine precision.
 Units that never bend on the probed orthant are linear there; they end up in
 the affine remainder reconstructed at the end, which also absorbs the
 orientation ambiguity of each recovered unit (sigma(-z) = sigma(z) - z).
@@ -111,12 +114,53 @@ def find_neuron_crossing(
     return None
 
 
+def _jump_step(eps: float, delta: float) -> float:
+    """The step of `recover_neuron`'s jump probes for a bracket of half-width eps."""
+    return max(delta / 8.0, min(eps / 8.0, 1e-3))
+
+
+def recover_box(x1, x2, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): the closed box holding every point that
+    `recover_neuron(oracle, x1, x2, delta)` queries, for a bracket
+    x1 = (t0 - eps) e_a, x2 = (t0 + eps) e_a with eps >= delta/4, as
+    `find_neuron_crossing` returns it.
+
+    The box runs from x1 to x2 + max(h, eps/4) * 1, with h the jump step.
+    The jump probes x_k + h e_a lie in it, and so do the fit probes
+    x_k + nudge * 1 + step * e_i: step <= eps/8 (eps/8 >= delta/32 beats
+    the delta/64 floor) and nudge <= step/8.  Uses no queries.
+    """
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    span = x2 - x1
+    eps = math.sqrt(span.dot(span)) / 2.0
+    return x1, x2 + max(_jump_step(eps, delta), eps / 4.0)
+
+
+def units_meeting(net: TwoLayerNet, lo: np.ndarray, hi: np.ndarray) -> TwoLayerNet:
+    """The units of `net` whose plane meets the closed box [lo, hi].
+
+    A unit's pre-activation w . x + b ranges over the box between
+    b + sum_i min(w_i lo_i, w_i hi_i) and b + sum_i max(w_i lo_i, w_i hi_i),
+    its values at two corners; the unit is kept when 0 lies in that range,
+    a plane that only touches a corner included.  Every other unit is one
+    affine map over the box, 0 or its pre-activation.  Uses no queries.
+    """
+    at_lo, at_hi = net.W * lo, net.W * hi
+    low = np.minimum(at_lo, at_hi).sum(axis=1) + net.b
+    high = np.maximum(at_lo, at_hi).sum(axis=1) + net.b
+    keep = (low <= 0.0) & (high >= 0.0)
+    return TwoLayerNet(net.W[keep], net.b[keep], net.s[keep])
+
+
 def recover_neuron(oracle, x1, x2, delta: float) -> tuple[np.ndarray, float, int]:
     """(w, b, sign) of the unit changing state between x1 and x2, up to orientation.
 
     Reconstructs the tangent affine maps at both endpoints; their difference
     (right minus left) is the unit's pre-activation map, up to a global sign
     that cannot be observed and is later compensated by the affine remainder.
+    Every other unit of the oracle must be affine over the probes, which all
+    lie in `recover_box(x1, x2, delta)`; it then cancels out of the difference.
     The sign is that of the slope jump along the bracket: a +1 unit is a
     convex kink, so the slope grows across it, and a -1 unit a concave one.
 
@@ -139,7 +183,7 @@ def recover_neuron(oracle, x1, x2, delta: float) -> tuple[np.ndarray, float, int
     span = x2 - x1
     eps = math.sqrt(span.dot(span)) / 2.0
     e = span / (2.0 * eps)
-    h = max(delta / 8.0, min(eps / 8.0, 1e-3))
+    h = _jump_step(eps, delta)
     f1 = oracle.query(x1)
     f2 = oracle.query(x2)
     m1 = (oracle.query(x1 + h * e) - f1) / h
@@ -168,8 +212,11 @@ def subtracted_oracle(oracle: QueryOracle, recovered: TwoLayerNet) -> QueryOracl
     The recovered units are subtracted through their net's evaluator.
     The returned oracle has `oracle` as its parent, with the same dim and
     domain: `oracle` checks each point before the units see it, so the
-    returned oracle does not check it again.
+    returned oracle does not check it again.  A net with no units and no
+    affine term subtracts nothing, and gets `oracle` itself back.
     """
+    if not recovered.width and recovered.skip is None:
+        return oracle
     units = evaluator(recovered)
     fn = lambda x: oracle.query(x) - units(x)
     return QueryOracle(fn, oracle.dim, oracle.domain, label=f"{oracle.label}-peel",
@@ -283,11 +330,12 @@ def extract_two_layer(
 ) -> ExtractedTwoLayer:
     """Full depth-2 recovery loop.
 
-    Alternates crossing search, unit recovery, and subtraction until no
-    coordinate ray bends any more, refines every recovered unit, then reads
-    the affine remainder off the residual at a generic interior point and
-    validates that the residual really is affine at a handful of random
-    points.
+    Alternates crossing search on the oracle minus every recovered unit and
+    unit recovery on the oracle minus the recovered units that meet the
+    bracket's `recover_box`, until no coordinate ray bends any more, refines
+    every recovered unit, then reads the affine remainder off the residual
+    at a generic interior point and validates that the residual really is
+    affine at a handful of random points.
 
     Each ray is scanned up to t = 1/delta.  A `GeneralPositionError` or
     `PieceBudgetError` is re-raised naming the phase whose queries were
@@ -311,7 +359,8 @@ def extract_two_layer(
                 break
             x1, x2, start_axis = hit
             phase, mark, t0 = "recover", oracle.count, perf_counter()
-            w, b, sign = recover_neuron(work, x1, x2, delta)
+            bending = units_meeting(found, *recover_box(x1, x2, delta))
+            w, b, sign = recover_neuron(subtracted_oracle(oracle, bending), x1, x2, delta)
             counts[phase] += oracle.count - mark
             seconds[phase] += perf_counter() - t0
             found = TwoLayerNet(np.vstack((found.W, w)), np.append(found.b, b),

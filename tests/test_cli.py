@@ -182,12 +182,13 @@ def test_extract_query_counts_are_pinned(tmp_path, shape, phases, total):
 
 # sha256 of the seed-0 `extract` report of each cell above, with `seconds`
 # and `phase_seconds` dropped and the keys sorted.  Last re-pinned when
-# each sweep began to read a point once, which lowered the counts it holds.
+# recover began to fit on the oracle minus only the recovered units that can
+# bend on its probes, which moved the last bits of recovered parameters.
 _REPORT_DIGESTS = [
     (("--d", "10", "--d1", "32"),
-     "92d6592c4bf8938bf573ed410c2c09ba6662951e6252266d7f311145bf866552"),
+     "57c595a9a53a07ead3b81966c747abc15632f79854aa553ce121eeb03a494918"),
     (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"),
-     "61cd5653ae09648119550ba27e6672edb27dc4cde17346dc4363530f46812670"),
+     "92ccc262351583836a58f1670584d594d27ad5fca901214b7eb83ce051f09a7a"),
 ]
 
 
@@ -218,10 +219,10 @@ def test_extract_reports_are_pinned_byte_for_byte(tmp_path, shape, digest):
 # re-pins only the totals.
 _ROUND_TRIP_PINS = [
     (("--d", "10", "--d1", "32"), 10,
-     "f53d219e95e5937583a2254345c3139bfb888e27a98aa8c363e725b3452619db",
+     "01f900c2981f4f4967a9aa5c559876f32a6a0f135609965e9f3237be762e4c64",
      {"scan": 8018, "recover": 8320, "refine": 7040, "skip": 270}),
     (("--depth", "3", "--d", "6", "--d1", "3", "--d2", "9"), 48,
-     "aebdd6bac0c6334659492cb5151cf8d1e6e3a443f25affcc50fd251b0e51d0e2",
+     "82b385af4ee590cf1e644bbb84f54e15dd5969660e3c604b4268cabd4817badd",
      {"collect": 23212, "filter": 5601, "signs": 0, "peel": 20622}),
 ]
 

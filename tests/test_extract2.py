@@ -15,7 +15,8 @@ from netpeel.extract2 import (
     subtracted_oracle,
 )
 from netpeel.margins import plane_gap
-from netpeel.oracle.generate import generate_two_layer
+from netpeel.extract3 import extract_three_layer
+from netpeel.oracle.generate import generate_three_layer, generate_two_layer
 from netpeel.oracle.nets import TwoLayerNet, batch_eval, evaluator, relu
 from netpeel.oracle.query import QueryOracle, as_oracle, axis_ray
 from netpeel.pwl import (
@@ -313,6 +314,112 @@ def test_each_round_removes_axis_break_points():
         counts.append(axis_breaks(work))
     assert counts[-1] == 0
     assert all(a > b for a, b in zip(counts, counts[1:]))
+
+
+def test_units_meeting_keeps_the_planes_that_reach_the_box():
+    """On [0, 1] x [0, 2]: a plane through the box and planes touching only
+    a corner are kept, in order; planes clear of it on either side are
+    dropped, whether their unit is inactive or active over the whole box."""
+    W = [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, -1.0],
+         [1.0, -1.0]]
+    b = [-1.0, -3.0, 0.0, 2.0, -3.5, -0.5, 2.5]
+    net = TwoLayerNet(W, b, [1, -1, 1, -1, 1, 1, -1])
+    kept = extract2.units_meeting(net, np.array([0.0, 0.0]), np.array([1.0, 2.0]))
+    assert kept.W.tolist() == W[:4]
+    assert kept.b.tolist() == b[:4]
+    assert kept.s.tolist() == [1, -1, 1, -1]
+    assert kept.skip is None
+    none = extract2.units_meeting(TwoLayerNet(np.empty((0, 2)), [], []), np.zeros(2),
+                                  np.ones(2))
+    assert none.W.shape == (0, 2)
+
+
+def test_subtracting_nothing_is_the_oracle_itself():
+    oracle = _relu_oracle([1.0, 1.0], -1.0)
+    assert subtracted_oracle(oracle, TwoLayerNet(np.empty((0, 2)), [], [])) is oracle
+
+
+def _recover_spy(monkeypatch):
+    """Replace `recover_neuron` with a wrapper that records, per call, the
+    oracle it was handed, the points it queried and its `recover_box`."""
+    real = extract2.recover_neuron
+    calls = []
+
+    def spy(oracle, x1, x2, delta):
+        points = []
+
+        def read(x):
+            points.append(x.copy())
+            return oracle.query(x)
+
+        seen = QueryOracle(read, oracle.dim, oracle.domain, parent=oracle)
+        calls.append((oracle, points, extract2.recover_box(x1, x2, delta)))
+        return real(seen, x1, x2, delta)
+
+    monkeypatch.setattr(extract2, "recover_neuron", spy)
+    return calls
+
+
+def _assert_inside(calls):
+    for _, points, (lo, hi) in calls:
+        assert len(points) == 4 + 2 * (lo.size + 1)
+        for x in points:
+            assert np.all(lo <= x) and np.all(x <= hi)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_recover_reads_the_oracle_itself_inside_its_box_on_a_wide_net(monkeypatch, seed):
+    """On the (10, 32) benchmark cell, every point recover queries lies in
+    its box, and no recovered plane meets a box, so recover fits on the
+    oracle itself."""
+    calls = _recover_spy(monkeypatch)
+    oracle = as_oracle(generate_two_layer(10, 32, np.random.default_rng(seed)))
+    extract_two_layer(oracle, 10, DELTA, 512)
+    assert len(calls) == 32
+    assert all(o is oracle for o, _, _ in calls)
+    _assert_inside(calls)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_peeled_stage_recovers_inside_its_box(monkeypatch, seed):
+    """The same on the peeled top of the (6, 3, 9) benchmark cell: recover
+    reads the peeled oracle, never one subtracted from it."""
+    calls = _recover_spy(monkeypatch)
+    extract_three_layer(as_oracle(generate_three_layer(6, 3, 9, np.random.default_rng(seed))),
+                        DELTA)
+    assert len(calls) == 9
+    assert all(o.label.endswith("-top") for o, _, _ in calls)
+    _assert_inside(calls)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_near_unit_is_recovered_with_unit_0_subtracted(monkeypatch, seed):
+    """A ninth unit crossing axis 0 1e-3 past unit 0: unit 0's plane meets
+    the ninth unit's box, so that one recovery subtracts unit 0, and only
+    it; every other recovery reads the oracle itself."""
+    subtracted = {}
+    real_subtracted = extract2.subtracted_oracle
+
+    def record(oracle, recovered):
+        out = real_subtracted(oracle, recovered)
+        subtracted[id(out)] = recovered
+        return out
+
+    monkeypatch.setattr(extract2, "subtracted_oracle", record)
+    calls = _recover_spy(monkeypatch)
+    net = near_coincident_net(seed, 1e-3)
+    oracle = as_oracle(net)
+    got = extract_two_layer(oracle, 4, DELTA, 13)
+    assert got.net.width == len(calls) == 9
+    (k,) = [k for k, (o, _, _) in enumerate(calls) if o is not oracle]
+    kept = subtracted[id(calls[k][0])]
+    assert kept.width == 1
+    planes = [unit_plane(w, b) for w, b in zip(net.W, net.b)]
+    gaps = [plane_gap(*unit_plane(kept.W[0], kept.b[0]), [n], [o]) for n, o in planes]
+    assert np.argmin(gaps) == 0
+    gaps = [plane_gap(*unit_plane(got.net.W[k], got.net.b[k]), [n], [o]) for n, o in planes]
+    assert np.argmin(gaps) == 8
+    _assert_inside(calls)
 
 
 # ---------------------------------------------------------------- refinement
