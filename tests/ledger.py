@@ -43,6 +43,7 @@ from helpers import near_coincident_net
 from netpeel.extract2 import extract_two_layer
 from netpeel.extract3 import extract_three_layer
 from netpeel.oracle.generate import generate_three_layer, generate_two_layer
+from netpeel.oracle.nets import TwoLayerNet
 from netpeel.oracle.query import as_oracle
 from netpeel.oracle.serialize import dumps_document, net_to_document
 from netpeel.pwl import GeneralPositionError, PieceBudgetError
@@ -74,7 +75,7 @@ FAST = [name for name, (kind, shape, _) in POOLS.items()
 
 
 def _net(kind, shape, seed):
-    """(net, d1_max) for one seed of a pool; d1_max is None at depth 3."""
+    """(net, d1_max) for one seed of a pool; depth 3 takes no d1_max."""
     if kind == "near":
         return near_coincident_net(seed, shape), 13
     rng = np.random.default_rng(seed)
@@ -84,21 +85,21 @@ def _net(kind, shape, seed):
 
 
 def run_one(net, d1_max):
-    """(record, recovered net or None) of one extraction judged against `net`."""
+    """The record of one extraction judged against `net`."""
     oracle = as_oracle(net)
-    depth = 2 if d1_max is not None else 3
+    depth = 2 if isinstance(net, TwoLayerNet) else 3
     try:
         if depth == 2:
             result = extract_two_layer(oracle, net.d, DELTA, d1_max)
         else:
             result = extract_three_layer(oracle, DELTA)
     except (GeneralPositionError, PieceBudgetError) as err:
-        return {"outcome": "raise", "queries": oracle.count, "error": str(err)}, None
+        return {"outcome": "raise", "queries": oracle.count, "error": str(err)}
     passed = functional_equivalence(net, result.net, *BOXES[depth], tau=TAU).passed
     text = dumps_document(net_to_document(result.net))
     return {"outcome": "pass" if passed else "wrong", "queries": oracle.count,
             "phases": dict(result.phase_queries),
-            "network": hashlib.sha256(text.encode()).hexdigest()}, result.net
+            "network": hashlib.sha256(text.encode()).hexdigest()}
 
 
 def run_pool(name):
@@ -107,8 +108,7 @@ def run_pool(name):
     kind, shape, n_seeds = POOLS[name]
     runs = []
     for seed in range(n_seeds):
-        record, _ = run_one(*_net(kind, shape, seed))
-        runs.append({"seed": seed, **record})
+        runs.append({"seed": seed, **run_one(*_net(kind, shape, seed))})
     tally = {k: sum(r["outcome"] == k for r in runs) for k in ("pass", "raise", "wrong")}
     totals = {}
     for r in runs:
@@ -174,7 +174,7 @@ def main(argv=None):
         print(line, flush=True)
     print(f"{len(new)} pools in {time.perf_counter() - t0:.1f} s")
     if args.write:
-        LEDGER.write_text(dumps({**old, **new} if args.pools != list(POOLS) else new))
+        LEDGER.write_text(dumps({**old, **new}))
     return 0
 
 
