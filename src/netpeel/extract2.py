@@ -140,16 +140,17 @@ def recover_box(x1, x2, delta: float) -> tuple[np.ndarray, np.ndarray]:
 def units_meeting(net: TwoLayerNet, lo: np.ndarray, hi: np.ndarray) -> TwoLayerNet:
     """The units of `net` whose plane meets the closed box [lo, hi].
 
-    A unit's pre-activation w . x + b ranges over the box between
-    b + sum_i min(w_i lo_i, w_i hi_i) and b + sum_i max(w_i lo_i, w_i hi_i),
-    its values at two corners; the unit is kept when 0 lies in that range,
-    a plane that only touches a corner included.  Every other unit is one
-    affine map over the box, 0 or its pre-activation.  Uses no queries.
+    With c the box's centre and r its half-widths, a unit's pre-activation
+    w . x + b ranges over the box from w . c + b - sum_i |w_i| r_i to
+    w . c + b + sum_i |w_i| r_i, its values at two opposite corners.  The
+    unit is kept when 0 lies in that range, a plane that only touches a
+    corner included.  Both sides are taken doubled, from lo + hi and
+    hi - lo, so no halving rounds.  Every other unit is one affine map over
+    the box, 0 or its pre-activation.  Uses no queries.
     """
-    at_lo, at_hi = net.W * lo, net.W * hi
-    low = np.minimum(at_lo, at_hi).sum(axis=1) + net.b
-    high = np.maximum(at_lo, at_hi).sum(axis=1) + net.b
-    keep = (low <= 0.0) & (high >= 0.0)
+    mid = net.W.dot(lo + hi)
+    mid += net.b + net.b
+    keep = np.abs(mid) <= np.abs(net.W).dot(hi - lo)
     return TwoLayerNet(net.W[keep], net.b[keep], net.s[keep])
 
 

@@ -319,7 +319,8 @@ def test_each_round_removes_axis_break_points():
 def test_units_meeting_keeps_the_planes_that_reach_the_box():
     """On [0, 1] x [0, 2]: a plane through the box and planes touching only
     a corner are kept, in order; planes clear of it on either side are
-    dropped, whether their unit is inactive or active over the whole box."""
+    dropped, whether their unit is inactive or active over the whole box.
+    Subtracting no units is the oracle itself."""
     W = [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, -1.0],
          [1.0, -1.0]]
     b = [-1.0, -3.0, 0.0, 2.0, -3.5, -0.5, 2.5]
@@ -329,14 +330,10 @@ def test_units_meeting_keeps_the_planes_that_reach_the_box():
     assert kept.b.tolist() == b[:4]
     assert kept.s.tolist() == [1, -1, 1, -1]
     assert kept.skip is None
-    none = extract2.units_meeting(TwoLayerNet(np.empty((0, 2)), [], []), np.zeros(2),
-                                  np.ones(2))
+    none = extract2.units_meeting(net, np.array([10.0, 10.0]), np.array([11.0, 11.0]))
     assert none.W.shape == (0, 2)
-
-
-def test_subtracting_nothing_is_the_oracle_itself():
     oracle = _relu_oracle([1.0, 1.0], -1.0)
-    assert subtracted_oracle(oracle, TwoLayerNet(np.empty((0, 2)), [], [])) is oracle
+    assert subtracted_oracle(oracle, none) is oracle
 
 
 def _recover_spy(monkeypatch):
@@ -483,9 +480,9 @@ def test_refined_planes_of_a_wide_net_match_the_truth():
 @pytest.mark.parametrize("seed", range(10))
 def test_every_true_plane_of_a_wide_net_is_recovered_within_1e_10(seed):
     """The margin behind refine's precision on the (10, 32) benchmark cell:
-    over seeds 0-9 the worst true plane lies 3.2e-11 from its nearest
-    recovered plane.  With 2 candidates per plane instead of 64 it lay
-    2.1e-10 off, and with 1 candidate 2.6e-9."""
+    over seeds 0-9 the worst true plane lies 2.2e-11 from its nearest
+    recovered plane.  With 2 candidates per plane instead of 64 it lies
+    2.1e-10 off, and with 1 candidate 2.7e-9."""
     net = generate_two_layer(10, 32, np.random.default_rng(seed))
     got = extract_two_layer(as_oracle(net), 10, DELTA, 512)
     assert _worst_plane_error(net, got.net) <= 1e-10
