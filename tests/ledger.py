@@ -25,8 +25,8 @@ repository root with `src` on the path:
     PYTHONPATH=src python tests/ledger.py --diff     # changes against LEDGER.json
     PYTHONPATH=src python tests/ledger.py --write    # re-take LEDGER.json
 
-`--pools NAME ...` runs only the named pools.  `test_ledger.py` checks the
-depth-2 pools and the near-coincident table against the file.
+`test_ledger.py` checks the depth-2 pools and the near-coincident table
+against the file.
 """
 from __future__ import annotations
 
@@ -159,12 +159,11 @@ def main(argv=None):
     mode.add_argument("--diff", action="store_true",
                       help="print each pool's changes against LEDGER.json")
     mode.add_argument("--write", action="store_true", help="re-take LEDGER.json")
-    parser.add_argument("--pools", nargs="+", choices=list(POOLS), default=list(POOLS))
     args = parser.parse_args(argv)
     old = load() if LEDGER.exists() else {}
     new = {}
     t0 = time.perf_counter()
-    for name in args.pools:
+    for name in POOLS:
         new[name] = pool = run_pool(name)
         tally = "/".join(str(v) for v in pool["outcomes"].values())
         line = f"{name}: {tally} pass/raise/wrong, {pool['total']:,} queries {pool['phases']}"
@@ -174,7 +173,7 @@ def main(argv=None):
         print(line, flush=True)
     print(f"{len(new)} pools in {time.perf_counter() - t0:.1f} s")
     if args.write:
-        LEDGER.write_text(dumps({**old, **new}))
+        LEDGER.write_text(dumps(new))
     return 0
 
 
