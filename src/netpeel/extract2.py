@@ -16,8 +16,8 @@ orientation ambiguity of each recovered unit (sigma(-z) = sigma(z) - z).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from time import perf_counter
+import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -50,24 +50,46 @@ _REFINE_SEED = 20240818
 _REFINE_CANDIDATES = 64
 
 
-@dataclass
-class ExtractedTwoLayer:
-    """Result of a depth-2 run: the recovered network, its query split and
-    the wall seconds of each phase.
+class Extraction:
+    """The result of one extraction run, and the clock that fills it in.
 
-    `net` carries the recovered units and the affine remainder as its skip.
-    `residual_headroom` is the worst ratio of the final affine-residual
-    check's deviation to its tolerance; the run fails above 1.
+    `net` is the recovered network; at depth 2 its skip is the affine
+    remainder.  `phase_queries` and `phase_seconds` hold the oracle queries
+    and wall seconds of each phase, keyed by every phase of the run in
+    running order, a phase that never ran included.  `residual_headroom` is
+    the worst ratio of the depth-2 affine-residual check's deviation to its
+    tolerance (at depth 3, that of the peeled top); the run fails above 1.
+    A run that raises returns no result.
     """
 
-    net: TwoLayerNet
-    phase_queries: dict[str, int]
-    phase_seconds: dict[str, float]
-    residual_headroom: float
+    def __init__(self, phases, axis: int | None = None):
+        self.net = None
+        self.phase_queries = dict.fromkeys(phases, 0)
+        self.phase_seconds = dict.fromkeys(phases, 0.0)
+        self.residual_headroom = math.nan
+        self._where = "" if axis is None else f" (axis {axis})"
 
     @property
     def total_queries(self) -> int:
         return sum(self.phase_queries.values())
+
+    @contextmanager
+    def phase(self, name: str, oracle: QueryOracle):
+        """Add the queries `oracle` answers and the wall seconds spent in the
+        block to phase `name`.
+
+        A `GeneralPositionError` or `PieceBudgetError` leaving the block is
+        re-raised as the same type with its message prefixed by
+        "{name} phase: ", or "{name} phase (axis k): " for a run given the
+        axis k of its probe line.
+        """
+        mark, t0 = oracle.count, time.perf_counter()
+        try:
+            yield
+        except (GeneralPositionError, PieceBudgetError) as err:
+            raise type(err)(f"{name} phase{self._where}: {err}") from err
+        self.phase_queries[name] += oracle.count - mark
+        self.phase_seconds[name] += time.perf_counter() - t0
 
 
 def find_neuron_crossing(
@@ -328,7 +350,7 @@ def extract_two_layer(
     d: int,
     delta: float,
     d1_max: int,
-) -> ExtractedTwoLayer:
+) -> Extraction:
     """Full depth-2 recovery loop.
 
     Alternates crossing search on the oracle minus every recovered unit and
@@ -339,49 +361,37 @@ def extract_two_layer(
     affine at a handful of random points.
 
     Each ray is scanned up to t = 1/delta.  A `GeneralPositionError` or
-    `PieceBudgetError` is re-raised naming the phase whose queries were
-    being counted (scan, recover, refine or skip).  Raises
+    `PieceBudgetError` names the phase whose queries were being counted
+    (scan, recover, refine or skip).  Raises
     PieceBudgetError("recover phase: too many neurons") past `d1_max`.
     """
     if oracle.domain != DOMAIN_NONNEG:
         raise ValueError("depth-2 extraction queries the nonnegative orthant")
-    counts = {"scan": 0, "recover": 0, "refine": 0, "skip": 0}
-    seconds = dict.fromkeys(counts, 0.0)
+    run = Extraction(("scan", "recover", "refine", "skip"))
     found = TwoLayerNet(np.empty((0, d)), [], [])
     work = oracle
     start_axis = 0
-    try:
-        while True:
-            phase, mark, t0 = "scan", oracle.count, perf_counter()
+    while True:
+        with run.phase("scan", oracle):
             hit = find_neuron_crossing(work, delta, start_axis=start_axis)
-            counts[phase] += oracle.count - mark
-            seconds[phase] += perf_counter() - t0
-            if hit is None:
-                break
-            x1, x2, start_axis = hit
-            phase, mark, t0 = "recover", oracle.count, perf_counter()
+        if hit is None:
+            break
+        x1, x2, start_axis = hit
+        with run.phase("recover", oracle):
             bending = units_meeting(found, *recover_box(x1, x2, delta))
             w, b, sign = recover_neuron(subtracted_oracle(oracle, bending), x1, x2, delta)
-            counts[phase] += oracle.count - mark
-            seconds[phase] += perf_counter() - t0
             found = TwoLayerNet(np.vstack((found.W, w)), np.append(found.b, b),
                                 np.append(found.s, sign))
             if found.width > d1_max:
                 raise PieceBudgetError("too many neurons")
-            work = subtracted_oracle(oracle, found)
-        phase, mark, t0 = "refine", oracle.count, perf_counter()
+        work = subtracted_oracle(oracle, found)
+    with run.phase("refine", oracle):
         net = refine_units(oracle, found)
         work = subtracted_oracle(oracle, net)
-        counts[phase] += oracle.count - mark
-        seconds[phase] += perf_counter() - t0
-        phase, mark, t0 = "skip", oracle.count, perf_counter()
+    with run.phase("skip", oracle):
         rng = np.random.default_rng(_SKIP_SEED)
         base = rng.uniform(0.7, 1.7, size=d)
         skip = reconstruct_affine(work, base, 0.25)
-        headroom = _check_affine_residual(work, skip, rng)
-        counts[phase] += oracle.count - mark
-        seconds[phase] += perf_counter() - t0
-    except (GeneralPositionError, PieceBudgetError) as err:
-        raise type(err)(f"{phase} phase: {err}") from err
-    return ExtractedTwoLayer(TwoLayerNet(net.W, net.b, net.s, skip), counts, seconds,
-                             headroom)
+        run.residual_headroom = _check_affine_residual(work, skip, rng)
+    run.net = TwoLayerNet(net.W, net.b, net.s, skip)
+    return run

@@ -20,8 +20,6 @@ or `PieceBudgetError` names the phase and the axis it came from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
@@ -32,7 +30,7 @@ from .config import (
     RANK_TOL,
     SIDE_RATIO,
 )
-from .extract2 import extract_two_layer
+from .extract2 import Extraction, extract_two_layer
 from .margins import leave_one_out, least_singular_value, plane_gap
 from .oracle.nets import ThreeLayerNet, batch_eval
 from .oracle.query import DOMAIN_FULL, DOMAIN_NONNEG, QueryOracle, axis_ray
@@ -49,24 +47,6 @@ _FOLD_CLEARANCE = 80.0
 _FOLD_TRUST = 1e3
 _FILTER_STEP = 4.0
 _OUTPUT_SEED = 20240819
-_PHASES = ("collect", "filter", "signs", "peel")
-
-
-@dataclass
-class ExtractedThreeLayer:
-    """The recovered network, the number m of collected candidates, the query
-    split, the wall seconds of each phase and the `residual_headroom` of the
-    depth-2 run on its peeled top."""
-
-    net: ThreeLayerNet
-    n_candidates: int
-    phase_queries: dict[str, int]
-    phase_seconds: dict[str, float]
-    residual_headroom: float
-
-    @property
-    def total_queries(self) -> int:
-        return sum(self.phase_queries.values())
 
 
 def collect_candidate_hyperplanes(
@@ -316,49 +296,37 @@ def extract_three_layer(
     m_max: int = 256,
     d1_max: int | None = None,
     d2_max: int = 512,
-) -> ExtractedThreeLayer:
+) -> Extraction:
     """Full depth-3 recovery: collect, filter, orient, peel, extract.
 
     One pass over the four phases on the probe line t * e_1, which the
     generator keeps in general position.  There is no fallback to another
-    line: a `GeneralPositionError` or `PieceBudgetError` from any phase is
-    re-raised naming the phase and the axis, and `phase_queries` accounts
-    for every oracle query of a run that returns.  The peel ends by checking
-    the composed network against the oracle, so a run that misses a
+    line: a `GeneralPositionError` or `PieceBudgetError` from any phase
+    names the phase and the axis, and `phase_queries` accounts for every
+    oracle query of a run that returns.  The peel ends by checking the
+    composed network against the oracle, so a run that misses a
     first-layer plane raises.  The probe line and the axis scans of the
     peeled depth-2 stage reach |t| = 1/delta.
     """
     if oracle.domain != DOMAIN_FULL:
         raise ValueError("depth-3 extraction queries all of R^d")
-    # (oracle.count, clock) as each phase starts; marks[-1] belongs to the
-    # running phase.
-    marks = [(oracle.count, perf_counter())]
-    try:
+    run = Extraction(("collect", "filter", "signs", "peel"), axis=0)
+    with run.phase("collect", oracle):
         normals, offsets, sources, grads = collect_candidate_hyperplanes(
             oracle, delta, m_max, rng=np.random.default_rng(12345))
         if len(offsets) == 0:
             raise GeneralPositionError("probe line met no critical points")
-        marks.append((oracle.count, perf_counter()))
-
+    with run.phase("filter", oracle):
         keep = filter_candidates(oracle, normals, offsets, sources, delta)
         if not any(keep):
             raise GeneralPositionError("no candidate survived the fold test")
         if d1_max is not None and sum(keep) > d1_max:
             raise PieceBudgetError("too many first-layer planes")
-        marks.append((oracle.count, perf_counter()))
-
+    with run.phase("signs", oracle):
         W, b = recover_row_signs(normals[keep], offsets[keep], grads[keep])
-        marks.append((oracle.count, perf_counter()))
-
-        top_oracle = peel_first_layer(oracle, W, b)
-        top = extract_two_layer(top_oracle, W.shape[0], delta, d2_max)
-        net = ThreeLayerNet(W=W, b=b, top=top.net)
-        _check_output(oracle, net)
-        marks.append((oracle.count, perf_counter()))
-    except (GeneralPositionError, PieceBudgetError) as err:
-        phase = _PHASES[len(marks) - 1]
-        raise type(err)(f"{phase} phase (axis 0): {err}") from err
-    counts, seconds = {}, {}
-    for phase, (q0, t0), (q1, t1) in zip(_PHASES, marks, marks[1:]):
-        counts[phase], seconds[phase] = q1 - q0, t1 - t0
-    return ExtractedThreeLayer(net, len(offsets), counts, seconds, top.residual_headroom)
+    with run.phase("peel", oracle):
+        top = extract_two_layer(peel_first_layer(oracle, W, b), W.shape[0], delta, d2_max)
+        run.net = ThreeLayerNet(W=W, b=b, top=top.net)
+        _check_output(oracle, run.net)
+    run.residual_headroom = top.residual_headroom
+    return run

@@ -38,7 +38,6 @@ from .config import (
     VALUE_FLOOR,
 )
 from .oracle.nets import AffineMap
-from .oracle.query import DOMAIN_NONNEG
 
 
 class GeneralPositionError(RuntimeError):
@@ -272,18 +271,6 @@ def all_critical_points_1d(line, delta: float, k_max: int, window) -> list[float
     return found
 
 
-def _inward(e: np.ndarray, x: np.ndarray, reach: float, nonneg: bool) -> np.ndarray | None:
-    """Zero the components that would push a probe out of the orthant."""
-    if not nonneg:
-        return e
-    e = e.copy()
-    e[x < reach] = 0.0
-    n = math.sqrt(e.dot(e))
-    if n < 1e-12:
-        return None
-    return e / n
-
-
 def is_critical_point(oracle, x, direction, delta: float) -> bool:
     """Does the function bend within `delta` of `x` along the unit `direction`?
 
@@ -330,7 +317,8 @@ def reconstruct_critical_hyperplane(
     random direction e) and takes the null set of their difference.  Each
     side is cross-checked by predicting the function one step further out;
     a failed check means the probes straddled a second break, and a fresh
-    direction is drawn.  O(d) queries per attempt.
+    direction is drawn.  O(d) queries per attempt.  The probes lie within
+    2 radius of x in every direction, so `oracle` must take all of R^d.
 
     The finite-difference step of the affine fits is a quarter of the
     attempt's radius.  Callers working against well-separated breaks can
@@ -341,7 +329,6 @@ def reconstruct_critical_hyperplane(
     generous radius keeps hitting a second break.
     """
     x = np.asarray(x, dtype=float)
-    nonneg = oracle.domain == DOMAIN_NONNEG
     d = x.size
     for attempt in range(HYPERPLANE_ATTEMPTS):
         shrink = 0.5 ** max(0, attempt - 1)
@@ -349,9 +336,6 @@ def reconstruct_critical_hyperplane(
         s_a = r_a / 4.0
         e = rng.standard_normal(d)
         e /= math.sqrt(e.dot(e))
-        e = _inward(e, x, 2.0 * r_a + 2.0 * s_a, nonneg)
-        if e is None:
-            raise GeneralPositionError("no hyperplane detected")
         maps = []
         ok = True
         for side in (1.0, -1.0):

@@ -83,7 +83,7 @@ POOLS = {
 }
 # The tier-1 slice: the depth-2 pools and the near-coincident table.
 FAST = [name for name, (kind, shape, _) in POOLS.items()
-        if kind == "near" or kind == "generated" and len(shape) == 2]
+        if kind == "near" or (kind == "generated" and len(shape) == 2)]
 
 
 def _net(kind, shape, seed):

@@ -146,6 +146,20 @@ def test_extract_report_times_every_phase(tmp_path, shape):
     assert sum(phases.values()) <= doc["seconds"] + 1e-4 + 1e-6 * len(phases)
 
 
+def test_extract_reports_every_phase_of_a_net_with_no_units(tmp_path):
+    """Every phase keeps its key, in running order, when it never runs: a
+    net with no units makes no recover queries and refines nothing."""
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"format": "netpeel-net", "depth": 2, "d": 3, "d1": 0,
+                               "W": [], "b": [], "u": []}))
+    report = tmp_path / "report.json"
+    assert main(["extract", "--input", str(net), "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert list(doc["phase_queries"].items()) == [
+        ("scan", 39), ("recover", 0), ("refine", 0), ("skip", 20)]
+    assert list(doc["phase_seconds"]) == list(doc["phase_queries"])
+
+
 def test_extract_is_deterministic_apart_from_timing(tmp_path):
     net = _generate(tmp_path, "net.json", "--d", "2", "--d1", "3", "--seed", "5")
     docs = []

@@ -1,6 +1,8 @@
 """Depth-2 recovery: crossing search, sign and weight recovery, peeling loop."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -585,3 +587,39 @@ def test_a_general_position_error_names_its_phase(seed, message):
     with pytest.raises(GeneralPositionError, match=f"^{message}") as info:
         extract_two_layer(as_oracle(net), 4, DELTA, 13)
     assert isinstance(info.value.__cause__, GeneralPositionError)
+
+
+# --------------------------------------------------------------- phase clock
+
+
+def _names_perf_counter(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "perf_counter" for alias in node.names)
+    return (isinstance(node, ast.Name) and node.id == "perf_counter"
+            or isinstance(node, ast.Attribute) and node.attr == "perf_counter")
+
+
+def _names_a_phase(node: ast.AST) -> bool:
+    """An f-string with a literal part starting " phase", as in "{name} phase: ..."."""
+    return isinstance(node, ast.JoinedStr) and any(
+        isinstance(part, ast.Constant) and part.value.startswith(" phase")
+        for part in node.values)
+
+
+def test_only_the_phase_clock_times_phases_and_names_them():
+    """Across both extractors, `perf_counter` is named only inside
+    `Extraction.phase`, and the re-raise naming a phase is written once,
+    there."""
+    inside, outside = [], []
+    for path in (Path(extract2.__file__), Path(extract2.__file__).with_name("extract3.py")):
+        tree = ast.parse(path.read_text())
+        clock = {id(node) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) and cls.name == "Extraction"
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "phase"
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if _names_perf_counter(node) or _names_a_phase(node):
+                (inside if id(node) in clock else outside).append(node)
+    assert [(type(node).__name__, node.lineno) for node in outside] == []
+    assert sum(map(_names_a_phase, inside)) == 1
+    assert any(map(_names_perf_counter, inside))

@@ -399,18 +399,20 @@ def test_extract_recovers_first_layer_rows(wide_net, wide_extraction):
     assert np.max(np.abs(got.net.b - wide_net.b[order])) < 1e-7
 
 
-def test_extract_row_norms_and_counters(wide_extraction):
+def test_extract_row_norms_and_counters(wide_candidates, wide_extraction):
     got = wide_extraction
     assert np.max(np.abs(np.linalg.norm(got.net.W, axis=1) - 1.0)) < 1e-9
     assert got.net.d1 == 3
-    assert got.n_candidates >= 3
+    assert len(wide_candidates[1][1]) >= 3
     assert set(got.phase_queries) == {"collect", "filter", "signs", "peel"}
     assert got.total_queries == sum(got.phase_queries.values())
 
 
-def test_phase_query_bounds(wide_extraction):
+def test_phase_query_bounds(wide_candidates, wide_extraction):
+    """m is the number of collected candidates: `wide_candidates` collects
+    them with the seed-12345 stream that the extraction's collect draws."""
     got = wide_extraction
-    m = got.n_candidates
+    m = len(wide_candidates[1][1])
     log = math.log2(1.0 / DELTA)
     assert got.phase_queries["collect"] <= 12 * 4 * m * log
     assert got.phase_queries["filter"] <= 6 * m * (m - 1)

@@ -15,7 +15,7 @@ from helpers import dense_grid_kinks, scalar_line, synth_pwl, unit_plane
 from netpeel.config import CANON_FLOOR, PROBE_FLOOR
 from netpeel.margins import plane_gap
 from netpeel.oracle.generate import generate_three_layer, generate_two_layer
-from netpeel.oracle.nets import TwoLayerNet
+from netpeel.oracle.nets import TwoLayerNet, evaluator
 from netpeel.oracle.query import QueryOracle, axis_ray, as_oracle
 from netpeel.pwl import (
     GeneralPositionError,
@@ -280,8 +280,9 @@ def test_hyperplane_from_single_kink():
 
 
 def test_hyperplane_matches_ground_truth_at_axis_point():
+    """The probes leave the orthant, so the net is queried on all of R^4."""
     net = generate_two_layer(4, 4, np.random.default_rng(17))
-    oracle = as_oracle(net)
+    oracle = QueryOracle(evaluator(net), 4)
     for j, (w, b) in enumerate(zip(net.W, net.b)):
         axis = j % 4
         x = np.zeros(4)
@@ -305,7 +306,7 @@ def test_hyperplane_translation_equivariance():
 
 def test_hyperplane_is_seed_invariant():
     net = generate_two_layer(3, 3, np.random.default_rng(8))
-    oracle = as_oracle(net)
+    oracle = QueryOracle(evaluator(net), 3)
     x = np.zeros(3)
     x[0] = -net.b[0] / net.W[0, 0]
     planes = [

@@ -59,7 +59,7 @@ def test_equivalence_takes_networks_only():
     net = generate_two_layer(2, 2, np.random.default_rng(0))
     got = extract_two_layer(as_oracle(net), 2, 1e-4, 4)
     for a, b in ((net, got), (got, net)):
-        with pytest.raises(TypeError, match="ExtractedTwoLayer"):
+        with pytest.raises(TypeError, match="Extraction"):
             functional_equivalence(a, b, 0.0, 10.0)
 
 
